@@ -14,8 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .device import TimingParams, make_timing
-from .scheduler import ScheduleTrace, request_delay, solo_service
+from .device import TimingParams
+from .keyvalue import check_min
+from .scheduler import ScheduleTrace
 
 
 class AnalysisError(ValueError):
@@ -32,10 +33,9 @@ class AnalysisInputs:
     solo_cycles: int | None = None  # solo execution time, for response estimates
 
     def __post_init__(self):
-        if self.max_prior_reads < 0 or self.drain_batch < 0 or self.miss_count < 0:
-            raise AnalysisError("counts must be non-negative")
-        if self.num_cores < 1:
-            raise AnalysisError("need at least one core")
+        check_min(self, 0, "max_prior_reads", "drain_batch", "miss_count",
+                  error=AnalysisError)
+        check_min(self, 1, "num_cores", error=AnalysisError)
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,7 @@ class KimParams:
     inter_rw: int = 14
 
     def __post_init__(self):
-        if min(self.inter_pre, self.inter_act, self.inter_rw) < 0:
-            raise AnalysisError("baseline penalties must be non-negative")
+        check_min(self, 0, "inter_pre", "inter_act", "inter_rw", error=AnalysisError)
 
     @classmethod
     def from_timing(cls, timing: TimingParams) -> "KimParams":
@@ -160,11 +159,8 @@ def bound_check(trace: ScheduleTrace, bound, analyzed_core: int) -> BoundReport:
     bound_cycles = getattr(bound, "per_request_cycles", bound)
     delays = []
     for rec in trace.completions:
-        if rec.core != analyzed_core or rec.is_write:
-            continue
-        info = trace.requests[rec.request_id]
-        baseline = solo_service(trace.timing, False, info.hit_class)
-        delays.append((rec.request_id, request_delay(trace, rec.request_id, baseline)))
+        if rec.core == analyzed_core and not rec.is_write:
+            delays.append((rec.request_id, trace.per_request_delay(rec.request_id)))
     if not delays:
         raise AnalysisError(f"core {analyzed_core} completed no reads in this trace")
     values = [d for _, d in delays]
@@ -181,13 +177,20 @@ def bound_check(trace: ScheduleTrace, bound, analyzed_core: int) -> BoundReport:
     )
 
 
+def bound_set(inputs: AnalysisInputs, kim_params: KimParams | None = None
+              ) -> tuple[DelayBound, DelayBound, KimBound]:
+    """The full, no-write-queue and one-request baseline bounds."""
+    return (per_request_bound(inputs, "full"),
+            per_request_bound(inputs, "no_write_queue"),
+            kim_baseline_bound(inputs, kim_params))
+
+
 def bound_rows(inputs: AnalysisInputs,
-               kim_params: KimParams | None = None) -> list[tuple[str, float, float]]:
-    """Rows (quantity, cycles, ns) for the bound report CSV."""
+               bounds: tuple | None = None) -> list[tuple[str, float, float]]:
+    """Rows (quantity, cycles, ns) for the bound report CSV; ``bounds`` is
+    :func:`bound_set` of ``inputs``, built here when not given."""
     timing = inputs.timing
-    full = per_request_bound(inputs, "full")
-    nowq = per_request_bound(inputs, "no_write_queue")
-    kim = kim_baseline_bound(inputs, kim_params)
+    full, nowq, kim = bounds or bound_set(inputs)
     rows = [
         ("read_queue_delay", full.read_queue_cycles, timing.ns(full.read_queue_cycles)),
         ("write_drain_delay", full.write_drain_cycles, timing.ns(full.write_drain_cycles)),
@@ -204,12 +207,9 @@ def bound_rows(inputs: AnalysisInputs,
     return rows
 
 
-def format_bound_table(inputs: AnalysisInputs,
-                       kim_params: KimParams | None = None) -> str:
+def format_bound_table(inputs: AnalysisInputs, bounds: tuple | None = None) -> str:
     """Aligned text table of per-request and task-level bounds."""
-    full = per_request_bound(inputs, "full")
-    nowq = per_request_bound(inputs, "no_write_queue")
-    kim = kim_baseline_bound(inputs, kim_params)
+    full, nowq, kim = bounds or bound_set(inputs)
     rows = [
         ("full", full.per_request_cycles, full.total_cycles),
         ("no_write_queue", nowq.per_request_cycles, nowq.total_cycles),
@@ -227,11 +227,3 @@ def format_bound_table(inputs: AnalysisInputs,
         )
     return "\n".join(lines) + "\n"
 
-
-def default_inputs(miss_count: int = 0, solo_cycles: int | None = None,
-                   timing: TimingParams | None = None) -> AnalysisInputs:
-    return AnalysisInputs(
-        timing=timing or make_timing(),
-        miss_count=miss_count,
-        solo_cycles=solo_cycles,
-    )

@@ -7,7 +7,9 @@ All quantities are in memory-clock cycles unless the name ends in ``_ns``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+from .keyvalue import codecs, read_lines, read_pairs
 
 
 class TimingError(ValueError):
@@ -40,9 +42,6 @@ DDR3_1066 = {
     "trc": 27,
 }
 
-_CYCLE_KEYS = tuple(k for k in DDR3_1066 if k != "tck_ns")
-_OPTIONAL_KEYS = ("twr", "rd_wr_gap")
-
 
 @dataclass(frozen=True)
 class TimingParams:
@@ -66,6 +65,10 @@ class TimingParams:
         return cycles * self.tck_ns
 
 
+#: Settable timing keys, in file order: every field but the derived tras.
+TIMING_KEYS = tuple(f.name for f in fields(TimingParams) if f.name != "tras")
+
+
 def make_timing(raw: dict | None = None, **overrides) -> TimingParams:
     """Build a validated TimingParams from DDR3-1066 defaults plus overrides.
 
@@ -77,22 +80,18 @@ def make_timing(raw: dict | None = None, **overrides) -> TimingParams:
         for key, value in src.items():
             if key == "tras":
                 raise TimingError("tras is derived from trc - trp and cannot be set")
-            if key not in DDR3_1066 and key not in _OPTIONAL_KEYS:
+            if key not in TIMING_KEYS:
                 raise TimingError(f"unknown timing parameter: {key}")
             merged[key] = value
 
-    missing = [k for k in DDR3_1066 if k not in merged]
-    if missing:
-        raise TimingError(f"missing timing parameter: {', '.join(missing)}")
-
-    tck = float(merged["tck_ns"])
-    if tck <= 0:
+    tck = float(merged.pop("tck_ns"))
+    if not tck > 0:
         raise TimingError(f"tCK ({tck}) must be positive")
     cycles = {}
-    for key in _CYCLE_KEYS:
-        value = int(merged[key])
-        if value < 1:
-            raise TimingError(f"{key} ({value}) must be at least 1 cycle")
+    for key, value in merged.items():
+        value, least = int(value), 0 if key == "rd_wr_gap" else 1
+        if value < least:
+            raise TimingError(f"{key} ({value}) must be at least {least}")
         cycles[key] = value
     if cycles["trc"] <= cycles["trp"]:
         raise TimingError(f"tRC ({cycles['trc']}) must exceed tRP ({cycles['trp']})")
@@ -101,42 +100,22 @@ def make_timing(raw: dict | None = None, **overrides) -> TimingParams:
             f"tFAW ({cycles['tfaw']}) cannot be shorter than tRRD ({cycles['trrd']})"
         )
     tras = cycles["trc"] - cycles["trp"]
-
-    if "twr" in merged:
-        twr = int(merged["twr"])
-        if twr < 1:
-            raise TimingError(f"twr ({twr}) must be at least 1 cycle")
-    else:
-        # Largest write recovery for which a same-bank row-miss write stream
-        # still cycles at tRC (needs tRCD + WL + tBURST + tWR <= tRAS).
-        twr = max(1, tras - (cycles["trcd"] + cycles["wl"] + cycles["tburst"]))
-    if "rd_wr_gap" in merged:
-        rd_wr_gap = int(merged["rd_wr_gap"])
-        if rd_wr_gap < 0:
-            raise TimingError(f"rd_wr_gap ({rd_wr_gap}) must be non-negative")
-    else:
-        rd_wr_gap = max(1, cycles["cl"] + cycles["tburst"] + 2 - cycles["wl"])
-
-    return TimingParams(tck_ns=tck, tras=tras, twr=twr, rd_wr_gap=rd_wr_gap, **cycles)
+    # Largest write recovery for which a same-bank row-miss write stream
+    # still cycles at tRC (needs tRCD + WL + tBURST + tWR <= tRAS).
+    cycles.setdefault("twr", max(1, tras - cycles["trcd"] - cycles["wl"] - cycles["tburst"]))
+    cycles.setdefault("rd_wr_gap", max(1, cycles["cl"] + cycles["tburst"] + 2 - cycles["wl"]))
+    return TimingParams(tck_ns=tck, tras=tras, **cycles)
 
 
 def load_timing(path) -> TimingParams:
     """Read timing parameters from a flat key-value text file.
 
-    One ``key value`` pair per line, ``#`` starts a comment. Keys are the
-    lowercase parameter names used by :data:`DDR3_1066`.
+    One ``key value`` pair per line, ``#`` starts a comment. Keys are
+    :data:`TIMING_KEYS`; every :data:`DDR3_1066` key must be present.
     """
-    raw = {}
     with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise TimingError(f"{path}:{lineno}: expected 'key value', got {line!r}")
-            key, value = parts
-            raw[key] = float(value) if key == "tck_ns" else int(value)
+        raw = read_pairs(read_lines(handle.read()),
+                         codecs(TimingParams, TIMING_KEYS), TimingError)
     missing = [k for k in DDR3_1066 if k not in raw]
     if missing:
         raise TimingError(f"missing timing parameter: {', '.join(missing)}")
@@ -151,10 +130,6 @@ class DramCommand:
     request_id: int
     core: int
     arrival_order: int
-
-    @property
-    def is_cas(self) -> bool:
-        return self.kind in CAS_KINDS
 
 
 @dataclass(frozen=True)
@@ -189,7 +164,6 @@ class ChannelState:
     earliest_rd_cas: int = 0
     earliest_wr_cas: int = 0
     data_bus_free: int = 0
-    last_cas_kind: CommandKind | None = None
 
 
 def decompose_request(req, bank: BankState) -> list[DramCommand]:
@@ -295,5 +269,4 @@ def apply_command(
             chan.earliest_rd_cas, now + timing.wl + timing.tburst + timing.twtr
         )
     chan.data_bus_free = burst.end
-    chan.last_cas_kind = kind
     return burst

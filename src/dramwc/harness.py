@@ -6,16 +6,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import analysis, checks
-from .device import make_timing
+from .device import TIMING_KEYS, TimingError, TimingParams, make_timing
+from .keyvalue import codecs, read_lines, read_pairs
 from .scheduler import Mode, SchedulerConfig
 from .workload import (
     GeneratorKind,
     GeneratorSpec,
     MshrConfig,
+    ScenarioError,
     ScenarioSpec,
     StagedRequest,
     build_adversarial,
@@ -119,10 +121,10 @@ def pipeline_scenario(n_reads: int) -> ScenarioSpec:
         horizon=40 + 8 * n_reads,
         analyzed_core=1,
         num_cores=2,
-        scheduler=SchedulerConfig(read_cap=max(32, n_reads + 2)),
+        scheduler=SchedulerConfig(read_cap=max(SchedulerConfig.read_cap, n_reads + 2)),
         mshr=MshrConfig(
-            global_read_cap=max(32, n_reads + 2),
-            per_core_read_cap=max(10, n_reads + 2),
+            global_read_cap=max(MshrConfig.global_read_cap, n_reads + 2),
+            per_core_read_cap=max(MshrConfig.per_core_read_cap, n_reads + 2),
         ),
     )
 
@@ -132,8 +134,7 @@ def live_scenario(kind: GeneratorKind | str, n_interferers: int = 3,
                   horizon: int = 60_000, mshr: MshrConfig | None = None,
                   interferer_start: int = 0) -> ScenarioSpec:
     """Latency-style analyzed task on core 0 co-running with n interferers."""
-    if isinstance(kind, str):
-        kind = GeneratorKind(kind)
+    kind = GeneratorKind(kind)
     open_rows = {core: 100 + core for core in range(n_interferers + 1)}
     generators = [
         GeneratorSpec(GeneratorKind.LATENCY, core=0, bank=0,
@@ -207,32 +208,27 @@ class ExperimentReport:
     violations_baseline: int
     slowdown: float | None = None
 
-    CSV_HEADER = (
-        "scenario,seed,bound_full,bound_nowq,bound_baseline,"
-        "measured_max,measured_mean,margin_full,margin_nowq,"
-        "violations_full,violations_nowq,violations_baseline,slowdown"
-    )
+    _FORMATS = {"measured_mean": ".3f", "margin_full": ".4f",
+                "margin_nowq": ".4f", "slowdown": ".4f"}
 
     def csv_row(self) -> str:
-        slowdown = "" if self.slowdown is None else f"{self.slowdown:.4f}"
-        return (
-            f"{self.scenario},{self.seed},{self.bound_full},{self.bound_nowq},"
-            f"{self.bound_baseline},{self.measured_max},{self.measured_mean:.3f},"
-            f"{self.margin_full:.4f},{self.margin_nowq:.4f},"
-            f"{self.violations_full},{self.violations_nowq},"
-            f"{self.violations_baseline},{slowdown}"
-        )
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return ",".join("" if v is None else format(v, self._FORMATS.get(name, ""))
+                        for name, v in values)
+
+
+ExperimentReport.CSV_HEADER = ",".join(f.name for f in fields(ExperimentReport))
 
 
 def evaluate(trace, spec: ScenarioSpec, slowdown: float | None = None,
-             inputs: analysis.AnalysisInputs | None = None) -> ExperimentReport:
-    """Bound-vs-measurement report for the analyzed core of one trace."""
+             bounds: tuple | None = None) -> ExperimentReport:
+    """Bound-vs-measurement report for the analyzed core of one trace;
+    ``bounds`` is :func:`analysis.bound_set`, built from the trace's timing
+    when not given."""
     if spec.analyzed_core is None:
         raise ValueError("scenario has no analyzed core")
-    inputs = inputs or analysis.AnalysisInputs(timing=trace.timing)
-    full = analysis.per_request_bound(inputs, "full")
-    nowq = analysis.per_request_bound(inputs, "no_write_queue")
-    baseline = analysis.kim_baseline_bound(inputs)
+    full, nowq, baseline = bounds or analysis.bound_set(
+        analysis.AnalysisInputs(timing=trace.timing))
     rep_full = analysis.bound_check(trace, full, spec.analyzed_core)
     rep_nowq = analysis.bound_check(trace, nowq, spec.analyzed_core)
     rep_base = analysis.bound_check(trace, baseline, spec.analyzed_core)
@@ -262,32 +258,21 @@ def _write(path: Path, content: str) -> None:
     path.write_text(content, encoding="utf-8")
 
 
-def simulate(spec: ScenarioSpec, out_dir) -> "tuple":
-    """Run a scenario, validate its trace, and emit trace/stats/scenario files."""
-    trace, workload = run_scenario(spec)
-    checks.validate_trace(trace)
-    out = Path(out_dir)
+def _emit(out: Path, trace, spec: ScenarioSpec) -> None:
+    """Write one run's trace.csv, stats.txt and scenario.txt under ``out``."""
     _write(out / "trace.csv", trace.to_csv())
     _write(out / "stats.txt", trace.stats_text())
     _write(out / "scenario.txt", scenario_to_text(spec))
-    return trace, workload
 
 
-def compare(spec: ScenarioSpec, out_dir=None) -> ExperimentReport:
-    """Single run with all three bounds and the measured delays side by side."""
-    trace, _ = run_scenario(spec)
-    checks.validate_trace(trace)
-    report = evaluate(trace, spec)
-    if out_dir is not None:
-        out = Path(out_dir)
-        _write(out / "trace.csv", trace.to_csv())
-        _write(out / "stats.txt", trace.stats_text())
-        _write(out / "scenario.txt", scenario_to_text(spec))
-        timing = trace.timing
-        rows = [f"quantity,cycles,ns"]
-        inputs = analysis.AnalysisInputs(timing=timing)
-        for name, cycles, ns in analysis.bound_rows(inputs):
-            rows.append(f"{name},{cycles},{ns:.2f}")
+def _write_report(out: Path, inputs: analysis.AnalysisInputs, bounds,
+                  report: ExperimentReport | None = None) -> None:
+    """report.csv: the bounds, then the measurements when there are any."""
+    timing = inputs.timing
+    rows = ["quantity,cycles,ns"]
+    for name, cycles, ns in analysis.bound_rows(inputs, bounds):
+        rows.append(f"{name},{cycles},{ns:.2f}")
+    if report is not None:
         rows.append(f"measured_max_delay,{report.measured_max},"
                     f"{timing.ns(report.measured_max):.2f}")
         rows.append(f"measured_mean_delay,{report.measured_mean:.3f},"
@@ -297,7 +282,27 @@ def compare(spec: ScenarioSpec, out_dir=None) -> ExperimentReport:
         rows.append(f"violations_full,{report.violations_full},")
         rows.append(f"violations_nowq,{report.violations_nowq},")
         rows.append(f"violations_baseline,{report.violations_baseline},")
-        _write(out / "report.csv", "\n".join(rows) + "\n")
+    _write(out / "report.csv", "\n".join(rows) + "\n")
+
+
+def simulate(spec: ScenarioSpec, out_dir) -> "tuple":
+    """Run a scenario, validate its trace, and emit trace/stats/scenario files."""
+    trace, workload = run_scenario(spec)
+    checks.validate_trace(trace)
+    _emit(Path(out_dir), trace, spec)
+    return trace, workload
+
+
+def compare(spec: ScenarioSpec, out_dir=None) -> ExperimentReport:
+    """Single run with all three bounds and the measured delays side by side."""
+    trace, _ = run_scenario(spec)
+    checks.validate_trace(trace)
+    inputs = analysis.AnalysisInputs(timing=trace.timing)
+    bounds = analysis.bound_set(inputs)
+    report = evaluate(trace, spec, bounds=bounds)
+    if out_dir is not None:
+        _emit(Path(out_dir), trace, spec)
+        _write_report(Path(out_dir), inputs, bounds, report)
     return report
 
 
@@ -310,8 +315,7 @@ def sweep(kind, n_interferers: int, seeds, out_dir=None,
     response time against a solo run; staged mode replays the pre-loaded
     worst-case initial conditions instead.
     """
-    if isinstance(kind, str):
-        kind = GeneratorKind(kind)
+    kind = GeneratorKind(kind)
     reports = []
     for seed in seeds:
         if staged:
@@ -334,10 +338,7 @@ def sweep(kind, n_interferers: int, seeds, out_dir=None,
             report = evaluate(trace, spec, slowdown=slowdown)
         reports.append(report)
         if out_dir is not None:
-            run_dir = Path(out_dir) / f"seed_{seed}"
-            _write(run_dir / "trace.csv", trace.to_csv())
-            _write(run_dir / "stats.txt", trace.stats_text())
-            _write(run_dir / "scenario.txt", scenario_to_text(spec))
+            _emit(Path(out_dir) / f"seed_{seed}", trace, spec)
     if out_dir is not None:
         lines = [ExperimentReport.CSV_HEADER]
         lines += [r.csv_row() for r in sorted(reports, key=lambda r: r.seed)]
@@ -356,24 +357,26 @@ def _parse_seeds(text: str) -> list[int]:
     return [int(text)]
 
 
-def _load_config(path) -> dict:
-    values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, value = line.split(None, 1)
-        values[key] = value
-    return values
+def load_analysis(path) -> analysis.AnalysisInputs:
+    """Read an ``analyze --config`` file: optional ``key value`` lines whose
+    keys are the timing keys plus every AnalysisInputs field but ``timing``."""
+    names = tuple(f.name for f in fields(analysis.AnalysisInputs) if f.name != "timing")
+    table = {**codecs(TimingParams, TIMING_KEYS), **codecs(analysis.AnalysisInputs, names)}
+    values = read_pairs(read_lines(Path(path).read_text()), table, ScenarioError)
+    timing = make_timing({k: values.pop(k) for k in TIMING_KEYS if k in values})
+    return analysis.AnalysisInputs(timing, **values)
 
 
 def _apply_overrides(spec: ScenarioSpec, args) -> ScenarioSpec:
-    if getattr(args, "prioritized_bank", None) is not None:
-        spec = replace(spec, scheduler=replace(
-            spec.scheduler, prioritized_bank=args.prioritized_bank))
-    if getattr(args, "mshr_reserve", None) is not None:
-        spec = replace(spec, mshr=replace(
-            spec.mshr, reserve_per_core=args.mshr_reserve))
+    try:
+        if getattr(args, "prioritized_bank", None) is not None:
+            spec = replace(spec, scheduler=replace(
+                spec.scheduler, prioritized_bank=args.prioritized_bank))
+        if getattr(args, "mshr_reserve", None) is not None:
+            spec = replace(spec, mshr=replace(
+                spec.mshr, reserve_per_core=args.mshr_reserve))
+    except ValueError as exc:
+        raise ScenarioError(f"bad override: {exc}") from None
     return spec
 
 
@@ -386,13 +389,9 @@ def main(argv=None) -> int:
 
     p_preset = sub.add_parser("preset", help="emit and run a named scenario")
     p_preset.add_argument("name", choices=sorted(_PRESETS))
-    p_preset.add_argument("--out", required=True)
 
     p_sim = sub.add_parser("simulate", help="run a scenario file")
     p_sim.add_argument("--scenario", required=True)
-    p_sim.add_argument("--out", required=True)
-    p_sim.add_argument("--prioritized-bank", type=int, dest="prioritized_bank")
-    p_sim.add_argument("--mshr-reserve", type=int, dest="mshr_reserve")
 
     p_an = sub.add_parser("analyze", help="compute bounds from a config file")
     p_an.add_argument("--config", required=True)
@@ -405,22 +404,29 @@ def main(argv=None) -> int:
     p_cmp.add_argument("--kind", default="bandwidth_write",
                        choices=[k.value for k in GeneratorKind])
     p_cmp.add_argument("--seed", type=int, default=0)
-    p_cmp.add_argument("--out", required=True)
-    p_cmp.add_argument("--prioritized-bank", type=int, dest="prioritized_bank")
-    p_cmp.add_argument("--mshr-reserve", type=int, dest="mshr_reserve")
 
     p_sweep = sub.add_parser("sweep", help="seeded interference experiments")
     p_sweep.add_argument("--kind", required=True,
                          choices=[k.value for k in GeneratorKind])
     p_sweep.add_argument("--n", type=int, default=3, choices=(1, 2, 3))
     p_sweep.add_argument("--seeds", default="0..4")
-    p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--staged", action="store_true",
                          help="replay staged worst cases instead of live runs")
-    p_sweep.add_argument("--mshr-reserve", type=int, dest="mshr_reserve")
+    for p in (p_preset, p_sim, p_cmp, p_sweep):
+        p.add_argument("--out", required=True)
+    for p in (p_sim, p_cmp):
+        p.add_argument("--prioritized-bank", type=int)
+    for p in (p_sim, p_cmp, p_sweep):
+        p.add_argument("--mshr-reserve", type=int)
 
     args = parser.parse_args(argv)
+    try:
+        return _run_command(args)
+    except (ScenarioError, TimingError, analysis.AnalysisError) as exc:
+        parser.error(str(exc))
 
+
+def _run_command(args) -> int:
     if args.command == "preset":
         spec = preset(args.name)
         trace, _ = simulate(spec, args.out)
@@ -438,27 +444,11 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "analyze":
-        cfg = _load_config(args.config)
-        timing_keys = {"tck_ns", "trp", "trcd", "cl", "wl", "tburst", "tccd",
-                       "twtr", "trrd", "trtp", "tfaw", "trc", "twr", "rd_wr_gap"}
-        timing_raw = {
-            k: (float(v) if k == "tck_ns" else int(v))
-            for k, v in cfg.items() if k in timing_keys
-        }
-        inputs = analysis.AnalysisInputs(
-            timing=make_timing(timing_raw),
-            max_prior_reads=int(cfg.get("max_prior_reads", 30)),
-            drain_batch=int(cfg.get("drain_batch", 4)),
-            num_cores=int(cfg.get("num_cores", 4)),
-            miss_count=int(cfg.get("miss_count", 0)),
-            solo_cycles=int(cfg["solo_cycles"]) if "solo_cycles" in cfg else None,
-        )
-        print(analysis.format_bound_table(inputs), end="")
+        inputs = load_analysis(args.config)
+        bounds = analysis.bound_set(inputs)
+        print(analysis.format_bound_table(inputs, bounds), end="")
         if args.out:
-            rows = ["quantity,cycles,ns"]
-            for name, cycles, ns in analysis.bound_rows(inputs):
-                rows.append(f"{name},{cycles},{ns:.2f}")
-            _write(Path(args.out) / "report.csv", "\n".join(rows) + "\n")
+            _write_report(Path(args.out), inputs, bounds)
         return 0
 
     if args.command == "compare":
@@ -488,9 +478,6 @@ def main(argv=None) -> int:
                   f"slowdown {slowdown}, violations "
                   f"full={report.violations_full} nowq={report.violations_nowq}")
         return 0
-
-    parser.error(f"unhandled command {args.command}")
-    return 2
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from . import device
 from .device import CommandKind, DataBurst, TimingParams
+from .keyvalue import check_min
 
 
 class SchedulerError(RuntimeError):
@@ -41,6 +42,11 @@ class SchedulerConfig:
     stall_window: int = 10_000
 
     def __post_init__(self):
+        check_min(self, 1, "read_cap", "write_cap", "drain_batch", "num_banks",
+                  "stall_window")
+        if not 0 <= (self.prioritized_bank or 0) < self.num_banks:
+            raise ValueError(f"prioritized_bank ({self.prioritized_bank}) is not "
+                             f"one of the {self.num_banks} banks")
         if self.drain_batch > self.write_cap:
             raise ValueError(
                 f"drain_batch ({self.drain_batch}) cannot exceed write_cap "
@@ -128,9 +134,6 @@ class ScheduleTrace:
             return self._completed[request_id]
         except KeyError:
             raise KeyError(f"request {request_id} has no completion in trace")
-
-    def issues_for(self, request_id: int) -> list[IssueRecord]:
-        return [r for r in self.issues if r.request_id == request_id]
 
     def to_csv(self) -> str:
         rows = []

@@ -4,11 +4,13 @@ construction (including staged worst-case initial conditions).
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .device import make_timing
+from .device import TIMING_KEYS, TimingError, TimingParams, make_timing
+from .keyvalue import check_min, codecs, read_lines, read_pairs, to_lines
 from .scheduler import Controller, MemRequest, Mode, SchedulerConfig
 
 
@@ -26,6 +28,11 @@ class MshrConfig:
     global_write_cap: int = 16
     per_core_read_cap: int = 10
     reserve_per_core: int = 0  # guaranteed read entries per core when > 0
+
+    def __post_init__(self):
+        check_min(self, 1, "global_read_cap", "global_write_cap",
+                  "per_core_read_cap", error=ScenarioError)
+        check_min(self, 0, "reserve_per_core", error=ScenarioError)
 
 
 class MshrFile:
@@ -48,9 +55,6 @@ class MshrFile:
         self.reads = [0] * num_cores
         self.writes = [0] * num_cores
         self.writes_total = 0
-
-    def outstanding_reads(self, core: int) -> int:
-        return self.reads[core]
 
     def idle(self) -> bool:
         return sum(self.reads) == 0 and self.writes_total == 0
@@ -111,6 +115,16 @@ class GeneratorSpec:
     start: int = 0                  # first cycle the generator may emit
     stream_reads: int = 2           # reads per stream pattern period
     stream_writes: int = 1          # writes per stream pattern period
+
+    def __post_init__(self):
+        if self.row_policy not in ("sequential", "random"):
+            raise ScenarioError(f"unknown row_policy {self.row_policy!r}")
+        if (self.budget or 0) < 0:
+            raise ScenarioError(f"budget ({self.budget}) must be at least 0")
+        check_min(self, 0, "gap", "start", "stream_reads", "stream_writes",
+                  error=ScenarioError)
+        if self.stream_reads + self.stream_writes < 1:
+            raise ScenarioError("a stream pattern needs at least one request")
 
 
 class _Generator:
@@ -279,6 +293,13 @@ class ScenarioSpec:
     seed: int = 0
 
 
+def _check_placement(spec: ScenarioSpec, core: int = 0, bank: int = 0) -> None:
+    """A core and bank named by a scenario must exist in it."""
+    if not (0 <= core < spec.num_cores and 0 <= bank < spec.scheduler.num_banks):
+        raise ScenarioError(f"core {core}, bank {bank} is outside the scenario's "
+                            f"{spec.num_cores} cores and {spec.scheduler.num_banks} banks")
+
+
 class Workload:
     """Drives generators against a controller and owns the MSHR file.
 
@@ -288,6 +309,10 @@ class Workload:
     """
 
     def __init__(self, spec: ScenarioSpec, mshr: MshrFile, track_mshr: bool = False):
+        check_min(spec, 1, "horizon", "num_cores", "num_rows", error=ScenarioError)
+        _check_placement(spec, core=spec.analyzed_core or 0)
+        for bank in spec.open_rows:
+            _check_placement(spec, bank=bank)
         self.spec = spec
         self.mshr = mshr
         self.core_bank: dict[int, int] = {}
@@ -310,6 +335,7 @@ class Workload:
         self.mshr_history: list[tuple[int, tuple[int, ...]]] = []
 
     def _claim_bank(self, core: int, bank: int) -> None:
+        _check_placement(self.spec, core, bank)
         owned = self.core_bank.setdefault(core, bank)
         if owned != bank:
             raise ScenarioError(
@@ -375,10 +401,10 @@ def build_simulation(spec: ScenarioSpec, track_mshr: bool = False,
                      validate: bool = True) -> tuple[Controller, Workload]:
     """Materialize a scenario into a ready-to-run controller and workload."""
     timing = make_timing(spec.timing)
-    controller = Controller(timing, spec.scheduler, open_rows=spec.open_rows,
-                            initial_mode=spec.initial_mode, validate=validate)
     mshr = MshrFile(spec.mshr, num_cores=spec.num_cores)
     workload = Workload(spec, mshr, track_mshr=track_mshr)
+    controller = Controller(timing, spec.scheduler, open_rows=spec.open_rows,
+                            initial_mode=spec.initial_mode, validate=validate)
     workload.stage(controller)
     return controller, workload
 
@@ -411,8 +437,7 @@ def build_adversarial(analyzed_core: int = 0,
     full complement of prior reads); other seeds sample perturbed variants
     under the same capacity limits.
     """
-    if isinstance(interferer_kind, str):
-        interferer_kind = GeneratorKind(interferer_kind)
+    interferer_kind = GeneratorKind(interferer_kind)
     rng = random.Random(seed)
     cores = [c for c in range(n_interferers + 1) if c != analyzed_core]
     cores = cores[:n_interferers]
@@ -452,8 +477,7 @@ def build_adversarial(analyzed_core: int = 0,
             prestage.append(StagedRequest(True, core, core, row))
 
     # Prior reads: row hits on their cores' open banks so they pipeline.
-    per_core_cap = 10
-    read_budget = {core: per_core_cap for core in cores}
+    read_budget = {core: MshrConfig.per_core_read_cap for core in cores}
     if kind is GeneratorKind.LATENCY:
         read_budget = {core: 1 for core in cores}
     reads_placed = 0
@@ -501,155 +525,93 @@ def build_adversarial(analyzed_core: int = 0,
 # Scenario file format
 # ---------------------------------------------------------------------------
 
+#: Top-level scalars of a scenario file, in file order.
+_SCALARS = ("label", "seed", "horizon", "initial_mode", "analyzed_core",
+            "num_cores", "num_rows")
+_SECTIONS = ("timing", "scheduler", "mshr", "banks", "generator", "prestage")
+
+
 def scenario_to_text(spec: ScenarioSpec) -> str:
     """Serialize a scenario to the sectioned text format."""
-    lines = [
-        "# dramwc scenario",
-        f"label {spec.label}",
-        f"seed {spec.seed}",
-        f"horizon {spec.horizon}",
-        f"initial_mode {spec.initial_mode.value}",
-        f"analyzed_core {-1 if spec.analyzed_core is None else spec.analyzed_core}",
-        f"num_cores {spec.num_cores}",
-        f"num_rows {spec.num_rows}",
-        "",
-        "[timing]",
-    ]
-    timing = make_timing(spec.timing)
-    for key in ("tck_ns", "trp", "trcd", "cl", "wl", "tburst", "tccd", "twtr",
-                "trrd", "trtp", "tfaw", "trc", "twr", "rd_wr_gap"):
-        lines.append(f"{key} {getattr(timing, key)}")
-    sched = spec.scheduler
-    lines += [
-        "",
-        "[scheduler]",
-        f"read_cap {sched.read_cap}",
-        f"write_cap {sched.write_cap}",
-        f"drain_batch {sched.drain_batch}",
-        f"prioritized_bank {-1 if sched.prioritized_bank is None else sched.prioritized_bank}",
-        f"partitioning {int(sched.partitioning)}",
-        f"num_banks {sched.num_banks}",
-        f"stall_window {sched.stall_window}",
-        "",
-        "[mshr]",
-        f"global_read_cap {spec.mshr.global_read_cap}",
-        f"global_write_cap {spec.mshr.global_write_cap}",
-        f"per_core_read_cap {spec.mshr.per_core_read_cap}",
-        f"reserve_per_core {spec.mshr.reserve_per_core}",
-        "",
-        "[banks]",
-    ]
-    for bank in sorted(spec.open_rows):
-        lines.append(f"{bank} {spec.open_rows[bank]}")
+    lines = ["# dramwc scenario", *to_lines(spec, _SCALARS),
+             "", "[timing]", *to_lines(make_timing(spec.timing), TIMING_KEYS),
+             "", "[scheduler]", *to_lines(spec.scheduler),
+             "", "[mshr]", *to_lines(spec.mshr),
+             "", "[banks]"]
+    lines += [f"{bank} {row}" for bank, row in sorted(spec.open_rows.items())]
     for gen in spec.generators:
-        lines += [
-            "",
-            "[generator]",
-            f"kind {gen.kind.value}",
-            f"core {gen.core}",
-            f"bank {gen.bank}",
-            f"row_policy {gen.row_policy}",
-            f"budget {-1 if gen.budget is None else gen.budget}",
-            f"gap {gen.gap}",
-            f"start {gen.start}",
-            f"stream_reads {gen.stream_reads}",
-            f"stream_writes {gen.stream_writes}",
-        ]
+        lines += ["", "[generator]", *to_lines(gen)]
     if spec.prestage:
         lines += ["", "[prestage]"]
-        for staged in spec.prestage:
-            word = "write" if staged.is_write else "read"
-            lines.append(f"{word} {staged.core} {staged.bank} {staged.row}")
+        lines += [f"{'write' if r.is_write else 'read'} {r.core} {r.bank} {r.row}"
+                  for r in spec.prestage]
     return "\n".join(lines) + "\n"
 
 
+@contextlib.contextmanager
+def _blame(lineno: int, error=ScenarioError):
+    """Re-raise a bad value or failed constructor as ``error`` naming a line."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise error(f"line {lineno}: {exc}") from None
+
+
 def scenario_from_text(text: str) -> ScenarioSpec:
-    """Parse the sectioned text format back into a ScenarioSpec."""
-    spec = ScenarioSpec()
-    timing: dict = {}
-    sched: dict = {}
-    mshr: dict = {}
-    section = None
-    gen_fields: dict | None = None
-    generators: list[GeneratorSpec] = []
-    prestage: list[StagedRequest] = []
-    open_rows: dict[int, int] = {}
+    """Parse the sectioned text format back into a ScenarioSpec.
 
-    def finish_generator():
-        nonlocal gen_fields
-        if gen_fields is None:
-            return
-        budget = int(gen_fields.get("budget", -1))
-        generators.append(GeneratorSpec(
-            kind=GeneratorKind(gen_fields["kind"]),
-            core=int(gen_fields["core"]),
-            bank=int(gen_fields["bank"]),
-            row_policy=gen_fields.get("row_policy", "sequential"),
-            budget=None if budget < 0 else budget,
-            gap=int(gen_fields.get("gap", 0)),
-            start=int(gen_fields.get("start", 0)),
-            stream_reads=int(gen_fields.get("stream_reads", 2)),
-            stream_writes=int(gen_fields.get("stream_writes", 1)),
-        ))
-        gen_fields = None
-
-    top: dict = {}
-    for raw_line in text.splitlines():
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
+    Every key is optional and keeps its dataclass default. Anything else
+    malformed raises ScenarioError naming its line, or TimingError for the
+    ``[timing]`` section: a section's own range checks name its header.
+    """
+    top: list = []
+    sections = {name: (0, []) for name in _SECTIONS}
+    generators: list[tuple[int, list]] = []
+    body = top
+    for lineno, tokens in read_lines(text):
+        if not tokens[0].startswith("["):
+            body.append((lineno, tokens))
             continue
-        if line.startswith("[") and line.endswith("]"):
-            finish_generator()
-            section = line[1:-1]
-            if section == "generator":
-                gen_fields = {}
-            continue
-        parts = line.split()
-        if section is None:
-            top[parts[0]] = parts[1]
-        elif section == "timing":
-            key, value = parts
-            timing[key] = float(value) if key == "tck_ns" else int(value)
-        elif section == "scheduler":
-            sched[parts[0]] = parts[1]
-        elif section == "mshr":
-            mshr[parts[0]] = int(parts[1])
-        elif section == "banks":
-            open_rows[int(parts[0])] = int(parts[1])
-        elif section == "generator":
-            gen_fields[parts[0]] = parts[1]
-        elif section == "prestage":
-            word, core, bank, row = parts
-            prestage.append(StagedRequest(word == "write", int(core),
-                                          int(bank), int(row)))
-        else:
-            raise ScenarioError(f"unknown scenario section: {section}")
-    finish_generator()
+        name = tokens[0][1:-1]
+        if len(tokens) > 1 or not tokens[0].endswith("]") or name not in sections:
+            raise ScenarioError(f"line {lineno}: unknown section {' '.join(tokens)!r}")
+        if sections[name][0] and name != "generator":
+            raise ScenarioError(f"line {lineno}: repeated section [{name}]")
+        body = []
+        sections[name] = (lineno, body)
+        if name == "generator":
+            generators.append((lineno, body))
 
-    prioritized = int(sched.get("prioritized_bank", -1))
-    scheduler = SchedulerConfig(
-        read_cap=int(sched.get("read_cap", 32)),
-        write_cap=int(sched.get("write_cap", 16)),
-        drain_batch=int(sched.get("drain_batch", 4)),
-        prioritized_bank=None if prioritized < 0 else prioritized,
-        partitioning=bool(int(sched.get("partitioning", 1))),
-        num_banks=int(sched.get("num_banks", 16)),
-        stall_window=int(sched.get("stall_window", 10_000)),
-    )
-    analyzed = int(top.get("analyzed_core", -1))
-    return replace(
-        spec,
-        label=top.get("label", "scenario"),
-        seed=int(top.get("seed", 0)),
-        horizon=int(top.get("horizon", 20_000)),
-        initial_mode=Mode(top.get("initial_mode", "read")),
-        analyzed_core=None if analyzed < 0 else analyzed,
-        num_cores=int(top.get("num_cores", 4)),
-        num_rows=int(top.get("num_rows", 4096)),
-        timing=timing,
-        scheduler=scheduler,
-        mshr=MshrConfig(**mshr) if mshr else MshrConfig(),
-        open_rows=open_rows,
-        generators=generators,
-        prestage=prestage,
-    )
+    def keyed(cls, at, body):
+        values = read_pairs(body, codecs(cls), ScenarioError)
+        with _blame(at):
+            return cls(**values)
+
+    spec = ScenarioSpec(**read_pairs(top, codecs(ScenarioSpec, _SCALARS), ScenarioError))
+    at, body = sections["timing"]
+    spec.timing = read_pairs(body, codecs(TimingParams, TIMING_KEYS), TimingError)
+    with _blame(at, TimingError):
+        make_timing(spec.timing)
+    spec.scheduler = keyed(SchedulerConfig, *sections["scheduler"])
+    spec.mshr = keyed(MshrConfig, *sections["mshr"])
+    for lineno, tokens in sections["banks"][1]:
+        with _blame(lineno):
+            bank, row = map(int, tokens)
+            if bank in spec.open_rows:
+                raise ScenarioError(f"repeated bank {bank}")
+            _check_placement(spec, bank=bank)
+        spec.open_rows[bank] = row
+    for at, body in generators:
+        gen = keyed(GeneratorSpec, at, body)
+        with _blame(at):
+            _check_placement(spec, gen.core, gen.bank)
+        spec.generators.append(gen)
+    for lineno, tokens in sections["prestage"][1]:
+        with _blame(lineno):
+            word, core, bank, row = tokens
+            if word not in ("read", "write"):
+                raise ScenarioError(f"{word!r} is neither read nor write")
+            staged = StagedRequest(word == "write", int(core), int(bank), int(row))
+            _check_placement(spec, staged.core, staged.bank)
+        spec.prestage.append(staged)
+    return spec

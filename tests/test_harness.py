@@ -223,12 +223,43 @@ class TestCli:
         scenario = (tmp_path / "scenario.txt").read_text()
         assert "reserve_per_core 8" in scenario
 
-    def test_mshr_reserve_rejects_overcommitted_staging(self, tmp_path):
+    def test_mshr_reserve_rejects_overcommitted_staging(self, tmp_path, capsys):
         # reserving 8 entries per core caps each core at 8, so the canonical
         # staged scenario with 10 reads per interferer cannot be admitted
-        with pytest.raises(Exception, match="capacity"):
+        with pytest.raises(SystemExit) as exc:
             harness.main(["compare", "--out", str(tmp_path),
                           "--mshr-reserve", "8"])
+        assert exc.value.code == 2
+        assert "capacity" in capsys.readouterr().err
+
+    def test_bad_scenario_file_is_a_usage_error(self, tmp_path, capsys):
+        harness.main(["preset", "fig4", "--out", str(tmp_path / "a")])
+        path = tmp_path / "a" / "scenario.txt"
+        path.write_text(path.read_text().replace("drain_batch 4", "drain_bach 4"))
+        with pytest.raises(SystemExit) as exc:
+            harness.main(["simulate", "--scenario", str(path),
+                          "--out", str(tmp_path / "b")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "line 29: unknown key 'drain_bach'" in err
+        assert "Traceback" not in err
+
+    def test_bad_override_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            harness.main(["compare", "--preset", "fig2", "--out", str(tmp_path),
+                          "--prioritized-bank", "16"])
+        assert exc.value.code == 2
+        assert "prioritized_bank (16)" in capsys.readouterr().err
+
+    def test_simulator_faults_propagate(self, tmp_path, monkeypatch):
+        from dramwc.checks import TraceInvariantError
+
+        def broken(trace):
+            raise TraceInvariantError("injected")
+
+        monkeypatch.setattr(harness.checks, "validate_trace", broken)
+        with pytest.raises(TraceInvariantError, match="injected"):
+            harness.main(["preset", "fig2", "--out", str(tmp_path)])
 
     def test_prioritized_bank_flag_recorded(self, tmp_path):
         harness.main(["preset", "fig2", "--out", str(tmp_path / "a")])

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dramwc import checks
+from dramwc import checks, harness
+from dramwc.device import TimingError
 from dramwc.workload import (
     GeneratorKind,
     GeneratorSpec,
@@ -127,6 +128,19 @@ class TestGenerators:
         with pytest.raises(ScenarioError, match="private bank"):
             build_simulation(spec)
 
+    @pytest.mark.parametrize("spec, match", [
+        (ScenarioSpec(generators=[GeneratorSpec(GeneratorKind.LATENCY, 4, 1)]),
+         "core 4, bank 1 is outside"),
+        (ScenarioSpec(prestage=[StagedRequest(False, 1, 16, 0)]),
+         "bank 16 is outside"),
+        (ScenarioSpec(open_rows={-1: 3}), "bank -1 is outside"),
+        (ScenarioSpec(analyzed_core=4), "core 4, bank 0 is outside"),
+        (ScenarioSpec(horizon=0), "horizon"),
+    ])
+    def test_out_of_range_scenario_rejected_before_running(self, spec, match):
+        with pytest.raises(ScenarioError, match=match):
+            build_simulation(spec)
+
     def test_mshr_caps_hold_every_cycle(self):
         spec = ScenarioSpec(
             open_rows={0: 1, 1: 2, 2: 3, 3: 4},
@@ -238,3 +252,106 @@ class TestScenarioFiles:
         a, _ = run_scenario(spec)
         b, _ = run_scenario(parsed)
         assert a.to_csv() == b.to_csv()
+
+
+# Emitted scenarios the fault table and the fuzz test start from.
+EMITTED = (
+    [scenario_to_text(harness.preset(name)) for name in ("fig2", "fig3", "fig4", "fig5")]
+    + [scenario_to_text(build_adversarial(interferer_kind=kind, seed=seed))
+       for kind in GeneratorKind for seed in (0, 1, 7)]
+    + [scenario_to_text(harness.live_scenario(kind, 2, seed=1, latency_budget=5))
+       for kind in GeneratorKind]
+)
+LIVE = scenario_to_text(harness.live_scenario("stream", 1, latency_budget=5))
+STAGED = scenario_to_text(harness.preset("fig5"))
+
+# (base text, {line: replacement} applied to the first equal lines, and
+# whether the error names that line or its section header)
+FAULTS = {
+    "misspelled key": (LIVE, {"drain_batch 4": "drain_bach 8"}, "line"),
+    "negative budget": (LIVE, {"budget 5": "budget -5"}, "header"),
+    "misspelled row policy": (LIVE, {"row_policy sequential": "row_policy seqential"},
+                              "header"),
+    "extra token": (LIVE, {"seed 0": "seed 0 extra"}, "line"),
+    "unknown scalar": (LIVE, {"seed 0": "sead 3"}, "line"),
+    "mshr typo": (LIVE, {"per_core_read_cap 10": "per_core_raed_cap 10"}, "line"),
+    "key without value": (LIVE, {"horizon 60000": "horizon"}, "line"),
+    "empty stream pattern": (LIVE, {"stream_reads 2": "stream_reads 0",
+                                    "stream_writes 1": "stream_writes 0"}, "header"),
+    "generator core out of range": (LIVE, {"core 1": "core 2"}, "header"),
+    "bool out of range": (LIVE, {"partitioning 1": "partitioning 2"}, "line"),
+    "unknown timing key": (LIVE, {"trp 7": "trq 7"}, "line"),
+    "inconsistent timing": (LIVE, {"trc 27": "trc 5"}, "header"),
+    "non-numeric value": (LIVE, {"horizon 60000": "horizon x"}, "line"),
+    "repeated key": (LIVE, {"num_rows 4096": "num_cores 2"}, "line"),
+    "zero read cap": (LIVE, {"read_cap 32": "read_cap 0"}, "header"),
+    "zero mshr cap": (LIVE, {"per_core_read_cap 10": "per_core_read_cap 0"}, "header"),
+    "short prestage line": (STAGED, {"read 1 1 15": "read 1 1"}, "line"),
+    "short bank line": (STAGED, {"1 15": "1"}, "line"),
+    "unknown section": (STAGED, {"[mshr]": "[msrh]"}, "line"),
+    "repeated section": (STAGED, {"[banks]": "[mshr]"}, "line"),
+}
+
+
+def _apply_fault(text, edits, blame):
+    lines = text.splitlines()
+    first = None
+    for old, new in edits.items():
+        i = lines.index(old)
+        lines[i] = new
+        first = i if first is None else first
+    if blame == "header":
+        first = max(j for j in range(first) if lines[j].startswith("["))
+    return "\n".join(lines) + "\n", first + 1
+
+
+@pytest.mark.parametrize("name", [*FAULTS, "analyze config typo"])
+def test_input_fault_names_its_line(name, tmp_path):
+    if name == "analyze config typo":
+        config = tmp_path / "analysis.txt"
+        config.write_text("max_prior_reads 30\ndrain_bach 4\n")
+        with pytest.raises(ScenarioError, match=r"\bline 2\b"):
+            harness.load_analysis(config)
+        return
+    text, lineno = _apply_fault(*FAULTS[name])
+    with pytest.raises((ScenarioError, TimingError), match=rf"\bline {lineno}\b"):
+        scenario_from_text(text)
+
+
+def _mutate(draw, text):
+    """One single-line edit of a key, value, bank or prestage line."""
+    lines = text.splitlines()
+    # Section headers are left alone: dropping an empty section's header
+    # leaves an equivalent file, and header faults are in FAULTS.
+    editable = [i for i, line in enumerate(lines)
+                if line and line[0] not in "#["]
+    i = draw(st.sampled_from(editable))
+    tokens = lines[i].split()
+    op = draw(st.sampled_from(["drop", "add", "misspell", "0", "-5", "x"]))
+    if op == "drop":
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+    elif op == "add":
+        tokens.insert(draw(st.integers(0, len(tokens))), "7")
+    elif op == "misspell":
+        key = tokens[0]
+        at = draw(st.integers(0, len(key) - 1))
+        if draw(st.booleans()):
+            tokens[0] = key[:at] + key[at + 1:]
+        else:
+            tokens[0] = key[:at] + "q" + key[at:]
+    else:
+        tokens[draw(st.integers(1, len(tokens) - 1))] = op
+    lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_scenarios_round_trip_or_raise(data):
+    text = _mutate(data.draw, data.draw(st.sampled_from(EMITTED)))
+    try:
+        spec = scenario_from_text(text)
+        build_simulation(spec)
+    except (ScenarioError, TimingError):
+        return
+    assert scenario_to_text(spec) == text
