@@ -149,20 +149,23 @@ class BoundReport:
         return len(self.violations)
 
 
-def bound_check(trace: ScheduleTrace, bound, analyzed_core: int) -> BoundReport:
-    """Compare every completed read of the analyzed core against a bound.
-
-    ``bound`` may be a DelayBound, KimBound, or a plain cycle count. Each
-    measured delay is the contended latency minus the request's solo service
-    time against the same own-bank state.
-    """
-    bound_cycles = getattr(bound, "per_request_cycles", bound)
-    delays = []
-    for rec in trace.completions:
-        if rec.core == analyzed_core and not rec.is_write:
-            delays.append((rec.request_id, trace.per_request_delay(rec.request_id)))
+def read_delays(trace: ScheduleTrace, analyzed_core: int) -> list[tuple[int, int]]:
+    """(request id, delay) of every completed read of the analyzed core. Each
+    delay is the contended latency minus the request's solo service time
+    against the same own-bank state."""
+    delays = [(rec.request_id, trace.per_request_delay(rec.request_id))
+              for rec in trace.completions
+              if rec.core == analyzed_core and not rec.is_write]
     if not delays:
         raise AnalysisError(f"core {analyzed_core} completed no reads in this trace")
+    return delays
+
+
+def delay_report(delays: list[tuple[int, int]], bound,
+                 analyzed_core: int) -> BoundReport:
+    """Compare :func:`read_delays` against a bound: a DelayBound, KimBound,
+    or a plain cycle count."""
+    bound_cycles = getattr(bound, "per_request_cycles", bound)
     values = [d for _, d in delays]
     max_delay = max(values)
     margin = bound_cycles / max_delay if max_delay > 0 else math.inf
@@ -175,6 +178,11 @@ def bound_check(trace: ScheduleTrace, bound, analyzed_core: int) -> BoundReport:
         margin=margin,
         violations=[(rid, d) for rid, d in delays if d > bound_cycles],
     )
+
+
+def bound_check(trace: ScheduleTrace, bound, analyzed_core: int) -> BoundReport:
+    """Compare every completed read of the analyzed core against a bound."""
+    return delay_report(read_delays(trace, analyzed_core), bound, analyzed_core)
 
 
 def bound_set(inputs: AnalysisInputs, kim_params: KimParams | None = None

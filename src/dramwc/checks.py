@@ -54,21 +54,20 @@ def verify_selection(controller, chosen) -> None:
         )
 
 
-def _mode_at(trace: ScheduleTrace):
-    """Yield (cycle_start, mode) intervals from the recorded switches."""
-    events = [(0, trace.initial_mode)] + [
-        (s.cycle, s.mode) for s in trace.mode_switches
-    ]
-    return events
+def _mode_intervals(trace: ScheduleTrace) -> list[tuple[int, Mode]]:
+    """(start cycle, mode) of each interval between recorded mode switches."""
+    return [(0, trace.initial_mode)] + [(s.cycle, s.mode) for s in trace.mode_switches]
 
 
-def _mode_for_cycle(events, cycle: int) -> Mode:
-    mode = events[0][1]
-    for start, new_mode in events:
-        if start > cycle:
-            break
-        mode = new_mode
-    return mode
+def _issues_by_interval(trace: ScheduleTrace, intervals):
+    """Yield (interval index, issue) in cycle order, in one walk merging the
+    issues with the intervals. An issue at a switch cycle belongs to the new
+    mode, since the controller switches before it selects a command."""
+    i = 0
+    for rec in sorted(trace.issues, key=lambda rec: rec.cycle):
+        while i + 1 < len(intervals) and intervals[i + 1][0] <= rec.cycle:
+            i += 1
+        yield i, rec
 
 
 def check_command_bus(trace: ScheduleTrace) -> None:
@@ -123,11 +122,9 @@ def check_tfaw(trace: ScheduleTrace) -> None:
 
 
 def check_mode_exclusion(trace: ScheduleTrace) -> None:
-    events = _mode_at(trace)
-    for rec in trace.issues:
-        if rec.kind not in device.CAS_KINDS:
-            continue
-        mode = _mode_for_cycle(events, rec.cycle)
+    intervals = _mode_intervals(trace)
+    for i, rec in _issues_by_interval(trace, intervals):
+        mode = intervals[i][1]
         if rec.kind is CommandKind.WR and mode is not Mode.WRITE_DRAIN:
             raise TraceInvariantError(f"WR issued outside a drain at {rec.cycle}")
         if rec.kind is CommandKind.RD and mode is not Mode.READ:
@@ -137,13 +134,15 @@ def check_mode_exclusion(trace: ScheduleTrace) -> None:
 def check_drain_batching(trace: ScheduleTrace) -> None:
     """Each completed drain must service at least min(batch, queued) writes."""
     batch = trace.config.drain_batch
-    events = _mode_at(trace)
-    for i, (start, mode) in enumerate(events):
+    intervals = _mode_intervals(trace)
+    drained = [0] * len(intervals)
+    for i, rec in _issues_by_interval(trace, intervals):
+        if rec.kind is CommandKind.WR:
+            drained[i] += 1
+    # The last interval is still open at the end of the trace.
+    for i, (start, mode) in enumerate(intervals[:-1]):
         if mode is not Mode.WRITE_DRAIN:
             continue
-        if i + 1 >= len(events):
-            continue  # drain still open at end of trace
-        end = events[i + 1][0]
         if i > 0:
             queued = trace.mode_switches[i - 1].write_queue_len
         else:
@@ -151,13 +150,9 @@ def check_drain_batching(trace: ScheduleTrace) -> None:
                 1 for r in trace.requests.values()
                 if r.is_write and r.arrival_cycle == 0
             )
-        drained = sum(
-            1 for rec in trace.issues
-            if rec.kind is CommandKind.WR and start <= rec.cycle < end
-        )
-        if drained < min(batch, queued):
+        if drained[i] < min(batch, queued):
             raise TraceInvariantError(
-                f"drain starting at {start} serviced {drained} writes, "
+                f"drain starting at {start} serviced {drained[i]} writes, "
                 f"expected at least {min(batch, queued)}"
             )
 

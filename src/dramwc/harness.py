@@ -9,7 +9,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from . import analysis, checks
+from . import analysis
 from .device import TIMING_KEYS, TimingError, TimingParams, make_timing
 from .keyvalue import codecs, read_lines, read_pairs
 from .scheduler import Mode, SchedulerConfig
@@ -164,25 +164,6 @@ def solo_variant(spec: ScenarioSpec) -> ScenarioSpec:
     return replace(spec, label=spec.label + "-solo", generators=keep, prestage=[])
 
 
-def _analyzed_stop(spec: ScenarioSpec):
-    """Stop once the analyzed core's budgeted requests have all completed."""
-    core = spec.analyzed_core
-    budget = None
-    for gen in spec.generators:
-        if gen.core == core:
-            budget = gen.budget
-    if core is None or budget is None:
-        return None
-
-    def stop(controller):
-        done = sum(
-            1 for rec in controller.trace.completions if rec.core == core
-        )
-        return done >= budget
-
-    return stop
-
-
 def core_span(trace, core: int) -> int:
     """Cycles from the first arrival to the last completion for one core."""
     completions = [r for r in trace.completions if r.core == core]
@@ -229,9 +210,10 @@ def evaluate(trace, spec: ScenarioSpec, slowdown: float | None = None,
         raise ValueError("scenario has no analyzed core")
     full, nowq, baseline = bounds or analysis.bound_set(
         analysis.AnalysisInputs(timing=trace.timing))
-    rep_full = analysis.bound_check(trace, full, spec.analyzed_core)
-    rep_nowq = analysis.bound_check(trace, nowq, spec.analyzed_core)
-    rep_base = analysis.bound_check(trace, baseline, spec.analyzed_core)
+    delays = analysis.read_delays(trace, spec.analyzed_core)
+    rep_full, rep_nowq, rep_base = (
+        analysis.delay_report(delays, bound, spec.analyzed_core)
+        for bound in (full, nowq, baseline))
     return ExperimentReport(
         scenario=spec.label,
         seed=spec.seed,
@@ -286,9 +268,8 @@ def _write_report(out: Path, inputs: analysis.AnalysisInputs, bounds,
 
 
 def simulate(spec: ScenarioSpec, out_dir) -> "tuple":
-    """Run a scenario, validate its trace, and emit trace/stats/scenario files."""
+    """Run a scenario and emit its trace/stats/scenario files."""
     trace, workload = run_scenario(spec)
-    checks.validate_trace(trace)
     _emit(Path(out_dir), trace, spec)
     return trace, workload
 
@@ -296,7 +277,6 @@ def simulate(spec: ScenarioSpec, out_dir) -> "tuple":
 def compare(spec: ScenarioSpec, out_dir=None) -> ExperimentReport:
     """Single run with all three bounds and the measured delays side by side."""
     trace, _ = run_scenario(spec)
-    checks.validate_trace(trace)
     inputs = analysis.AnalysisInputs(timing=trace.timing)
     bounds = analysis.bound_set(inputs)
     report = evaluate(trace, spec, bounds=bounds)
@@ -313,7 +293,8 @@ def sweep(kind, n_interferers: int, seeds, out_dir=None,
 
     Live mode (default) co-runs generators and reports the normalized
     response time against a solo run; staged mode replays the pre-loaded
-    worst-case initial conditions instead.
+    worst-case initial conditions instead. ``mshr`` replaces the MSHR
+    settings of either.
     """
     kind = GeneratorKind(kind)
     reports = []
@@ -321,22 +302,18 @@ def sweep(kind, n_interferers: int, seeds, out_dir=None,
         if staged:
             spec = build_adversarial(interferer_kind=kind, seed=seed,
                                      n_interferers=n_interferers)
-            trace, _ = run_scenario(spec)
-            checks.validate_trace(trace)
-            report = evaluate(trace, spec)
         else:
             spec = live_scenario(kind, n_interferers, seed,
-                                 latency_budget=latency_budget,
-                                 mshr=mshr or MshrConfig())
-            solo = solo_variant(spec)
-            solo_trace, _ = run_scenario(solo, stop=_analyzed_stop(solo))
-            checks.validate_trace(solo_trace)
-            trace, _ = run_scenario(spec, stop=_analyzed_stop(spec))
-            checks.validate_trace(trace)
+                                 latency_budget=latency_budget)
+        if mshr is not None:
+            spec = replace(spec, mshr=mshr)
+        trace, _ = run_scenario(spec)
+        slowdown = None
+        if not staged:
+            solo_trace, _ = run_scenario(solo_variant(spec))
             slowdown = (core_span(trace, spec.analyzed_core)
                         / core_span(solo_trace, spec.analyzed_core))
-            report = evaluate(trace, spec, slowdown=slowdown)
-        reports.append(report)
+        reports.append(evaluate(trace, spec, slowdown=slowdown))
         if out_dir is not None:
             _emit(Path(out_dir) / f"seed_{seed}", trace, spec)
     if out_dir is not None:
@@ -467,9 +444,7 @@ def _run_command(args) -> int:
         return 0
 
     if args.command == "sweep":
-        mshr = MshrConfig()
-        if args.mshr_reserve is not None:
-            mshr = replace(mshr, reserve_per_core=args.mshr_reserve)
+        mshr = _apply_overrides(ScenarioSpec(), args).mshr
         reports = sweep(args.kind, args.n, _parse_seeds(args.seeds),
                         out_dir=args.out, mshr=mshr, staged=args.staged)
         for report in reports:

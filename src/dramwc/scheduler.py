@@ -327,12 +327,9 @@ class Controller:
     def idle(self) -> bool:
         return not self.read_queue and not self.write_queue and not self._inflight
 
-    def run(self, workload=None, horizon: int = 10_000, stop=None) -> ScheduleTrace:
-        """Step until the horizon, stopping early once every source of work is
-        exhausted and the controller is quiet (only if there were sources).
-
-        ``stop``: optional callable(controller) checked each cycle.
-        """
+    def run(self, workload=None, horizon: int = 10_000) -> ScheduleTrace:
+        """Step until the horizon, or until the workload says the run has
+        ended (see :meth:`Workload.finished`)."""
         if horizon <= 0:
             raise ValueError("horizon must be positive")
         last_progress = 0
@@ -351,14 +348,7 @@ class Controller:
                     f"(reads={len(self.read_queue)}, writes={len(self.write_queue)}, "
                     f"mode={self.mode.value})"
                 )
-            if stop is not None and stop(self):
-                break
-            if (
-                workload is not None
-                and workload.has_sources
-                and workload.exhausted()
-                and self.idle()
-            ):
+            if workload is not None and workload.finished(self):
                 break
         self.trace.total_cycles = self.now
         self.trace.quiescent = self.idle() and (

@@ -9,6 +9,7 @@ import enum
 import random
 from dataclasses import dataclass, field
 
+from . import checks
 from .device import TIMING_KEYS, TimingError, TimingParams, make_timing
 from .keyvalue import check_min, codecs, read_lines, read_pairs, to_lines
 from .scheduler import Controller, MemRequest, Mode, SchedulerConfig
@@ -292,6 +293,12 @@ class ScenarioSpec:
     num_rows: int = 4096
     seed: int = 0
 
+    def __post_init__(self):
+        # The label is one token of a ``key value`` line.
+        if "#" in self.label or self.label.split() != [self.label]:
+            raise ScenarioError(f"label {self.label!r} must be one word "
+                                f"without whitespace or '#'")
+
 
 def _check_placement(spec: ScenarioSpec, core: int = 0, bank: int = 0) -> None:
     """A core and bank named by a scenario must exist in it."""
@@ -329,6 +336,10 @@ class Workload:
             self.gen_by_core[gspec.core] = gen
         for staged in spec.prestage:
             self._claim_bank(staged.core, staged.bank)
+        analyzed = self.gen_by_core.get(spec.analyzed_core)
+        # Completions on the analyzed core still owed before the run ends;
+        # None when that core has no budgeted generator.
+        self.analyzed_left = None if analyzed is None else analyzed.spec.budget
         self._next_id = 0
         self.has_sources = bool(spec.generators or spec.prestage)
         self.track_mshr = track_mshr
@@ -384,6 +395,8 @@ class Workload:
 
     def notify(self, now: int, completions, controller: Controller) -> None:
         for rec in completions:
+            if rec.core == self.spec.analyzed_core and self.analyzed_left:
+                self.analyzed_left -= 1
             self.mshr.release(rec.core, rec.is_write)
             gen = self.gen_by_core.get(rec.core)
             if gen is not None and rec.request_id in gen.ids:
@@ -396,24 +409,33 @@ class Workload:
     def exhausted(self) -> bool:
         return all(g.done() for g in self.generators) and self.mshr.idle()
 
+    def finished(self, controller: Controller) -> bool:
+        """Whether the run ends after this cycle: the analyzed core's budget
+        is served (the co-runners are still running, as the measured delay
+        assumes), or there were sources of work, all are exhausted and the
+        controller is idle."""
+        return self.analyzed_left == 0 or (
+            controller.idle() and self.has_sources and self.exhausted())
 
-def build_simulation(spec: ScenarioSpec, track_mshr: bool = False,
-                     validate: bool = True) -> tuple[Controller, Workload]:
+
+def build_simulation(spec: ScenarioSpec,
+                     track_mshr: bool = False) -> tuple[Controller, Workload]:
     """Materialize a scenario into a ready-to-run controller and workload."""
     timing = make_timing(spec.timing)
     mshr = MshrFile(spec.mshr, num_cores=spec.num_cores)
     workload = Workload(spec, mshr, track_mshr=track_mshr)
     controller = Controller(timing, spec.scheduler, open_rows=spec.open_rows,
-                            initial_mode=spec.initial_mode, validate=validate)
+                            initial_mode=spec.initial_mode)
     workload.stage(controller)
     return controller, workload
 
 
-def run_scenario(spec: ScenarioSpec, track_mshr: bool = False, stop=None):
-    """Convenience wrapper: build, run to the scenario horizon, return trace
-    (and the workload, whose MSHR history may have been recorded)."""
+def run_scenario(spec: ScenarioSpec, track_mshr: bool = False):
+    """Build and run a scenario until it ends, validate its trace, and return
+    the trace and the workload (whose MSHR history may have been recorded)."""
     controller, workload = build_simulation(spec, track_mshr=track_mshr)
-    trace = controller.run(workload, spec.horizon, stop=stop)
+    trace = controller.run(workload, spec.horizon)
+    checks.validate_trace(trace)
     return trace, workload
 
 

