@@ -13,6 +13,7 @@ from .device import (
     apply_command,
     command_ready,
     decompose_request,
+    earliest_ready,
     load_timing,
     make_timing,
 )

@@ -17,8 +17,12 @@ def verify_selection(controller, chosen) -> None:
     """Re-derive the candidate set from the open-page decomposition and check
     the controller's pick against the FR-FCFS order (and work conservation).
 
-    Runs every cycle while ``controller.validate`` is set; the derivation here
-    goes through decompose_request rather than the controller's fast path.
+    Runs on every cycle that the controller visits while
+    ``controller.validate`` is set, and with ``chosen`` None at the last cycle
+    of each span that ``Controller.run`` skips; readiness only grows over a
+    span, so nothing ready there means nothing was ready anywhere in it. The
+    derivation here goes through decompose_request rather than the
+    controller's fast path.
     """
     if len(controller.read_queue) > controller.config.read_cap:
         raise TraceInvariantError("read queue exceeds its capacity")

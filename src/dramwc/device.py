@@ -7,6 +7,7 @@ All quantities are in memory-clock cycles unless the name ends in ``_ns``.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass, field, fields
 
 from .keyvalue import codecs, read_lines, read_pairs
@@ -183,6 +184,45 @@ def decompose_request(req, bank: BankState) -> list[DramCommand]:
     return [make(CommandKind.PRE), make(CommandKind.ACT), make(cas)]
 
 
+#: earliest_ready of a command that the bank's row state forbids outright.
+NEVER = sys.maxsize
+
+
+def earliest_ready(
+    cmd: DramCommand,
+    bank: BankState,
+    chan: ChannelState,
+    timing: TimingParams,
+) -> int:
+    """First cycle at which every bank and channel constraint allows cmd, or
+    NEVER when the open row forbids it. Each constraint has the form
+    ``now >= X``, so until the state changes cmd is ready from here on."""
+    kind = cmd.kind
+    if kind is CommandKind.ACT:
+        if bank.open_row is not None:
+            return NEVER
+        at = bank.earliest_act
+        hist = chan.act_history
+        if hist:
+            at = max(at, hist[-1] + timing.trrd)
+            if len(hist) >= 4:
+                at = max(at, hist[-4] + timing.tfaw)
+        return at
+    if kind is CommandKind.PRE:
+        return NEVER if bank.open_row is None else bank.earliest_pre
+    if kind is CommandKind.RD:
+        if bank.open_row != cmd.row:
+            return NEVER
+        return max(bank.earliest_rd, chan.earliest_rd_cas,
+                   chan.data_bus_free - timing.cl)
+    if kind is CommandKind.WR:
+        if bank.open_row != cmd.row:
+            return NEVER
+        return max(bank.earliest_wr, chan.earliest_wr_cas,
+                   chan.data_bus_free - timing.wl)
+    raise ValueError(f"unknown command kind: {kind}")
+
+
 def command_ready(
     cmd: DramCommand,
     bank: BankState,
@@ -191,34 +231,7 @@ def command_ready(
     now: int,
 ) -> bool:
     """True iff every bank and channel constraint allows issuing cmd at now."""
-    kind = cmd.kind
-    if kind is CommandKind.ACT:
-        if bank.open_row is not None or now < bank.earliest_act:
-            return False
-        hist = chan.act_history
-        if hist:
-            if now < hist[-1] + timing.trrd:
-                return False
-            if len(hist) >= 4 and now < hist[-4] + timing.tfaw:
-                return False
-        return True
-    if kind is CommandKind.PRE:
-        return bank.open_row is not None and now >= bank.earliest_pre
-    if kind is CommandKind.RD:
-        return (
-            bank.open_row == cmd.row
-            and now >= bank.earliest_rd
-            and now >= chan.earliest_rd_cas
-            and now + timing.cl >= chan.data_bus_free
-        )
-    if kind is CommandKind.WR:
-        return (
-            bank.open_row == cmd.row
-            and now >= bank.earliest_wr
-            and now >= chan.earliest_wr_cas
-            and now + timing.wl >= chan.data_bus_free
-        )
-    raise ValueError(f"unknown command kind: {kind}")
+    return earliest_ready(cmd, bank, chan, timing) <= now
 
 
 def apply_command(

@@ -183,7 +183,9 @@ def priority_key(kind: CommandKind, bank: int, arrival_order: int,
 
 
 class Controller:
-    """Deterministic single-channel controller stepped one cycle at a time."""
+    """Deterministic single-channel controller. :meth:`step` advances one
+    cycle; :meth:`run` steps the cycles at which something can happen and
+    jumps over the rest."""
 
     def __init__(self, timing: TimingParams, config: SchedulerConfig | None = None,
                  open_rows: dict[int, int] | None = None,
@@ -206,6 +208,7 @@ class Controller:
         self.now = 0
         self.validate = validate
         self._next_order = 0
+        self.next_ready = device.NEVER  # set by select_command
         self._inflight: list[tuple[int, int, MemRequest]] = []  # (end, id, req)
         self.trace = ScheduleTrace(timing, self.config, open_rows, initial_mode)
 
@@ -241,16 +244,22 @@ class Controller:
     # -- scheduling ---------------------------------------------------------
 
     def update_mode(self) -> None:
+        mode = self._mode_due()
+        if mode is not None:
+            self._switch_mode(mode)
+
+    def _mode_due(self) -> Mode | None:
+        """The mode that update_mode would switch to now, or None."""
         if self.mode is Mode.READ:
             if self.write_queue and (
                 len(self.write_queue) >= self.config.write_cap or not self.read_queue
             ):
-                self._switch_mode(Mode.WRITE_DRAIN)
-        else:
-            if not self.write_queue or (
-                self.drained_in_batch >= self.config.drain_batch and self.read_queue
-            ):
-                self._switch_mode(Mode.READ)
+                return Mode.WRITE_DRAIN
+        elif not self.write_queue or (
+            self.drained_in_batch >= self.config.drain_batch and self.read_queue
+        ):
+            return Mode.READ
+        return None
 
     def _switch_mode(self, mode: Mode) -> None:
         self.mode = mode
@@ -272,33 +281,51 @@ class Controller:
         return self.read_queue if self.mode is Mode.READ else self.write_queue
 
     def select_command(self) -> tuple[device.DramCommand, MemRequest] | None:
-        """Highest-priority ready command among the active queue, or None."""
+        """Highest-priority ready command among the active queue, or None.
+
+        Also sets ``next_ready`` to the earliest cycle at which a command it
+        could not issue becomes ready (NEVER if there is none). The queue is
+        in arrival order, and requests to one (bank, row) share their next
+        command and its readiness, so only the oldest of them can win and
+        readiness is computed once per (bank, row).
+        """
         best = None
         best_key = None
+        next_ready = device.NEVER
         prio = self.config.prioritized_bank
+        seen = set()
         for req in self.candidate_queue():
+            target = (req.bank, req.row)
+            if target in seen:
+                continue
+            seen.add(target)
             kind = self._next_kind(req)
             cmd = device.DramCommand(
                 kind, req.bank, req.row, req.request_id, req.core, req.arrival_order
             )
-            if not device.command_ready(
-                cmd, self.banks[req.bank], self.chan, self.timing, self.now
-            ):
+            at = device.earliest_ready(cmd, self.banks[req.bank], self.chan, self.timing)
+            if at > self.now:
+                next_ready = min(next_ready, at)
                 continue
             key = priority_key(kind, req.bank, req.arrival_order, prio)
             if best_key is None or key < best_key:
                 best, best_key = (cmd, req), key
+        self.next_ready = next_ready
         return best
+
+    def _verify(self, chosen) -> None:
+        """Check a selection (None: an idle cycle) against the oracle."""
+        if self.validate:
+            from . import checks
+
+            checks.verify_selection(self, chosen)
 
     def step(self) -> tuple[IssueRecord | None, list[CompletionRecord]]:
         """Advance one cycle: update mode, issue at most one command, and
         collect completions whose data burst ends this cycle."""
         self.update_mode()
         chosen = self.select_command()
-        if self.validate:
-            from . import checks
-
-            checks.verify_selection(self, chosen)
+        self._verify(chosen)
         issued = None
         if chosen is not None:
             cmd, req = chosen
@@ -328,8 +355,15 @@ class Controller:
         return not self.read_queue and not self.write_queue and not self._inflight
 
     def run(self, workload=None, horizon: int = 10_000) -> ScheduleTrace:
-        """Step until the horizon, or until the workload says the run has
-        ended (see :meth:`Workload.finished`)."""
+        """Run until the horizon, or until the workload says the run has
+        ended (see :meth:`Workload.finished`).
+
+        After a cycle that issues and completes nothing, with no mode switch
+        due, every input of the next cycle is as it was, so the clock jumps
+        to the next cycle at which state can change (:meth:`_next_event`).
+        Readiness only grows while the state stands still, so one oracle
+        check at the cycle before the target covers the whole skipped span.
+        """
         if horizon <= 0:
             raise ValueError("horizon must be positive")
         last_progress = 0
@@ -350,11 +384,31 @@ class Controller:
                 )
             if workload is not None and workload.finished(self):
                 break
+            if issued is not None or completed or self._mode_due() is not None:
+                continue  # freed room may admit a request; the mode may flip
+            target = self._next_event(workload, horizon, last_progress)
+            if target > self.now:
+                self.now = target - 1
+                self._verify(None)
+                self.now = target
         self.trace.total_cycles = self.now
         self.trace.quiescent = self.idle() and (
             workload is None or workload.exhausted()
         )
         return self.trace
+
+    def _next_event(self, workload, horizon: int, last_progress: int) -> int:
+        """The first cycle from ``now`` on at which, after an uneventful
+        cycle, something can happen: a command becomes ready, a burst
+        completes, a generator wakes, the stall guard trips, or the horizon."""
+        target = min(self.next_ready, horizon)
+        if self._inflight:
+            target = min(target, self._inflight[0][0])
+        if workload is not None:
+            target = min(target, workload.next_wake(self.now))
+        if not self.idle():
+            target = min(target, last_progress + self.config.stall_window + 1)
+        return target
 
 
 def request_delay(trace: ScheduleTrace, request_id: int, baseline_service: int) -> int:

@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import checks
-from .device import TIMING_KEYS, TimingError, TimingParams, make_timing
+from .device import NEVER, TIMING_KEYS, TimingError, TimingParams, make_timing
 from .keyvalue import check_min, codecs, read_lines, read_pairs, to_lines
 from .scheduler import Controller, MemRequest, Mode, SchedulerConfig
 
@@ -163,6 +163,14 @@ class _Generator:
     def on_completion(self, now: int, request_id: int, is_write: bool, submit) -> None:
         pass
 
+    def wake(self, now: int) -> int:
+        """First cycle from ``now`` on at which a poll can change this
+        generator, or NEVER if only freed queue or MSHR room can: a refused
+        submit changes nothing, except that a random row is drawn anyway."""
+        if self.spec.start >= now:
+            return self.spec.start
+        return now if self.spec.row_policy == "random" else NEVER
+
 
 class LatencyGenerator(_Generator):
     """Pointer-chase analog: a single outstanding dependent read at a time."""
@@ -183,6 +191,13 @@ class LatencyGenerator(_Generator):
         # read cannot leave before the next cycle plus the compute gap.
         self.in_flight = False
         self.ready_at = now + 1 + self.spec.gap
+
+    def wake(self, now):
+        if self.in_flight:
+            return NEVER
+        if self.ready_at >= now:  # ready_at starts at spec.start
+            return self.ready_at
+        return super().wake(now)
 
 
 class BandwidthReadGenerator(_Generator):
@@ -313,6 +328,10 @@ class Workload:
     Completions are handed back to the owning generator in the same cycle, so
     a saturating core re-acquires its freed MSHR entry before any other core
     can poll it (out-of-order cores re-issue immediately).
+
+    With ``track_mshr``, ``mshr_history`` records the per-core read MSHR
+    occupancy as a step function: an entry ``(cycle, reads)`` is added at the
+    end of each cycle that changes the occupancy, and holds until the next.
     """
 
     def __init__(self, spec: ScenarioSpec, mshr: MshrFile, track_mshr: bool = False):
@@ -393,6 +412,12 @@ class Workload:
             gen.emit(now, self._submitter(controller, now, gen.spec.core,
                                           gen.spec.bank))
 
+    def next_wake(self, now: int) -> int:
+        """First cycle from ``now`` on at which polling can submit a request
+        or change a generator (see :meth:`_Generator.wake`), or NEVER."""
+        return min((gen.wake(now) for gen in self.generators if not gen.done()),
+                   default=NEVER)
+
     def notify(self, now: int, completions, controller: Controller) -> None:
         for rec in completions:
             if rec.core == self.spec.analyzed_core and self.analyzed_left:
@@ -404,7 +429,9 @@ class Workload:
                                   self._submitter(controller, now, gen.spec.core,
                                                   gen.spec.bank))
         if self.track_mshr:
-            self.mshr_history.append((now, tuple(self.mshr.reads)))
+            reads = tuple(self.mshr.reads)
+            if not self.mshr_history or self.mshr_history[-1][1] != reads:
+                self.mshr_history.append((now, reads))
 
     def exhausted(self) -> bool:
         return all(g.done() for g in self.generators) and self.mshr.idle()

@@ -177,18 +177,25 @@ def _mshr_scenario(reserve):
     )
 
 
+def occupancy_from(history, cycle):
+    """The MSHR occupancies in effect from ``cycle`` on: the step function
+    ``mshr_history`` at ``cycle`` and every later change."""
+    held = [reads for at, reads in history if at <= cycle][-1:]
+    return held + [reads for at, reads in history if at > cycle]
+
+
 def test_c8_mshr_contention_and_reservation():
     with criterion(8, "saturating interferers squeeze the analyzed core to 2 "
                       "entries; reserving 8 restores them"):
         trace, wl = workload.run_scenario(_mshr_scenario(0), track_mshr=True)
-        window = [reads for cycle, reads in wl.mshr_history if cycle >= 400]
+        window = occupancy_from(wl.mshr_history, 400)
         assert window
         assert all(reads[0] <= 2 for reads in window)  # per-cycle cap
         assert max(reads[0] for reads in window) == 2
         assert max(sum(reads[1:]) for reads in window) == 30
 
         trace, wl = workload.run_scenario(_mshr_scenario(8), track_mshr=True)
-        window = [reads for cycle, reads in wl.mshr_history if cycle >= 400]
+        window = occupancy_from(wl.mshr_history, 400)
         assert max(reads[0] for reads in window) >= 8
 
 

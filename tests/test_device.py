@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from dramwc.device import (
     DDR3_1066,
+    NEVER,
     BankState,
     ChannelState,
     CommandKind,
@@ -13,6 +14,7 @@ from dramwc.device import (
     apply_command,
     command_ready,
     decompose_request,
+    earliest_ready,
     load_timing,
     make_timing,
 )
@@ -165,6 +167,59 @@ class TestCommandReady:
                                  chan, self.t, self.t.rd_wr_gap - 1)
         assert command_ready(cmd(CommandKind.WR, bank=1, row=1), bank1,
                              chan, self.t, self.t.rd_wr_gap)
+
+
+def ready_reference(c, bank, chan, t, now):
+    """The legality predicate checked constraint by constraint at one cycle,
+    as command_ready computed it before earliest_ready existed."""
+    if c.kind is CommandKind.ACT:
+        if bank.open_row is not None or now < bank.earliest_act:
+            return False
+        hist = chan.act_history
+        if hist:
+            if now < hist[-1] + t.trrd:
+                return False
+            if len(hist) >= 4 and now < hist[-4] + t.tfaw:
+                return False
+        return True
+    if c.kind is CommandKind.PRE:
+        return bank.open_row is not None and now >= bank.earliest_pre
+    if c.kind is CommandKind.RD:
+        return (bank.open_row == c.row and now >= bank.earliest_rd
+                and now >= chan.earliest_rd_cas and now + t.cl >= chan.data_bus_free)
+    return (bank.open_row == c.row and now >= bank.earliest_wr
+            and now >= chan.earliest_wr_cas and now + t.wl >= chan.data_bus_free)
+
+
+cycles = st.integers(0, 80)
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(list(CommandKind)), row=st.integers(0, 2),
+       bank=st.builds(BankState, st.none() | st.integers(0, 2),
+                      cycles, cycles, cycles, cycles),
+       chan=st.builds(ChannelState,
+                      st.lists(cycles, max_size=4).map(sorted),
+                      cycles, cycles, cycles),
+       timing=st.fixed_dictionaries(
+           {k: st.integers(1, 12) for k in ("cl", "wl", "trrd", "trp")},
+           optional={"tfaw": st.integers(12, 30)}))
+def test_earliest_ready_is_the_first_ready_cycle(kind, row, bank, chan, timing):
+    t = make_timing(timing)
+    c = cmd(kind, row=row)
+    at = earliest_ready(c, bank, chan, t)
+    forbidden = (bank.open_row is not None if kind is CommandKind.ACT else
+                 bank.open_row is None if kind is CommandKind.PRE else
+                 bank.open_row != row)
+    if forbidden:
+        assert at == NEVER
+        assert not any(ready_reference(c, bank, chan, t, now) for now in range(200))
+        return
+    assert not ready_reference(c, bank, chan, t, at - 1)
+    assert ready_reference(c, bank, chan, t, at)
+    for now in range(max(0, at - 40), at + 40):
+        assert command_ready(c, bank, chan, t, now) == (now >= at) \
+            == ready_reference(c, bank, chan, t, now)
 
 
 class TestApplyCommand:

@@ -10,7 +10,13 @@ from dramwc.scheduler import (
     request_delay,
     solo_service,
 )
-from dramwc.workload import ScenarioSpec, StagedRequest, run_scenario
+from dramwc.workload import (
+    GeneratorKind,
+    GeneratorSpec,
+    ScenarioSpec,
+    StagedRequest,
+    run_scenario,
+)
 
 
 TIMING = make_timing()
@@ -158,8 +164,33 @@ class TestStepAndRun:
         ctrl = Controller(TIMING, SchedulerConfig(stall_window=50), open_rows={0: 1})
         ctrl.enqueue(read(0))
         ctrl.banks[0].earliest_rd = 10**9  # unsatisfiable constraint
-        with pytest.raises(SimulationStalled):
+        with pytest.raises(SimulationStalled, match=r"^no command issued since "
+                           r"cycle 0 \(reads=1, writes=0, mode=read\)$"):
             ctrl.run(None, horizon=1000)
+        # Raised at cycle 51, the first more than stall_window cycles after
+        # cycle 0; the clock has already moved past it.
+        assert ctrl.now == 52
+
+    def test_idle_controller_jumps_to_a_late_generator(self, monkeypatch):
+        stepped = []
+        step = Controller.step
+        monkeypatch.setattr(Controller, "step",
+                            lambda self: stepped.append(self.now) or step(self))
+        spec = ScenarioSpec(
+            open_rows={0: 1},
+            generators=[GeneratorSpec(GeneratorKind.LATENCY, 0, 0, budget=1,
+                                      start=50_000)],
+            scheduler=SchedulerConfig(stall_window=10),
+            horizon=60_000,
+            analyzed_core=0,
+            num_cores=1,
+        )
+        trace, _ = run_scenario(spec)  # no SimulationStalled while idle
+        done = 50_000 + TIMING.cl + TIMING.tburst
+        assert [r.cycle for r in trace.issues] == [50_000]
+        assert trace.completion(0).completion_cycle == done
+        # idle at 0, the read at 50,000, idle after it, its completion
+        assert stepped == [0, 50_000, 50_001, done]
 
     def test_completion_is_burst_end(self):
         ctrl = Controller(TIMING, open_rows={0: 1})
