@@ -7,7 +7,6 @@ from .device import (
     ChannelState,
     CommandKind,
     DataBurst,
-    DramCommand,
     TimingError,
     TimingParams,
     apply_command,
@@ -46,12 +45,10 @@ from .analysis import (
     AnalysisInputs,
     BoundReport,
     DelayBound,
-    KimParams,
     bound_check,
     kim_baseline_bound,
     per_request_bound,
     read_queue_delay,
-    total_delay,
     write_drain_delay,
 )
 from .checks import TraceInvariantError, validate_trace

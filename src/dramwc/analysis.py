@@ -4,9 +4,9 @@ Two analyses are provided:
 
 * the parallelism-aware bound, which charges the analyzed read for a full
   write-drain batch plus every prior read pipelined on the data bus, and
-* the one-request-per-core baseline, which charges a fixed per-command
-  penalty for each competing core and is independent of how many requests
-  those cores actually have queued.
+* the one-request-per-core baseline of Kim et al. (RTAS 2014), which charges
+  each competing core one PRE, ACT and RD/WR penalty derived from the timing,
+  independent of how many requests those cores actually have queued.
 """
 
 from __future__ import annotations
@@ -49,31 +49,6 @@ class DelayBound:
 
 
 @dataclass(frozen=True)
-class KimParams:
-    """Per-command inter-bank penalties of the one-request-per-core baseline.
-
-    The defaults are the natural constraint durations for each command
-    class: one command-bus conflict cycle for PRE, the activate-to-activate
-    gap for ACT, and a write-to-read turnaround for RD/WR. All configurable.
-    """
-
-    inter_pre: int = 1
-    inter_act: int = 4
-    inter_rw: int = 14
-
-    def __post_init__(self):
-        check_min(self, 0, "inter_pre", "inter_act", "inter_rw", error=AnalysisError)
-
-    @classmethod
-    def from_timing(cls, timing: TimingParams) -> "KimParams":
-        return cls(
-            inter_pre=1,
-            inter_act=timing.trrd,
-            inter_rw=timing.wl + timing.tburst + timing.twtr,
-        )
-
-
-@dataclass(frozen=True)
 class KimBound:
     per_request_cycles: int
     total_cycles: int
@@ -107,30 +82,14 @@ def per_request_bound(inputs: AnalysisInputs, variant: str = "full") -> DelayBou
     )
 
 
-@dataclass(frozen=True)
-class TotalDelay:
-    total_cycles: int
-    response_cycles: int | None
-    slowdown: float | None
-
-
-def total_delay(inputs: AnalysisInputs, bound: DelayBound) -> TotalDelay:
-    """Task-level delay: every miss pays the per-request bound once."""
-    total = inputs.miss_count * bound.per_request_cycles
-    if inputs.solo_cycles:
-        response = inputs.solo_cycles + total
-        return TotalDelay(total, response, response / inputs.solo_cycles)
-    return TotalDelay(total, None, None)
-
-
-def kim_baseline_bound(inputs: AnalysisInputs,
-                       params: KimParams | None = None) -> KimBound:
+def kim_baseline_bound(inputs: AnalysisInputs) -> KimBound:
     """One-request-per-core baseline: each competing core contributes one
-    PRE + ACT + RD/WR penalty, regardless of queued request counts."""
-    params = params or KimParams()
-    per_request = (inputs.num_cores - 1) * (
-        params.inter_pre + params.inter_act + params.inter_rw
-    )
+    PRE + ACT + RD/WR penalty, regardless of queued request counts. A PRE
+    costs one command-bus cycle, an ACT the activate-to-activate gap tRRD,
+    and a RD/WR the write-to-read turnaround WL + tBURST + tWTR."""
+    t = inputs.timing
+    per_core = 1 + t.trrd + t.wl + t.tburst + t.twtr
+    per_request = (inputs.num_cores - 1) * per_core
     return KimBound(per_request, inputs.miss_count * per_request)
 
 
@@ -185,12 +144,11 @@ def bound_check(trace: ScheduleTrace, bound, analyzed_core: int) -> BoundReport:
     return delay_report(read_delays(trace, analyzed_core), bound, analyzed_core)
 
 
-def bound_set(inputs: AnalysisInputs, kim_params: KimParams | None = None
-              ) -> tuple[DelayBound, DelayBound, KimBound]:
+def bound_set(inputs: AnalysisInputs) -> tuple[DelayBound, DelayBound, KimBound]:
     """The full, no-write-queue and one-request baseline bounds."""
     return (per_request_bound(inputs, "full"),
             per_request_bound(inputs, "no_write_queue"),
-            kim_baseline_bound(inputs, kim_params))
+            kim_baseline_bound(inputs))
 
 
 def bound_rows(inputs: AnalysisInputs,

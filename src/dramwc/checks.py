@@ -13,16 +13,21 @@ class TraceInvariantError(AssertionError):
     pass
 
 
+def _command(kind, req) -> str:
+    return (f"{kind.value} for request {req.request_id} (core {req.core}, "
+            f"bank {req.bank}, row {req.row})")
+
+
 def verify_selection(controller, chosen) -> None:
     """Re-derive the candidate set from the open-page decomposition and check
-    the controller's pick against the FR-FCFS order (and work conservation).
+    the controller's pick, a (kind, request) pair, against the FR-FCFS order
+    (and work conservation).
 
-    Runs on every cycle that the controller visits while
-    ``controller.validate`` is set, and with ``chosen`` None at the last cycle
-    of each span that ``Controller.run`` skips; readiness only grows over a
-    span, so nothing ready there means nothing was ready anywhere in it. The
-    derivation here goes through decompose_request rather than the
-    controller's fast path.
+    Runs on every cycle that the controller visits, and with ``chosen`` None
+    at the last cycle of each span that ``Controller.run`` skips; readiness
+    only grows over a span, so nothing ready there means nothing was ready
+    anywhere in it. Every queued request is derived here, through
+    decompose_request rather than the controller's fast path.
     """
     if len(controller.read_queue) > controller.config.read_cap:
         raise TraceInvariantError("read queue exceeds its capacity")
@@ -30,31 +35,32 @@ def verify_selection(controller, chosen) -> None:
         raise TraceInvariantError("write queue exceeds its capacity")
     prio = controller.config.prioritized_bank
     best_key = None
-    best_cmd = None
+    best = None
     for req in controller.candidate_queue():
-        head = device.decompose_request(req, controller.banks[req.bank])[0]
-        if not device.command_ready(head, controller.banks[req.bank],
-                                    controller.chan, controller.timing,
-                                    controller.now):
+        bank = controller.banks[req.bank]
+        kind = device.decompose_request(req, bank)[0]
+        if not device.command_ready(kind, req.row, bank, controller.chan,
+                                    controller.timing, controller.now):
             continue
-        key = priority_key(head.kind, head.bank, head.arrival_order, prio)
+        key = priority_key(kind, req.bank, req.arrival_order, prio)
         if best_key is None or key < best_key:
-            best_key, best_cmd = key, head
+            best_key, best = key, (kind, req)
     if chosen is None:
-        if best_cmd is not None:
+        if best is not None:
             raise TraceInvariantError(
-                f"cycle {controller.now}: idle although {best_cmd} is ready"
+                f"cycle {controller.now}: idle although {_command(*best)} is ready"
             )
         return
-    cmd = chosen[0]
-    if best_cmd is None:
+    kind, req = chosen
+    if best is None:
         raise TraceInvariantError(
-            f"cycle {controller.now}: issued {cmd} but no candidate is ready"
+            f"cycle {controller.now}: issued {_command(kind, req)} but no "
+            f"candidate is ready"
         )
-    chosen_key = priority_key(cmd.kind, cmd.bank, cmd.arrival_order, prio)
-    if best_key < chosen_key:
+    if best_key < priority_key(kind, req.bank, req.arrival_order, prio):
         raise TraceInvariantError(
-            f"cycle {controller.now}: issued {cmd} over higher-priority {best_cmd}"
+            f"cycle {controller.now}: issued {_command(kind, req)} over "
+            f"higher-priority {_command(*best)}"
         )
 
 

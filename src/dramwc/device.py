@@ -124,16 +124,6 @@ def load_timing(path) -> TimingParams:
 
 
 @dataclass(frozen=True)
-class DramCommand:
-    kind: CommandKind
-    bank: int
-    row: int
-    request_id: int
-    core: int
-    arrival_order: int
-
-
-@dataclass(frozen=True)
 class DataBurst:
     start: int
     end: int  # exclusive
@@ -167,21 +157,18 @@ class ChannelState:
     data_bus_free: int = 0
 
 
-def decompose_request(req, bank: BankState) -> list[DramCommand]:
+def decompose_request(req, bank: BankState) -> tuple[CommandKind, ...]:
     """Open-page decomposition of a request against the current bank state.
 
-    Row hit -> [CAS]; closed bank -> [ACT, CAS]; conflicting open row ->
-    [PRE, ACT, CAS]. The head of the list is the request's next command.
+    Row hit -> (CAS,); closed bank -> (ACT, CAS); conflicting open row ->
+    (PRE, ACT, CAS). The head is the kind of the request's next command.
     """
     cas = CommandKind.WR if req.is_write else CommandKind.RD
-    make = lambda kind: DramCommand(
-        kind, req.bank, req.row, req.request_id, req.core, req.arrival_order
-    )
     if bank.open_row == req.row:
-        return [make(cas)]
+        return (cas,)
     if bank.open_row is None:
-        return [make(CommandKind.ACT), make(cas)]
-    return [make(CommandKind.PRE), make(CommandKind.ACT), make(cas)]
+        return (CommandKind.ACT, cas)
+    return (CommandKind.PRE, CommandKind.ACT, cas)
 
 
 #: earliest_ready of a command that the bank's row state forbids outright.
@@ -189,15 +176,16 @@ NEVER = sys.maxsize
 
 
 def earliest_ready(
-    cmd: DramCommand,
+    kind: CommandKind,
+    row: int,
     bank: BankState,
     chan: ChannelState,
     timing: TimingParams,
 ) -> int:
-    """First cycle at which every bank and channel constraint allows cmd, or
-    NEVER when the open row forbids it. Each constraint has the form
-    ``now >= X``, so until the state changes cmd is ready from here on."""
-    kind = cmd.kind
+    """First cycle at which every bank and channel constraint allows a
+    command of this kind for this row, or NEVER when the open row forbids
+    it. Each constraint has the form ``now >= X``, so until the state
+    changes the command is ready from here on."""
     if kind is CommandKind.ACT:
         if bank.open_row is not None:
             return NEVER
@@ -211,12 +199,12 @@ def earliest_ready(
     if kind is CommandKind.PRE:
         return NEVER if bank.open_row is None else bank.earliest_pre
     if kind is CommandKind.RD:
-        if bank.open_row != cmd.row:
+        if bank.open_row != row:
             return NEVER
         return max(bank.earliest_rd, chan.earliest_rd_cas,
                    chan.data_bus_free - timing.cl)
     if kind is CommandKind.WR:
-        if bank.open_row != cmd.row:
+        if bank.open_row != row:
             return NEVER
         return max(bank.earliest_wr, chan.earliest_wr_cas,
                    chan.data_bus_free - timing.wl)
@@ -224,34 +212,38 @@ def earliest_ready(
 
 
 def command_ready(
-    cmd: DramCommand,
+    kind: CommandKind,
+    row: int,
     bank: BankState,
     chan: ChannelState,
     timing: TimingParams,
     now: int,
 ) -> bool:
-    """True iff every bank and channel constraint allows issuing cmd at now."""
-    return earliest_ready(cmd, bank, chan, timing) <= now
+    """True iff every bank and channel constraint allows issuing the command
+    at now."""
+    return earliest_ready(kind, row, bank, chan, timing) <= now
 
 
 def apply_command(
-    cmd: DramCommand,
+    kind: CommandKind,
+    req,
     bank: BankState,
     chan: ChannelState,
     timing: TimingParams,
     now: int,
 ) -> DataBurst | None:
-    """Issue cmd at now, updating bank/channel state in place.
+    """Issue the command of this kind that serves req at now, updating
+    bank/channel state in place.
 
     Returns the data burst for CAS commands, None otherwise. Issuing a
     non-ready command is a simulator bug and raises RuntimeError.
     """
-    if not command_ready(cmd, bank, chan, timing, now):
-        raise RuntimeError(f"command not ready at cycle {now}: {cmd}")
+    if not command_ready(kind, req.row, bank, chan, timing, now):
+        raise RuntimeError(f"command not ready at cycle {now}: {kind.value} "
+                           f"for request {req.request_id}")
 
-    kind = cmd.kind
     if kind is CommandKind.ACT:
-        bank.open_row = cmd.row
+        bank.open_row = req.row
         bank.earliest_rd = max(bank.earliest_rd, now + timing.trcd)
         bank.earliest_wr = max(bank.earliest_wr, now + timing.trcd)
         bank.earliest_pre = max(bank.earliest_pre, now + timing.tras)
@@ -268,7 +260,7 @@ def apply_command(
     if kind is CommandKind.RD:
         bank.earliest_pre = max(bank.earliest_pre, now + timing.trtp)
         burst = DataBurst(now + timing.cl, now + timing.cl + timing.tburst,
-                          cmd.request_id, cmd.core, False)
+                          req.request_id, req.core, False)
         chan.earliest_rd_cas = max(chan.earliest_rd_cas, now + timing.tccd)
         chan.earliest_wr_cas = max(chan.earliest_wr_cas, now + timing.rd_wr_gap)
     else:  # WR
@@ -276,7 +268,7 @@ def apply_command(
             bank.earliest_pre, now + timing.wl + timing.tburst + timing.twr
         )
         burst = DataBurst(now + timing.wl, now + timing.wl + timing.tburst,
-                          cmd.request_id, cmd.core, True)
+                          req.request_id, req.core, True)
         chan.earliest_wr_cas = max(chan.earliest_wr_cas, now + timing.tccd)
         chan.earliest_rd_cas = max(
             chan.earliest_rd_cas, now + timing.wl + timing.tburst + timing.twtr

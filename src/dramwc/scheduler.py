@@ -62,7 +62,8 @@ class MemRequest:
     bank: int
     row: int
     arrival_cycle: int = 0
-    arrival_order: int = -1  # assigned by the controller on accept
+    arrival_order: int = -1  # assigned by the controller on accept, as is
+    hit_class: str = ""      # the own-bank state then: hit, closed or conflict
 
 
 @dataclass(frozen=True)
@@ -93,34 +94,22 @@ class ModeSwitch:
     reads_pending: bool
 
 
-@dataclass(frozen=True)
-class RequestInfo:
-    request_id: int
-    core: int
-    bank: int
-    row: int
-    is_write: bool
-    arrival_cycle: int
-    arrival_order: int
-    hit_class: str  # "hit" | "closed" | "conflict" at accept time
-
-
 class ScheduleTrace:
-    """Cycle-stamped log of issued commands, bursts, and completions."""
+    """Cycle-stamped log of issued commands, bursts, and completions, plus
+    every accepted request by id."""
 
     CSV_HEADER = "cycle,event,kind,bank,row,core,request_id"
 
     def __init__(self, timing: TimingParams, config: SchedulerConfig,
-                 open_rows: dict[int, int], initial_mode: Mode):
+                 initial_mode: Mode):
         self.timing = timing
         self.config = config
-        self.initial_open_rows = dict(open_rows)
         self.initial_mode = initial_mode
         self.issues: list[IssueRecord] = []
         self.completions: list[CompletionRecord] = []
         self.bursts: list[DataBurst] = []
         self.mode_switches: list[ModeSwitch] = []
-        self.requests: dict[int, RequestInfo] = {}
+        self.requests: dict[int, MemRequest] = {}
         self.total_cycles = 0
         self.quiescent = False
         self._completed: dict[int, CompletionRecord] = {}
@@ -149,8 +138,8 @@ class ScheduleTrace:
         return "\n".join([self.CSV_HEADER] + [r[3] for r in rows]) + "\n"
 
     def per_request_delay(self, request_id: int) -> int:
-        info = self.requests[request_id]
-        baseline = solo_service(self.timing, info.is_write, info.hit_class)
+        req = self.requests[request_id]
+        baseline = solo_service(self.timing, req.is_write, req.hit_class)
         return request_delay(self, request_id, baseline)
 
     def stats_text(self) -> str:
@@ -160,7 +149,7 @@ class ScheduleTrace:
             f"requests_enqueued {len(self.requests)}",
             f"requests_completed {len(self.completions)}",
         ]
-        cores = sorted({info.core for info in self.requests.values()})
+        cores = sorted({req.core for req in self.requests.values()})
         by_core: dict[int, list[int]] = {c: [] for c in cores}
         for rec in self.completions:
             by_core[rec.core].append(self.per_request_delay(rec.request_id))
@@ -189,7 +178,7 @@ class Controller:
 
     def __init__(self, timing: TimingParams, config: SchedulerConfig | None = None,
                  open_rows: dict[int, int] | None = None,
-                 initial_mode: Mode = Mode.READ, validate: bool = True):
+                 initial_mode: Mode = Mode.READ):
         self.timing = timing
         self.config = config or SchedulerConfig()
         open_rows = open_rows or {}
@@ -206,11 +195,10 @@ class Controller:
         self.mode = initial_mode
         self.drained_in_batch = 0
         self.now = 0
-        self.validate = validate
         self._next_order = 0
         self.next_ready = device.NEVER  # set by select_command
         self._inflight: list[tuple[int, int, MemRequest]] = []  # (end, id, req)
-        self.trace = ScheduleTrace(timing, self.config, open_rows, initial_mode)
+        self.trace = ScheduleTrace(timing, self.config, initial_mode)
 
     # -- queue admission ----------------------------------------------------
 
@@ -228,17 +216,10 @@ class Controller:
         req.arrival_order = self._next_order
         self._next_order += 1
         queue.append(req)
-        bank = self.banks[req.bank]
-        if bank.open_row == req.row:
-            hit_class = "hit"
-        elif bank.open_row is None:
-            hit_class = "closed"
-        else:
-            hit_class = "conflict"
-        self.trace.requests[req.request_id] = RequestInfo(
-            req.request_id, req.core, req.bank, req.row, req.is_write,
-            req.arrival_cycle, req.arrival_order, hit_class,
-        )
+        open_row = self.banks[req.bank].open_row
+        req.hit_class = ("hit" if open_row == req.row else
+                         "closed" if open_row is None else "conflict")
+        self.trace.requests[req.request_id] = req
         return True
 
     # -- scheduling ---------------------------------------------------------
@@ -280,8 +261,9 @@ class Controller:
     def candidate_queue(self) -> list[MemRequest]:
         return self.read_queue if self.mode is Mode.READ else self.write_queue
 
-    def select_command(self) -> tuple[device.DramCommand, MemRequest] | None:
-        """Highest-priority ready command among the active queue, or None.
+    def select_command(self) -> tuple[CommandKind, MemRequest] | None:
+        """Highest-priority ready command among the active queue, as the
+        pair (kind, request served), or None.
 
         Also sets ``next_ready`` to the earliest cycle at which a command it
         could not issue becomes ready (NEVER if there is none). The queue is
@@ -300,25 +282,22 @@ class Controller:
                 continue
             seen.add(target)
             kind = self._next_kind(req)
-            cmd = device.DramCommand(
-                kind, req.bank, req.row, req.request_id, req.core, req.arrival_order
-            )
-            at = device.earliest_ready(cmd, self.banks[req.bank], self.chan, self.timing)
+            at = device.earliest_ready(kind, req.row, self.banks[req.bank],
+                                       self.chan, self.timing)
             if at > self.now:
                 next_ready = min(next_ready, at)
                 continue
             key = priority_key(kind, req.bank, req.arrival_order, prio)
             if best_key is None or key < best_key:
-                best, best_key = (cmd, req), key
+                best, best_key = (kind, req), key
         self.next_ready = next_ready
         return best
 
     def _verify(self, chosen) -> None:
         """Check a selection (None: an idle cycle) against the oracle."""
-        if self.validate:
-            from . import checks
+        from . import checks
 
-            checks.verify_selection(self, chosen)
+        checks.verify_selection(self, chosen)
 
     def step(self) -> tuple[IssueRecord | None, list[CompletionRecord]]:
         """Advance one cycle: update mode, issue at most one command, and
@@ -328,18 +307,18 @@ class Controller:
         self._verify(chosen)
         issued = None
         if chosen is not None:
-            cmd, req = chosen
+            kind, req = chosen
             burst = device.apply_command(
-                cmd, self.banks[cmd.bank], self.chan, self.timing, self.now
+                kind, req, self.banks[req.bank], self.chan, self.timing, self.now
             )
-            issued = IssueRecord(self.now, cmd.kind, cmd.bank, cmd.row,
-                                 cmd.core, cmd.request_id)
+            issued = IssueRecord(self.now, kind, req.bank, req.row,
+                                 req.core, req.request_id)
             self.trace.issues.append(issued)
             if burst is not None:
                 self.trace.bursts.append(burst)
                 self.candidate_queue().remove(req)
                 heapq.heappush(self._inflight, (burst.end, req.request_id, req))
-                if cmd.kind is CommandKind.WR:
+                if kind is CommandKind.WR:
                     self.drained_in_batch += 1
         completed = []
         while self._inflight and self._inflight[0][0] == self.now:
@@ -427,7 +406,7 @@ def solo_service(timing: TimingParams, is_write: bool, hit_class: str) -> int:
     row = 1
     open_rows = {"hit": {0: row}, "closed": {}, "conflict": {0: row + 1}}[hit_class]
     cfg = SchedulerConfig(num_banks=1, partitioning=False)
-    ctrl = Controller(timing, cfg, open_rows=open_rows, validate=False)
+    ctrl = Controller(timing, cfg, open_rows=open_rows)
     req = MemRequest(0, 0, is_write, 0, row, 0)
     if not ctrl.enqueue(req):
         raise SchedulerError("solo request rejected")

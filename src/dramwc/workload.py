@@ -137,11 +137,24 @@ class _Generator:
         self.rng = rng
         self.emitted = 0
         self.ids: set[int] = set()
+        self.held_row: int | None = None
 
     def _row(self) -> int:
-        if self.spec.row_policy == "random":
-            return self.rng.randrange(self.num_rows)
-        return self.base_row
+        """Row of the next new request. A random row is drawn once and held
+        until a submit accepts it, so the rows drawn do not depend on how
+        long the core was blocked."""
+        if self.spec.row_policy == "sequential":
+            return self.base_row
+        if self.held_row is None:
+            self.held_row = self.rng.randrange(self.num_rows)
+        return self.held_row
+
+    def _submit_next(self, submit, is_write: bool) -> bool:
+        """Submit a new request to :meth:`_row`; True if it was accepted."""
+        if not self._track(submit(self._row(), is_write)):
+            return False
+        self.held_row = None
+        return True
 
     def budget_left(self, need: int = 1) -> bool:
         budget = self.spec.budget
@@ -166,10 +179,9 @@ class _Generator:
     def wake(self, now: int) -> int:
         """First cycle from ``now`` on at which a poll can change this
         generator, or NEVER if only freed queue or MSHR room can: a refused
-        submit changes nothing, except that a random row is drawn anyway."""
-        if self.spec.start >= now:
-            return self.spec.start
-        return now if self.spec.row_policy == "random" else NEVER
+        submit changes nothing but the held row, which is the same whenever
+        it is drawn."""
+        return self.spec.start if self.spec.start >= now else NEVER
 
 
 class LatencyGenerator(_Generator):
@@ -183,7 +195,7 @@ class LatencyGenerator(_Generator):
     def emit(self, now, submit):
         if self.in_flight or now < self.ready_at or not self.budget_left():
             return
-        if self._track(submit(self._row(), False)):
+        if self._submit_next(submit, False):
             self.in_flight = True
 
     def on_completion(self, now, request_id, is_write, submit):
@@ -204,12 +216,12 @@ class BandwidthReadGenerator(_Generator):
     """Streaming reader that keeps as many reads outstanding as caps allow."""
 
     def emit(self, now, submit):
-        while self.budget_left() and self._track(submit(self._row(), False)):
+        while self.budget_left() and self._submit_next(submit, False):
             pass
 
     def on_completion(self, now, request_id, is_write, submit):
         if self.budget_left():
-            self._track(submit(self._row(), False))
+            self._submit_next(submit, False)
 
 
 class BandwidthWriteGenerator(_Generator):
@@ -230,7 +242,7 @@ class BandwidthWriteGenerator(_Generator):
         if not self.budget_left(2):
             return False
         row = self._row()
-        if not self._track(submit(row, False)):
+        if not self._submit_next(submit, False):
             return False
         if not self._track(submit(row, True)):
             self.write_debt.append(row)
@@ -259,7 +271,7 @@ class StreamGenerator(_Generator):
     def _emit_one(self, submit) -> bool:
         if not self.budget_left():
             return False
-        if not self._track(submit(self._row(), self.pattern[self.pos])):
+        if not self._submit_next(submit, self.pattern[self.pos]):
             return False
         self.pos = (self.pos + 1) % len(self.pattern)
         return True

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from dramwc import analysis, harness, workload
+from dramwc import analysis, checks, harness, workload
 from dramwc.analysis import AnalysisInputs, kim_baseline_bound, per_request_bound
 from dramwc.device import CommandKind, make_timing
 from dramwc.workload import (
@@ -199,7 +199,15 @@ def test_c8_mshr_contention_and_reservation():
         assert max(reads[0] for reads in window) >= 8
 
 
-def test_c9_invariants_and_determinism():
+def test_c9_invariants_and_determinism(monkeypatch):
+    oracle_cycles = []
+    verify = checks.verify_selection
+
+    def counted(controller, chosen):
+        oracle_cycles.append(controller.now)
+        verify(controller, chosen)
+
+    monkeypatch.setattr(checks, "verify_selection", counted)
     with criterion(9, "trace validators and byte-exact reproducibility"):
         specs = [harness.preset(name) for name in ("fig2", "fig3", "fig4", "fig5")]
         specs.append(build_adversarial(
@@ -207,10 +215,10 @@ def test_c9_invariants_and_determinism():
         specs.append(build_adversarial(
             interferer_kind=GeneratorKind.STREAM, seed=123))
         for spec in specs:
+            oracle_cycles.clear()
             first = replay(spec)   # validate_trace runs on every replay
+            # the selection oracle checked the replay, at its first cycle too
+            assert oracle_cycles and oracle_cycles[0] == 0
             second = replay(spec)
             assert first.to_csv() == second.to_csv()
             assert first.stats_text() == second.stats_text()
-        # the selection verifier is live on every controller built above
-        controller, _ = workload.build_simulation(specs[0])
-        assert controller.validate

@@ -6,12 +6,10 @@ from hypothesis import given, settings, strategies as st
 from dramwc import analysis
 from dramwc.analysis import (
     AnalysisInputs,
-    KimParams,
     bound_check,
     kim_baseline_bound,
     per_request_bound,
     read_queue_delay,
-    total_delay,
     write_drain_delay,
 )
 from dramwc.device import make_timing
@@ -78,17 +76,27 @@ class TestPerRequestBound:
 
 class TestTotalDelay:
     def test_no_misses(self):
-        assert total_delay(inputs(), per_request_bound(inputs())).total_cycles == 0
+        assert per_request_bound(inputs()).total_cycles == 0
+        assert kim_baseline_bound(inputs()).total_cycles == 0
 
     def test_thousand_misses(self):
         i = inputs(miss_count=1000)
-        assert total_delay(i, per_request_bound(i)).total_cycles == 232_000
+        assert per_request_bound(i).total_cycles == 232_000
+        assert per_request_bound(i, "no_write_queue").total_cycles == 120_000
 
     def test_normalized_slowdown(self):
+        # every miss pays the per-request bound once: 232,000 solo cycles
+        # plus 1000 x 232 cycles of delay
         i = inputs(miss_count=1000, solo_cycles=232_000)
-        result = total_delay(i, per_request_bound(i))
-        assert result.response_cycles == 464_000
-        assert result.slowdown == pytest.approx(2.0)
+        rows = analysis.format_bound_table(i).splitlines()
+        name, per_request, ns, total, normalized = rows[1].split()
+        assert (name, per_request, total) == ("full", "232", "232000")
+        assert normalized == "2.00"
+        assert rows[3].split()[3:] == ["57000", "1.25"]  # one_request_baseline
+
+    def test_no_solo_time_leaves_normalized_empty(self):
+        rows = analysis.format_bound_table(inputs(miss_count=10)).splitlines()
+        assert [row.split()[-1] for row in rows[1:]] == ["-", "-", "-"]
 
 
 class TestBaselineBound:
@@ -96,9 +104,16 @@ class TestBaselineBound:
         assert kim_baseline_bound(inputs(num_cores=1)).per_request_cycles == 0
 
     def test_default_penalties(self):
-        assert KimParams() == KimParams(1, 4, 14)
-        assert KimParams.from_timing(TIMING) == KimParams(1, 4, 14)
+        # PRE 1 + ACT tRRD 4 + RD/WR (WL 6 + tBURST 4 + tWTR 4) per competing core
         assert kim_baseline_bound(inputs()).per_request_cycles == 3 * 19 == 57
+
+    def test_follows_trrd(self):
+        timing = make_timing({"trrd": 6})
+        assert kim_baseline_bound(inputs(timing=timing)).per_request_cycles == 63
+
+    def test_follows_write_latency(self):
+        timing = make_timing({"wl": 5})
+        assert kim_baseline_bound(inputs(timing=timing)).per_request_cycles == 54
 
     def test_linear_in_competing_cores(self):
         four = kim_baseline_bound(inputs(num_cores=4)).per_request_cycles
@@ -151,12 +166,12 @@ def test_bound_monotone_in_each_input(i, bump):
     ]
     for variant in grown:
         assert per_request_bound(variant).per_request_cycles >= base
-    total = total_delay(i, per_request_bound(i)).total_cycles
+    total = per_request_bound(i).total_cycles
+    assert total == i.miss_count * base
     more_misses = inputs(timing=i.timing, max_prior_reads=i.max_prior_reads,
                          drain_batch=i.drain_batch,
                          miss_count=i.miss_count + bump)
-    assert total_delay(more_misses,
-                       per_request_bound(more_misses)).total_cycles >= total
+    assert per_request_bound(more_misses).total_cycles >= total
 
 
 @settings(max_examples=60, deadline=None)

@@ -135,15 +135,12 @@ def test_selection_verifier_catches_priority_inversion():
     ctrl.enqueue(MemRequest(0, 2, False, 2, 1, 0))
     ctrl.enqueue(MemRequest(1, 1, False, 1, 1, 0))
     chosen = ctrl.select_command()
-    assert chosen[0].bank == 2  # the older request's command
-    wrong = next(
-        (ctrl._next_kind(req), req) for req in ctrl.read_queue if req.bank == 1
-    )
-    from dramwc.device import DramCommand
-
-    wrong_cmd = DramCommand(wrong[0], 1, 1, 1, 1, wrong[1].arrival_order)
-    with pytest.raises(TraceInvariantError, match="higher-priority"):
-        checks.verify_selection(ctrl, (wrong_cmd, wrong[1]))
+    assert chosen[1].bank == 2  # the older request's command
+    younger = next(req for req in ctrl.read_queue if req.bank == 1)
+    with pytest.raises(TraceInvariantError,
+                       match=r"issued RD for request 1 \(core 1, bank 1, row 1\) "
+                             r"over higher-priority RD for request 0 "):
+        checks.verify_selection(ctrl, (CommandKind.RD, younger))
 
 
 def test_selection_verifier_catches_missed_work():
@@ -152,5 +149,20 @@ def test_selection_verifier_catches_missed_work():
 
     ctrl = Controller(make_timing(), open_rows={0: 1})
     ctrl.enqueue(MemRequest(0, 0, False, 0, 1, 0))
-    with pytest.raises(TraceInvariantError, match="idle although"):
+    with pytest.raises(TraceInvariantError, match=r"cycle 0: idle although RD for "
+                       r"request 0 \(core 0, bank 0, row 1\) is ready"):
         checks.verify_selection(ctrl, None)
+
+
+def test_selection_verifier_catches_issue_with_nothing_ready():
+    from dramwc.device import make_timing
+    from dramwc.scheduler import Controller, MemRequest
+
+    ctrl = Controller(make_timing())  # bank 0 closed: the head is an ACT
+    req = MemRequest(0, 0, False, 0, 1, 0)
+    ctrl.enqueue(req)
+    ctrl.banks[0].earliest_act = 5
+    assert ctrl.select_command() is None
+    with pytest.raises(TraceInvariantError, match="cycle 0: issued ACT for request 0 "
+                       r"\(core 0, bank 0, row 1\) but no candidate is ready"):
+        checks.verify_selection(ctrl, (CommandKind.ACT, req))

@@ -9,7 +9,6 @@ from dramwc.device import (
     BankState,
     ChannelState,
     CommandKind,
-    DramCommand,
     TimingError,
     apply_command,
     command_ready,
@@ -21,8 +20,9 @@ from dramwc.device import (
 from dramwc.scheduler import MemRequest
 
 
-def cmd(kind, bank=0, row=1, rid=0, core=0, order=0):
-    return DramCommand(kind, bank, row, rid, core, order)
+def req(row=1, bank=0, rid=0, core=0):
+    """The request a command serves; apply_command reads its row, id and core."""
+    return MemRequest(rid, core, False, bank, row)
 
 
 class TestMakeTiming:
@@ -91,21 +91,21 @@ class TestDecompose:
         return MemRequest(0, 0, False, 0, row, 0, 0)
 
     def test_row_hit(self):
-        kinds = [c.kind for c in decompose_request(self.read(5), BankState(open_row=5))]
-        assert kinds == [CommandKind.RD]
+        kinds = decompose_request(self.read(5), BankState(open_row=5))
+        assert kinds == (CommandKind.RD,)
 
     def test_closed_bank(self):
-        kinds = [c.kind for c in decompose_request(self.read(5), BankState())]
-        assert kinds == [CommandKind.ACT, CommandKind.RD]
+        kinds = decompose_request(self.read(5), BankState())
+        assert kinds == (CommandKind.ACT, CommandKind.RD)
 
     def test_row_conflict(self):
-        kinds = [c.kind for c in decompose_request(self.read(5), BankState(open_row=3))]
-        assert kinds == [CommandKind.PRE, CommandKind.ACT, CommandKind.RD]
+        kinds = decompose_request(self.read(5), BankState(open_row=3))
+        assert kinds == (CommandKind.PRE, CommandKind.ACT, CommandKind.RD)
 
     def test_write_uses_wr(self):
         req = MemRequest(0, 0, True, 0, 5, 0, 0)
-        kinds = [c.kind for c in decompose_request(req, BankState(open_row=5))]
-        assert kinds == [CommandKind.WR]
+        kinds = decompose_request(req, BankState(open_row=5))
+        assert kinds == (CommandKind.WR,)
 
 
 class TestCommandReady:
@@ -113,66 +113,59 @@ class TestCommandReady:
         self.t = make_timing()
 
     def test_rd_on_open_row_ready(self):
-        assert command_ready(cmd(CommandKind.RD, row=1), BankState(open_row=1),
+        assert command_ready(CommandKind.RD, 1, BankState(open_row=1),
                              ChannelState(), self.t, 0)
 
     def test_rd_on_wrong_row_not_ready(self):
-        assert not command_ready(cmd(CommandKind.RD, row=1), BankState(open_row=2),
+        assert not command_ready(CommandKind.RD, 1, BankState(open_row=2),
                                  ChannelState(), self.t, 10)
 
     def test_act_blocked_by_trrd(self):
         chan = ChannelState(act_history=[0])
         bank = BankState()
-        assert not command_ready(cmd(CommandKind.ACT), bank, chan, self.t, 3)
-        assert command_ready(cmd(CommandKind.ACT), bank, chan, self.t, 4)
+        assert not command_ready(CommandKind.ACT, 1, bank, chan, self.t, 3)
+        assert command_ready(CommandKind.ACT, 1, bank, chan, self.t, 4)
 
     def test_rd_blocked_by_tccd(self):
         bank0, bank1 = BankState(open_row=1), BankState(open_row=1)
         chan = ChannelState()
-        apply_command(cmd(CommandKind.RD, bank=0, row=1), bank0, chan, self.t, 0)
-        assert not command_ready(cmd(CommandKind.RD, bank=1, row=1), bank1,
-                                 chan, self.t, 1)
-        assert command_ready(cmd(CommandKind.RD, bank=1, row=1), bank1,
-                             chan, self.t, 4)
+        apply_command(CommandKind.RD, req(bank=0), bank0, chan, self.t, 0)
+        assert not command_ready(CommandKind.RD, 1, bank1, chan, self.t, 1)
+        assert command_ready(CommandKind.RD, 1, bank1, chan, self.t, 4)
 
     def test_fifth_act_waits_for_tfaw(self):
         chan = ChannelState()
         banks = [BankState() for _ in range(5)]
         now = 0
         for i in range(4):
-            apply_command(cmd(CommandKind.ACT, bank=i, row=1), banks[i],
-                          chan, self.t, now)
+            apply_command(CommandKind.ACT, req(bank=i), banks[i], chan, self.t, now)
             now += self.t.trrd
         # four activates at 0,4,8,12; a fifth is legal only from 0 + tfaw
-        assert not command_ready(cmd(CommandKind.ACT, bank=4), banks[4],
-                                 chan, self.t, 16)
-        assert command_ready(cmd(CommandKind.ACT, bank=4), banks[4],
-                             chan, self.t, 20)
+        assert not command_ready(CommandKind.ACT, 1, banks[4], chan, self.t, 16)
+        assert command_ready(CommandKind.ACT, 1, banks[4], chan, self.t, 20)
 
     def test_write_to_read_turnaround(self):
         bank0, bank1 = BankState(open_row=1), BankState(open_row=1)
         chan = ChannelState()
-        apply_command(cmd(CommandKind.WR, bank=0, row=1), bank0, chan, self.t, 0)
+        apply_command(CommandKind.WR, req(bank=0), bank0, chan, self.t, 0)
         gate = self.t.wl + self.t.tburst + self.t.twtr
-        assert not command_ready(cmd(CommandKind.RD, bank=1, row=1), bank1,
-                                 chan, self.t, gate - 1)
-        assert command_ready(cmd(CommandKind.RD, bank=1, row=1), bank1,
-                             chan, self.t, gate)
+        assert not command_ready(CommandKind.RD, 1, bank1, chan, self.t, gate - 1)
+        assert command_ready(CommandKind.RD, 1, bank1, chan, self.t, gate)
 
     def test_read_to_write_turnaround(self):
         bank0, bank1 = BankState(open_row=1), BankState(open_row=1)
         chan = ChannelState()
-        apply_command(cmd(CommandKind.RD, bank=0, row=1), bank0, chan, self.t, 0)
-        assert not command_ready(cmd(CommandKind.WR, bank=1, row=1), bank1,
-                                 chan, self.t, self.t.rd_wr_gap - 1)
-        assert command_ready(cmd(CommandKind.WR, bank=1, row=1), bank1,
-                             chan, self.t, self.t.rd_wr_gap)
+        apply_command(CommandKind.RD, req(bank=0), bank0, chan, self.t, 0)
+        assert not command_ready(CommandKind.WR, 1, bank1, chan, self.t,
+                                 self.t.rd_wr_gap - 1)
+        assert command_ready(CommandKind.WR, 1, bank1, chan, self.t,
+                             self.t.rd_wr_gap)
 
 
-def ready_reference(c, bank, chan, t, now):
+def ready_reference(kind, row, bank, chan, t, now):
     """The legality predicate checked constraint by constraint at one cycle,
     as command_ready computed it before earliest_ready existed."""
-    if c.kind is CommandKind.ACT:
+    if kind is CommandKind.ACT:
         if bank.open_row is not None or now < bank.earliest_act:
             return False
         hist = chan.act_history
@@ -182,12 +175,12 @@ def ready_reference(c, bank, chan, t, now):
             if len(hist) >= 4 and now < hist[-4] + t.tfaw:
                 return False
         return True
-    if c.kind is CommandKind.PRE:
+    if kind is CommandKind.PRE:
         return bank.open_row is not None and now >= bank.earliest_pre
-    if c.kind is CommandKind.RD:
-        return (bank.open_row == c.row and now >= bank.earliest_rd
+    if kind is CommandKind.RD:
+        return (bank.open_row == row and now >= bank.earliest_rd
                 and now >= chan.earliest_rd_cas and now + t.cl >= chan.data_bus_free)
-    return (bank.open_row == c.row and now >= bank.earliest_wr
+    return (bank.open_row == row and now >= bank.earliest_wr
             and now >= chan.earliest_wr_cas and now + t.wl >= chan.data_bus_free)
 
 
@@ -206,20 +199,20 @@ cycles = st.integers(0, 80)
            optional={"tfaw": st.integers(12, 30)}))
 def test_earliest_ready_is_the_first_ready_cycle(kind, row, bank, chan, timing):
     t = make_timing(timing)
-    c = cmd(kind, row=row)
-    at = earliest_ready(c, bank, chan, t)
+    at = earliest_ready(kind, row, bank, chan, t)
     forbidden = (bank.open_row is not None if kind is CommandKind.ACT else
                  bank.open_row is None if kind is CommandKind.PRE else
                  bank.open_row != row)
     if forbidden:
         assert at == NEVER
-        assert not any(ready_reference(c, bank, chan, t, now) for now in range(200))
+        assert not any(ready_reference(kind, row, bank, chan, t, now)
+                       for now in range(200))
         return
-    assert not ready_reference(c, bank, chan, t, at - 1)
-    assert ready_reference(c, bank, chan, t, at)
+    assert not ready_reference(kind, row, bank, chan, t, at - 1)
+    assert ready_reference(kind, row, bank, chan, t, at)
     for now in range(max(0, at - 40), at + 40):
-        assert command_ready(c, bank, chan, t, now) == (now >= at) \
-            == ready_reference(c, bank, chan, t, now)
+        assert command_ready(kind, row, bank, chan, t, now) == (now >= at) \
+            == ready_reference(kind, row, bank, chan, t, now)
 
 
 class TestApplyCommand:
@@ -228,31 +221,33 @@ class TestApplyCommand:
 
     def test_act_opens_row_and_sets_trcd(self):
         bank, chan = BankState(), ChannelState()
-        apply_command(cmd(CommandKind.ACT, row=9), bank, chan, self.t, 0)
+        apply_command(CommandKind.ACT, req(row=9), bank, chan, self.t, 0)
         assert bank.open_row == 9
         assert bank.earliest_rd == 7  # row activation time
         assert bank.earliest_pre == self.t.tras
 
     def test_rd_burst_window(self):
         bank, chan = BankState(open_row=9), ChannelState()
-        burst = apply_command(cmd(CommandKind.RD, row=9), bank, chan, self.t, 7)
+        burst = apply_command(CommandKind.RD, req(row=9, rid=3, core=2),
+                              bank, chan, self.t, 7)
         assert (burst.start, burst.end) == (7 + 7, 7 + 7 + 4)  # cl, cl + tburst
+        assert (burst.request_id, burst.core, burst.is_write) == (3, 2, False)
 
     def test_pre_closes_and_sets_trp(self):
         bank, chan = BankState(open_row=9), ChannelState()
-        apply_command(cmd(CommandKind.PRE), bank, chan, self.t, 12)
+        apply_command(CommandKind.PRE, req(), bank, chan, self.t, 12)
         assert bank.open_row is None
         assert bank.earliest_act == 12 + 7
 
     def test_write_recovery_gates_pre(self):
         bank, chan = BankState(open_row=9), ChannelState()
-        apply_command(cmd(CommandKind.WR, row=9), bank, chan, self.t, 0)
+        apply_command(CommandKind.WR, req(row=9), bank, chan, self.t, 0)
         assert bank.earliest_pre == self.t.wl + self.t.tburst + self.t.twr
 
     def test_not_ready_is_hard_fault(self):
         bank, chan = BankState(open_row=2), ChannelState()
-        with pytest.raises(RuntimeError, match="not ready"):
-            apply_command(cmd(CommandKind.RD, row=9), bank, chan, self.t, 0)
+        with pytest.raises(RuntimeError, match="not ready at cycle 0: RD for request 4"):
+            apply_command(CommandKind.RD, req(row=9, rid=4), bank, chan, self.t, 0)
 
 
 def _legal_driver(seed, cycles=260, num_banks=4):
@@ -268,17 +263,18 @@ def _legal_driver(seed, cycles=260, num_banks=4):
         options = []
         for i, bank in enumerate(banks):
             if bank.open_row is None:
-                options.append(cmd(CommandKind.ACT, bank=i, row=rng.randrange(3)))
+                options.append((CommandKind.ACT, req(rng.randrange(3), bank=i)))
             else:
-                options.append(cmd(CommandKind.PRE, bank=i, row=bank.open_row))
-                options.append(cmd(CommandKind.RD, bank=i, row=bank.open_row))
-                options.append(cmd(CommandKind.WR, bank=i, row=bank.open_row))
-        ready = [c for c in options if command_ready(c, banks[c.bank], chan, t, now)]
+                target = req(bank.open_row, bank=i)
+                options += [(kind, target) for kind in
+                            (CommandKind.PRE, CommandKind.RD, CommandKind.WR)]
+        ready = [(kind, r) for kind, r in options
+                 if command_ready(kind, r.row, banks[r.bank], chan, t, now)]
         if not ready or rng.random() < 0.2:
             continue
-        pick = rng.choice(ready)
-        burst = apply_command(pick, banks[pick.bank], chan, t, now)
-        issued.append((now, pick))
+        kind, pick = rng.choice(ready)
+        burst = apply_command(kind, pick, banks[pick.bank], chan, t, now)
+        issued.append((now, kind, pick))
         if burst:
             bursts.append(burst)
     return t, issued, banks, chan, bursts
@@ -291,8 +287,8 @@ def test_replay_determinism(seed):
     rebanks = [BankState() for _ in banks]
     rechan = ChannelState()
     rebursts = []
-    for now, command in issued:
-        burst = apply_command(command, rebanks[command.bank], rechan, t, now)
+    for now, kind, served in issued:
+        burst = apply_command(kind, served, rebanks[served.bank], rechan, t, now)
         if burst:
             rebursts.append(burst)
     assert rebanks == banks and rechan == chan and rebursts == bursts
@@ -305,7 +301,7 @@ def test_random_legal_sequences_keep_invariants(seed):
     ordered = sorted(bursts, key=lambda b: b.start)
     for prev, cur in zip(ordered, ordered[1:]):
         assert cur.start >= prev.end, "data bursts overlap"
-    acts = [now for now, c in issued if c.kind is CommandKind.ACT]
+    acts = [now for now, kind, _ in issued if kind is CommandKind.ACT]
     for i in range(4, len(acts)):
         assert acts[i] - acts[i - 4] >= t.tfaw, "five activates in a tFAW window"
 
@@ -319,14 +315,15 @@ def test_timestamps_monotone(seed):
     fields = ("earliest_act", "earliest_pre", "earliest_rd", "earliest_wr")
     for now in range(180):
         before = {f: getattr(bank, f) for f in fields}
-        options = ([cmd(CommandKind.ACT, row=rng.randrange(3))]
+        options = ([(CommandKind.ACT, req(rng.randrange(3)))]
                    if bank.open_row is None else
-                   [cmd(k, row=bank.open_row)
+                   [(k, req(bank.open_row))
                     for k in (CommandKind.PRE, CommandKind.RD, CommandKind.WR)])
-        ready = [c for c in options if command_ready(c, bank, chan, t, now)]
+        ready = [(kind, r) for kind, r in options
+                 if command_ready(kind, r.row, bank, chan, t, now)]
         if not ready:
             continue
-        apply_command(rng.choice(ready), bank, chan, t, now)
+        apply_command(*rng.choice(ready), bank, chan, t, now)
         for f in fields:
             assert getattr(bank, f) >= before[f]
 
@@ -344,9 +341,10 @@ def test_row_hit_reads_pipeline_exactly(n, spread_banks):
     now = 0
     while len(bursts) < n:
         target = len(bursts) % len(banks)
-        c = cmd(CommandKind.RD, bank=target, row=1, rid=len(bursts))
-        if command_ready(c, banks[target], chan, t, now):
-            bursts.append(apply_command(c, banks[target], chan, t, now))
+        if command_ready(CommandKind.RD, 1, banks[target], chan, t, now):
+            bursts.append(apply_command(CommandKind.RD,
+                                        req(bank=target, rid=len(bursts)),
+                                        banks[target], chan, t, now))
         now += 1
     assert bursts[-1].end - bursts[0].start == n * t.tburst
     for prev, cur in zip(bursts, bursts[1:]):

@@ -109,30 +109,30 @@ class TestSelectCommand:
     def test_single_ready_command(self):
         ctrl = Controller(TIMING, open_rows={0: 1})
         ctrl.enqueue(read(0))
-        cmd, req = ctrl.select_command()
-        assert cmd.kind is CommandKind.RD and req.request_id == 0
+        kind, req = ctrl.select_command()
+        assert kind is CommandKind.RD and req.request_id == 0
 
     def test_older_read_wins_among_ready_cas(self):
         ctrl = Controller(TIMING, open_rows={1: 1, 2: 1})
         ctrl.enqueue(read(0, bank=2))
         ctrl.enqueue(read(1, bank=1))
-        cmd, _ = ctrl.select_command()
-        assert cmd.bank == 2
+        _, req = ctrl.select_command()
+        assert req.bank == 2
 
     def test_row_hit_cas_beats_older_ras(self):
         ctrl = Controller(TIMING, open_rows={1: 1, 2: 9})
         ctrl.enqueue(read(0, bank=2, row=5))  # conflict: next command is PRE
         ctrl.enqueue(read(1, bank=1, row=1))  # hit: ready RD
-        cmd, _ = ctrl.select_command()
-        assert cmd.kind is CommandKind.RD and cmd.bank == 1
+        kind, req = ctrl.select_command()
+        assert kind is CommandKind.RD and req.bank == 1
 
     def test_prioritized_bank_outranks_age(self):
         cfg = SchedulerConfig(prioritized_bank=1)
         ctrl = Controller(TIMING, cfg, open_rows={1: 1, 2: 1})
         ctrl.enqueue(read(0, bank=2))
         ctrl.enqueue(read(1, bank=1))
-        cmd, _ = ctrl.select_command()
-        assert cmd.bank == 1
+        _, req = ctrl.select_command()
+        assert req.bank == 1
 
     def test_nothing_ready_returns_none(self):
         ctrl = Controller(TIMING)

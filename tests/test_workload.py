@@ -1,7 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dramwc import harness
+from dramwc import harness, workload
 from dramwc.device import TimingError
 from dramwc.workload import (
     GeneratorKind,
@@ -118,6 +120,31 @@ class TestGenerators:
                          row_policy="random", horizon=2000)
         trace, _ = run_scenario(spec)
         assert len({info.row for info in trace.requests.values()}) > 1
+
+    @pytest.mark.parametrize("kind,draws", [(GeneratorKind.BANDWIDTH_READ, 40),
+                                            (GeneratorKind.BANDWIDTH_WRITE, 20),
+                                            (GeneratorKind.STREAM, 40)])
+    def test_random_row_is_drawn_once_per_accepted_request(self, kind, draws,
+                                                           monkeypatch):
+        # A refused submit keeps its row for the next try, so a blocked core
+        # draws no extra rows; a read and its write-back share one row.
+        drawn = []
+
+        class Recording(random.Random):
+            def randrange(self, *args):
+                drawn.append(super().randrange(*args))
+                return drawn[-1]
+
+        monkeypatch.setattr(workload.random, "Random", Recording)
+        spec = live_spec(kind, budget=40, row_policy="random", horizon=3000)
+        trace, _ = run_scenario(spec)
+        assert len(trace.requests) == 40
+        assert len(drawn) == draws
+        rows = [trace.requests[rid].row for rid in sorted(trace.requests)]
+        if kind is GeneratorKind.BANDWIDTH_WRITE:
+            assert sorted(rows) == sorted(drawn * 2)
+        else:
+            assert rows == drawn
 
     def test_generator_off_its_private_bank_rejected(self):
         spec = ScenarioSpec(
