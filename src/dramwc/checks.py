@@ -18,16 +18,19 @@ def _command(kind, req) -> str:
             f"bank {req.bank}, row {req.row})")
 
 
-def verify_selection(controller, chosen) -> None:
+def verify_selection(controller, chosen) -> int | None:
     """Re-derive the candidate set from the open-page decomposition and check
     the controller's pick, a (kind, request) pair, against the FR-FCFS order
     (and work conservation).
 
-    Runs on every cycle that the controller visits, and with ``chosen`` None
-    at the last cycle of each span that ``Controller.run`` skips; readiness
-    only grows over a span, so nothing ready there means nothing was ready
-    anywhere in it. Every queued request is derived here, through
-    decompose_request rather than the controller's fast path.
+    Runs on every cycle that the controller visits. Each queued request's
+    head comes from decompose_request rather than the controller's fast
+    path. The queue is in arrival order, so the first ready candidate that
+    is a CAS on a top-rank bank has the smallest possible key and ends the
+    scan. An idle cycle that passes has scanned every candidate and returns
+    its first-ready cycle: the earliest cycle at which one of them becomes
+    ready while the state stands still (NEVER if none can). ``Controller.run``
+    compares each jump target with it instead of re-scanning the skipped span.
     """
     if len(controller.read_queue) > controller.config.read_cap:
         raise TraceInvariantError("read queue exceeds its capacity")
@@ -36,21 +39,26 @@ def verify_selection(controller, chosen) -> None:
     prio = controller.config.prioritized_bank
     best_key = None
     best = None
+    first_ready = device.NEVER
     for req in controller.candidate_queue():
         bank = controller.banks[req.bank]
         kind = device.decompose_request(req, bank)[0]
-        if not device.command_ready(kind, req.row, bank, controller.chan,
-                                    controller.timing, controller.now):
+        at = device.earliest_ready(kind, req.row, bank, controller.chan,
+                                   controller.timing)
+        if at > controller.now:
+            first_ready = min(first_ready, at)
             continue
         key = priority_key(kind, req.bank, req.arrival_order, prio)
         if best_key is None or key < best_key:
             best_key, best = key, (kind, req)
+            if key[:2] == (0, 0):
+                break  # every later candidate arrived later
     if chosen is None:
         if best is not None:
             raise TraceInvariantError(
                 f"cycle {controller.now}: idle although {_command(*best)} is ready"
             )
-        return
+        return first_ready
     kind, req = chosen
     if best is None:
         raise TraceInvariantError(

@@ -328,10 +328,16 @@ def sweep(kind, n_interferers: int, seeds, out_dir=None,
 # ---------------------------------------------------------------------------
 
 def _parse_seeds(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    """``--seeds``: one seed ``N`` or the inclusive range ``LO..HI``."""
+    try:
+        bounds = [int(part) for part in text.split("..")]
+    except ValueError:
+        bounds = []
+    if not 1 <= len(bounds) <= 2:
+        raise ScenarioError(f"--seeds {text!r}: expected N or LO..HI")
+    if bounds[-1] < bounds[0]:
+        raise ScenarioError(f"--seeds {text!r}: empty range")
+    return list(range(bounds[0], bounds[-1] + 1))
 
 
 def load_analysis(path) -> analysis.AnalysisInputs:

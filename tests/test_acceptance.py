@@ -205,7 +205,7 @@ def test_c9_invariants_and_determinism(monkeypatch):
 
     def counted(controller, chosen):
         oracle_cycles.append(controller.now)
-        verify(controller, chosen)
+        return verify(controller, chosen)
 
     monkeypatch.setattr(checks, "verify_selection", counted)
     with criterion(9, "trace validators and byte-exact reproducibility"):

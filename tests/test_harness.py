@@ -213,6 +213,24 @@ class TestCli:
     def test_parse_seeds(self):
         assert _parse_seeds("3") == [3]
         assert _parse_seeds("0..4") == [0, 1, 2, 3, 4]
+        assert _parse_seeds("2..2") == [2]
+
+    @pytest.mark.parametrize("seeds, message", [
+        ("5..2", "empty range"),
+        ("x", "expected N or LO..HI"),
+        ("0..1..2", "expected N or LO..HI"),
+        ("..3", "expected N or LO..HI"),
+        ("", "expected N or LO..HI"),
+    ])
+    def test_bad_seeds_are_a_usage_error(self, tmp_path, capsys, seeds, message):
+        with pytest.raises(SystemExit) as exc:
+            harness.main(["sweep", "--kind", "stream", "--seeds", seeds,
+                          "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--seeds {seeds!r}: {message}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "summary.csv").exists()
 
     def test_preset_command(self, tmp_path, capsys):
         assert harness.main(["preset", "fig3", "--out", str(tmp_path)]) == 0

@@ -197,7 +197,7 @@ def test_overshooting_jump_is_caught_by_the_oracle(monkeypatch):
         ctrl.run(None, horizon=100)
 
 
-def test_oracle_checks_the_cycle_before_each_jump(monkeypatch):
+def test_oracle_checks_only_the_visited_cycles(monkeypatch):
     seen = []
     verify = checks.verify_selection
     monkeypatch.setattr(checks, "verify_selection",
@@ -205,8 +205,9 @@ def test_oracle_checks_the_cycle_before_each_jump(monkeypatch):
     ctrl = Controller(make_timing())
     ctrl.enqueue(MemRequest(0, 0, False, 0, 1, 0))
     trace = ctrl.run(None, horizon=100)
-    # ACT at 0; cycle 1 idle; jump to 7 (checked at 6); RD at 7; cycle 8
-    # idle; jump to the burst's end, 18 (checked at 17); completion at 18;
-    # cycle 19 idle; jump to the horizon (checked at 99).
+    # ACT at 0; cycle 1 idle, first ready 7: jump to 7; RD at 7; cycle 8
+    # idle, nothing waiting: jump to the burst's end, 18; completion at 18;
+    # cycle 19 idle with an empty queue: jump to the horizon. No target
+    # passes the idle cycle's first-ready cycle, so no jump is re-checked.
     assert [r.cycle for r in trace.issues] == [0, 7]
-    assert seen == [0, 1, 6, 7, 8, 17, 18, 19, 99]
+    assert seen == [0, 1, 7, 8, 18, 19]
