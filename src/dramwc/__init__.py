@@ -23,7 +23,6 @@ from .scheduler import (
     ScheduleTrace,
     SchedulerConfig,
     SimulationStalled,
-    request_delay,
     solo_service,
 )
 from .workload import (
@@ -43,9 +42,7 @@ from .workload import (
 )
 from .analysis import (
     AnalysisInputs,
-    BoundReport,
-    DelayBound,
-    bound_check,
+    Bound,
     kim_baseline_bound,
     per_request_bound,
     read_queue_delay,

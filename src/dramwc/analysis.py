@@ -11,8 +11,7 @@ Two analyses are provided:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .device import TimingParams
 from .keyvalue import check_min
@@ -36,22 +35,14 @@ class AnalysisInputs:
         check_min(self, 0, "max_prior_reads", "drain_batch", "miss_count",
                   error=AnalysisError)
         check_min(self, 1, "num_cores", error=AnalysisError)
+        if self.solo_cycles is not None:
+            check_min(self, 1, "solo_cycles", error=AnalysisError)
 
 
 @dataclass(frozen=True)
-class DelayBound:
-    variant: str                 # "full" | "no_write_queue"
-    read_queue_cycles: int
-    write_drain_cycles: int
-    per_request_cycles: int
-    per_request_ns: float
-    total_cycles: int
-
-
-@dataclass(frozen=True)
-class KimBound:
-    per_request_cycles: int
-    total_cycles: int
+class Bound:
+    per_request_cycles: int  # worst-case delay of one read of the analyzed core
+    total_cycles: int        # miss_count reads, each paying per_request_cycles
 
 
 def read_queue_delay(inputs: AnalysisInputs) -> int:
@@ -65,24 +56,18 @@ def write_drain_delay(inputs: AnalysisInputs) -> int:
     return inputs.drain_batch * inputs.timing.trc + inputs.timing.twtr
 
 
-def per_request_bound(inputs: AnalysisInputs, variant: str = "full") -> DelayBound:
-    """Worst-case inter-bank delay for one read of the analyzed core."""
+def per_request_bound(inputs: AnalysisInputs, variant: str = "full") -> Bound:
+    """Worst-case inter-bank delay for one read of the analyzed core: the
+    read-queue term, plus the write-drain term for the ``full`` variant."""
     if variant not in ("full", "no_write_queue"):
         raise AnalysisError(f"unknown bound variant: {variant}")
-    lrq = read_queue_delay(inputs)
-    lwq = write_drain_delay(inputs) if variant == "full" else 0
-    per_request = lrq + lwq
-    return DelayBound(
-        variant=variant,
-        read_queue_cycles=lrq,
-        write_drain_cycles=lwq,
-        per_request_cycles=per_request,
-        per_request_ns=inputs.timing.ns(per_request),
-        total_cycles=inputs.miss_count * per_request,
-    )
+    per_request = read_queue_delay(inputs)
+    if variant == "full":
+        per_request += write_drain_delay(inputs)
+    return Bound(per_request, inputs.miss_count * per_request)
 
 
-def kim_baseline_bound(inputs: AnalysisInputs) -> KimBound:
+def kim_baseline_bound(inputs: AnalysisInputs) -> Bound:
     """One-request-per-core baseline: each competing core contributes one
     PRE + ACT + RD/WR penalty, regardless of queued request counts. A PRE
     costs one command-bus cycle, an ACT the activate-to-activate gap tRRD,
@@ -90,29 +75,14 @@ def kim_baseline_bound(inputs: AnalysisInputs) -> KimBound:
     t = inputs.timing
     per_core = 1 + t.trrd + t.wl + t.tburst + t.twtr
     per_request = (inputs.num_cores - 1) * per_core
-    return KimBound(per_request, inputs.miss_count * per_request)
+    return Bound(per_request, inputs.miss_count * per_request)
 
 
-@dataclass
-class BoundReport:
-    analyzed_core: int
-    bound_cycles: int
-    read_count: int
-    max_delay: int
-    mean_delay: float
-    margin: float
-    violations: list[tuple[int, int]] = field(default_factory=list)  # (id, delay)
-
-    @property
-    def violation_count(self) -> int:
-        return len(self.violations)
-
-
-def read_delays(trace: ScheduleTrace, analyzed_core: int) -> list[tuple[int, int]]:
-    """(request id, delay) of every completed read of the analyzed core. Each
-    delay is the contended latency minus the request's solo service time
+def read_delays(trace: ScheduleTrace, analyzed_core: int) -> list[int]:
+    """Delay of every completed read of the analyzed core, in completion
+    order: the contended latency minus the request's solo service time
     against the same own-bank state."""
-    delays = [(rec.request_id, trace.per_request_delay(rec.request_id))
+    delays = [trace.per_request_delay(rec.request_id)
               for rec in trace.completions
               if rec.core == analyzed_core and not rec.is_write]
     if not delays:
@@ -120,31 +90,7 @@ def read_delays(trace: ScheduleTrace, analyzed_core: int) -> list[tuple[int, int
     return delays
 
 
-def delay_report(delays: list[tuple[int, int]], bound,
-                 analyzed_core: int) -> BoundReport:
-    """Compare :func:`read_delays` against a bound: a DelayBound, KimBound,
-    or a plain cycle count."""
-    bound_cycles = getattr(bound, "per_request_cycles", bound)
-    values = [d for _, d in delays]
-    max_delay = max(values)
-    margin = bound_cycles / max_delay if max_delay > 0 else math.inf
-    return BoundReport(
-        analyzed_core=analyzed_core,
-        bound_cycles=bound_cycles,
-        read_count=len(values),
-        max_delay=max_delay,
-        mean_delay=sum(values) / len(values),
-        margin=margin,
-        violations=[(rid, d) for rid, d in delays if d > bound_cycles],
-    )
-
-
-def bound_check(trace: ScheduleTrace, bound, analyzed_core: int) -> BoundReport:
-    """Compare every completed read of the analyzed core against a bound."""
-    return delay_report(read_delays(trace, analyzed_core), bound, analyzed_core)
-
-
-def bound_set(inputs: AnalysisInputs) -> tuple[DelayBound, DelayBound, KimBound]:
+def bound_set(inputs: AnalysisInputs) -> tuple[Bound, Bound, Bound]:
     """The full, no-write-queue and one-request baseline bounds."""
     return (per_request_bound(inputs, "full"),
             per_request_bound(inputs, "no_write_queue"),
@@ -152,25 +98,24 @@ def bound_set(inputs: AnalysisInputs) -> tuple[DelayBound, DelayBound, KimBound]
 
 
 def bound_rows(inputs: AnalysisInputs,
-               bounds: tuple | None = None) -> list[tuple[str, float, float]]:
+               bounds: tuple | None = None) -> list[tuple[str, int, float]]:
     """Rows (quantity, cycles, ns) for the bound report CSV; ``bounds`` is
     :func:`bound_set` of ``inputs``, built here when not given."""
-    timing = inputs.timing
     full, nowq, kim = bounds or bound_set(inputs)
     rows = [
-        ("read_queue_delay", full.read_queue_cycles, timing.ns(full.read_queue_cycles)),
-        ("write_drain_delay", full.write_drain_cycles, timing.ns(full.write_drain_cycles)),
-        ("per_request_full", full.per_request_cycles, full.per_request_ns),
-        ("per_request_no_write_queue", nowq.per_request_cycles, nowq.per_request_ns),
-        ("per_request_baseline", kim.per_request_cycles, timing.ns(kim.per_request_cycles)),
+        ("read_queue_delay", read_queue_delay(inputs)),
+        ("write_drain_delay", write_drain_delay(inputs)),
+        ("per_request_full", full.per_request_cycles),
+        ("per_request_no_write_queue", nowq.per_request_cycles),
+        ("per_request_baseline", kim.per_request_cycles),
     ]
     if inputs.miss_count:
         rows += [
-            ("total_full", full.total_cycles, timing.ns(full.total_cycles)),
-            ("total_no_write_queue", nowq.total_cycles, timing.ns(nowq.total_cycles)),
-            ("total_baseline", kim.total_cycles, timing.ns(kim.total_cycles)),
+            ("total_full", full.total_cycles),
+            ("total_no_write_queue", nowq.total_cycles),
+            ("total_baseline", kim.total_cycles),
         ]
-    return rows
+    return [(name, cycles, inputs.timing.ns(cycles)) for name, cycles in rows]
 
 
 def format_bound_table(inputs: AnalysisInputs, bounds: tuple | None = None) -> str:

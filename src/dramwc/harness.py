@@ -5,6 +5,7 @@ bound/measurement comparisons, and randomized interference sweeps.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -192,13 +193,22 @@ class ExperimentReport:
     _FORMATS = {"measured_mean": ".3f", "margin_full": ".4f",
                 "margin_nowq": ".4f", "slowdown": ".4f"}
 
+    def text(self, name: str) -> str:
+        """One field as it appears in summary.csv and report.csv."""
+        value = getattr(self, name)
+        return "" if value is None else format(value, self._FORMATS.get(name, ""))
+
     def csv_row(self) -> str:
-        values = ((f.name, getattr(self, f.name)) for f in fields(self))
-        return ",".join("" if v is None else format(v, self._FORMATS.get(name, ""))
-                        for name, v in values)
+        return ",".join(self.text(f.name) for f in fields(self))
 
 
 ExperimentReport.CSV_HEADER = ",".join(f.name for f in fields(ExperimentReport))
+
+
+def _analyzed_core(spec: ScenarioSpec) -> int:
+    if spec.analyzed_core is None:
+        raise ScenarioError(f"scenario {spec.label} has no analyzed core")
+    return spec.analyzed_core
 
 
 def evaluate(trace, spec: ScenarioSpec, slowdown: float | None = None,
@@ -206,27 +216,30 @@ def evaluate(trace, spec: ScenarioSpec, slowdown: float | None = None,
     """Bound-vs-measurement report for the analyzed core of one trace;
     ``bounds`` is :func:`analysis.bound_set`, built from the trace's timing
     when not given."""
-    if spec.analyzed_core is None:
-        raise ValueError("scenario has no analyzed core")
+    delays = analysis.read_delays(trace, _analyzed_core(spec))
     full, nowq, baseline = bounds or analysis.bound_set(
         analysis.AnalysisInputs(timing=trace.timing))
-    delays = analysis.read_delays(trace, spec.analyzed_core)
-    rep_full, rep_nowq, rep_base = (
-        analysis.delay_report(delays, bound, spec.analyzed_core)
-        for bound in (full, nowq, baseline))
+    worst = max(delays)
+
+    def margin(bound) -> float:
+        return bound.per_request_cycles / worst if worst > 0 else math.inf
+
+    def violations(bound) -> int:
+        return sum(d > bound.per_request_cycles for d in delays)
+
     return ExperimentReport(
         scenario=spec.label,
         seed=spec.seed,
         bound_full=full.per_request_cycles,
         bound_nowq=nowq.per_request_cycles,
         bound_baseline=baseline.per_request_cycles,
-        measured_max=rep_full.max_delay,
-        measured_mean=rep_full.mean_delay,
-        margin_full=rep_full.margin,
-        margin_nowq=rep_nowq.margin,
-        violations_full=rep_full.violation_count,
-        violations_nowq=rep_nowq.violation_count,
-        violations_baseline=rep_base.violation_count,
+        measured_max=worst,
+        measured_mean=sum(delays) / len(delays),
+        margin_full=margin(full),
+        margin_nowq=margin(nowq),
+        violations_full=violations(full),
+        violations_nowq=violations(nowq),
+        violations_baseline=violations(baseline),
         slowdown=slowdown,
     )
 
@@ -255,15 +268,13 @@ def _write_report(out: Path, inputs: analysis.AnalysisInputs, bounds,
     for name, cycles, ns in analysis.bound_rows(inputs, bounds):
         rows.append(f"{name},{cycles},{ns:.2f}")
     if report is not None:
-        rows.append(f"measured_max_delay,{report.measured_max},"
-                    f"{timing.ns(report.measured_max):.2f}")
-        rows.append(f"measured_mean_delay,{report.measured_mean:.3f},"
-                    f"{timing.ns(report.measured_mean):.2f}")
-        rows.append(f"margin_full_ratio,{report.margin_full:.4f},")
-        rows.append(f"margin_nowq_ratio,{report.margin_nowq:.4f},")
-        rows.append(f"violations_full,{report.violations_full},")
-        rows.append(f"violations_nowq,{report.violations_nowq},")
-        rows.append(f"violations_baseline,{report.violations_baseline},")
+        for name in ("measured_max", "measured_mean"):
+            rows.append(f"{name}_delay,{report.text(name)},"
+                        f"{timing.ns(getattr(report, name)):.2f}")
+        for name in ("margin_full", "margin_nowq"):
+            rows.append(f"{name}_ratio,{report.text(name)},")
+        for name in ("violations_full", "violations_nowq", "violations_baseline"):
+            rows.append(f"{name},{report.text(name)},")
     _write(out / "report.csv", "\n".join(rows) + "\n")
 
 
@@ -276,6 +287,7 @@ def simulate(spec: ScenarioSpec, out_dir) -> "tuple":
 
 def compare(spec: ScenarioSpec, out_dir=None) -> ExperimentReport:
     """Single run with all three bounds and the measured delays side by side."""
+    _analyzed_core(spec)  # fail before the run, not after it
     trace, _ = run_scenario(spec)
     inputs = analysis.AnalysisInputs(timing=trace.timing)
     bounds = analysis.bound_set(inputs)

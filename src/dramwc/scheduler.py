@@ -138,9 +138,12 @@ class ScheduleTrace:
         return "\n".join([self.CSV_HEADER] + [r[3] for r in rows]) + "\n"
 
     def per_request_delay(self, request_id: int) -> int:
+        """Interference delay: contended latency minus the solo service time
+        against the same own-bank state."""
+        rec = self.completion(request_id)
         req = self.requests[request_id]
-        baseline = solo_service(self.timing, req.is_write, req.hit_class)
-        return request_delay(self, request_id, baseline)
+        return (rec.completion_cycle - rec.arrival_cycle
+                - solo_service(self.timing, req.is_write, req.hit_class))
 
     def stats_text(self) -> str:
         lines = [
@@ -386,12 +389,6 @@ class Controller:
         if not self.idle():
             target = min(target, last_progress + self.config.stall_window + 1)
         return target
-
-
-def request_delay(trace: ScheduleTrace, request_id: int, baseline_service: int) -> int:
-    """Interference delay: contended latency minus the solo service time."""
-    rec = trace.completion(request_id)
-    return (rec.completion_cycle - rec.arrival_cycle) - baseline_service
 
 
 @functools.lru_cache(maxsize=None)

@@ -341,12 +341,12 @@ class Workload:
     a saturating core re-acquires its freed MSHR entry before any other core
     can poll it (out-of-order cores re-issue immediately).
 
-    With ``track_mshr``, ``mshr_history`` records the per-core read MSHR
-    occupancy as a step function: an entry ``(cycle, reads)`` is added at the
-    end of each cycle that changes the occupancy, and holds until the next.
+    ``mshr_history`` records the per-core read MSHR occupancy as a step
+    function: an entry ``(cycle, reads)`` is added at the end of each cycle
+    that changes the occupancy, and holds until the next.
     """
 
-    def __init__(self, spec: ScenarioSpec, mshr: MshrFile, track_mshr: bool = False):
+    def __init__(self, spec: ScenarioSpec, mshr: MshrFile):
         check_min(spec, 1, "horizon", "num_cores", "num_rows", error=ScenarioError)
         _check_placement(spec, core=spec.analyzed_core or 0)
         for bank in spec.open_rows:
@@ -373,7 +373,6 @@ class Workload:
         self.analyzed_left = None if analyzed is None else analyzed.spec.budget
         self._next_id = 0
         self.has_sources = bool(spec.generators or spec.prestage)
-        self.track_mshr = track_mshr
         self.mshr_history: list[tuple[int, tuple[int, ...]]] = []
 
     def _claim_bank(self, core: int, bank: int) -> None:
@@ -440,10 +439,9 @@ class Workload:
                 gen.on_completion(now, rec.request_id, rec.is_write,
                                   self._submitter(controller, now, gen.spec.core,
                                                   gen.spec.bank))
-        if self.track_mshr:
-            reads = tuple(self.mshr.reads)
-            if not self.mshr_history or self.mshr_history[-1][1] != reads:
-                self.mshr_history.append((now, reads))
+        reads = tuple(self.mshr.reads)
+        if not self.mshr_history or self.mshr_history[-1][1] != reads:
+            self.mshr_history.append((now, reads))
 
     def exhausted(self) -> bool:
         return all(g.done() for g in self.generators) and self.mshr.idle()
@@ -457,22 +455,21 @@ class Workload:
             controller.idle() and self.has_sources and self.exhausted())
 
 
-def build_simulation(spec: ScenarioSpec,
-                     track_mshr: bool = False) -> tuple[Controller, Workload]:
+def build_simulation(spec: ScenarioSpec) -> tuple[Controller, Workload]:
     """Materialize a scenario into a ready-to-run controller and workload."""
     timing = make_timing(spec.timing)
     mshr = MshrFile(spec.mshr, num_cores=spec.num_cores)
-    workload = Workload(spec, mshr, track_mshr=track_mshr)
+    workload = Workload(spec, mshr)
     controller = Controller(timing, spec.scheduler, open_rows=spec.open_rows,
                             initial_mode=spec.initial_mode)
     workload.stage(controller)
     return controller, workload
 
 
-def run_scenario(spec: ScenarioSpec, track_mshr: bool = False):
+def run_scenario(spec: ScenarioSpec):
     """Build and run a scenario until it ends, validate its trace, and return
-    the trace and the workload (whose MSHR history may have been recorded)."""
-    controller, workload = build_simulation(spec, track_mshr=track_mshr)
+    the trace and the workload (with its MSHR history)."""
+    controller, workload = build_simulation(spec)
     trace = controller.run(workload, spec.horizon)
     checks.validate_trace(trace)
     return trace, workload

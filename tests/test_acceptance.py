@@ -9,7 +9,13 @@ import sys
 import pytest
 
 from dramwc import analysis, checks, harness, workload
-from dramwc.analysis import AnalysisInputs, kim_baseline_bound, per_request_bound
+from dramwc.analysis import (
+    AnalysisInputs,
+    kim_baseline_bound,
+    per_request_bound,
+    read_queue_delay,
+    write_drain_delay,
+)
 from dramwc.device import CommandKind, make_timing
 from dramwc.workload import (
     GeneratorKind,
@@ -81,17 +87,15 @@ def test_c2_analytic_values():
     with criterion(2, "bound values match the platform constants exactly"):
         inputs = AnalysisInputs(timing=TIMING)
         full = per_request_bound(inputs, "full")
-        assert full.read_queue_cycles == 120
-        assert full.write_drain_cycles == 112
+        assert read_queue_delay(inputs) == 120
+        assert write_drain_delay(inputs) == 112
         assert full.per_request_cycles == 232
-        assert abs(full.per_request_ns - 433.84) <= 0.01
+        assert abs(TIMING.ns(full.per_request_cycles) - 433.84) <= 0.01
 
 
 def test_c3_bound_safety_over_seeded_scenarios():
     with criterion(3, "zero full-bound violations over 1000 staged scenarios"):
-        inputs = AnalysisInputs(timing=TIMING)
-        full = per_request_bound(inputs, "full")
-        nowq = per_request_bound(inputs, "no_write_queue")
+        bounds = analysis.bound_set(AnalysisInputs(timing=TIMING))
         full_violations = []
         nowq_violations = {kind: 0 for kind in KINDS}
         scenarios = 0
@@ -100,11 +104,10 @@ def test_c3_bound_safety_over_seeded_scenarios():
                 spec = build_adversarial(interferer_kind=kind, seed=seed)
                 trace = replay(spec)
                 scenarios += 1
-                report = analysis.bound_check(trace, full, spec.analyzed_core)
-                if report.violation_count:
-                    full_violations.append((kind, seed, report.max_delay))
-                report = analysis.bound_check(trace, nowq, spec.analyzed_core)
-                nowq_violations[kind] += report.violation_count
+                report = harness.evaluate(trace, spec, bounds=bounds)
+                if report.violations_full:
+                    full_violations.append((kind, seed, report.measured_max))
+                nowq_violations[kind] += report.violations_nowq
         assert scenarios >= 1000
         assert not full_violations, full_violations[:5]
         assert nowq_violations[GeneratorKind.BANDWIDTH_WRITE] >= 1
@@ -117,11 +120,13 @@ def test_c4_baseline_underestimates():
             interferer_kind=GeneratorKind.BANDWIDTH_WRITE, seed=0)
         trace = replay(spec)
         baseline = kim_baseline_bound(AnalysisInputs(timing=TIMING))
-        report = analysis.bound_check(trace, baseline, spec.analyzed_core)
-        assert report.max_delay > baseline.per_request_cycles
-        ratio = report.max_delay / baseline.per_request_cycles
+        report = harness.evaluate(trace, spec)
+        assert report.bound_baseline == baseline.per_request_cycles
+        assert report.measured_max > baseline.per_request_cycles
+        assert report.violations_baseline >= 1
+        ratio = report.measured_max / baseline.per_request_cycles
         print(f"[acceptance]   measured/baseline ratio: {ratio:.2f} "
-              f"({report.max_delay} vs {baseline.per_request_cycles} cycles)")
+              f"({report.measured_max} vs {baseline.per_request_cycles} cycles)")
 
 
 def test_c5_full_bound_is_tight():
@@ -130,9 +135,11 @@ def test_c5_full_bound_is_tight():
             interferer_kind=GeneratorKind.BANDWIDTH_WRITE, seed=0)
         trace = replay(spec)
         full = per_request_bound(AnalysisInputs(timing=TIMING), "full")
-        report = analysis.bound_check(trace, full, spec.analyzed_core)
-        assert full.per_request_cycles >= report.max_delay
-        ratio = full.per_request_cycles / report.max_delay
+        report = harness.evaluate(trace, spec)
+        assert report.bound_full == full.per_request_cycles
+        assert full.per_request_cycles >= report.measured_max
+        assert report.violations_full == 0
+        ratio = full.per_request_cycles / report.measured_max
         in_range = "within" if 1.0 <= ratio <= 2.0 else "outside"
         print(f"[acceptance]   bound/measured ratio: {ratio:.3f} "
               f"({in_range} the informational 1.0-2.0 range)")
@@ -187,14 +194,14 @@ def occupancy_from(history, cycle):
 def test_c8_mshr_contention_and_reservation():
     with criterion(8, "saturating interferers squeeze the analyzed core to 2 "
                       "entries; reserving 8 restores them"):
-        trace, wl = workload.run_scenario(_mshr_scenario(0), track_mshr=True)
+        trace, wl = workload.run_scenario(_mshr_scenario(0))
         window = occupancy_from(wl.mshr_history, 400)
         assert window
         assert all(reads[0] <= 2 for reads in window)  # per-cycle cap
         assert max(reads[0] for reads in window) == 2
         assert max(sum(reads[1:]) for reads in window) == 30
 
-        trace, wl = workload.run_scenario(_mshr_scenario(8), track_mshr=True)
+        trace, wl = workload.run_scenario(_mshr_scenario(8))
         window = occupancy_from(wl.mshr_history, 400)
         assert max(reads[0] for reads in window) >= 8
 

@@ -3,12 +3,13 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dramwc import analysis
+from dramwc import analysis, harness
 from dramwc.analysis import (
     AnalysisInputs,
-    bound_check,
+    Bound,
     kim_baseline_bound,
     per_request_bound,
+    read_delays,
     read_queue_delay,
     write_drain_delay,
 )
@@ -51,13 +52,12 @@ class TestPerRequestBound:
     def test_full_bound_cycles_and_ns(self):
         bound = per_request_bound(inputs())
         assert bound.per_request_cycles == 120 + 112 == 232
-        assert abs(bound.per_request_ns - 232 * 1.87) < 1e-9
-        assert abs(bound.per_request_ns - 433.84) <= 0.01
+        assert abs(TIMING.ns(bound.per_request_cycles) - 232 * 1.87) < 1e-9
+        assert abs(TIMING.ns(bound.per_request_cycles) - 433.84) <= 0.01
 
     def test_no_write_queue_variant(self):
         bound = per_request_bound(inputs(), "no_write_queue")
-        assert bound.per_request_cycles == 120
-        assert bound.write_drain_cycles == 0
+        assert bound.per_request_cycles == read_queue_delay(inputs()) == 120
 
     def test_zero_counts_leave_turnaround(self):
         bound = per_request_bound(inputs(max_prior_reads=0, drain_batch=0))
@@ -72,6 +72,11 @@ class TestPerRequestBound:
             inputs(max_prior_reads=-1)
         with pytest.raises(analysis.AnalysisError):
             inputs(num_cores=0)
+        # None (written -1) means no solo time; any other value is a count
+        for solo_cycles in (-5, 0):
+            with pytest.raises(analysis.AnalysisError,
+                               match=rf"solo_cycles \({solo_cycles}\) must be at least 1"):
+                inputs(solo_cycles=solo_cycles)
 
 
 class TestTotalDelay:
@@ -177,35 +182,35 @@ def test_bound_monotone_in_each_input(i, bump):
 @settings(max_examples=60, deadline=None)
 @given(analysis_params())
 def test_ns_conversion(i):
-    bound = per_request_bound(i)
-    assert abs(bound.per_request_ns
-               - bound.per_request_cycles * i.timing.tck_ns) < 1e-9
+    cycles = per_request_bound(i).per_request_cycles
+    assert abs(i.timing.ns(cycles) - cycles * i.timing.tck_ns) < 1e-9
 
 
 class TestBoundCheck:
-    def solo_trace(self):
-        spec = ScenarioSpec(
-            open_rows={0: 1},
-            prestage=[StagedRequest(False, 0, 0, 1)],
-            horizon=200,
-            num_cores=1,
-        )
-        trace, _ = run_scenario(spec)
-        return trace
+    """Measured delays against bounds, through ``read_delays`` and
+    ``harness.evaluate``."""
+
+    SOLO = ScenarioSpec(
+        open_rows={0: 1},
+        prestage=[StagedRequest(False, 0, 0, 1)],
+        horizon=200,
+        analyzed_core=0,
+        num_cores=1,
+    )
 
     def test_solo_run_has_infinite_margin(self):
-        report = bound_check(self.solo_trace(), per_request_bound(inputs()), 0)
-        assert report.max_delay == 0
-        assert report.margin == math.inf
-        assert report.violation_count == 0
+        trace, _ = run_scenario(self.SOLO)
+        assert read_delays(trace, 0) == [0]
+        report = harness.evaluate(trace, self.SOLO)
+        assert report.measured_max == 0
+        assert report.margin_full == report.margin_nowq == math.inf
+        assert (report.violations_full == report.violations_nowq
+                == report.violations_baseline == 0)
 
     def test_no_reads_for_core_raises(self):
+        trace, _ = run_scenario(self.SOLO)
         with pytest.raises(analysis.AnalysisError, match="no reads"):
-            bound_check(self.solo_trace(), per_request_bound(inputs()), 3)
-
-    def test_plain_cycle_bound_accepted(self):
-        report = bound_check(self.solo_trace(), 0, 0)
-        assert report.bound_cycles == 0
+            read_delays(trace, 3)
 
     def test_violations_detected_against_tiny_bound(self):
         spec = ScenarioSpec(
@@ -213,23 +218,28 @@ class TestBoundCheck:
             prestage=[StagedRequest(False, 1, 1, 2)] * 3
             + [StagedRequest(False, 0, 0, 1)],
             horizon=300,
+            analyzed_core=0,
             num_cores=2,
         )
         trace, _ = run_scenario(spec)
-        report = bound_check(trace, 5, 0)
-        assert report.violation_count == 1
-        assert report.max_delay == 12  # three prior bursts of 4 cycles
+        assert read_delays(trace, 0) == [12]  # three prior bursts of 4 cycles
+        tiny, roomy = Bound(5, 0), Bound(12, 0)
+        report = harness.evaluate(trace, spec, bounds=(tiny, roomy, tiny))
+        assert report.measured_max == 12
+        assert report.violations_full == report.violations_baseline == 1
+        assert report.violations_nowq == 0  # a delay equal to the bound is safe
+        assert report.margin_full == 5 / 12
+        assert report.margin_nowq == 1.0
 
     def test_reduced_scale_bound_covers_small_drain_replay(self):
         # two staged writes and two prior reads stay inside the bound
         # computed for exactly that scale
-        from dramwc import harness
-
-        trace, _ = run_scenario(harness.preset("fig5"))
-        reduced = inputs(max_prior_reads=2, drain_batch=2)
-        report = bound_check(trace, per_request_bound(reduced), 0)
-        assert report.violation_count == 0
-        assert report.max_delay <= per_request_bound(reduced).per_request_cycles
+        spec = harness.preset("fig5")
+        trace, _ = run_scenario(spec)
+        reduced = analysis.bound_set(inputs(max_prior_reads=2, drain_batch=2))
+        report = harness.evaluate(trace, spec, bounds=reduced)
+        assert report.violations_full == 0
+        assert report.measured_max <= reduced[0].per_request_cycles
 
 
 class TestReporting:

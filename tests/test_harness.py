@@ -262,6 +262,41 @@ class TestCli:
         report = (tmp_path / "report.csv").read_text()
         assert "per_request_full,232,433.84" in report
 
+    @pytest.mark.parametrize("solo_cycles", ["-5", "0"])
+    def test_analyze_rejects_solo_cycles_below_one(self, tmp_path, capsys,
+                                                   solo_cycles):
+        config = tmp_path / "analysis.txt"
+        config.write_text(f"miss_count 1000\nsolo_cycles {solo_cycles}\n")
+        with pytest.raises(SystemExit) as exc:
+            harness.main(["analyze", "--config", str(config),
+                          "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"solo_cycles ({solo_cycles}) must be at least 1" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_compare_without_analyzed_core_is_a_usage_error(self, tmp_path,
+                                                            capsys, monkeypatch):
+        harness.main(["preset", "fig2", "--out", str(tmp_path / "a")])
+        path = tmp_path / "a" / "scenario.txt"
+        path.write_text(path.read_text().replace("analyzed_core 1",
+                                                 "analyzed_core -1"))
+        ran = []
+        monkeypatch.setattr(harness, "run_scenario",
+                            lambda spec: ran.append(spec))
+        with pytest.raises(SystemExit) as exc:
+            harness.main(["compare", "--scenario", str(path),
+                          "--out", str(tmp_path / "b")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.strip().splitlines()[-1] == (
+            "dramwc: error: scenario fig2 has no analyzed core")
+        assert "Traceback" not in err
+        assert ran == []  # rejected before simulating
+        assert not (tmp_path / "b").exists()
+
     def test_compare_command_default_adversarial(self, tmp_path, capsys):
         code = harness.main(["compare", "--out", str(tmp_path)])
         assert code == 0
@@ -346,6 +381,66 @@ class TestCli:
         ])
         assert code == 0
         assert (tmp_path / "summary.csv").exists()
+
+
+BOUND_ROWS = """quantity,cycles,ns
+read_queue_delay,120,224.40
+write_drain_delay,112,209.44
+per_request_full,232,433.84
+per_request_no_write_queue,120,224.40
+per_request_baseline,57,106.59
+"""
+
+
+class TestPinnedOutput:
+    """report.csv and the analyze table, byte for byte."""
+
+    def test_compare_default_report(self, tmp_path, capsys):
+        assert harness.main(["compare", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == (
+            "adversarial-bandwidth_write-0: measured max 229, bound(full) 232, "
+            "bound(nowq) 120, baseline 57\n")
+        assert (tmp_path / "report.csv").read_text() == BOUND_ROWS + """\
+measured_max_delay,229,428.23
+measured_mean_delay,229.000,428.23
+margin_full_ratio,1.0131,
+margin_nowq_ratio,0.5240,
+violations_full,0,
+violations_nowq,1,
+violations_baseline,1,
+"""
+
+    def test_compare_fig5_report(self, tmp_path, capsys):
+        assert harness.main(["compare", "--preset", "fig5",
+                             "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == (
+            "fig5: measured max 63, bound(full) 232, bound(nowq) 120, "
+            "baseline 57\n")
+        assert (tmp_path / "report.csv").read_text() == BOUND_ROWS + """\
+measured_max_delay,63,117.81
+measured_mean_delay,63.000,117.81
+margin_full_ratio,3.6825,
+margin_nowq_ratio,1.9048,
+violations_full,0,
+violations_nowq,0,
+violations_baseline,1,
+"""
+
+    def test_analyze_table_and_report(self, tmp_path, capsys):
+        config = tmp_path / "analysis.txt"
+        config.write_text("miss_count 1000\nsolo_cycles 232000\n")
+        assert harness.main(["analyze", "--config", str(config),
+                             "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == (
+            "bound                  per-request          ns       total  normalized\n"
+            "full                           232      433.84      232000        2.00\n"
+            "no_write_queue                 120      224.40      120000        1.52\n"
+            "one_request_baseline            57      106.59       57000        1.25\n")
+        assert (tmp_path / "report.csv").read_text() == BOUND_ROWS + """\
+total_full,232000,433840.00
+total_no_write_queue,120000,224400.00
+total_baseline,57000,106590.00
+"""
 
 
 def test_prioritized_bank_changes_schedule(tmp_path):

@@ -7,7 +7,6 @@ from dramwc.scheduler import (
     Mode,
     SchedulerConfig,
     SimulationStalled,
-    request_delay,
     solo_service,
 )
 from dramwc.workload import (
@@ -225,8 +224,7 @@ class TestDelays:
             num_cores=1,
         )
         trace, _ = run_scenario(spec)
-        baseline = solo_service(TIMING, False, "hit")
-        assert request_delay(trace, 0, baseline) == 0
+        assert trace.per_request_delay(0) == 0
 
     def test_unknown_request_raises(self):
         spec = ScenarioSpec(open_rows={0: 1},
@@ -234,7 +232,7 @@ class TestDelays:
                             horizon=200, num_cores=1)
         trace, _ = run_scenario(spec)
         with pytest.raises(KeyError):
-            request_delay(trace, 99, 0)
+            trace.per_request_delay(99)
 
     def test_solo_service_reference_latencies(self):
         # hit: cl + tburst; closed: + trcd; conflict: + trp + trcd

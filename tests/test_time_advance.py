@@ -64,7 +64,7 @@ def outcome(run):
 
 
 def reference(spec):
-    ctrl, workload = build_simulation(spec, track_mshr=True)
+    ctrl, workload = build_simulation(spec)
     return run_per_cycle(ctrl, workload, spec.horizon), workload
 
 
@@ -180,7 +180,7 @@ def test_run_matches_the_per_cycle_loop(spec):
         build_simulation(spec)
     except ValueError:  # ScenarioError: over-full staging, for one
         return
-    assert outcome(lambda: run_scenario(spec, track_mshr=True)) == \
+    assert outcome(lambda: run_scenario(spec)) == \
         outcome(lambda: reference(spec))
 
 

@@ -81,7 +81,7 @@ def live_spec(kind, budget=None, horizon=400, track_core=1, **gen_kwargs):
 class TestGenerators:
     def test_latency_keeps_one_outstanding(self):
         spec = live_spec(GeneratorKind.LATENCY, budget=10)
-        trace, wl = run_scenario(spec, track_mshr=True)
+        trace, wl = run_scenario(spec)
         assert all(reads[1] <= 1 for _, reads in wl.mshr_history)
         assert len(trace.completions) == 10
 
@@ -93,7 +93,7 @@ class TestGenerators:
 
     def test_bandwidth_read_fills_per_core_allowance(self):
         spec = live_spec(GeneratorKind.BANDWIDTH_READ, horizon=300)
-        trace, wl = run_scenario(spec, track_mshr=True)
+        trace, wl = run_scenario(spec)
         assert max(reads[1] for _, reads in wl.mshr_history) == 10
 
     def test_bandwidth_write_pairs_reads_and_writes(self):
@@ -179,7 +179,7 @@ class TestGenerators:
             ],
             horizon=1500,
         )
-        trace, wl = run_scenario(spec, track_mshr=True)
+        trace, wl = run_scenario(spec)
         for _, reads in wl.mshr_history:
             assert all(r <= 10 for r in reads)
             assert sum(reads) <= 32
@@ -202,7 +202,7 @@ def test_random_generator_mixes_keep_all_invariants(seed, mix):
         num_cores=len(mix) + 1,
         seed=seed,
     )
-    trace, wl = run_scenario(spec, track_mshr=True)
+    trace, wl = run_scenario(spec)
     for _, reads in wl.mshr_history:
         assert all(r <= 10 for r in reads) and sum(reads) <= 32
 
