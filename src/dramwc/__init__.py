@@ -13,7 +13,6 @@ from .device import (
     command_ready,
     decompose_request,
     earliest_ready,
-    load_timing,
     make_timing,
 )
 from .scheduler import (

@@ -10,8 +10,6 @@ import enum
 import sys
 from dataclasses import dataclass, field, fields
 
-from .keyvalue import codecs, read_lines, read_pairs
-
 
 class TimingError(ValueError):
     """Missing or inconsistent timing parameters."""
@@ -70,20 +68,19 @@ class TimingParams:
 TIMING_KEYS = tuple(f.name for f in fields(TimingParams) if f.name != "tras")
 
 
-def make_timing(raw: dict | None = None, **overrides) -> TimingParams:
+def make_timing(raw: dict | None = None) -> TimingParams:
     """Build a validated TimingParams from DDR3-1066 defaults plus overrides.
 
-    ``raw`` / keyword overrides may supply any base key, plus the optional
-    ``twr`` and ``rd_wr_gap``. ``tras`` is always derived from trc - trp.
+    ``raw`` may supply any base key, plus the optional ``twr`` and
+    ``rd_wr_gap``. ``tras`` is always derived from trc - trp.
     """
     merged = dict(DDR3_1066)
-    for src in (raw or {}), overrides:
-        for key, value in src.items():
-            if key == "tras":
-                raise TimingError("tras is derived from trc - trp and cannot be set")
-            if key not in TIMING_KEYS:
-                raise TimingError(f"unknown timing parameter: {key}")
-            merged[key] = value
+    for key, value in (raw or {}).items():
+        if key == "tras":
+            raise TimingError("tras is derived from trc - trp and cannot be set")
+        if key not in TIMING_KEYS:
+            raise TimingError(f"unknown timing parameter: {key}")
+        merged[key] = value
 
     tck = float(merged.pop("tck_ns"))
     if not tck > 0:
@@ -108,28 +105,11 @@ def make_timing(raw: dict | None = None, **overrides) -> TimingParams:
     return TimingParams(tck_ns=tck, tras=tras, **cycles)
 
 
-def load_timing(path) -> TimingParams:
-    """Read timing parameters from a flat key-value text file.
-
-    One ``key value`` pair per line, ``#`` starts a comment. Keys are
-    :data:`TIMING_KEYS`; every :data:`DDR3_1066` key must be present.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = read_pairs(read_lines(handle.read()),
-                         codecs(TimingParams, TIMING_KEYS), TimingError)
-    missing = [k for k in DDR3_1066 if k not in raw]
-    if missing:
-        raise TimingError(f"missing timing parameter: {', '.join(missing)}")
-    return make_timing(raw)
-
-
 @dataclass(frozen=True)
 class DataBurst:
     start: int
     end: int  # exclusive
     request_id: int
-    core: int
-    is_write: bool
 
 
 @dataclass
@@ -260,7 +240,7 @@ def apply_command(
     if kind is CommandKind.RD:
         bank.earliest_pre = max(bank.earliest_pre, now + timing.trtp)
         burst = DataBurst(now + timing.cl, now + timing.cl + timing.tburst,
-                          req.request_id, req.core, False)
+                          req.request_id)
         chan.earliest_rd_cas = max(chan.earliest_rd_cas, now + timing.tccd)
         chan.earliest_wr_cas = max(chan.earliest_wr_cas, now + timing.rd_wr_gap)
     else:  # WR
@@ -268,7 +248,7 @@ def apply_command(
             bank.earliest_pre, now + timing.wl + timing.tburst + timing.twr
         )
         burst = DataBurst(now + timing.wl, now + timing.wl + timing.tburst,
-                          req.request_id, req.core, True)
+                          req.request_id)
         chan.earliest_wr_cas = max(chan.earliest_wr_cas, now + timing.tccd)
         chan.earliest_rd_cas = max(
             chan.earliest_rd_cas, now + timing.wl + timing.tburst + timing.twtr

@@ -352,14 +352,43 @@ def _parse_seeds(text: str) -> list[int]:
     return list(range(bounds[0], bounds[-1] + 1))
 
 
-def load_analysis(path) -> analysis.AnalysisInputs:
-    """Read an ``analyze --config`` file: optional ``key value`` lines whose
-    keys are the timing keys plus every AnalysisInputs field but ``timing``."""
-    names = tuple(f.name for f in fields(analysis.AnalysisInputs) if f.name != "timing")
-    table = {**codecs(TimingParams, TIMING_KEYS), **codecs(analysis.AnalysisInputs, names)}
-    values = read_pairs(read_lines(Path(path).read_text()), table, ScenarioError)
+def _read(path) -> str:
+    """Text of a ``--scenario`` or ``--config`` file; one that cannot be
+    read is a ScenarioError naming it."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ScenarioError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def _analysis_inputs(values: dict) -> analysis.AnalysisInputs:
+    values = dict(values)
     timing = make_timing({k: values.pop(k) for k in TIMING_KEYS if k in values})
     return analysis.AnalysisInputs(timing, **values)
+
+
+def load_analysis(path) -> analysis.AnalysisInputs:
+    """Read an ``analyze --config`` file: optional ``key value`` lines whose
+    keys are the timing keys plus every AnalysisInputs field but ``timing``.
+
+    A range error names the line from which on the values read so far, the
+    defaults standing in for the keys not read yet, stay invalid.
+    """
+    names = tuple(f.name for f in fields(analysis.AnalysisInputs) if f.name != "timing")
+    table = {**codecs(TimingParams, TIMING_KEYS), **codecs(analysis.AnalysisInputs, names)}
+    lines = list(read_lines(_read(path)))
+    values = read_pairs(lines, table, ScenarioError)
+    since = None
+    for n, (lineno, _) in enumerate(lines, 1):
+        try:
+            _analysis_inputs(dict(list(values.items())[:n]))
+            since = None
+        except (TimingError, analysis.AnalysisError):
+            since = since or lineno
+    try:
+        return _analysis_inputs(values)
+    except (TimingError, analysis.AnalysisError) as exc:
+        raise type(exc)(f"line {since}: {exc}") from None
 
 
 def _apply_overrides(spec: ScenarioSpec, args) -> ScenarioSpec:
@@ -431,7 +460,7 @@ def _run_command(args) -> int:
         return 0
 
     if args.command == "simulate":
-        spec = scenario_from_text(Path(args.scenario).read_text())
+        spec = scenario_from_text(_read(args.scenario))
         spec = _apply_overrides(spec, args)
         trace, _ = simulate(spec, args.out)
         print(f"{spec.label}: {len(trace.completions)} completions in "
@@ -450,7 +479,7 @@ def _run_command(args) -> int:
         if args.preset:
             spec = preset(args.preset)
         elif args.scenario:
-            spec = scenario_from_text(Path(args.scenario).read_text())
+            spec = scenario_from_text(_read(args.scenario))
         else:
             spec = build_adversarial(interferer_kind=args.kind, seed=args.seed)
         spec = _apply_overrides(spec, args)

@@ -64,6 +64,7 @@ class MemRequest:
     arrival_cycle: int = 0
     arrival_order: int = -1  # assigned by the controller on accept, as is
     hit_class: str = ""      # the own-bank state then: hit, closed or conflict
+    completion_cycle: int | None = None  # set when its data burst ends
 
 
 @dataclass(frozen=True)
@@ -77,26 +78,15 @@ class IssueRecord:
 
 
 @dataclass(frozen=True)
-class CompletionRecord:
-    request_id: int
-    arrival_cycle: int
-    completion_cycle: int
-    core: int
-    bank: int
-    is_write: bool
-
-
-@dataclass(frozen=True)
 class ModeSwitch:
     cycle: int
     mode: Mode
     write_queue_len: int
-    reads_pending: bool
 
 
 class ScheduleTrace:
-    """Cycle-stamped log of issued commands, bursts, and completions, plus
-    every accepted request by id."""
+    """Cycle-stamped log of issued commands and bursts, every accepted
+    request by id, and the completed requests in completion order."""
 
     CSV_HEADER = "cycle,event,kind,bank,row,core,request_id"
 
@@ -106,23 +96,12 @@ class ScheduleTrace:
         self.config = config
         self.initial_mode = initial_mode
         self.issues: list[IssueRecord] = []
-        self.completions: list[CompletionRecord] = []
+        self.completions: list[MemRequest] = []
         self.bursts: list[DataBurst] = []
         self.mode_switches: list[ModeSwitch] = []
         self.requests: dict[int, MemRequest] = {}
         self.total_cycles = 0
         self.quiescent = False
-        self._completed: dict[int, CompletionRecord] = {}
-
-    def add_completion(self, rec: CompletionRecord) -> None:
-        self.completions.append(rec)
-        self._completed[rec.request_id] = rec
-
-    def completion(self, request_id: int) -> CompletionRecord:
-        try:
-            return self._completed[request_id]
-        except KeyError:
-            raise KeyError(f"request {request_id} has no completion in trace")
 
     def to_csv(self) -> str:
         rows = []
@@ -140,9 +119,10 @@ class ScheduleTrace:
     def per_request_delay(self, request_id: int) -> int:
         """Interference delay: contended latency minus the solo service time
         against the same own-bank state."""
-        rec = self.completion(request_id)
-        req = self.requests[request_id]
-        return (rec.completion_cycle - rec.arrival_cycle
+        req = self.requests.get(request_id)
+        if req is None or req.completion_cycle is None:
+            raise KeyError(f"request {request_id} has no completion in trace")
+        return (req.completion_cycle - req.arrival_cycle
                 - solo_service(self.timing, req.is_write, req.hit_class))
 
     def stats_text(self) -> str:
@@ -251,7 +231,7 @@ class Controller:
         if mode is Mode.WRITE_DRAIN:
             self.drained_in_batch = 0
         self.trace.mode_switches.append(
-            ModeSwitch(self.now, mode, len(self.write_queue), bool(self.read_queue))
+            ModeSwitch(self.now, mode, len(self.write_queue))
         )
 
     def _next_kind(self, req: MemRequest) -> CommandKind:
@@ -297,9 +277,9 @@ class Controller:
         self.next_ready = next_ready
         return best
 
-    def step(self) -> tuple[IssueRecord | None, list[CompletionRecord]]:
+    def step(self) -> tuple[IssueRecord | None, list[MemRequest]]:
         """Advance one cycle: update mode, issue at most one command, and
-        collect completions whose data burst ends this cycle."""
+        complete the requests whose data burst ends this cycle."""
         self.update_mode()
         chosen = self.select_command()
         self._first_ready = checks.verify_selection(self, chosen)
@@ -320,11 +300,10 @@ class Controller:
                     self.drained_in_batch += 1
         completed = []
         while self._inflight and self._inflight[0][0] == self.now:
-            end, _, req = heapq.heappop(self._inflight)
-            rec = CompletionRecord(req.request_id, req.arrival_cycle, end,
-                                   req.core, req.bank, req.is_write)
-            self.trace.add_completion(rec)
-            completed.append(rec)
+            req = heapq.heappop(self._inflight)[2]
+            req.completion_cycle = self.now
+            completed.append(req)
+        self.trace.completions += completed
         self.now += 1
         return issued, completed
 
@@ -411,7 +390,7 @@ def solo_service(timing: TimingParams, is_write: bool, hit_class: str) -> int:
         guard -= 1
         if guard == 0:
             raise SimulationStalled("solo service simulation did not finish")
-    return ctrl.trace.completion(0).completion_cycle
+    return req.completion_cycle
 
 
 # The oracle's module imports this one, so it is bound once this one is whole.

@@ -136,7 +136,6 @@ class _Generator:
         self.num_rows = num_rows
         self.rng = rng
         self.emitted = 0
-        self.ids: set[int] = set()
         self.held_row: int | None = None
 
     def _row(self) -> int:
@@ -163,17 +162,15 @@ class _Generator:
     def done(self) -> bool:
         return self.spec.budget is not None and self.emitted >= self.spec.budget
 
-    def _track(self, rid: int | None) -> bool:
-        if rid is None:
-            return False
-        self.ids.add(rid)
-        self.emitted += 1
-        return True
+    def _track(self, accepted: bool) -> bool:
+        if accepted:
+            self.emitted += 1
+        return accepted
 
     def emit(self, now: int, submit) -> None:
         raise NotImplementedError
 
-    def on_completion(self, now: int, request_id: int, is_write: bool, submit) -> None:
+    def on_completion(self, now: int, is_write: bool, submit) -> None:
         pass
 
     def wake(self, now: int) -> int:
@@ -198,7 +195,7 @@ class LatencyGenerator(_Generator):
         if self._submit_next(submit, False):
             self.in_flight = True
 
-    def on_completion(self, now, request_id, is_write, submit):
+    def on_completion(self, now, is_write, submit):
         # The next address depends on the returned data, so the follow-up
         # read cannot leave before the next cycle plus the compute gap.
         self.in_flight = False
@@ -219,7 +216,7 @@ class BandwidthReadGenerator(_Generator):
         while self.budget_left() and self._submit_next(submit, False):
             pass
 
-    def on_completion(self, now, request_id, is_write, submit):
+    def on_completion(self, now, is_write, submit):
         if self.budget_left():
             self._submit_next(submit, False)
 
@@ -253,7 +250,7 @@ class BandwidthWriteGenerator(_Generator):
         while self._emit_pair(submit):
             pass
 
-    def on_completion(self, now, request_id, is_write, submit):
+    def on_completion(self, now, is_write, submit):
         self._flush_debt(submit)
         if not is_write:
             self._emit_pair(submit)
@@ -280,7 +277,7 @@ class StreamGenerator(_Generator):
         while self._emit_one(submit):
             pass
 
-    def on_completion(self, now, request_id, is_write, submit):
+    def on_completion(self, now, is_write, submit):
         self._emit_one(submit)
 
 
@@ -387,30 +384,28 @@ class Workload:
     def stage(self, controller: Controller) -> None:
         """Enqueue the pre-staged requests (arrival cycle 0, listed order)."""
         for staged in self.spec.prestage:
-            rid = self._submit(controller, 0, staged.core, staged.bank,
-                               staged.row, staged.is_write)
-            if rid is None:
+            if not self._submit(controller, 0, staged.core, staged.bank,
+                                staged.row, staged.is_write):
                 raise ScenarioError(
                     f"pre-staged request for core {staged.core} exceeds queue or "
                     f"MSHR capacity"
                 )
 
     def _submit(self, controller: Controller, now: int, core: int, bank: int,
-                row: int, is_write: bool) -> int | None:
+                row: int, is_write: bool) -> bool:
         if controller.config.partitioning and self.core_bank.get(core) != bank:
             raise ScenarioError(
                 f"core {core} emitted a request for bank {bank}, outside its "
                 f"private bank {self.core_bank.get(core)}"
             )
         if not self.mshr.acquire(core, is_write):
-            return None
-        rid = self._next_id
-        req = MemRequest(rid, core, is_write, bank, row, arrival_cycle=now)
+            return False
+        req = MemRequest(self._next_id, core, is_write, bank, row, arrival_cycle=now)
         if not controller.enqueue(req):
             self.mshr.release(core, is_write)
-            return None
+            return False
         self._next_id += 1
-        return rid
+        return True
 
     def _submitter(self, controller: Controller, now: int, core: int, bank: int):
         return lambda row, is_write: self._submit(controller, now, core, bank,
@@ -429,14 +424,18 @@ class Workload:
         return min((gen.wake(now) for gen in self.generators if not gen.done()),
                    default=NEVER)
 
-    def notify(self, now: int, completions, controller: Controller) -> None:
-        for rec in completions:
-            if rec.core == self.spec.analyzed_core and self.analyzed_left:
+    def notify(self, now: int, completed: list[MemRequest],
+               controller: Controller) -> None:
+        # stage() gave the staged requests the first ids and accepted all of
+        # them, so every later id is a generator's, on its own core.
+        staged = len(self.spec.prestage)
+        for req in completed:
+            if req.core == self.spec.analyzed_core and self.analyzed_left:
                 self.analyzed_left -= 1
-            self.mshr.release(rec.core, rec.is_write)
-            gen = self.gen_by_core.get(rec.core)
-            if gen is not None and rec.request_id in gen.ids:
-                gen.on_completion(now, rec.request_id, rec.is_write,
+            self.mshr.release(req.core, req.is_write)
+            gen = self.gen_by_core.get(req.core)
+            if gen is not None and req.request_id >= staged:
+                gen.on_completion(now, req.is_write,
                                   self._submitter(controller, now, gen.spec.core,
                                                   gen.spec.bank))
         reads = tuple(self.mshr.reads)

@@ -74,8 +74,8 @@ def test_c1_figure_replays():
         assert young_rd < old_pre
 
         fig5 = replay(harness.preset("fig5"))
-        analyzed_done = fig5.completion(4).completion_cycle
-        others = [fig5.completion(rid).completion_cycle for rid in range(4)]
+        analyzed_done = fig5.requests[4].completion_cycle
+        others = [fig5.requests[rid].completion_cycle for rid in range(4)]
         assert all(analyzed_done > c for c in others)
         # exact replay: two row-miss writes, turnaround, two reads, then ours
         assert issue_cycles(fig5, CommandKind.WR) == [14, 41]

@@ -5,7 +5,7 @@ import pytest
 from dramwc import checks, harness
 from dramwc.checks import TraceInvariantError, validate_trace
 from dramwc.device import CommandKind, DataBurst
-from dramwc.scheduler import CompletionRecord, IssueRecord, Mode
+from dramwc.scheduler import IssueRecord, MemRequest, Mode
 from dramwc.workload import build_adversarial, run_scenario
 
 
@@ -37,17 +37,14 @@ def test_duplicate_issue_cycle_rejected(drain_trace):
 def test_overlapping_bursts_rejected(drain_trace):
     trace = copy.deepcopy(drain_trace)
     burst = trace.bursts[0]
-    trace.bursts.append(DataBurst(burst.start + 1, burst.end + 1, 99, 0, False))
+    trace.bursts.append(DataBurst(burst.start + 1, burst.end + 1, 99))
     with pytest.raises(TraceInvariantError, match="overlap"):
         checks.check_burst_overlap(trace)
 
 
 def test_shifted_completion_rejected(drain_trace):
     trace = copy.deepcopy(drain_trace)
-    rec = trace.completions[0]
-    trace.completions[0] = CompletionRecord(
-        rec.request_id, rec.arrival_cycle, rec.completion_cycle + 1,
-        rec.core, rec.bank, rec.is_write)
+    trace.completions[0].completion_cycle += 1
     with pytest.raises(TraceInvariantError, match="burst end"):
         checks.check_burst_timing(trace)
 
@@ -122,7 +119,7 @@ def test_lost_completion_rejected(drain_trace):
 def test_foreign_completion_rejected(drain_trace):
     trace = copy.deepcopy(drain_trace)
     trace.quiescent = False
-    trace.completions.append(CompletionRecord(777, 0, 50, 0, 0, False))
+    trace.completions.append(MemRequest(777, 0, False, 0, 0, completion_cycle=50))
     with pytest.raises(TraceInvariantError, match="never enqueued"):
         checks.check_conservation(trace)
 

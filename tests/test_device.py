@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dramwc.device import (
-    DDR3_1066,
     NEVER,
     BankState,
     ChannelState,
@@ -14,15 +13,14 @@ from dramwc.device import (
     command_ready,
     decompose_request,
     earliest_ready,
-    load_timing,
     make_timing,
 )
 from dramwc.scheduler import MemRequest
 
 
-def req(row=1, bank=0, rid=0, core=0):
-    """The request a command serves; apply_command reads its row, id and core."""
-    return MemRequest(rid, core, False, bank, row)
+def req(row=1, bank=0, rid=0):
+    """The request a command serves; apply_command reads its row and id."""
+    return MemRequest(rid, 0, False, bank, row)
 
 
 class TestMakeTiming:
@@ -43,13 +41,6 @@ class TestMakeTiming:
         with pytest.raises(TimingError, match="tRC"):
             make_timing({"trc": 5, "trp": 7})
 
-    def test_missing_field_in_timing_file(self, tmp_path):
-        path = tmp_path / "timing.txt"
-        lines = [f"{k} {v}" for k, v in DDR3_1066.items() if k != "trcd"]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(TimingError, match="missing"):
-            load_timing(path)
-
     def test_tfaw_not_below_trrd(self):
         with pytest.raises(TimingError, match="tFAW"):
             make_timing({"tfaw": 3, "trrd": 4})
@@ -68,22 +59,6 @@ class TestMakeTiming:
         # max(trc, trp + trcd + wl + tburst + twr); default twr keeps it trc.
         assert t.trp + t.trcd + t.wl + t.tburst + t.twr <= t.trc
         assert t.twr == t.tras - (t.trcd + t.wl + t.tburst)
-
-    def test_load_timing_roundtrip(self, tmp_path):
-        path = tmp_path / "timing.txt"
-        path.write_text(
-            "# comment\n"
-            "tck_ns 1.87\ntrp 7\ntrcd 7\ncl 7\nwl 6\ntburst 4\ntccd 4\n"
-            "twtr 4\ntrrd 4\ntrtp 4\ntfaw 20\ntrc 27\ntwr 8\n"
-        )
-        t = load_timing(path)
-        assert t == make_timing({"twr": 8})
-
-    def test_load_timing_bad_line(self, tmp_path):
-        path = tmp_path / "timing.txt"
-        path.write_text("trp 7 9\n")
-        with pytest.raises(TimingError, match="key value"):
-            load_timing(path)
 
 
 class TestDecompose:
@@ -228,10 +203,10 @@ class TestApplyCommand:
 
     def test_rd_burst_window(self):
         bank, chan = BankState(open_row=9), ChannelState()
-        burst = apply_command(CommandKind.RD, req(row=9, rid=3, core=2),
+        burst = apply_command(CommandKind.RD, req(row=9, rid=3),
                               bank, chan, self.t, 7)
         assert (burst.start, burst.end) == (7 + 7, 7 + 7 + 4)  # cl, cl + tburst
-        assert (burst.request_id, burst.core, burst.is_write) == (3, 2, False)
+        assert burst.request_id == 3
 
     def test_pre_closes_and_sets_trp(self):
         bank, chan = BankState(open_row=9), ChannelState()

@@ -277,6 +277,45 @@ class TestCli:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("lines, message", [
+        ("miss_count 1\ndrain_batch -2\n",
+         "line 2: drain_batch (-2) must be at least 0"),
+        ("trc 5\n", "line 1: tRC (5) must exceed tRP (7)"),
+        # trp 30 is already invalid against the default trc of 27
+        ("trp 30\ntrc 27\n", "line 1: tRC (27) must exceed tRP (30)"),
+        ("trrd 30\ntfaw 40\ntrc 5\n", "line 3: tRC (5) must exceed tRP (7)"),
+    ])
+    def test_analyze_range_error_names_its_line(self, tmp_path, capsys, lines,
+                                                message):
+        config = tmp_path / "analysis.txt"
+        config.write_text(lines)
+        with pytest.raises(SystemExit) as exc:
+            harness.main(["analyze", "--config", str(config)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"dramwc: error: {message}"
+
+    def test_analyze_accepts_keys_valid_only_together(self, tmp_path):
+        config = tmp_path / "analysis.txt"
+        config.write_text("trp 30\ntrc 40\n")
+        timing = harness.load_analysis(config).timing
+        assert (timing.trp, timing.trc) == (30, 40)
+
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--scenario"],
+        ["compare", "--scenario"],
+        ["analyze", "--config"],
+    ])
+    def test_missing_input_file_is_a_usage_error(self, tmp_path, capsys, args):
+        missing = str(tmp_path / "nope.txt")
+        with pytest.raises(SystemExit) as exc:
+            harness.main(args + [missing, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("dramwc: error: ")
+        assert missing in err.splitlines()[-1]
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_compare_without_analyzed_core_is_a_usage_error(self, tmp_path,
                                                             capsys, monkeypatch):
         harness.main(["preset", "fig2", "--out", str(tmp_path / "a")])

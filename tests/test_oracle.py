@@ -79,10 +79,10 @@ def controller_states(draw):
     """A controller with queued requests, mostly in the active queue, and
     bank and channel constraints scattered around the clock."""
     num_banks = draw(st.integers(1, 4))
-    timing = make_timing(
-        cl=draw(st.integers(1, 12)), wl=draw(st.integers(1, 12)),
-        trrd=(trrd := draw(st.integers(1, 8))),
-        tfaw=trrd + draw(st.integers(0, 16)))
+    timing = make_timing({
+        "cl": draw(st.integers(1, 12)), "wl": draw(st.integers(1, 12)),
+        "trrd": (trrd := draw(st.integers(1, 8))),
+        "tfaw": trrd + draw(st.integers(0, 16))})
     config = SchedulerConfig(
         read_cap=draw(st.integers(1, 16)), write_cap=draw(st.integers(1, 16)),
         drain_batch=1, num_banks=num_banks,

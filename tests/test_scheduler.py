@@ -187,7 +187,7 @@ class TestStepAndRun:
         trace, _ = run_scenario(spec)  # no SimulationStalled while idle
         done = 50_000 + TIMING.cl + TIMING.tburst
         assert [r.cycle for r in trace.issues] == [50_000]
-        assert trace.completion(0).completion_cycle == done
+        assert trace.requests[0].completion_cycle == done
         # idle at 0, the read at 50,000, idle after it, its completion
         assert stepped == [0, 50_000, 50_001, done]
 
@@ -196,9 +196,8 @@ class TestStepAndRun:
         ctrl.enqueue(read(0))
         while not ctrl.idle():
             ctrl.step()
-        rec = ctrl.trace.completion(0)
         # row hit: RD at 0, data burst [cl, cl + tburst)
-        assert rec.completion_cycle == TIMING.cl + TIMING.tburst
+        assert ctrl.trace.requests[0].completion_cycle == TIMING.cl + TIMING.tburst
 
     def test_write_drain_services_batch_before_reads(self):
         spec = ScenarioSpec(
@@ -233,6 +232,12 @@ class TestDelays:
         trace, _ = run_scenario(spec)
         with pytest.raises(KeyError):
             trace.per_request_delay(99)
+
+    def test_uncompleted_request_raises(self):
+        ctrl = Controller(TIMING, open_rows={0: 1})
+        ctrl.enqueue(read(0))
+        with pytest.raises(KeyError, match="no completion"):
+            ctrl.trace.per_request_delay(0)
 
     def test_solo_service_reference_latencies(self):
         # hit: cl + tburst; closed: + trcd; conflict: + trp + trcd

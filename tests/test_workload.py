@@ -91,6 +91,37 @@ class TestGenerators:
         last = lambda t: max(r.completion_cycle for r in t.completions)
         assert last(slow) >= last(fast) + 4 * 20
 
+    def test_staged_completion_does_not_reach_the_generator(self):
+        # The staged read completes while the generator's first read is in
+        # flight; handed to the latency generator, it would let that
+        # generator issue a second read before its first one returned.
+        spec = ScenarioSpec(
+            label="staged-and-generated",
+            open_rows={0: 5},
+            generators=[GeneratorSpec(GeneratorKind.LATENCY, core=0, bank=0,
+                                      budget=3)],
+            prestage=[StagedRequest(False, 0, 0, 5)],
+            horizon=400,
+            num_cores=1,
+        )
+        trace, _ = run_scenario(spec)
+        generated = sorted((r.arrival_cycle, r.completion_cycle)
+                           for r in trace.completions if r.request_id > 0)
+        assert len(generated) == 3
+        assert all(done < arrival for (_, done), (arrival, _)
+                   in zip(generated, generated[1:]))
+        assert trace.to_csv() == (
+            "cycle,event,kind,bank,row,core,request_id\n"
+            "0,issue,RD,0,5,0,0\n"
+            "4,issue,RD,0,5,0,1\n"
+            "11,complete,,0,,0,0\n"
+            "15,complete,,0,,0,1\n"
+            "16,issue,RD,0,5,0,2\n"
+            "27,complete,,0,,0,2\n"
+            "28,issue,RD,0,5,0,3\n"
+            "39,complete,,0,,0,3\n"
+        )
+
     def test_bandwidth_read_fills_per_core_allowance(self):
         spec = live_spec(GeneratorKind.BANDWIDTH_READ, horizon=300)
         trace, wl = run_scenario(spec)
