@@ -34,7 +34,6 @@ from .workload import (
     StagedRequest,
     Workload,
     build_adversarial,
-    build_simulation,
     run_scenario,
     scenario_from_text,
     scenario_to_text,

@@ -132,8 +132,8 @@ def pipeline_scenario(n_reads: int) -> ScenarioSpec:
 
 def live_scenario(kind: GeneratorKind | str, n_interferers: int = 3,
                   seed: int = 0, latency_budget: int = 25,
-                  horizon: int = 60_000, mshr: MshrConfig | None = None,
-                  interferer_start: int = 0) -> ScenarioSpec:
+                  horizon: int = 60_000,
+                  mshr: MshrConfig | None = None) -> ScenarioSpec:
     """Latency-style analyzed task on core 0 co-running with n interferers."""
     kind = GeneratorKind(kind)
     open_rows = {core: 100 + core for core in range(n_interferers + 1)}
@@ -142,9 +142,7 @@ def live_scenario(kind: GeneratorKind | str, n_interferers: int = 3,
                       budget=latency_budget)
     ]
     for core in range(1, n_interferers + 1):
-        generators.append(
-            GeneratorSpec(kind, core=core, bank=core, start=interferer_start)
-        )
+        generators.append(GeneratorSpec(kind, core=core, bank=core))
     return ScenarioSpec(
         label=f"live-{kind.value}-x{n_interferers}-{seed}",
         open_rows=open_rows,

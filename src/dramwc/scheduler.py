@@ -37,7 +37,7 @@ class SchedulerConfig:
     write_cap: int = 16
     drain_batch: int = 4
     prioritized_bank: int | None = None
-    partitioning: bool = True
+    partitioning: bool = True  # must stay on; a key of the scenario file
     num_banks: int = 16
     stall_window: int = 10_000
 
@@ -47,6 +47,9 @@ class SchedulerConfig:
         if not 0 <= (self.prioritized_bank or 0) < self.num_banks:
             raise ValueError(f"prioritized_bank ({self.prioritized_bank}) is not "
                              f"one of the {self.num_banks} banks")
+        if not self.partitioning:
+            raise ValueError("partitioning must be on: every core has one "
+                             "private bank")
         if self.drain_batch > self.write_cap:
             raise ValueError(
                 f"drain_batch ({self.drain_batch}) cannot exceed write_cap "
@@ -310,9 +313,9 @@ class Controller:
     def idle(self) -> bool:
         return not self.read_queue and not self.write_queue and not self._inflight
 
-    def run(self, workload=None, horizon: int = 10_000) -> ScheduleTrace:
-        """Run until the horizon, or until the workload says the run has
-        ended (see :meth:`Workload.finished`).
+    def run(self, workload) -> ScheduleTrace:
+        """Run the workload that owns this controller until its horizon, or
+        until it says the run has ended (see :meth:`Workload.finished`).
 
         After a cycle that issues and completes nothing, with no mode switch
         due, every input of the next cycle is as it was, so the clock jumps
@@ -322,16 +325,13 @@ class Controller:
         target does not pass it; otherwise the oracle runs at the cycle
         before the target, where something is ready, and reports it.
         """
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
+        horizon = workload.spec.horizon
         last_progress = 0
         while self.now < horizon:
             cycle = self.now
-            if workload is not None:
-                workload.poll(cycle, self)
+            workload.poll(cycle)
             issued, completed = self.step()
-            if workload is not None:
-                workload.notify(cycle, completed, self)
+            workload.notify(cycle, completed)
             if issued is not None:
                 last_progress = cycle
             elif not self.idle() and cycle - last_progress > self.config.stall_window:
@@ -340,7 +340,7 @@ class Controller:
                     f"(reads={len(self.read_queue)}, writes={len(self.write_queue)}, "
                     f"mode={self.mode.value})"
                 )
-            if workload is not None and workload.finished(self):
+            if workload.finished():
                 break
             if issued is not None or completed or self._mode_due() is not None:
                 continue  # freed room may admit a request; the mode may flip
@@ -351,20 +351,16 @@ class Controller:
                     checks.verify_selection(self, None)
                 self.now = target
         self.trace.total_cycles = self.now
-        self.trace.quiescent = self.idle() and (
-            workload is None or workload.exhausted()
-        )
+        self.trace.quiescent = self.idle() and workload.exhausted()
         return self.trace
 
     def _next_event(self, workload, horizon: int, last_progress: int) -> int:
         """The first cycle from ``now`` on at which, after an uneventful
         cycle, something can happen: a command becomes ready, a burst
         completes, a generator wakes, the stall guard trips, or the horizon."""
-        target = min(self.next_ready, horizon)
+        target = min(self.next_ready, horizon, workload.next_wake(self.now))
         if self._inflight:
             target = min(target, self._inflight[0][0])
-        if workload is not None:
-            target = min(target, workload.next_wake(self.now))
         if not self.idle():
             target = min(target, last_progress + self.config.stall_window + 1)
         return target
@@ -379,7 +375,7 @@ def solo_service(timing: TimingParams, is_write: bool, hit_class: str) -> int:
     """
     row = 1
     open_rows = {"hit": {0: row}, "closed": {}, "conflict": {0: row + 1}}[hit_class]
-    cfg = SchedulerConfig(num_banks=1, partitioning=False)
+    cfg = SchedulerConfig(num_banks=1)
     ctrl = Controller(timing, cfg, open_rows=open_rows)
     req = MemRequest(0, 0, is_write, 0, row, 0)
     if not ctrl.enqueue(req):

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import functools
 import random
 from dataclasses import dataclass, field
 
@@ -130,11 +131,12 @@ class GeneratorSpec:
 
 class _Generator:
     def __init__(self, spec: GeneratorSpec, base_row: int, num_rows: int,
-                 rng: random.Random):
+                 rng: random.Random, submit):
         self.spec = spec
         self.base_row = base_row
         self.num_rows = num_rows
         self.rng = rng
+        self.submit = submit  # (row, is_write) -> accepted, for this core's bank
         self.emitted = 0
         self.held_row: int | None = None
 
@@ -148,9 +150,9 @@ class _Generator:
             self.held_row = self.rng.randrange(self.num_rows)
         return self.held_row
 
-    def _submit_next(self, submit, is_write: bool) -> bool:
+    def _submit_next(self, is_write: bool) -> bool:
         """Submit a new request to :meth:`_row`; True if it was accepted."""
-        if not self._track(submit(self._row(), is_write)):
+        if not self._track(self.submit(self._row(), is_write)):
             return False
         self.held_row = None
         return True
@@ -167,10 +169,10 @@ class _Generator:
             self.emitted += 1
         return accepted
 
-    def emit(self, now: int, submit) -> None:
+    def emit(self, now: int) -> None:
         raise NotImplementedError
 
-    def on_completion(self, now: int, is_write: bool, submit) -> None:
+    def on_completion(self, now: int, is_write: bool) -> None:
         pass
 
     def wake(self, now: int) -> int:
@@ -189,13 +191,13 @@ class LatencyGenerator(_Generator):
         self.in_flight = False
         self.ready_at = self.spec.start
 
-    def emit(self, now, submit):
+    def emit(self, now):
         if self.in_flight or now < self.ready_at or not self.budget_left():
             return
-        if self._submit_next(submit, False):
+        if self._submit_next(False):
             self.in_flight = True
 
-    def on_completion(self, now, is_write, submit):
+    def on_completion(self, now, is_write):
         # The next address depends on the returned data, so the follow-up
         # read cannot leave before the next cycle plus the compute gap.
         self.in_flight = False
@@ -209,18 +211,6 @@ class LatencyGenerator(_Generator):
         return super().wake(now)
 
 
-class BandwidthReadGenerator(_Generator):
-    """Streaming reader that keeps as many reads outstanding as caps allow."""
-
-    def emit(self, now, submit):
-        while self.budget_left() and self._submit_next(submit, False):
-            pass
-
-    def on_completion(self, now, is_write, submit):
-        if self.budget_left():
-            self._submit_next(submit, False)
-
-
 class BandwidthWriteGenerator(_Generator):
     """Write-heavy streamer: every logical miss enqueues an allocating read
     plus a write-back, so reads and writes come in 1:1 pairs."""
@@ -229,31 +219,31 @@ class BandwidthWriteGenerator(_Generator):
         super().__init__(*args)
         self.write_debt: list[int] = []  # rows whose write-back is still owed
 
-    def _flush_debt(self, submit):
+    def _flush_debt(self):
         while self.write_debt:
-            if not self._track(submit(self.write_debt[0], True)):
+            if not self._track(self.submit(self.write_debt[0], True)):
                 return
             self.write_debt.pop(0)
 
-    def _emit_pair(self, submit) -> bool:
+    def _emit_pair(self) -> bool:
         if not self.budget_left(2):
             return False
         row = self._row()
-        if not self._submit_next(submit, False):
+        if not self._submit_next(False):
             return False
-        if not self._track(submit(row, True)):
+        if not self._track(self.submit(row, True)):
             self.write_debt.append(row)
         return True
 
-    def emit(self, now, submit):
-        self._flush_debt(submit)
-        while self._emit_pair(submit):
+    def emit(self, now):
+        self._flush_debt()
+        while self._emit_pair():
             pass
 
-    def on_completion(self, now, is_write, submit):
-        self._flush_debt(submit)
+    def on_completion(self, now, is_write):
+        self._flush_debt()
         if not is_write:
-            self._emit_pair(submit)
+            self._emit_pair()
 
 
 class StreamGenerator(_Generator):
@@ -261,24 +251,34 @@ class StreamGenerator(_Generator):
 
     def __init__(self, *args):
         super().__init__(*args)
-        spec = self.spec
-        self.pattern = [False] * spec.stream_reads + [True] * spec.stream_writes
+        self.pattern = self._pattern()
         self.pos = 0
 
-    def _emit_one(self, submit) -> bool:
+    def _pattern(self) -> list[bool]:
+        return [False] * self.spec.stream_reads + [True] * self.spec.stream_writes
+
+    def _emit_one(self) -> bool:
         if not self.budget_left():
             return False
-        if not self._submit_next(submit, self.pattern[self.pos]):
+        if not self._submit_next(self.pattern[self.pos]):
             return False
         self.pos = (self.pos + 1) % len(self.pattern)
         return True
 
-    def emit(self, now, submit):
-        while self._emit_one(submit):
+    def emit(self, now):
+        while self._emit_one():
             pass
 
-    def on_completion(self, now, is_write, submit):
-        self._emit_one(submit)
+    def on_completion(self, now, is_write):
+        self._emit_one()
+
+
+class BandwidthReadGenerator(StreamGenerator):
+    """Streaming reader that keeps as many reads outstanding as caps allow:
+    a stream whose pattern is one read."""
+
+    def _pattern(self):
+        return [False]
 
 
 _GENERATOR_CLASSES = {
@@ -332,91 +332,91 @@ def _check_placement(spec: ScenarioSpec, core: int = 0, bank: int = 0) -> None:
 
 
 class Workload:
-    """Drives generators against a controller and owns the MSHR file.
+    """One run of a scenario: its MSHR file, its controller (``controller``,
+    with the pre-staged requests already enqueued) and its generators, each
+    bound at construction to its core's private bank.
 
     Completions are handed back to the owning generator in the same cycle, so
     a saturating core re-acquires its freed MSHR entry before any other core
-    can poll it (out-of-order cores re-issue immediately).
+    can poll it (out-of-order cores re-issue immediately). A new request
+    arrives at ``now``, the cycle being polled or notified.
 
     ``mshr_history`` records the per-core read MSHR occupancy as a step
     function: an entry ``(cycle, reads)`` is added at the end of each cycle
     that changes the occupancy, and holds until the next.
     """
 
-    def __init__(self, spec: ScenarioSpec, mshr: MshrFile):
+    def __init__(self, spec: ScenarioSpec):
         check_min(spec, 1, "horizon", "num_cores", "num_rows", error=ScenarioError)
         _check_placement(spec, core=spec.analyzed_core or 0)
         for bank in spec.open_rows:
             _check_placement(spec, bank=bank)
+        core_bank: dict[int, int] = {}
+
+        def claim(core: int, bank: int) -> None:
+            _check_placement(spec, core, bank)
+            owned = core_bank.setdefault(core, bank)
+            if owned != bank:
+                raise ScenarioError(
+                    f"core {core} uses banks {owned} and {bank} but partitioning "
+                    f"assigns one private bank per core"
+                )
+
         self.spec = spec
-        self.mshr = mshr
-        self.core_bank: dict[int, int] = {}
         self.generators: list[_Generator] = []
         self.gen_by_core: dict[int, _Generator] = {}
         for gspec in sorted(spec.generators, key=lambda g: g.core):
             if gspec.core in self.gen_by_core:
                 raise ScenarioError(f"core {gspec.core} has two generators")
-            self._claim_bank(gspec.core, gspec.bank)
+            claim(gspec.core, gspec.bank)
             base_row = spec.open_rows.get(gspec.bank, 0)
             rng = random.Random((spec.seed << 8) ^ (gspec.core + 1))
-            gen = _GENERATOR_CLASSES[gspec.kind](gspec, base_row, spec.num_rows, rng)
+            submit = functools.partial(self._submit, gspec.core, gspec.bank)
+            gen = _GENERATOR_CLASSES[gspec.kind](gspec, base_row, spec.num_rows,
+                                                 rng, submit)
             self.generators.append(gen)
             self.gen_by_core[gspec.core] = gen
         for staged in spec.prestage:
-            self._claim_bank(staged.core, staged.bank)
+            claim(staged.core, staged.bank)
         analyzed = self.gen_by_core.get(spec.analyzed_core)
-        # Completions on the analyzed core still owed before the run ends;
-        # None when that core has no budgeted generator.
+        # Generator completions on the analyzed core still owed before the
+        # run ends; None when that core has no budgeted generator.
         self.analyzed_left = None if analyzed is None else analyzed.spec.budget
-        self._next_id = 0
         self.has_sources = bool(spec.generators or spec.prestage)
         self.mshr_history: list[tuple[int, tuple[int, ...]]] = []
-
-    def _claim_bank(self, core: int, bank: int) -> None:
-        _check_placement(self.spec, core, bank)
-        owned = self.core_bank.setdefault(core, bank)
-        if owned != bank:
-            raise ScenarioError(
-                f"core {core} uses banks {owned} and {bank} but partitioning "
-                f"assigns one private bank per core"
-            )
-
-    def stage(self, controller: Controller) -> None:
-        """Enqueue the pre-staged requests (arrival cycle 0, listed order)."""
-        for staged in self.spec.prestage:
-            if not self._submit(controller, 0, staged.core, staged.bank,
-                                staged.row, staged.is_write):
+        self.mshr = MshrFile(spec.mshr, num_cores=spec.num_cores)
+        self.controller = Controller(make_timing(spec.timing), spec.scheduler,
+                                     open_rows=spec.open_rows,
+                                     initial_mode=spec.initial_mode)
+        self.now = 0
+        self._next_id = 0
+        # The staged requests arrive at cycle 0 in listed order, so they
+        # hold the first ids.
+        for staged in spec.prestage:
+            if not self._submit(staged.core, staged.bank, staged.row,
+                                staged.is_write):
                 raise ScenarioError(
                     f"pre-staged request for core {staged.core} exceeds queue or "
                     f"MSHR capacity"
                 )
 
-    def _submit(self, controller: Controller, now: int, core: int, bank: int,
-                row: int, is_write: bool) -> bool:
-        if controller.config.partitioning and self.core_bank.get(core) != bank:
-            raise ScenarioError(
-                f"core {core} emitted a request for bank {bank}, outside its "
-                f"private bank {self.core_bank.get(core)}"
-            )
+    def _submit(self, core: int, bank: int, row: int, is_write: bool) -> bool:
         if not self.mshr.acquire(core, is_write):
             return False
-        req = MemRequest(self._next_id, core, is_write, bank, row, arrival_cycle=now)
-        if not controller.enqueue(req):
+        req = MemRequest(self._next_id, core, is_write, bank, row,
+                         arrival_cycle=self.now)
+        if not self.controller.enqueue(req):
             self.mshr.release(core, is_write)
             return False
         self._next_id += 1
         return True
 
-    def _submitter(self, controller: Controller, now: int, core: int, bank: int):
-        return lambda row, is_write: self._submit(controller, now, core, bank,
-                                                  row, is_write)
-
-    def poll(self, now: int, controller: Controller) -> None:
+    def poll(self, now: int) -> None:
+        self.now = now
         for gen in self.generators:
             if now < gen.spec.start or gen.done():
                 continue
-            gen.emit(now, self._submitter(controller, now, gen.spec.core,
-                                          gen.spec.bank))
+            gen.emit(now)
 
     def next_wake(self, now: int) -> int:
         """First cycle from ``now`` on at which polling can submit a request
@@ -424,20 +424,17 @@ class Workload:
         return min((gen.wake(now) for gen in self.generators if not gen.done()),
                    default=NEVER)
 
-    def notify(self, now: int, completed: list[MemRequest],
-               controller: Controller) -> None:
-        # stage() gave the staged requests the first ids and accepted all of
-        # them, so every later id is a generator's, on its own core.
+    def notify(self, now: int, completed: list[MemRequest]) -> None:
+        # Every id past the staged ones is a generator's, on its own core.
+        self.now = now
         staged = len(self.spec.prestage)
         for req in completed:
+            self.mshr.release(req.core, req.is_write)
+            if req.request_id < staged:
+                continue
             if req.core == self.spec.analyzed_core and self.analyzed_left:
                 self.analyzed_left -= 1
-            self.mshr.release(req.core, req.is_write)
-            gen = self.gen_by_core.get(req.core)
-            if gen is not None and req.request_id >= staged:
-                gen.on_completion(now, req.is_write,
-                                  self._submitter(controller, now, gen.spec.core,
-                                                  gen.spec.bank))
+            self.gen_by_core[req.core].on_completion(now, req.is_write)
         reads = tuple(self.mshr.reads)
         if not self.mshr_history or self.mshr_history[-1][1] != reads:
             self.mshr_history.append((now, reads))
@@ -445,31 +442,20 @@ class Workload:
     def exhausted(self) -> bool:
         return all(g.done() for g in self.generators) and self.mshr.idle()
 
-    def finished(self, controller: Controller) -> bool:
+    def finished(self) -> bool:
         """Whether the run ends after this cycle: the analyzed core's budget
         is served (the co-runners are still running, as the measured delay
         assumes), or there were sources of work, all are exhausted and the
         controller is idle."""
         return self.analyzed_left == 0 or (
-            controller.idle() and self.has_sources and self.exhausted())
-
-
-def build_simulation(spec: ScenarioSpec) -> tuple[Controller, Workload]:
-    """Materialize a scenario into a ready-to-run controller and workload."""
-    timing = make_timing(spec.timing)
-    mshr = MshrFile(spec.mshr, num_cores=spec.num_cores)
-    workload = Workload(spec, mshr)
-    controller = Controller(timing, spec.scheduler, open_rows=spec.open_rows,
-                            initial_mode=spec.initial_mode)
-    workload.stage(controller)
-    return controller, workload
+            self.controller.idle() and self.has_sources and self.exhausted())
 
 
 def run_scenario(spec: ScenarioSpec):
     """Build and run a scenario until it ends, validate its trace, and return
     the trace and the workload (with its MSHR history)."""
-    controller, workload = build_simulation(spec)
-    trace = controller.run(workload, spec.horizon)
+    workload = Workload(spec)
+    trace = workload.controller.run(workload)
     checks.validate_trace(trace)
     return trace, workload
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from dramwc import harness
@@ -14,6 +16,8 @@ from dramwc.harness import (
 )
 from dramwc.workload import (
     GeneratorKind,
+    GeneratorSpec,
+    ScenarioSpec,
     build_adversarial,
     run_scenario,
     scenario_from_text,
@@ -384,6 +388,23 @@ class TestCli:
         assert "line 29: unknown key 'drain_bach'" in err
         assert "Traceback" not in err
 
+    def test_partitioning_off_is_a_usage_error(self, tmp_path, capsys):
+        # Every core has one private bank; a file that turns partitioning off
+        # is rejected rather than run partitioned anyway.
+        harness.main(["preset", "fig4", "--out", str(tmp_path / "a")])
+        path = tmp_path / "a" / "scenario.txt"
+        text = path.read_text()
+        assert "partitioning 1\n" in text
+        path.write_text(text.replace("partitioning 1", "partitioning 0"))
+        with pytest.raises(SystemExit) as exc:
+            harness.main(["simulate", "--scenario", str(path),
+                          "--out", str(tmp_path / "b")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "line 26: partitioning must be on" in err  # [scheduler]
+        assert "Traceback" not in err
+        assert not (tmp_path / "b").exists()
+
     def test_bad_override_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             harness.main(["compare", "--preset", "fig2", "--out", str(tmp_path),
@@ -480,6 +501,57 @@ total_full,232000,433840.00
 total_no_write_queue,120000,224400.00
 total_baseline,57000,106590.00
 """
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestPinnedLiveTraces:
+    """SHA-256 of the files of live runs, so that a change to any generator
+    kind, its row policy included, shows up as a changed digest."""
+
+    SWEEPS = {
+        "latency": ("5dd48db8d5119385af2b6e720cdbc7ed2781b101eff6956704c6dfa4a18daf70",
+                    "2e50b90d913c186d62ee06d3afb10b1501299ddac2ca953c328d3dcf79ee46a0",
+                    "aba61887f67fa5da7e630c7a585ce228ed8b3af6507b9d2f53f7cadedf04a211"),
+        "bandwidth_read": (
+            "e4b0de378d6fd10800a920a4b1edf26d0aface607da19c112b383cc873fc462f",
+            "c32772cf5862c1a9aaacbbf9035dc9c11bf89cadbd13b90e7a931b536ce7e20e",
+            "db620538b278fcebcc29e3c571cd7fbb803e5ba067edce6be8c40e59c7476db2"),
+        "bandwidth_write": (
+            "00f82c5f9d71f6b7caa896d301a58385f7610e7445a85fbe5e1f464e64515a0f",
+            "953a703939cb9cd687292d53cc7eb73962a888b68024e8fc719f04c28065ed40",
+            "2eadcf096a94b41f317d8a0852b3982b73463b49a0285c6e2e0095483ee43374"),
+        "stream": ("6fc796c8b4f890a16d1f0595df77c7ab44f6fe04a9ff5c6db6faa64cb852a615",
+                   "1b38ffe04dacfe53ec5cdbf27421c0fd4e44b048637e712fc8462008d4b194bf",
+                   "efbce47fcf884909f24a305e64a5d4b9170fe68e029cd69c78318e47c9cdf9eb"),
+    }
+
+    @pytest.mark.parametrize("kind", SWEEPS)
+    def test_live_sweep_files(self, kind, tmp_path):
+        assert harness.main(["sweep", "--kind", kind, "--n", "3", "--seeds", "0",
+                             "--out", str(tmp_path)]) == 0
+        files = ("seed_0/trace.csv", "seed_0/stats.txt", "summary.csv")
+        assert tuple(_sha256(tmp_path / f) for f in files) == self.SWEEPS[kind]
+
+    def test_random_rows_of_every_kind(self, tmp_path):
+        # A refused submit holds its drawn row, and every generator on one
+        # seeded run draws rows, so _row and held_row are pinned too.
+        spec = ScenarioSpec(
+            label="random-rows", seed=5,
+            open_rows={core: 100 + core for core in range(4)},
+            generators=[
+                GeneratorSpec(kind, core=core, bank=core, row_policy="random",
+                              budget=25 if kind is GeneratorKind.LATENCY else None)
+                for core, kind in enumerate(GeneratorKind)],
+            analyzed_core=0,
+        )
+        trace, _ = simulate(spec, tmp_path)
+        assert (trace.total_cycles, len(trace.completions)) == (1191, 130)
+        assert [_sha256(tmp_path / f) for f in ("trace.csv", "stats.txt")] == [
+            "c9c9832440d4a8eabdf2306b77eb7ba75c2a6ba7e2405cb1be5fb038a64d3759",
+            "71509e6d50ec778ab19a23d819a1f850be8a1a2a810c3401135d7b94107f9b1b"]
 
 
 def test_prioritized_bank_changes_schedule(tmp_path):

@@ -14,6 +14,7 @@ from dramwc.workload import (
     GeneratorSpec,
     ScenarioSpec,
     StagedRequest,
+    Workload,
     run_scenario,
 )
 
@@ -144,10 +145,6 @@ class TestStepAndRun:
         issued, completed = ctrl.step()
         assert issued is None and completed == [] and ctrl.now == 1
 
-    def test_run_requires_positive_horizon(self):
-        with pytest.raises(ValueError):
-            Controller(TIMING).run(None, horizon=0)
-
     def test_staged_scenario_reaches_quiescence_early(self):
         spec = ScenarioSpec(
             open_rows={0: 1},
@@ -160,12 +157,18 @@ class TestStepAndRun:
         assert trace.total_cycles < 500
 
     def test_stall_guard_trips_on_deadlock(self):
-        ctrl = Controller(TIMING, SchedulerConfig(stall_window=50), open_rows={0: 1})
-        ctrl.enqueue(read(0))
+        workload = Workload(ScenarioSpec(
+            open_rows={0: 1},
+            prestage=[StagedRequest(False, 0, 0, 1)],
+            scheduler=SchedulerConfig(stall_window=50),
+            horizon=1000,
+            num_cores=1,
+        ))
+        ctrl = workload.controller
         ctrl.banks[0].earliest_rd = 10**9  # unsatisfiable constraint
         with pytest.raises(SimulationStalled, match=r"^no command issued since "
                            r"cycle 0 \(reads=1, writes=0, mode=read\)$"):
-            ctrl.run(None, horizon=1000)
+            ctrl.run(workload)
         # Raised at cycle 51, the first more than stall_window cycles after
         # cycle 0; the clock has already moved past it.
         assert ctrl.now == 52

@@ -13,7 +13,6 @@ from dramwc import checks
 from dramwc.device import DDR3_1066, make_timing
 from dramwc.scheduler import (
     Controller,
-    MemRequest,
     Mode,
     SchedulerConfig,
     SimulationStalled,
@@ -24,8 +23,8 @@ from dramwc.workload import (
     MshrConfig,
     ScenarioSpec,
     StagedRequest,
+    Workload,
     build_adversarial,
-    build_simulation,
     run_scenario,
 )
 
@@ -35,9 +34,9 @@ def run_per_cycle(ctrl, workload, horizon):
     last_progress = 0
     while ctrl.now < horizon:
         cycle = ctrl.now
-        workload.poll(cycle, ctrl)
+        workload.poll(cycle)
         issued, completed = ctrl.step()
-        workload.notify(cycle, completed, ctrl)
+        workload.notify(cycle, completed)
         if issued is not None:
             last_progress = cycle
         elif not ctrl.idle() and cycle - last_progress > ctrl.config.stall_window:
@@ -46,7 +45,7 @@ def run_per_cycle(ctrl, workload, horizon):
                 f"(reads={len(ctrl.read_queue)}, writes={len(ctrl.write_queue)}, "
                 f"mode={ctrl.mode.value})"
             )
-        if workload.finished(ctrl):
+        if workload.finished():
             break
     ctrl.trace.total_cycles = ctrl.now
     ctrl.trace.quiescent = ctrl.idle() and workload.exhausted()
@@ -64,8 +63,8 @@ def outcome(run):
 
 
 def reference(spec):
-    ctrl, workload = build_simulation(spec)
-    return run_per_cycle(ctrl, workload, spec.horizon), workload
+    workload = Workload(spec)
+    return run_per_cycle(workload.controller, workload, spec.horizon), workload
 
 
 @st.composite
@@ -177,11 +176,16 @@ NEXT_CYCLE_READY = ScenarioSpec(
 @example(spec=NEXT_CYCLE_READY)
 def test_run_matches_the_per_cycle_loop(spec):
     try:
-        build_simulation(spec)
+        Workload(spec)
     except ValueError:  # ScenarioError: over-full staging, for one
         return
     assert outcome(lambda: run_scenario(spec)) == \
         outcome(lambda: reference(spec))
+
+
+# One read of row 1 staged on closed bank 0.
+ONE_CLOSED_READ = ScenarioSpec(prestage=[StagedRequest(False, 0, 0, 1)],
+                               horizon=100, num_cores=1)
 
 
 def test_overshooting_jump_is_caught_by_the_oracle(monkeypatch):
@@ -190,11 +194,10 @@ def test_overshooting_jump_is_caught_by_the_oracle(monkeypatch):
     next_event = Controller._next_event
     monkeypatch.setattr(Controller, "_next_event",
                         lambda self, *args: next_event(self, *args) + 3)
-    ctrl = Controller(make_timing())
-    ctrl.enqueue(MemRequest(0, 0, False, 0, 1, 0))
+    workload = Workload(ONE_CLOSED_READ)
     with pytest.raises(checks.TraceInvariantError,
                        match=r"cycle 9: idle although .*RD.* is ready"):
-        ctrl.run(None, horizon=100)
+        workload.controller.run(workload)
 
 
 def test_oracle_checks_only_the_visited_cycles(monkeypatch):
@@ -202,12 +205,11 @@ def test_oracle_checks_only_the_visited_cycles(monkeypatch):
     verify = checks.verify_selection
     monkeypatch.setattr(checks, "verify_selection",
                         lambda ctrl, chosen: seen.append(ctrl.now) or verify(ctrl, chosen))
-    ctrl = Controller(make_timing())
-    ctrl.enqueue(MemRequest(0, 0, False, 0, 1, 0))
-    trace = ctrl.run(None, horizon=100)
+    workload = Workload(ONE_CLOSED_READ)
+    trace = workload.controller.run(workload)
     # ACT at 0; cycle 1 idle, first ready 7: jump to 7; RD at 7; cycle 8
-    # idle, nothing waiting: jump to the burst's end, 18; completion at 18;
-    # cycle 19 idle with an empty queue: jump to the horizon. No target
-    # passes the idle cycle's first-ready cycle, so no jump is re-checked.
+    # idle, nothing waiting: jump to the burst's end, 18; the completion at
+    # 18 ends the run. No target passes the idle cycle's first-ready cycle,
+    # so no jump is re-checked.
     assert [r.cycle for r in trace.issues] == [0, 7]
-    assert seen == [0, 1, 7, 8, 18, 19]
+    assert seen == [0, 1, 7, 8, 18]

@@ -13,8 +13,8 @@ from dramwc.workload import (
     ScenarioError,
     ScenarioSpec,
     StagedRequest,
+    Workload,
     build_adversarial,
-    build_simulation,
     run_scenario,
     scenario_from_text,
     scenario_to_text,
@@ -122,6 +122,23 @@ class TestGenerators:
             "39,complete,,0,,0,3\n"
         )
 
+    def test_staged_completion_does_not_count_against_the_budget(self):
+        # The run ends once the analyzed core's generator has had its three
+        # reads served; the staged read on that core is not one of them.
+        spec = ScenarioSpec(
+            label="staged-and-analyzed",
+            open_rows={0: 5},
+            generators=[GeneratorSpec(GeneratorKind.LATENCY, core=0, bank=0,
+                                      budget=3)],
+            prestage=[StagedRequest(False, 0, 0, 5)],
+            horizon=400,
+            analyzed_core=0,
+            num_cores=1,
+        )
+        trace, wl = run_scenario(spec)
+        assert [r.request_id for r in trace.completions] == [0, 1, 2, 3]
+        assert wl.analyzed_left == 0 and trace.total_cycles == 40
+
     def test_bandwidth_read_fills_per_core_allowance(self):
         spec = live_spec(GeneratorKind.BANDWIDTH_READ, horizon=300)
         trace, wl = run_scenario(spec)
@@ -184,7 +201,7 @@ class TestGenerators:
             num_cores=2,
         )
         with pytest.raises(ScenarioError, match="private bank"):
-            build_simulation(spec)
+            Workload(spec)
 
     @pytest.mark.parametrize("spec, match", [
         (ScenarioSpec(generators=[GeneratorSpec(GeneratorKind.LATENCY, 4, 1)]),
@@ -197,7 +214,7 @@ class TestGenerators:
     ])
     def test_out_of_range_scenario_rejected_before_running(self, spec, match):
         with pytest.raises(ScenarioError, match=match):
-            build_simulation(spec)
+            Workload(spec)
 
     def test_mshr_caps_hold_every_cycle(self):
         spec = ScenarioSpec(
@@ -296,7 +313,7 @@ class TestAdversarial:
         for core in (1, 2, 3):
             assert sum(1 for r in reads if r.core == core) <= 10
         # staging must be admissible against queue and MSHR capacities
-        build_simulation(spec)
+        Workload(spec)
 
 
 class TestScenarioFiles:
@@ -438,7 +455,7 @@ def test_mutated_scenarios_round_trip_or_raise(data):
     text = _mutate(data.draw, data.draw(st.sampled_from(EMITTED)))
     try:
         spec = scenario_from_text(text)
-        build_simulation(spec)
+        Workload(spec)
     except (ScenarioError, TimingError):
         return
     assert scenario_to_text(spec) == text
