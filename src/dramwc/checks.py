@@ -25,12 +25,19 @@ def verify_selection(controller, chosen) -> int | None:
 
     Runs on every cycle that the controller visits. Each queued request's
     head comes from decompose_request rather than the controller's fast
-    path. The queue is in arrival order, so the first ready candidate that
-    is a CAS on a top-rank bank has the smallest possible key and ends the
-    scan. An idle cycle that passes has scanned every candidate and returns
-    its first-ready cycle: the earliest cycle at which one of them becomes
-    ready while the state stands still (NEVER if none can). ``Controller.run``
-    compares each jump target with it instead of re-scanning the skipped span.
+    path. The head and its earliest_ready cycle are derived once per
+    distinct (bank, row, is_write) target and shared by the requests to it:
+    both depend only on the target, the bank's open row and timing state
+    and the channel, none of which changes during the call, so this is
+    exact. Every request still gets its own FR-FCFS key; unlike
+    select_command, the oracle does not assume that only the oldest request
+    of a target can win. The queue is in arrival order, so the first ready
+    candidate that is a CAS on a top-rank bank has the smallest possible key
+    and ends the scan. An idle cycle that passes has scanned every candidate
+    and returns its first-ready cycle: the earliest cycle at which one of
+    them becomes ready while the state stands still (NEVER if none can).
+    ``Controller.run`` compares each jump target with it instead of
+    re-scanning the skipped span.
     """
     if len(controller.read_queue) > controller.config.read_cap:
         raise TraceInvariantError("read queue exceeds its capacity")
@@ -40,11 +47,15 @@ def verify_selection(controller, chosen) -> int | None:
     best_key = None
     best = None
     first_ready = device.NEVER
+    heads = {}
     for req in controller.candidate_queue():
-        bank = controller.banks[req.bank]
-        kind = device.decompose_request(req, bank)[0]
-        at = device.earliest_ready(kind, req.row, bank, controller.chan,
-                                   controller.timing)
+        target = (req.bank, req.row, req.is_write)
+        if target not in heads:
+            bank = controller.banks[req.bank]
+            kind = device.decompose_request(req, bank)[0]
+            heads[target] = kind, device.earliest_ready(
+                kind, req.row, bank, controller.chan, controller.timing)
+        kind, at = heads[target]
         if at > controller.now:
             first_ready = min(first_ready, at)
             continue

@@ -382,6 +382,11 @@ class Workload:
         # Generator completions on the analyzed core still owed before the
         # run ends; None when that core has no budgeted generator.
         self.analyzed_left = None if analyzed is None else analyzed.spec.budget
+        if self.analyzed_left == 0:
+            raise ScenarioError(
+                f"analyzed core {spec.analyzed_core} has a generator with budget 0, "
+                f"so the run would end before any request is served"
+            )
         self.has_sources = bool(spec.generators or spec.prestage)
         self.mshr_history: list[tuple[int, tuple[int, ...]]] = []
         self.mshr = MshrFile(spec.mshr, num_cores=spec.num_cores)

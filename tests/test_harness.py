@@ -21,6 +21,7 @@ from dramwc.workload import (
     build_adversarial,
     run_scenario,
     scenario_from_text,
+    scenario_to_text,
 )
 
 
@@ -339,6 +340,25 @@ class TestCli:
         assert "Traceback" not in err
         assert ran == []  # rejected before simulating
         assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_zero_analyzed_budget_is_a_usage_error(self, tmp_path, capsys,
+                                                   command):
+        text = scenario_to_text(live_scenario("bandwidth_write", 1))
+        assert "\nbudget 25\n" in text  # the analyzed core's latency probe
+        path = tmp_path / "scenario.txt"
+        path.write_text(text.replace("\nbudget 25\n", "\nbudget 0\n"))
+        with pytest.raises(SystemExit) as exc:
+            harness.main([command, "--scenario", str(path),
+                          "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1] == (
+            "dramwc: error: analyzed core 0 has a generator with budget 0, "
+            "so the run would end before any request is served")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     def test_compare_command_default_adversarial(self, tmp_path, capsys):
         code = harness.main(["compare", "--out", str(tmp_path)])

@@ -8,6 +8,7 @@ must give the same verdict, word for word, on any controller state, and a
 controller that breaks FR-FCFS or jumps too far must still be caught.
 """
 
+import collections
 from dataclasses import replace
 
 import pytest
@@ -23,7 +24,12 @@ from dramwc.scheduler import (
     SchedulerConfig,
     priority_key,
 )
-from dramwc.workload import GeneratorKind, build_adversarial, run_scenario
+from dramwc.workload import (
+    GeneratorKind,
+    Workload,
+    build_adversarial,
+    run_scenario,
+)
 
 
 def full_scan_verify_selection(controller, chosen) -> None:
@@ -161,6 +167,88 @@ def test_the_scan_stops_only_at_a_cas_on_a_top_rank_bank():
     with pytest.raises(TraceInvariantError,
                        match="idle although RD for request 1 "):
         checks.verify_selection(ctrl, None)
+
+
+def full_scan_starts_to_fail_at(ctrl, cycle):
+    """Whether an idle cycle passes the full scan at ``cycle - 1`` and fails
+    it at ``cycle``."""
+    ctrl.now = cycle - 1
+    passes = failure(full_scan_verify_selection, ctrl, None) is None
+    ctrl.now = cycle
+    return passes and failure(full_scan_verify_selection, ctrl, None) is not None
+
+
+def test_heads_are_derived_once_per_target(monkeypatch):
+    # The staged worst case queues 31 reads to 4 (bank, row) targets. One
+    # cycle after the first RD nothing is ready (tCCD), so the oracle scans
+    # the whole queue.
+    ctrl = Workload(build_adversarial(
+        interferer_kind=GeneratorKind.BANDWIDTH_READ, seed=0)).controller
+    ctrl.step()
+    queue = ctrl.candidate_queue()
+    targets = {(req.bank, req.row, req.is_write) for req in queue}
+    assert (len(queue), len(targets)) == (30, 4)
+    assert failure(full_scan_verify_selection, ctrl, None) is None
+    calls = collections.Counter()
+
+    def counted(name, target):
+        real = getattr(device, name)
+
+        def wrapper(*args):
+            calls[name, target(*args)] += 1
+            return real(*args)
+        return wrapper
+    monkeypatch.setattr(device, "decompose_request", counted(
+        "decompose_request", lambda req, bank: (req.bank, req.row, req.is_write)))
+    monkeypatch.setattr(device, "earliest_ready", counted(
+        "earliest_ready", lambda kind, row, bank, *_: (id(bank), row)))
+    first_ready = checks.verify_selection(ctrl, None)
+    assert calls == collections.Counter(
+        [("decompose_request", target) for target in targets]
+        + [("earliest_ready", (id(ctrl.banks[bank]), row))
+           for bank, row, _ in targets])
+    monkeypatch.undo()
+    assert full_scan_starts_to_fail_at(ctrl, first_ready)
+
+
+def _one_bank_two_rows(mode, prioritized_bank, order):
+    """Bank 0 has row 0 open and bank 1 is closed. The queue holds a row hit
+    and a row conflict on bank 0, a repeat of one of them, and a request to
+    bank 1 for row 0, in the given order of (bank, row) targets."""
+    ctrl = Controller(make_timing(),
+                      SchedulerConfig(prioritized_bank=prioritized_bank),
+                      open_rows={0: 0}, initial_mode=mode)
+    is_write = mode is Mode.WRITE_DRAIN
+    for i, (bank, row) in enumerate(order):
+        assert ctrl.enqueue(MemRequest(i, i % 4, is_write, bank, row))
+    return ctrl
+
+
+@pytest.mark.parametrize("order", [
+    [(0, 1), (0, 0), (0, 1), (1, 0)],
+    [(0, 0), (0, 1), (0, 0), (1, 0)],
+    [(1, 0), (0, 0), (0, 1), (1, 0)],
+    [(1, 0), (0, 1), (0, 0), (0, 1)],
+], ids=["conflict-first", "hit-first", "closed-first", "closed-then-conflict"])
+@pytest.mark.parametrize("prioritized_bank", [None, 0, 1])
+@pytest.mark.parametrize("mode", list(Mode))
+def test_oracle_agrees_on_one_bank_with_two_rows(mode, prioritized_bank, order):
+    # Each (bank, row) target has its own head: a per-bank or per-row memo
+    # would hand one target's head to another. At cycle 0 the clock states
+    # leave every command ready, only PREs, only ACTs, or none.
+    for cas, pre, act in [(0, 0, 0), (5, 0, 5), (5, 5, 0), (30, 10, 20)]:
+        ctrl = _one_bank_two_rows(mode, prioritized_bank, order)
+        ctrl.chan.earliest_rd_cas = ctrl.chan.earliest_wr_cas = cas
+        for bank in ctrl.banks:
+            bank.earliest_pre, bank.earliest_act = pre, act
+        picks = [None, ctrl.select_command()]
+        picks += [head(ctrl, req) for req in ctrl.candidate_queue()]
+        for chosen in picks:
+            assert failure(checks.verify_selection, ctrl, chosen) == \
+                failure(full_scan_verify_selection, ctrl, chosen)
+        if failure(full_scan_verify_selection, ctrl, None) is None:
+            assert full_scan_starts_to_fail_at(
+                ctrl, checks.verify_selection(ctrl, None))
 
 
 # -- mutant controllers: each must trip the oracle ---------------------------

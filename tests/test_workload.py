@@ -279,6 +279,16 @@ class TestEndOfRun:
             trace, _ = run_scenario(spec)
             assert trace.total_cycles == 2000
 
+    def test_zero_budget_on_the_analyzed_core_is_rejected(self):
+        # It would end the run at cycle 0, before any request is served.
+        with pytest.raises(ScenarioError,
+                           match="analyzed core 0 has a generator with budget 0"):
+            Workload(self.spec(budget=0))
+        # On a core that is not analyzed, a zero budget just idles the core.
+        trace, _ = run_scenario(self.spec(budget=0, analyzed_core=None))
+        assert trace.total_cycles == 2000
+        assert not [r for r in trace.requests.values() if r.core == 0]
+
 
 class TestAdversarial:
     def test_canonical_stages_full_batch_and_reads(self):
