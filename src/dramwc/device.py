@@ -12,7 +12,12 @@ from dataclasses import dataclass, field, fields
 
 
 class TimingError(ValueError):
-    """Missing or inconsistent timing parameters."""
+    """Missing or inconsistent timing parameters. ``keys`` names the
+    parameters that the failing check read."""
+
+    def __init__(self, message: str, keys: tuple[str, ...] = ()):
+        super().__init__(message)
+        self.keys = keys
 
 
 class CommandKind(enum.Enum):
@@ -77,26 +82,28 @@ def make_timing(raw: dict | None = None) -> TimingParams:
     merged = dict(DDR3_1066)
     for key, value in (raw or {}).items():
         if key == "tras":
-            raise TimingError("tras is derived from trc - trp and cannot be set")
+            raise TimingError("tras is derived from trc - trp and cannot be set",
+                              (key,))
         if key not in TIMING_KEYS:
-            raise TimingError(f"unknown timing parameter: {key}")
+            raise TimingError(f"unknown timing parameter: {key}", (key,))
         merged[key] = value
 
     tck = float(merged.pop("tck_ns"))
     if not tck > 0:
-        raise TimingError(f"tCK ({tck}) must be positive")
+        raise TimingError(f"tCK ({tck}) must be positive", ("tck_ns",))
     cycles = {}
     for key, value in merged.items():
         value, least = int(value), 0 if key == "rd_wr_gap" else 1
         if value < least:
-            raise TimingError(f"{key} ({value}) must be at least {least}")
+            raise TimingError(f"{key} ({value}) must be at least {least}", (key,))
         cycles[key] = value
     if cycles["trc"] <= cycles["trp"]:
-        raise TimingError(f"tRC ({cycles['trc']}) must exceed tRP ({cycles['trp']})")
+        raise TimingError(f"tRC ({cycles['trc']}) must exceed tRP ({cycles['trp']})",
+                          ("trc", "trp"))
     if cycles["tfaw"] < cycles["trrd"]:
         raise TimingError(
-            f"tFAW ({cycles['tfaw']}) cannot be shorter than tRRD ({cycles['trrd']})"
-        )
+            f"tFAW ({cycles['tfaw']}) cannot be shorter than tRRD ({cycles['trrd']})",
+            ("tfaw", "trrd"))
     tras = cycles["trc"] - cycles["trp"]
     # Largest write recovery for which a same-bank row-miss write stream
     # still cycles at tRC (needs tRCD + WL + tBURST + tWR <= tRAS).

@@ -369,23 +369,28 @@ def load_analysis(path) -> analysis.AnalysisInputs:
     """Read an ``analyze --config`` file: optional ``key value`` lines whose
     keys are the timing keys plus every AnalysisInputs field but ``timing``.
 
-    A range error names the line from which on the values read so far, the
-    defaults standing in for the keys not read yet, stay invalid.
+    A range error names the line from which on the values read so far for
+    the keys that the failing check read, the defaults standing in for all
+    other keys, stay invalid. An error masked by an earlier one then names
+    its own line.
     """
     names = tuple(f.name for f in fields(analysis.AnalysisInputs) if f.name != "timing")
     table = {**codecs(TimingParams, TIMING_KEYS), **codecs(analysis.AnalysisInputs, names)}
     lines = list(read_lines(_read(path)))
     values = read_pairs(lines, table, ScenarioError)
-    since = None
-    for n, (lineno, _) in enumerate(lines, 1):
-        try:
-            _analysis_inputs(dict(list(values.items())[:n]))
-            since = None
-        except (TimingError, analysis.AnalysisError):
-            since = since or lineno
     try:
         return _analysis_inputs(values)
     except (TimingError, analysis.AnalysisError) as exc:
+        since, read = None, {}
+        for lineno, (key, _) in lines:
+            if key not in exc.keys:
+                continue
+            read[key] = values[key]
+            try:
+                _analysis_inputs(read)
+                since = None
+            except (TimingError, analysis.AnalysisError):
+                since = since or lineno
         raise type(exc)(f"line {since}: {exc}") from None
 
 

@@ -75,7 +75,10 @@ def read_pairs(lines, table: dict[str, tuple], error) -> dict:
 
 
 def check_min(obj, minimum: int, *names: str, error=ValueError) -> None:
-    """Raise ``error`` naming the first of the fields below ``minimum``."""
+    """Raise ``error`` naming the first of the fields below ``minimum``; its
+    ``keys`` attribute holds that field's name."""
     for name in names:
         if getattr(obj, name) < minimum:
-            raise error(f"{name} ({getattr(obj, name)}) must be at least {minimum}")
+            exc = error(f"{name} ({getattr(obj, name)}) must be at least {minimum}")
+            exc.keys = (name,)
+            raise exc

@@ -159,8 +159,9 @@ def priority_key(kind: CommandKind, bank: int, arrival_order: int,
 
 class Controller:
     """Deterministic single-channel controller. :meth:`step` advances one
-    cycle; :meth:`run` steps the cycles at which something can happen and
-    jumps over the rest."""
+    cycle; :meth:`run` steps the cycles at which a command can issue or the
+    mode switch, only retires bursts on the other visited cycles, and jumps
+    over the rest."""
 
     def __init__(self, timing: TimingParams, config: SchedulerConfig | None = None,
                  open_rows: dict[int, int] | None = None,
@@ -282,7 +283,11 @@ class Controller:
 
     def step(self) -> tuple[IssueRecord | None, list[MemRequest]]:
         """Advance one cycle: update mode, issue at most one command, and
-        complete the requests whose data burst ends this cycle."""
+        complete the requests whose data burst ends this cycle.
+
+        This is the full per-cycle primitive, with the oracle check; the
+        quiet cycles of :meth:`run` do only its last part, :meth:`_retire`.
+        """
         self.update_mode()
         chosen = self.select_command()
         self._first_ready = checks.verify_selection(self, chosen)
@@ -301,6 +306,10 @@ class Controller:
                 heapq.heappush(self._inflight, (burst.end, req.request_id, req))
                 if kind is CommandKind.WR:
                     self.drained_in_batch += 1
+        return issued, self._retire()
+
+    def _retire(self) -> list[MemRequest]:
+        """End the cycle: complete the requests whose data burst ends now."""
         completed = []
         while self._inflight and self._inflight[0][0] == self.now:
             req = heapq.heappop(self._inflight)[2]
@@ -308,7 +317,7 @@ class Controller:
             completed.append(req)
         self.trace.completions += completed
         self.now += 1
-        return issued, completed
+        return completed
 
     def idle(self) -> bool:
         return not self.read_queue and not self.write_queue and not self._inflight
@@ -324,13 +333,31 @@ class Controller:
         becomes ready in this state, so the skipped span is sound iff the
         target does not pass it; otherwise the oracle runs at the cycle
         before the target, where something is ready, and reports it.
+
+        A visited cycle is quiet when the last stepped cycle issued nothing
+        and left no mode switch due, no request has arrived since, and the
+        cycle comes before that step's first-ready cycle (the earlier of
+        ``next_ready`` and the oracle's). A quiet cycle only retires the
+        bursts that end on it. Selection reads the queues, which only an
+        arrival or an issue changes, the bank and channel state, which only
+        an issue changes, and the mode, whose inputs are the queues and the
+        drain count, so on a quiet cycle it would issue nothing, and the
+        oracle's check in the same state has already certified that.
         """
         horizon = workload.spec.horizon
         last_progress = 0
+        quiet_order, quiet_until = -1, 0  # arrival count and end of the quiet span
         while self.now < horizon:
             cycle = self.now
             workload.poll(cycle)
-            issued, completed = self.step()
+            if cycle < quiet_until and self._next_order == quiet_order:
+                issued, completed = None, self._retire()
+            else:
+                issued, completed = self.step()
+                quiet_order = self._next_order
+                quiet_until = (min(self.next_ready, self._first_ready)
+                               if issued is None and self._mode_due() is None
+                               else 0)
             workload.notify(cycle, completed)
             if issued is not None:
                 last_progress = cycle

@@ -289,6 +289,9 @@ class TestCli:
         # trp 30 is already invalid against the default trc of 27
         ("trp 30\ntrc 27\n", "line 1: tRC (27) must exceed tRP (30)"),
         ("trrd 30\ntfaw 40\ntrc 5\n", "line 3: tRC (5) must exceed tRP (7)"),
+        # line 1 alone already fails on tRC, but it is line 2 that breaks tFAW
+        ("trp 30\ntrrd 30\ntrc 40\n",
+         "line 2: tFAW (20) cannot be shorter than tRRD (30)"),
     ])
     def test_analyze_range_error_names_its_line(self, tmp_path, capsys, lines,
                                                 message):

@@ -1,16 +1,24 @@
 """Next-event time advance: ``Controller.run`` against a per-cycle loop.
 
 ``run`` skips the cycles at which nothing can issue, complete, arrive or
-switch mode. ``run_per_cycle`` below visits every cycle, polling, stepping,
-notifying and checking for stalls and the end of the run each time, and is
-kept here as the reference that every skipped span must agree with.
+switch mode. Of the cycles it visits, it steps only those at which the
+selection state may have changed; a quiet cycle (no arrival since an idle,
+mode-stable step, and before that step's first-ready cycle) only retires the
+bursts that end on it. ``run_per_cycle`` below steps every cycle, polling,
+stepping, notifying and checking for stalls and the end of the run each
+time, and is kept here as the reference that every skipped span and every
+quiet cycle must agree with. The oracle-coverage test checks that each cycle
+the oracle does not check is certified idle by an oracle check in the same
+state, even when ``select_command`` reports its next-ready cycle late.
 """
+
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dramwc import checks
-from dramwc.device import DDR3_1066, make_timing
+from dramwc.device import DDR3_1066, NEVER, make_timing
 from dramwc.scheduler import (
     Controller,
     Mode,
@@ -183,6 +191,84 @@ def test_run_matches_the_per_cycle_loop(spec):
         outcome(lambda: reference(spec))
 
 
+# A closed-bank read (ACT at 0, RD ready at tRCD = 7) whose stall guard
+# brings the run to cycle 7 as well: with next_ready reported late, that
+# visit must still be stepped, not retired as quiet.
+STALL_AT_FIRST_READY = ScenarioSpec(
+    label="stall-at-first-ready", prestage=[StagedRequest(False, 0, 0, 1)],
+    scheduler=SchedulerConfig(stall_window=6), horizon=100, num_cores=1)
+
+
+def late_select_command(k):
+    """select_command, reporting next_ready k cycles late."""
+    select_command = Controller.select_command
+
+    def late(self):
+        chosen = select_command(self)
+        if self.next_ready != NEVER:
+            self.next_ready += k
+        return chosen
+    return late
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(spec=live_specs() | staged_specs(), late=st.sampled_from([0, 1, 1000]))
+@example(spec=MODE_FLIP, late=1)
+@example(spec=NEXT_CYCLE_START, late=1)
+@example(spec=NEXT_CYCLE_READY, late=1)
+@example(spec=STALL_AT_FIRST_READY, late=1)
+def test_every_cycle_the_oracle_skips_is_certified_idle(spec, late):
+    try:
+        workload = Workload(spec)
+    except ValueError:  # ScenarioError: over-full staging, for one
+        return
+    ctrl = workload.controller
+    checked = {}  # cycle -> the oracle's result there (first-ready or None)
+    arrivals = set()  # the first cycle whose selection sees each arrival
+    verify, enqueue = checks.verify_selection, Controller.enqueue
+
+    def record_check(controller, chosen):
+        result = verify(controller, chosen)
+        if controller is ctrl:
+            checked[controller.now] = result
+        return result
+
+    def record_arrival(controller, req):
+        accepted = enqueue(controller, req)
+        if accepted:  # polled before this cycle's step, or notified after it
+            arrivals.add(controller.now)
+        return accepted
+
+    with mock.patch.object(checks, "verify_selection", record_check), \
+            mock.patch.object(Controller, "enqueue", record_arrival), \
+            mock.patch.object(Controller, "select_command",
+                              late_select_command(late)):
+        try:
+            ctrl.run(workload)
+            end = ctrl.now
+        except SimulationStalled:
+            end = ctrl.now
+        except checks.TraceInvariantError:
+            # A late report made a jump pass the first-ready cycle, and the
+            # oracle's check before its target caught it: the run is
+            # examined up to its last passing check.
+            assert late
+            end = max(checked) + 1
+    last = None  # the oracle's last check before the cycle
+    for cycle in range(end):
+        if cycle in checked:
+            last = cycle
+            continue
+        assert last is not None and checked[last] is not None, \
+            f"cycle {cycle}: unchecked, and no idle check certifies it"
+        assert cycle < checked[last], \
+            f"cycle {cycle}: unchecked, at or past the first-ready cycle " \
+            f"{checked[last]} of the idle check at {last}"
+        assert cycle not in arrivals, \
+            f"cycle {cycle}: unchecked, although a request arrived"
+
+
 # One read of row 1 staged on closed bank 0.
 ONE_CLOSED_READ = ScenarioSpec(prestage=[StagedRequest(False, 0, 0, 1)],
                                horizon=100, num_cores=1)
@@ -208,8 +294,10 @@ def test_oracle_checks_only_the_visited_cycles(monkeypatch):
     workload = Workload(ONE_CLOSED_READ)
     trace = workload.controller.run(workload)
     # ACT at 0; cycle 1 idle, first ready 7: jump to 7; RD at 7; cycle 8
-    # idle, nothing waiting: jump to the burst's end, 18; the completion at
-    # 18 ends the run. No target passes the idle cycle's first-ready cycle,
-    # so no jump is re-checked.
+    # idle, nothing waiting: jump to the burst's end, 18, a quiet cycle (no
+    # arrival since cycle 8, nothing ever ready) that only retires the read;
+    # its completion ends the run. No target passes the idle cycle's
+    # first-ready cycle, so no jump is re-checked.
     assert [r.cycle for r in trace.issues] == [0, 7]
-    assert seen == [0, 1, 7, 8, 18]
+    assert seen == [0, 1, 7, 8]
+    assert trace.requests[0].completion_cycle == 18
