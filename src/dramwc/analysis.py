@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .device import TimingParams
+from .device import TimingParams, make_timing
 from .keyvalue import check_min
 from .scheduler import ScheduleTrace
+from .workload import GeneratorKind, ScenarioSpec
 
 
 class AnalysisError(ValueError):
@@ -37,6 +38,34 @@ class AnalysisInputs:
         check_min(self, 1, "num_cores", error=AnalysisError)
         if self.solo_cycles is not None:
             check_min(self, 1, "solo_cycles", error=AnalysisError)
+
+    @classmethod
+    def for_scenario(cls, spec: ScenarioSpec, trace: ScheduleTrace | None = None,
+                     solo_cycles: int | None = None) -> AnalysisInputs:
+        """The inputs of the bounds on ``spec``'s analyzed read, with
+        ``miss_count`` the analyzed core's completed reads in ``trace``.
+
+        ``max_prior_reads`` is what the read queue, the global MSHR read cap
+        and the other cores' per-core caps admit ahead of that read, plus the
+        analyzed core's own further reads (none for one latency generator or
+        staged read). Reservations only take entries from the other cores,
+        so leaving them out keeps the count sound."""
+        core, cap = spec.analyzed_core, spec.mshr.per_core_read_cap
+        in_flight = sum(not r.is_write for r in spec.prestage if r.core == core) + sum(
+            1 if g.kind is GeneratorKind.LATENCY else cap
+            for g in spec.generators if g.core == core)
+        miss_count = 0 if trace is None else sum(
+            r.core == core and not r.is_write for r in trace.completions)
+        return cls(
+            timing=make_timing(spec.timing),
+            max_prior_reads=min(
+                spec.scheduler.read_cap - 1, spec.mshr.global_read_cap - 1,
+                (spec.num_cores - 1) * cap + max(0, min(in_flight, cap) - 1)),
+            drain_batch=spec.scheduler.drain_batch,
+            num_cores=spec.num_cores,
+            miss_count=miss_count,
+            solo_cycles=solo_cycles,
+        )
 
 
 @dataclass(frozen=True)
@@ -97,11 +126,9 @@ def bound_set(inputs: AnalysisInputs) -> tuple[Bound, Bound, Bound]:
             kim_baseline_bound(inputs))
 
 
-def bound_rows(inputs: AnalysisInputs,
-               bounds: tuple | None = None) -> list[tuple[str, int, float]]:
-    """Rows (quantity, cycles, ns) for the bound report CSV; ``bounds`` is
-    :func:`bound_set` of ``inputs``, built here when not given."""
-    full, nowq, kim = bounds or bound_set(inputs)
+def bound_rows(inputs: AnalysisInputs) -> list[tuple[str, int, float]]:
+    """Rows (quantity, cycles, ns) for the bound report CSV."""
+    full, nowq, kim = bound_set(inputs)
     rows = [
         ("read_queue_delay", read_queue_delay(inputs)),
         ("write_drain_delay", write_drain_delay(inputs)),
@@ -118,9 +145,9 @@ def bound_rows(inputs: AnalysisInputs,
     return [(name, cycles, inputs.timing.ns(cycles)) for name, cycles in rows]
 
 
-def format_bound_table(inputs: AnalysisInputs, bounds: tuple | None = None) -> str:
+def format_bound_table(inputs: AnalysisInputs) -> str:
     """Aligned text table of per-request and task-level bounds."""
-    full, nowq, kim = bounds or bound_set(inputs)
+    full, nowq, kim = bound_set(inputs)
     rows = [
         ("full", full.per_request_cycles, full.total_cycles),
         ("no_write_queue", nowq.per_request_cycles, nowq.total_cycles),

@@ -209,14 +209,12 @@ def _analyzed_core(spec: ScenarioSpec) -> int:
     return spec.analyzed_core
 
 
-def evaluate(trace, spec: ScenarioSpec, slowdown: float | None = None,
-             bounds: tuple | None = None) -> ExperimentReport:
-    """Bound-vs-measurement report for the analyzed core of one trace;
-    ``bounds`` is :func:`analysis.bound_set`, built from the trace's timing
-    when not given."""
+def evaluate(trace, spec: ScenarioSpec, slowdown: float | None = None) -> ExperimentReport:
+    """Bound-vs-measurement report for the analyzed core of one trace, with
+    the bounds of the scenario's own inputs."""
     delays = analysis.read_delays(trace, _analyzed_core(spec))
-    full, nowq, baseline = bounds or analysis.bound_set(
-        analysis.AnalysisInputs(timing=trace.timing))
+    full, nowq, baseline = analysis.bound_set(
+        analysis.AnalysisInputs.for_scenario(spec, trace))
     worst = max(delays)
 
     def margin(bound) -> float:
@@ -258,17 +256,16 @@ def _emit(out: Path, trace, spec: ScenarioSpec) -> None:
     _write(out / "scenario.txt", scenario_to_text(spec))
 
 
-def _write_report(out: Path, inputs: analysis.AnalysisInputs, bounds,
+def _write_report(out: Path, inputs: analysis.AnalysisInputs,
                   report: ExperimentReport | None = None) -> None:
     """report.csv: the bounds, then the measurements when there are any."""
-    timing = inputs.timing
     rows = ["quantity,cycles,ns"]
-    for name, cycles, ns in analysis.bound_rows(inputs, bounds):
+    for name, cycles, ns in analysis.bound_rows(inputs):
         rows.append(f"{name},{cycles},{ns:.2f}")
     if report is not None:
         for name in ("measured_max", "measured_mean"):
             rows.append(f"{name}_delay,{report.text(name)},"
-                        f"{timing.ns(getattr(report, name)):.2f}")
+                        f"{inputs.timing.ns(getattr(report, name)):.2f}")
         for name in ("margin_full", "margin_nowq"):
             rows.append(f"{name}_ratio,{report.text(name)},")
         for name in ("violations_full", "violations_nowq", "violations_baseline"):
@@ -287,12 +284,11 @@ def compare(spec: ScenarioSpec, out_dir=None) -> ExperimentReport:
     """Single run with all three bounds and the measured delays side by side."""
     _analyzed_core(spec)  # fail before the run, not after it
     trace, _ = run_scenario(spec)
-    inputs = analysis.AnalysisInputs(timing=trace.timing)
-    bounds = analysis.bound_set(inputs)
-    report = evaluate(trace, spec, bounds=bounds)
+    report = evaluate(trace, spec)
     if out_dir is not None:
         _emit(Path(out_dir), trace, spec)
-        _write_report(Path(out_dir), inputs, bounds, report)
+        _write_report(Path(out_dir), analysis.AnalysisInputs.for_scenario(spec, trace),
+                      report)
     return report
 
 
@@ -303,20 +299,18 @@ def sweep(kind, n_interferers: int, seeds, out_dir=None,
 
     Live mode (default) co-runs generators and reports the normalized
     response time against a solo run; staged mode replays the pre-loaded
-    worst-case initial conditions instead. ``mshr`` replaces the MSHR
-    settings of either.
+    worst-case initial conditions instead. ``mshr`` is the MSHR
+    configuration of either.
     """
     kind = GeneratorKind(kind)
     reports = []
     for seed in seeds:
         if staged:
             spec = build_adversarial(interferer_kind=kind, seed=seed,
-                                     n_interferers=n_interferers)
+                                     n_interferers=n_interferers, mshr=mshr)
         else:
             spec = live_scenario(kind, n_interferers, seed,
-                                 latency_budget=latency_budget)
-        if mshr is not None:
-            spec = replace(spec, mshr=mshr)
+                                 latency_budget=latency_budget, mshr=mshr)
         trace, _ = run_scenario(spec)
         slowdown = None
         if not staged:
@@ -472,10 +466,9 @@ def _run_command(args) -> int:
 
     if args.command == "analyze":
         inputs = load_analysis(args.config)
-        bounds = analysis.bound_set(inputs)
-        print(analysis.format_bound_table(inputs, bounds), end="")
+        print(analysis.format_bound_table(inputs), end="")
         if args.out:
-            _write_report(Path(args.out), inputs, bounds)
+            _write_report(Path(args.out), inputs)
         return 0
 
     if args.command == "compare":

@@ -340,10 +340,6 @@ class Workload:
     a saturating core re-acquires its freed MSHR entry before any other core
     can poll it (out-of-order cores re-issue immediately). A new request
     arrives at ``now``, the cycle being polled or notified.
-
-    ``mshr_history`` records the per-core read MSHR occupancy as a step
-    function: an entry ``(cycle, reads)`` is added at the end of each cycle
-    that changes the occupancy, and holds until the next.
     """
 
     def __init__(self, spec: ScenarioSpec):
@@ -388,7 +384,6 @@ class Workload:
                 f"so the run would end before any request is served"
             )
         self.has_sources = bool(spec.generators or spec.prestage)
-        self.mshr_history: list[tuple[int, tuple[int, ...]]] = []
         self.mshr = MshrFile(spec.mshr, num_cores=spec.num_cores)
         self.controller = Controller(make_timing(spec.timing), spec.scheduler,
                                      open_rows=spec.open_rows,
@@ -440,9 +435,6 @@ class Workload:
             if req.core == self.spec.analyzed_core and self.analyzed_left:
                 self.analyzed_left -= 1
             self.gen_by_core[req.core].on_completion(now, req.is_write)
-        reads = tuple(self.mshr.reads)
-        if not self.mshr_history or self.mshr_history[-1][1] != reads:
-            self.mshr_history.append((now, reads))
 
     def exhausted(self) -> bool:
         return all(g.done() for g in self.generators) and self.mshr.idle()
@@ -458,7 +450,7 @@ class Workload:
 
 def run_scenario(spec: ScenarioSpec):
     """Build and run a scenario until it ends, validate its trace, and return
-    the trace and the workload (with its MSHR history)."""
+    the trace and the workload."""
     workload = Workload(spec)
     trace = workload.controller.run(workload)
     checks.validate_trace(trace)
@@ -473,9 +465,8 @@ def build_adversarial(analyzed_core: int = 0,
                       interferer_kind: GeneratorKind = GeneratorKind.BANDWIDTH_WRITE,
                       seed: int = 0,
                       n_interferers: int = 3,
-                      max_prior_reads: int = 30,
-                      drain_batch: int = 4,
-                      timing: dict | None = None) -> ScenarioSpec:
+                      timing: dict | None = None,
+                      mshr: MshrConfig | None = None) -> ScenarioSpec:
     """Stage the worst-case initial condition for one analyzed read.
 
     The scenario pre-loads a write batch with the drain already triggered,
@@ -483,30 +474,40 @@ def build_adversarial(analyzed_core: int = 0,
     analyzed core's single read as the youngest request. Seed 0 stages the
     canonical worst case (full write batch on one bank, all row misses, the
     full complement of prior reads); other seeds sample perturbed variants
-    under the same capacity limits.
+    under the same capacity limits. The limits are those of the returned
+    scenario: its drain batch, its per-core MSHR read cap, and the prior
+    reads that :meth:`AnalysisInputs.for_scenario` counts for it, so the
+    staged reads and the bound agree.
     """
-    interferer_kind = GeneratorKind(interferer_kind)
-    rng = random.Random(seed)
-    cores = [c for c in range(n_interferers + 1) if c != analyzed_core]
-    cores = cores[:n_interferers]
-    num_cores = max(cores + [analyzed_core]) + 1
+    from .analysis import AnalysisInputs  # analysis imports this module
 
-    open_rows = {analyzed_core: 100 + analyzed_core}
-    for core in cores:
-        open_rows[core] = 100 + core  # bank index == core index
+    kind = GeneratorKind(interferer_kind)
+    rng = random.Random(seed)
+    cores = [c for c in range(n_interferers + 1) if c != analyzed_core][:n_interferers]
+    open_rows = {core: 100 + core for core in [analyzed_core, *cores]}  # bank == core
+    spec = ScenarioSpec(
+        label=f"adversarial-{kind.value}-{seed}",
+        mshr=mshr or MshrConfig(),
+        timing=dict(timing or {}),
+        open_rows=open_rows,
+        horizon=4000,
+        analyzed_core=analyzed_core,
+        num_cores=max(cores + [analyzed_core]) + 1,
+        seed=seed,
+    )
+    max_prior_reads = AnalysisInputs.for_scenario(spec).max_prior_reads
 
     canonical = seed == 0
-    kind = interferer_kind
     if kind is GeneratorKind.BANDWIDTH_READ or kind is GeneratorKind.LATENCY:
         n_writes = 0
     elif canonical:
-        n_writes = drain_batch
+        n_writes = spec.scheduler.drain_batch
     else:
-        n_writes = rng.randint(1, drain_batch)
+        n_writes = rng.randint(1, spec.scheduler.drain_batch)
 
     if kind is GeneratorKind.LATENCY:
-        n_reads = len(cores)  # one outstanding read per interfering core
-    elif canonical:
+        n_reads = min(len(cores), max_prior_reads)  # one per interfering core
+    elif canonical or not max_prior_reads:
         n_reads = max_prior_reads
     else:
         n_reads = rng.randint(1, max_prior_reads)
@@ -524,27 +525,17 @@ def build_adversarial(analyzed_core: int = 0,
                 row = open_rows[core]  # occasional row-hit write
             prestage.append(StagedRequest(True, core, core, row))
 
-    # Prior reads: row hits on their cores' open banks so they pipeline.
-    read_budget = {core: MshrConfig.per_core_read_cap for core in cores}
-    if kind is GeneratorKind.LATENCY:
-        read_budget = {core: 1 for core in cores}
-    reads_placed = 0
-    order = list(cores)
-    while reads_placed < n_reads:
-        if canonical:
-            core = order[reads_placed % len(order)]
-        else:
-            eligible = [c for c in order if read_budget[c] > 0]
-            if not eligible:
-                break
-            core = rng.choice(eligible)
-        if read_budget[core] <= 0:
-            if all(v <= 0 for v in read_budget.values()):
-                break
-            continue
+    # Prior reads: row hits on their cores' open banks so they pipeline,
+    # canonically round robin, which spends the equal budgets evenly.
+    read_budget = dict.fromkeys(cores, 1 if kind is GeneratorKind.LATENCY
+                                else spec.mshr.per_core_read_cap)
+    for placed in range(n_reads):
+        eligible = [c for c in cores if read_budget[c]]
+        if not eligible:
+            break
+        core = cores[placed % len(cores)] if canonical else rng.choice(eligible)
         read_budget[core] -= 1
         prestage.append(StagedRequest(False, core, core, open_rows[core]))
-        reads_placed += 1
 
     if not canonical:
         rng.shuffle(prestage)
@@ -553,20 +544,9 @@ def build_adversarial(analyzed_core: int = 0,
     prestage.append(
         StagedRequest(False, analyzed_core, analyzed_core, open_rows[analyzed_core])
     )
-
-    return ScenarioSpec(
-        label=f"adversarial-{kind.value}-{seed}",
-        scheduler=SchedulerConfig(),
-        mshr=MshrConfig(),
-        timing=dict(timing or {}),
-        open_rows=open_rows,
-        prestage=prestage,
-        initial_mode=Mode.WRITE_DRAIN if n_writes else Mode.READ,
-        horizon=4000,
-        analyzed_core=analyzed_core,
-        num_cores=num_cores,
-        seed=seed,
-    )
+    spec.prestage = prestage
+    spec.initial_mode = Mode.WRITE_DRAIN if n_writes else Mode.READ
+    return spec
 
 
 # ---------------------------------------------------------------------------

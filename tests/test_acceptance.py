@@ -95,7 +95,6 @@ def test_c2_analytic_values():
 
 def test_c3_bound_safety_over_seeded_scenarios():
     with criterion(3, "zero full-bound violations over 1000 staged scenarios"):
-        bounds = analysis.bound_set(AnalysisInputs(timing=TIMING))
         full_violations = []
         nowq_violations = {kind: 0 for kind in KINDS}
         scenarios = 0
@@ -104,7 +103,7 @@ def test_c3_bound_safety_over_seeded_scenarios():
                 spec = build_adversarial(interferer_kind=kind, seed=seed)
                 trace = replay(spec)
                 scenarios += 1
-                report = harness.evaluate(trace, spec, bounds=bounds)
+                report = harness.evaluate(trace, spec)
                 if report.violations_full:
                     full_violations.append((kind, seed, report.measured_max))
                 nowq_violations[kind] += report.violations_nowq
@@ -184,25 +183,32 @@ def _mshr_scenario(reserve):
     )
 
 
-def occupancy_from(history, cycle):
-    """The MSHR occupancies in effect from ``cycle`` on: the step function
-    ``mshr_history`` at ``cycle`` and every later change."""
-    held = [reads for at, reads in history if at <= cycle][-1:]
-    return held + [reads for at, reads in history if at > cycle]
+def occupancy_from(trace, cycle):
+    """The per-core read MSHR occupancies in effect from ``cycle`` on: the
+    occupancy at the end of ``cycle`` and after every later change. A read
+    holds its entry from its arrival cycle until its completion cycle
+    releases it."""
+    reads = [r for r in trace.requests.values() if not r.is_write]
+    changes = {r.arrival_cycle for r in reads} | {r.completion_cycle for r in reads}
+    return [tuple(sum(r.core == core and r.arrival_cycle <= at
+                      and (r.completion_cycle is None or at < r.completion_cycle)
+                      for r in reads) for core in range(4))
+            for at in [cycle] + sorted(c for c in changes
+                                       if c is not None and c > cycle)]
 
 
 def test_c8_mshr_contention_and_reservation():
     with criterion(8, "saturating interferers squeeze the analyzed core to 2 "
                       "entries; reserving 8 restores them"):
-        trace, wl = workload.run_scenario(_mshr_scenario(0))
-        window = occupancy_from(wl.mshr_history, 400)
+        trace, _ = workload.run_scenario(_mshr_scenario(0))
+        window = occupancy_from(trace, 400)
         assert window
         assert all(reads[0] <= 2 for reads in window)  # per-cycle cap
         assert max(reads[0] for reads in window) == 2
         assert max(sum(reads[1:]) for reads in window) == 30
 
-        trace, wl = workload.run_scenario(_mshr_scenario(8))
-        window = occupancy_from(wl.mshr_history, 400)
+        trace, _ = workload.run_scenario(_mshr_scenario(8))
+        window = occupancy_from(trace, 400)
         assert max(reads[0] for reads in window) >= 8
 
 

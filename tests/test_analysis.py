@@ -1,12 +1,12 @@
 import math
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dramwc import analysis, harness
 from dramwc.analysis import (
     AnalysisInputs,
-    Bound,
     kim_baseline_bound,
     per_request_bound,
     read_delays,
@@ -14,7 +14,16 @@ from dramwc.analysis import (
     write_drain_delay,
 )
 from dramwc.device import make_timing
-from dramwc.workload import ScenarioSpec, StagedRequest, run_scenario
+from dramwc.scheduler import SchedulerConfig
+from dramwc.workload import (
+    GeneratorKind,
+    GeneratorSpec,
+    MshrConfig,
+    ScenarioSpec,
+    StagedRequest,
+    build_adversarial,
+    run_scenario,
+)
 
 
 TIMING = make_timing()
@@ -186,6 +195,106 @@ def test_ns_conversion(i):
     assert abs(i.timing.ns(cycles) - cycles * i.timing.tck_ns) < 1e-9
 
 
+class TestForScenario:
+    """``AnalysisInputs.for_scenario``: every input from the scenario."""
+
+    def test_inputs_come_from_the_scenario(self):
+        spec = replace(harness.live_scenario("stream", n_interferers=2),
+                       timing={"trc": 30},
+                       scheduler=SchedulerConfig(read_cap=20, drain_batch=3),
+                       mshr=MshrConfig(per_core_read_cap=6))
+        i = AnalysisInputs.for_scenario(spec, solo_cycles=500)
+        assert i.timing == make_timing({"trc": 30})
+        assert (i.max_prior_reads, i.drain_batch, i.num_cores) == (12, 3, 3)
+        assert (i.miss_count, i.solo_cycles) == (0, 500)
+
+    def test_miss_count_is_the_analyzed_cores_completed_reads(self):
+        spec = harness.live_scenario("bandwidth_write", latency_budget=7)
+        trace, _ = run_scenario(spec)
+        assert AnalysisInputs.for_scenario(spec, trace).miss_count == 7
+
+    @pytest.mark.parametrize("kind, staged, own", [
+        (None, 1, 0),                                 # one staged read
+        (GeneratorKind.LATENCY, 0, 0),                # one dependent read
+        (GeneratorKind.LATENCY, 1, 1),                # plus a staged one
+        (None, 4, 3),                                 # staged reads queue
+        (None, 15, 9),                                # ... up to the cap
+        (GeneratorKind.BANDWIDTH_READ, 0, 9),         # a saturating reader
+        (GeneratorKind.STREAM, 1, 9),
+    ])
+    def test_the_analyzed_cores_own_prior_reads(self, kind, staged, own):
+        spec = ScenarioSpec(
+            generators=[] if kind is None else [GeneratorSpec(kind, core=0, bank=0)],
+            prestage=[StagedRequest(False, 0, 0, 1)] * staged
+            + [StagedRequest(True, 0, 0, 1)],
+            analyzed_core=0,
+            num_cores=2,
+        )
+        assert AnalysisInputs.for_scenario(spec).max_prior_reads == 10 + own
+
+
+@st.composite
+def mshr_configs(draw):
+    """MSHR caps without reservations; the write cap admits a drain batch."""
+    return MshrConfig(
+        global_read_cap=draw(st.integers(1, 40)),
+        global_write_cap=draw(st.integers(SchedulerConfig.drain_batch, 16)),
+        per_core_read_cap=draw(st.integers(1, 12)),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(mshr_configs(), st.integers(1, 7), st.sampled_from(list(GeneratorKind)),
+       st.sampled_from([0, 0, 1, 2]))
+@example(MshrConfig(global_read_cap=1), 3, GeneratorKind.STREAM, 1)  # no room
+def test_staged_prior_reads_are_what_the_caps_admit(mshr, n, kind, seed):
+    spec = build_adversarial(interferer_kind=kind, seed=seed, n_interferers=n,
+                             mshr=mshr)
+    prior = AnalysisInputs.for_scenario(spec).max_prior_reads
+    assert prior <= spec.scheduler.read_cap - 1
+    assert prior <= mshr.global_read_cap - 1
+    assert prior <= n * mshr.per_core_read_cap
+    staged_reads = [r for r in spec.prestage[:-1] if not r.is_write]
+    if seed == 0 and kind is not GeneratorKind.LATENCY:
+        assert len(staged_reads) == prior  # the canonical worst case
+    else:
+        assert len(staged_reads) <= prior
+    trace, _ = run_scenario(spec)  # admits every staged read; validates the trace
+    assert len(read_delays(trace, 0)) == 1
+    assert harness.evaluate(trace, spec).violations_full == 0
+
+
+class TestBenchmarkShape:
+    """The scenarios behind the benchmark's digests keep the inputs that
+    produced them, so a change that would move a digest fails here first,
+    without a simulation. Reservations (0-8 in the live grid) are not
+    subtracted from the prior reads."""
+
+    EXPECTED = ((30, 4, 4), (232, 120, 57))
+
+    @staticmethod
+    def shape(spec):
+        i = AnalysisInputs.for_scenario(spec)
+        bounds = tuple(b.per_request_cycles for b in analysis.bound_set(i))
+        return (i.max_prior_reads, i.drain_batch, i.num_cores), bounds
+
+    @pytest.mark.parametrize("kind", ["bandwidth_write", "bandwidth_read"])
+    def test_live_grid(self, kind):
+        for budget in range(10, 25):
+            for reserve in range(9):
+                spec = harness.live_scenario(
+                    kind, 3, 0, latency_budget=budget,
+                    mshr=MshrConfig(reserve_per_core=reserve))
+                assert self.shape(spec) == self.EXPECTED, (budget, reserve)
+
+    @pytest.mark.parametrize("kind", list(GeneratorKind))
+    def test_staged_pool(self, kind):
+        for seed in range(128):
+            spec = build_adversarial(interferer_kind=kind, seed=seed,
+                                     n_interferers=3)
+            assert self.shape(spec) == self.EXPECTED, seed
+
+
 class TestBoundCheck:
     """Measured delays against bounds, through ``read_delays`` and
     ``harness.evaluate``."""
@@ -213,7 +322,12 @@ class TestBoundCheck:
             read_delays(trace, 3)
 
     def test_violations_detected_against_tiny_bound(self):
+        # A read queue of 4 admits the 3 prior reads, so the no-write-queue
+        # bound is exactly their 12 burst cycles; the fast tRRD, WL and
+        # tWTR shrink the one competing core's baseline charge to 8 cycles.
         spec = ScenarioSpec(
+            timing={"trrd": 1, "wl": 1, "twtr": 1},
+            scheduler=SchedulerConfig(read_cap=4),
             open_rows={0: 1, 1: 2},
             prestage=[StagedRequest(False, 1, 1, 2)] * 3
             + [StagedRequest(False, 0, 0, 1)],
@@ -223,23 +337,29 @@ class TestBoundCheck:
         )
         trace, _ = run_scenario(spec)
         assert read_delays(trace, 0) == [12]  # three prior bursts of 4 cycles
-        tiny, roomy = Bound(5, 0), Bound(12, 0)
-        report = harness.evaluate(trace, spec, bounds=(tiny, roomy, tiny))
+        report = harness.evaluate(trace, spec)
+        assert (report.bound_full, report.bound_nowq, report.bound_baseline) == (
+            12 + 4 * 27 + 1, 12, 8)
         assert report.measured_max == 12
-        assert report.violations_full == report.violations_baseline == 1
+        assert report.violations_baseline == 1
+        assert report.violations_full == 0
         assert report.violations_nowq == 0  # a delay equal to the bound is safe
-        assert report.margin_full == 5 / 12
+        assert report.margin_full == 121 / 12
         assert report.margin_nowq == 1.0
 
     def test_reduced_scale_bound_covers_small_drain_replay(self):
-        # two staged writes and two prior reads stay inside the bound
-        # computed for exactly that scale
-        spec = harness.preset("fig5")
+        # two staged writes and two prior reads stay inside the bound of a
+        # scenario whose caps admit exactly that scale
+        spec = replace(harness.preset("fig5"),
+                       scheduler=SchedulerConfig(drain_batch=2),
+                       mshr=MshrConfig(global_read_cap=3))
+        reduced = AnalysisInputs.for_scenario(spec)
+        assert (reduced.max_prior_reads, reduced.drain_batch) == (2, 2)
         trace, _ = run_scenario(spec)
-        reduced = analysis.bound_set(inputs(max_prior_reads=2, drain_batch=2))
-        report = harness.evaluate(trace, spec, bounds=reduced)
+        report = harness.evaluate(trace, spec)
+        assert report.bound_full == per_request_bound(reduced).per_request_cycles == 66
         assert report.violations_full == 0
-        assert report.measured_max <= reduced[0].per_request_cycles
+        assert report.measured_max == 63
 
 
 class TestReporting:

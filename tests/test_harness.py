@@ -17,6 +17,7 @@ from dramwc.harness import (
 from dramwc.workload import (
     GeneratorKind,
     GeneratorSpec,
+    MshrConfig,
     ScenarioSpec,
     build_adversarial,
     run_scenario,
@@ -170,6 +171,25 @@ class TestSweep:
             again = evaluate(trace, spec)
             # slowdown needs the solo run, which the scenario does not hold
             assert again.csv_row() == replace(reports[0], slowdown=None).csv_row()
+
+
+    def test_bounds_follow_the_interferer_count(self, tmp_path):
+        # One interferer of 10 MSHR reads: 10 x 4 + 112 cycles, and one
+        # competing core's baseline charge of 19.
+        assert harness.main(["sweep", "--kind", "bandwidth_read", "--n", "1",
+                             "--seeds", "0", "--out", str(tmp_path)]) == 0
+        header, row = (tmp_path / "summary.csv").read_text().splitlines()
+        summary = dict(zip(header.split(","), row.split(",")))
+        assert (summary["bound_full"], summary["bound_baseline"]) == ("152", "19")
+        seven = sweep("bandwidth_read", 7, [0])[0]
+        assert seven.bound_baseline == 7 * 19 == 133
+        assert seven.bound_full == 31 * 4 + 112  # the global MSHR cap binds
+
+    def test_staged_sweep_stages_and_bounds_under_its_mshr(self):
+        report, = sweep("stream", 3, [0], staged=True,
+                        mshr=MshrConfig(per_core_read_cap=4))
+        assert report.bound_nowq == 3 * 4 * 4
+        assert report.violations_full == 0
 
 
 def _emitted_runs(tmp_path):
@@ -474,6 +494,13 @@ per_request_no_write_queue,120,224.40
 per_request_baseline,57,106.59
 """
 
+# A compare run's analyzed core completes one read: its task totals.
+ONE_MISS_TOTALS = """\
+total_full,232,433.84
+total_no_write_queue,120,224.40
+total_baseline,57,106.59
+"""
+
 
 class TestPinnedOutput:
     """report.csv and the analyze table, byte for byte."""
@@ -483,7 +510,7 @@ class TestPinnedOutput:
         assert capsys.readouterr().out == (
             "adversarial-bandwidth_write-0: measured max 229, bound(full) 232, "
             "bound(nowq) 120, baseline 57\n")
-        assert (tmp_path / "report.csv").read_text() == BOUND_ROWS + """\
+        assert (tmp_path / "report.csv").read_text() == BOUND_ROWS + ONE_MISS_TOTALS + """\
 measured_max_delay,229,428.23
 measured_mean_delay,229.000,428.23
 margin_full_ratio,1.0131,
@@ -499,7 +526,7 @@ violations_baseline,1,
         assert capsys.readouterr().out == (
             "fig5: measured max 63, bound(full) 232, bound(nowq) 120, "
             "baseline 57\n")
-        assert (tmp_path / "report.csv").read_text() == BOUND_ROWS + """\
+        assert (tmp_path / "report.csv").read_text() == BOUND_ROWS + ONE_MISS_TOTALS + """\
 measured_max_delay,63,117.81
 measured_mean_delay,63.000,117.81
 margin_full_ratio,3.6825,
@@ -508,6 +535,16 @@ violations_full,0,
 violations_nowq,0,
 violations_baseline,1,
 """
+
+    @pytest.mark.parametrize("name, measured", [("fig2", 12), ("fig3", 4),
+                                                ("fig4", 4)])
+    def test_compare_three_core_presets(self, tmp_path, capsys, name, measured):
+        # Two competing cores: 20 MSHR reads ahead and a baseline of 2 x 19.
+        assert harness.main(["compare", "--preset", name,
+                             "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == (
+            f"{name}: measured max {measured}, bound(full) 192, bound(nowq) 80, "
+            "baseline 38\n")
 
     def test_analyze_table_and_report(self, tmp_path, capsys):
         config = tmp_path / "analysis.txt"

@@ -61,13 +61,17 @@ def run_per_cycle(ctrl, workload, horizon):
 
 
 def outcome(run):
-    """Everything a run emits, or the message of the stall that ended it."""
+    """Everything a run emits, or the message of the stall that ended it.
+    Each accepted request's arrival and completion cycles are part of it:
+    between them the request holds its MSHR entry."""
     try:
-        trace, workload = run()
+        trace, _ = run()
     except SimulationStalled as exc:
         return f"stalled: {exc}"
+    requests = [(r.request_id, r.core, r.is_write, r.arrival_cycle, r.completion_cycle)
+                for r in trace.requests.values()]
     return (trace.to_csv(), trace.stats_text(), trace.mode_switches,
-            trace.total_cycles, trace.quiescent, workload.mshr_history)
+            trace.total_cycles, trace.quiescent, requests)
 
 
 def reference(spec):

@@ -21,6 +21,23 @@ from dramwc.workload import (
 )
 
 
+def read_occupancy(trace, num_cores):
+    """Per-core read MSHR occupancy at the end of each cycle that changes
+    it, as ``(cycle, reads)`` pairs: a read holds its entry from its arrival
+    cycle until its completion cycle releases it."""
+    reads = [r for r in trace.requests.values() if not r.is_write]
+    steps = sorted([(r.arrival_cycle, r.core, 1) for r in reads]
+                   + [(r.completion_cycle, r.core, -1) for r in reads
+                      if r.completion_cycle is not None])
+    held, history = [0] * num_cores, []
+    for cycle, core, step in steps:
+        held[core] += step
+        if history and history[-1][0] == cycle:
+            history.pop()
+        history.append((cycle, tuple(held)))
+    return history
+
+
 class TestMshrFile:
     def test_acquire_from_idle(self):
         mshr = MshrFile()
@@ -81,8 +98,8 @@ def live_spec(kind, budget=None, horizon=400, track_core=1, **gen_kwargs):
 class TestGenerators:
     def test_latency_keeps_one_outstanding(self):
         spec = live_spec(GeneratorKind.LATENCY, budget=10)
-        trace, wl = run_scenario(spec)
-        assert all(reads[1] <= 1 for _, reads in wl.mshr_history)
+        trace, _ = run_scenario(spec)
+        assert all(reads[1] <= 1 for _, reads in read_occupancy(trace, 2))
         assert len(trace.completions) == 10
 
     def test_latency_respects_compute_gap(self):
@@ -141,8 +158,8 @@ class TestGenerators:
 
     def test_bandwidth_read_fills_per_core_allowance(self):
         spec = live_spec(GeneratorKind.BANDWIDTH_READ, horizon=300)
-        trace, wl = run_scenario(spec)
-        assert max(reads[1] for _, reads in wl.mshr_history) == 10
+        trace, _ = run_scenario(spec)
+        assert max(reads[1] for _, reads in read_occupancy(trace, 2)) == 10
 
     def test_bandwidth_write_pairs_reads_and_writes(self):
         spec = live_spec(GeneratorKind.BANDWIDTH_WRITE, budget=40, horizon=3000)
@@ -227,8 +244,8 @@ class TestGenerators:
             ],
             horizon=1500,
         )
-        trace, wl = run_scenario(spec)
-        for _, reads in wl.mshr_history:
+        trace, _ = run_scenario(spec)
+        for _, reads in read_occupancy(trace, 4):
             assert all(r <= 10 for r in reads)
             assert sum(reads) <= 32
 
@@ -250,8 +267,8 @@ def test_random_generator_mixes_keep_all_invariants(seed, mix):
         num_cores=len(mix) + 1,
         seed=seed,
     )
-    trace, wl = run_scenario(spec)
-    for _, reads in wl.mshr_history:
+    trace, _ = run_scenario(spec)
+    for _, reads in read_occupancy(trace, spec.num_cores):
         assert all(r <= 10 for r in reads) and sum(reads) <= 32
 
 
