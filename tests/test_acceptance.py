@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from dramwc import analysis, checks, harness, workload
+from dramwc import checks, harness, workload
 from dramwc.analysis import (
     AnalysisInputs,
     kim_baseline_bound,

@@ -172,7 +172,6 @@ class TestSweep:
             # slowdown needs the solo run, which the scenario does not hold
             assert again.csv_row() == replace(reports[0], slowdown=None).csv_row()
 
-
     def test_bounds_follow_the_interferer_count(self, tmp_path):
         # One interferer of 10 MSHR reads: 10 x 4 + 112 cycles, and one
         # competing core's baseline charge of 19.
