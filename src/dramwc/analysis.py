@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .device import TimingParams, make_timing
 from .keyvalue import check_min
 from .scheduler import ScheduleTrace
-from .workload import GeneratorKind, ScenarioSpec
+from .workload import ScenarioSpec
 
 
 class AnalysisError(ValueError):
@@ -40,32 +40,15 @@ class AnalysisInputs:
             check_min(self, 1, "solo_cycles", error=AnalysisError)
 
     @classmethod
-    def for_scenario(cls, spec: ScenarioSpec, trace: ScheduleTrace | None = None,
-                     solo_cycles: int | None = None) -> AnalysisInputs:
+    def for_scenario(cls, spec: ScenarioSpec,
+                     trace: ScheduleTrace | None = None) -> AnalysisInputs:
         """The inputs of the bounds on ``spec``'s analyzed read, with
-        ``miss_count`` the analyzed core's completed reads in ``trace``.
-
-        ``max_prior_reads`` is what the read queue, the global MSHR read cap
-        and the other cores' per-core caps admit ahead of that read, plus the
-        analyzed core's own further reads (none for one latency generator or
-        staged read). Reservations only take entries from the other cores,
-        so leaving them out keeps the count sound."""
-        core, cap = spec.analyzed_core, spec.mshr.per_core_read_cap
-        in_flight = sum(not r.is_write for r in spec.prestage if r.core == core) + sum(
-            1 if g.kind is GeneratorKind.LATENCY else cap
-            for g in spec.generators if g.core == core)
+        ``miss_count`` the analyzed core's completed reads in ``trace``."""
         miss_count = 0 if trace is None else sum(
-            r.core == core and not r.is_write for r in trace.completions)
-        return cls(
-            timing=make_timing(spec.timing),
-            max_prior_reads=min(
-                spec.scheduler.read_cap - 1, spec.mshr.global_read_cap - 1,
-                (spec.num_cores - 1) * cap + max(0, min(in_flight, cap) - 1)),
-            drain_batch=spec.scheduler.drain_batch,
-            num_cores=spec.num_cores,
-            miss_count=miss_count,
-            solo_cycles=solo_cycles,
-        )
+            r.core == spec.analyzed_core and not r.is_write for r in trace.completions)
+        return cls(timing=make_timing(spec.timing), max_prior_reads=spec.max_prior_reads(),
+                   drain_batch=spec.scheduler.drain_batch, num_cores=spec.num_cores,
+                   miss_count=miss_count)
 
 
 @dataclass(frozen=True)

@@ -136,16 +136,11 @@ def live_scenario(kind: GeneratorKind | str, n_interferers: int = 3,
                   mshr: MshrConfig | None = None) -> ScenarioSpec:
     """Latency-style analyzed task on core 0 co-running with n interferers."""
     kind = GeneratorKind(kind)
-    open_rows = {core: 100 + core for core in range(n_interferers + 1)}
-    generators = [
-        GeneratorSpec(GeneratorKind.LATENCY, core=0, bank=0,
-                      budget=latency_budget)
-    ]
-    for core in range(1, n_interferers + 1):
-        generators.append(GeneratorSpec(kind, core=core, bank=core))
+    generators = [GeneratorSpec(GeneratorKind.LATENCY, core=0, bank=0, budget=latency_budget)]
+    generators += [GeneratorSpec(kind, core=c, bank=c) for c in range(1, n_interferers + 1)]
     return ScenarioSpec(
         label=f"live-{kind.value}-x{n_interferers}-{seed}",
-        open_rows=open_rows,
+        open_rows={core: 100 + core for core in range(n_interferers + 1)},
         generators=generators,
         horizon=horizon,
         analyzed_core=0,
@@ -212,9 +207,12 @@ def _analyzed_core(spec: ScenarioSpec) -> int:
 def evaluate(trace, spec: ScenarioSpec, slowdown: float | None = None) -> ExperimentReport:
     """Bound-vs-measurement report for the analyzed core of one trace, with
     the bounds of the scenario's own inputs."""
+    return _evaluate(trace, spec, analysis.AnalysisInputs.for_scenario(spec, trace), slowdown)
+
+
+def _evaluate(trace, spec, inputs, slowdown=None) -> ExperimentReport:
     delays = analysis.read_delays(trace, _analyzed_core(spec))
-    full, nowq, baseline = analysis.bound_set(
-        analysis.AnalysisInputs.for_scenario(spec, trace))
+    full, nowq, baseline = analysis.bound_set(inputs)
     worst = max(delays)
 
     def margin(bound) -> float:
@@ -284,11 +282,11 @@ def compare(spec: ScenarioSpec, out_dir=None) -> ExperimentReport:
     """Single run with all three bounds and the measured delays side by side."""
     _analyzed_core(spec)  # fail before the run, not after it
     trace, _ = run_scenario(spec)
-    report = evaluate(trace, spec)
+    inputs = analysis.AnalysisInputs.for_scenario(spec, trace)
+    report = _evaluate(trace, spec, inputs)
     if out_dir is not None:
         _emit(Path(out_dir), trace, spec)
-        _write_report(Path(out_dir), analysis.AnalysisInputs.for_scenario(spec, trace),
-                      report)
+        _write_report(Path(out_dir), inputs, report)
     return report
 
 

@@ -323,6 +323,19 @@ class ScenarioSpec:
             raise ScenarioError(f"label {self.label!r} must be one word "
                                 f"without whitespace or '#'")
 
+    def max_prior_reads(self) -> int:
+        """The reads that can sit ahead of the analyzed core's read: what the
+        read queue, the global MSHR read cap and the other cores' per-core
+        caps admit, plus the analyzed core's own further reads (none for one
+        latency generator or staged read). Reservations only take entries
+        from the other cores, so leaving them out keeps the count sound."""
+        core, cap = self.analyzed_core, self.mshr.per_core_read_cap
+        in_flight = sum(not r.is_write for r in self.prestage if r.core == core) + sum(
+            1 if g.kind is GeneratorKind.LATENCY else cap
+            for g in self.generators if g.core == core)
+        return min(self.scheduler.read_cap - 1, self.mshr.global_read_cap - 1,
+                   (self.num_cores - 1) * cap + max(0, min(in_flight, cap) - 1))
+
 
 def _check_placement(spec: ScenarioSpec, core: int = 0, bank: int = 0) -> None:
     """A core and bank named by a scenario must exist in it."""
@@ -475,12 +488,11 @@ def build_adversarial(analyzed_core: int = 0,
     canonical worst case (full write batch on one bank, all row misses, the
     full complement of prior reads); other seeds sample perturbed variants
     under the same capacity limits. The limits are those of the returned
-    scenario: its drain batch, its per-core MSHR read cap, and the prior
-    reads that :meth:`AnalysisInputs.for_scenario` counts for it, so the
-    staged reads and the bound agree.
+    scenario: its drain batch, its per-core MSHR read cap, and its
+    :meth:`ScenarioSpec.max_prior_reads`, which its bound charges. MSHR
+    reservations that admit fewer interferer reads than that count are a
+    ScenarioError, not a scenario the MSHR file cannot admit.
     """
-    from .analysis import AnalysisInputs  # analysis imports this module
-
     kind = GeneratorKind(interferer_kind)
     rng = random.Random(seed)
     cores = [c for c in range(n_interferers + 1) if c != analyzed_core][:n_interferers]
@@ -490,12 +502,19 @@ def build_adversarial(analyzed_core: int = 0,
         mshr=mshr or MshrConfig(),
         timing=dict(timing or {}),
         open_rows=open_rows,
-        horizon=4000,
-        analyzed_core=analyzed_core,
+        horizon=4000, analyzed_core=analyzed_core,
         num_cores=max(cores + [analyzed_core]) + 1,
         seed=seed,
     )
-    max_prior_reads = AnalysisInputs.for_scenario(spec).max_prior_reads
+    max_prior_reads = spec.max_prior_reads()
+    # The interferer reads MshrFile.acquire admits: reserved plus shared entries.
+    cap, reserve = spec.mshr.per_core_read_cap, spec.mshr.reserve_per_core
+    shared = spec.mshr.global_read_cap - reserve * spec.num_cores
+    room = len(cores) * min(cap, reserve) + min(shared, len(cores) * max(0, cap - reserve))
+    if reserve and room < max_prior_reads:
+        raise ScenarioError(
+            f"MSHR reservations of {reserve} per core leave capacity for {room} "
+            f"interferer reads, fewer than the {max_prior_reads} prior reads the bound charges")
 
     canonical = seed == 0
     if kind is GeneratorKind.BANDWIDTH_READ or kind is GeneratorKind.LATENCY:

@@ -19,6 +19,8 @@ from dramwc.workload import (
     GeneratorKind,
     GeneratorSpec,
     MshrConfig,
+    MshrFile,
+    ScenarioError,
     ScenarioSpec,
     StagedRequest,
     build_adversarial,
@@ -203,10 +205,10 @@ class TestForScenario:
                        timing={"trc": 30},
                        scheduler=SchedulerConfig(read_cap=20, drain_batch=3),
                        mshr=MshrConfig(per_core_read_cap=6))
-        i = AnalysisInputs.for_scenario(spec, solo_cycles=500)
+        i = AnalysisInputs.for_scenario(spec)
         assert i.timing == make_timing({"trc": 30})
         assert (i.max_prior_reads, i.drain_batch, i.num_cores) == (12, 3, 3)
-        assert (i.miss_count, i.solo_cycles) == (0, 500)
+        assert (i.miss_count, i.solo_cycles) == (0, None)
 
     def test_miss_count_is_the_analyzed_cores_completed_reads(self):
         spec = harness.live_scenario("bandwidth_write", latency_budget=7)
@@ -235,22 +237,47 @@ class TestForScenario:
 
 @st.composite
 def mshr_configs(draw):
-    """MSHR caps without reservations; the write cap admits a drain batch."""
+    """MSHR caps, reservations included; the write cap admits a drain batch."""
     return MshrConfig(
         global_read_cap=draw(st.integers(1, 40)),
         global_write_cap=draw(st.integers(SchedulerConfig.drain_batch, 16)),
         per_core_read_cap=draw(st.integers(1, 12)),
+        reserve_per_core=draw(st.sampled_from([0, 0, 0, 1, 2, 3])),
     )
 
 
-@settings(max_examples=30, deadline=None)
+def _admitted_interferer_reads(mshr, n):
+    """Interferer reads that ``MshrFile.acquire`` admits, counted by
+    acquiring them on a fresh MSHR file of n + 1 cores."""
+    file, admitted = MshrFile(mshr, num_cores=n + 1), 0
+    for core in range(1, n + 1):
+        while file.acquire(core, is_write=False):
+            admitted += 1
+    return admitted
+
+
+@settings(max_examples=40, deadline=None)
 @given(mshr_configs(), st.integers(1, 7), st.sampled_from(list(GeneratorKind)),
        st.sampled_from([0, 0, 1, 2]))
 @example(MshrConfig(global_read_cap=1), 3, GeneratorKind.STREAM, 1)  # no room
+@example(MshrConfig(reserve_per_core=3), 3, GeneratorKind.STREAM, 0)  # 29 < 30
 def test_staged_prior_reads_are_what_the_caps_admit(mshr, n, kind, seed):
+    base = ScenarioSpec(mshr=mshr, analyzed_core=0, num_cores=n + 1)
+    if mshr.reserve_per_core * (n + 1) > mshr.global_read_cap:
+        with pytest.raises(ScenarioError, match="reservations"):
+            run_scenario(build_adversarial(interferer_kind=kind, seed=seed,
+                                           n_interferers=n, mshr=mshr))
+        return
+    if mshr.reserve_per_core and (_admitted_interferer_reads(mshr, n)
+                                  < base.max_prior_reads()):
+        with pytest.raises(ScenarioError, match="capacity for"):
+            build_adversarial(interferer_kind=kind, seed=seed, n_interferers=n,
+                              mshr=mshr)
+        return
     spec = build_adversarial(interferer_kind=kind, seed=seed, n_interferers=n,
                              mshr=mshr)
     prior = AnalysisInputs.for_scenario(spec).max_prior_reads
+    assert prior == base.max_prior_reads()
     assert prior <= spec.scheduler.read_cap - 1
     assert prior <= mshr.global_read_cap - 1
     assert prior <= n * mshr.per_core_read_cap

@@ -18,6 +18,7 @@ from dramwc.workload import (
     GeneratorKind,
     GeneratorSpec,
     MshrConfig,
+    ScenarioError,
     ScenarioSpec,
     build_adversarial,
     run_scenario,
@@ -408,6 +409,23 @@ class TestCli:
                           "--out", str(tmp_path), "--mshr-reserve", "8"])
         assert exc.value.code == 2
         assert "capacity" in capsys.readouterr().err
+
+    def test_staged_sweep_names_the_reads_a_reservation_cannot_admit(
+            self, tmp_path, capsys):
+        # three entries per core leave a shared pool of 20: the interferers
+        # hold 3 x 3 + 20 = 29 reads, one short of the 30 the bound charges
+        with pytest.raises(ScenarioError, match="capacity for 29 interferer "
+                           "reads, fewer than the 30 prior reads"):
+            build_adversarial(interferer_kind="stream",
+                              mshr=MshrConfig(reserve_per_core=3))
+        with pytest.raises(SystemExit) as exc:
+            harness.main(["sweep", "--kind", "stream", "--seeds", "0", "--staged",
+                          "--out", str(tmp_path), "--mshr-reserve", "3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "reservations of 3 per core leave capacity for 29" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "summary.csv").exists()
 
     def test_mshr_reserve_rejects_overcommitted_staging(self, tmp_path, capsys):
         # reserving 8 entries per core caps each core at 8, so the canonical
