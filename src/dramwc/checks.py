@@ -23,41 +23,50 @@ def verify_selection(controller, chosen) -> int | None:
     the controller's pick, a (kind, request) pair, against the FR-FCFS order
     (and work conservation).
 
-    Runs on every cycle that the controller visits. Each queued request's
-    head comes from decompose_request rather than the controller's fast
-    path. The head and its earliest_ready cycle are derived once per
-    distinct (bank, row, is_write) target and shared by the requests to it:
-    both depend only on the target, the bank's open row and timing state
-    and the channel, none of which changes during the call, so this is
-    exact. Every request still gets its own FR-FCFS key; unlike
-    select_command, the oracle does not assume that only the oldest request
-    of a target can win. The queue is in arrival order, so the first ready
-    candidate that is a CAS on a top-rank bank has the smallest possible key
-    and ends the scan. An idle cycle that passes has scanned every candidate
-    and returns its first-ready cycle: the earliest cycle at which one of
-    them becomes ready while the state stands still (NEVER if none can).
-    ``Controller.run`` compares each jump target with it instead of
-    re-scanning the skipped span.
+    Runs on every cycle that the controller stepped. It reads the raw
+    arrival-order queue, not the controller's (bank, row) groups, and each
+    queued request's head comes from decompose_request rather than the
+    controller's fast path. The head and its earliest_ready cycle are
+    derived once per distinct (bank, row, is_write) target and shared by
+    the requests to it: both depend only on the target, the bank's open row
+    and timing state and the channel, none of which changes during the call,
+    so this is exact.
+
+    An idle cycle is certified per target: if no target is ready, no
+    request is, and the call returns its first-ready cycle, the earliest
+    cycle at which one of them becomes ready while the state stands still
+    (NEVER if none can). ``Controller.run`` compares each jump target with it
+    instead of re-scanning the skipped span. If some target is ready, the
+    idle cycle fails, and the per-request scan below names the request.
+
+    A pick, or an idle cycle with a ready target, is checked by ranking
+    every ready request by its own FR-FCFS key; unlike select_command, the
+    oracle does not assume that only the oldest request of a target can win.
+    The queue is in arrival order, so the first ready candidate that is a
+    CAS on a top-rank bank has the smallest possible key and ends the scan.
     """
     if len(controller.read_queue) > controller.config.read_cap:
         raise TraceInvariantError("read queue exceeds its capacity")
     if len(controller.write_queue) > controller.config.write_cap:
         raise TraceInvariantError("write queue exceeds its capacity")
+    queue = controller.candidate_queue()
+    heads = {}
+    if chosen is None:
+        first_ready = device.NEVER
+        for target, req in {(r.bank, r.row, r.is_write): r for r in queue}.items():
+            heads[target] = head = _head(controller, req)
+            first_ready = min(first_ready, head[1])
+        if first_ready > controller.now:
+            return first_ready
     prio = controller.config.prioritized_bank
     best_key = None
     best = None
-    first_ready = device.NEVER
-    heads = {}
-    for req in controller.candidate_queue():
+    for req in queue:
         target = (req.bank, req.row, req.is_write)
         if target not in heads:
-            bank = controller.banks[req.bank]
-            kind = device.decompose_request(req, bank)[0]
-            heads[target] = kind, device.earliest_ready(
-                kind, req.row, bank, controller.chan, controller.timing)
+            heads[target] = _head(controller, req)
         kind, at = heads[target]
         if at > controller.now:
-            first_ready = min(first_ready, at)
             continue
         key = priority_key(kind, req.bank, req.arrival_order, prio)
         if best_key is None or key < best_key:
@@ -65,11 +74,9 @@ def verify_selection(controller, chosen) -> int | None:
             if key[:2] == (0, 0):
                 break  # every later candidate arrived later
     if chosen is None:
-        if best is not None:
-            raise TraceInvariantError(
-                f"cycle {controller.now}: idle although {_command(*best)} is ready"
-            )
-        return first_ready
+        raise TraceInvariantError(
+            f"cycle {controller.now}: idle although {_command(*best)} is ready"
+        )
     kind, req = chosen
     if best is None:
         raise TraceInvariantError(
@@ -81,6 +88,15 @@ def verify_selection(controller, chosen) -> int | None:
             f"cycle {controller.now}: issued {_command(kind, req)} over "
             f"higher-priority {_command(*best)}"
         )
+
+
+def _head(controller, req) -> tuple:
+    """The kind of req's next command, from the open-page decomposition, and
+    the cycle at which it becomes ready."""
+    bank = controller.banks[req.bank]
+    kind = device.decompose_request(req, bank)[0]
+    return kind, device.earliest_ready(kind, req.row, bank, controller.chan,
+                                       controller.timing)
 
 
 def _mode_intervals(trace: ScheduleTrace) -> list[tuple[int, Mode]]:

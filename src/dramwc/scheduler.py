@@ -179,6 +179,11 @@ class Controller:
         self.chan = device.ChannelState()
         self.read_queue: list[MemRequest] = []
         self.write_queue: list[MemRequest] = []
+        # Each queue's requests grouped by (bank, row), each group in arrival
+        # order: the selection index. The queues stay the arrival-order
+        # record that the oracle scans.
+        self.read_groups: dict[tuple[int, int], list[MemRequest]] = {}
+        self.write_groups: dict[tuple[int, int], list[MemRequest]] = {}
         self.mode = initial_mode
         self.drained_in_batch = 0
         self.now = 0
@@ -204,6 +209,8 @@ class Controller:
         req.arrival_order = self._next_order
         self._next_order += 1
         queue.append(req)
+        groups = self.write_groups if req.is_write else self.read_groups
+        groups.setdefault((req.bank, req.row), []).append(req)
         open_row = self.banks[req.bank].open_row
         req.hit_class = ("hit" if open_row == req.row else
                          "closed" if open_row is None else "conflict")
@@ -254,21 +261,18 @@ class Controller:
         pair (kind, request served), or None.
 
         Also sets ``next_ready`` to the earliest cycle at which a command it
-        could not issue becomes ready (NEVER if there is none). The queue is
-        in arrival order, and requests to one (bank, row) share their next
-        command and its readiness, so only the oldest of them can win and
-        readiness is computed once per (bank, row).
+        could not issue becomes ready (NEVER if there is none). Requests to
+        one (bank, row) share their next command and its readiness, so only
+        the oldest of them can win: selection reads only the head of each
+        (bank, row) group, whatever the length of the queue.
         """
         best = None
         best_key = None
         next_ready = device.NEVER
         prio = self.config.prioritized_bank
-        seen = set()
-        for req in self.candidate_queue():
-            target = (req.bank, req.row)
-            if target in seen:
-                continue
-            seen.add(target)
+        groups = self.read_groups if self.mode is Mode.READ else self.write_groups
+        for group in groups.values():
+            req = group[0]
             kind = self._next_kind(req)
             at = device.earliest_ready(kind, req.row, self.banks[req.bank],
                                        self.chan, self.timing)
@@ -302,11 +306,27 @@ class Controller:
             self.trace.issues.append(issued)
             if burst is not None:
                 self.trace.bursts.append(burst)
-                self.candidate_queue().remove(req)
+                self._dequeue(req)
                 heapq.heappush(self._inflight, (burst.end, req.request_id, req))
                 if kind is CommandKind.WR:
                     self.drained_in_batch += 1
         return issued, self._retire()
+
+    def _dequeue(self, req: MemRequest) -> None:
+        """Remove a request whose CAS has issued from its queue and from the
+        head of its (bank, row) group."""
+        self.candidate_queue().remove(req)
+        groups = self.write_groups if req.is_write else self.read_groups
+        target = (req.bank, req.row)
+        group = groups[target]
+        if group[0] is not req:
+            raise SchedulerError(
+                f"request {req.request_id} served ahead of the older request "
+                f"{group[0].request_id} to bank {req.bank}, row {req.row}")
+        if len(group) == 1:
+            del groups[target]
+        else:
+            del group[0]
 
     def _retire(self) -> list[MemRequest]:
         """End the cycle: complete the requests whose data burst ends now."""

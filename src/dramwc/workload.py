@@ -139,6 +139,10 @@ class _Generator:
         self.submit = submit  # (row, is_write) -> accepted, for this core's bank
         self.emitted = 0
         self.held_row: int | None = None
+        # The room stamp of the last polled emit that had a submit refused,
+        # and whether it counts CAS issues (see Workload.poll).
+        self.parked = -1
+        self.parked_on_queue = False
 
     def _row(self) -> int:
         """Row of the next new request. A random row is drawn once and held
@@ -353,6 +357,9 @@ class Workload:
     a saturating core re-acquires its freed MSHR entry before any other core
     can poll it (out-of-order cores re-issue immediately). A new request
     arrives at ``now``, the cycle being polled or notified.
+
+    A generator whose polled emit had a submit refused is parked until room
+    can have grown (see :meth:`poll`).
     """
 
     def __init__(self, spec: ScenarioSpec):
@@ -403,6 +410,7 @@ class Workload:
                                      initial_mode=spec.initial_mode)
         self.now = 0
         self._next_id = 0
+        self._refused = self._queue_refused = False  # by a submit since reset
         # The staged requests arrive at cycle 0 in listed order, so they
         # hold the first ids.
         for staged in spec.prestage:
@@ -415,21 +423,44 @@ class Workload:
 
     def _submit(self, core: int, bank: int, row: int, is_write: bool) -> bool:
         if not self.mshr.acquire(core, is_write):
+            self._refused = True
             return False
         req = MemRequest(self._next_id, core, is_write, bank, row,
                          arrival_cycle=self.now)
         if not self.controller.enqueue(req):
             self.mshr.release(core, is_write)
+            self._refused = self._queue_refused = True
             return False
         self._next_id += 1
         return True
 
     def poll(self, now: int) -> None:
+        """Let every started, unfinished generator emit, except the parked
+        ones.
+
+        After an emit with a refused submit, the generator is parked on a
+        stamp: the completion count, plus the CAS-issue (burst) count if a
+        controller queue refused. It is skipped while the stamp holds, since
+        its emit would be refused again and change nothing. This is exact:
+        MSHR room grows only at a release, once per completion; queue room
+        grows only at a CAS issue, one burst each; other cores' submits
+        only take room; and a refused submit changes nothing but the held
+        row, which is kept. A completion on the generator's own core, which
+        reaches its ``on_completion``, moves the stamp too.
+        """
         self.now = now
+        trace = self.controller.trace
+        released = len(trace.completions)
+        freed = released + len(trace.bursts)
         for gen in self.generators:
-            if now < gen.spec.start or gen.done():
+            if (gen.parked == (freed if gen.parked_on_queue else released)
+                    or now < gen.spec.start or gen.done()):
                 continue
+            self._refused = self._queue_refused = False
             gen.emit(now)
+            if self._refused:
+                gen.parked_on_queue = self._queue_refused
+                gen.parked = freed if self._queue_refused else released
 
     def next_wake(self, now: int) -> int:
         """First cycle from ``now`` on at which polling can submit a request
@@ -492,10 +523,19 @@ def build_adversarial(analyzed_core: int = 0,
     :meth:`ScenarioSpec.max_prior_reads`, which its bound charges. MSHR
     reservations that admit fewer interferer reads than that count are a
     ScenarioError, not a scenario the MSHR file cannot admit.
+
+    The scenario has ``n_interferers + 1`` cores, at least 2, and the
+    analyzed core is one of them, so every other core interferes and the
+    bounds charge no idle core.
     """
+    if n_interferers < 1:
+        raise ScenarioError(f"n_interferers ({n_interferers}) must be at least 1")
+    if not 0 <= analyzed_core <= n_interferers:
+        raise ScenarioError(f"analyzed_core ({analyzed_core}) must be one of the "
+                            f"{n_interferers + 1} cores 0-{n_interferers}")
     kind = GeneratorKind(interferer_kind)
     rng = random.Random(seed)
-    cores = [c for c in range(n_interferers + 1) if c != analyzed_core][:n_interferers]
+    cores = [c for c in range(n_interferers + 1) if c != analyzed_core]
     open_rows = {core: 100 + core for core in [analyzed_core, *cores]}  # bank == core
     spec = ScenarioSpec(
         label=f"adversarial-{kind.value}-{seed}",
@@ -503,7 +543,7 @@ def build_adversarial(analyzed_core: int = 0,
         timing=dict(timing or {}),
         open_rows=open_rows,
         horizon=4000, analyzed_core=analyzed_core,
-        num_cores=max(cores + [analyzed_core]) + 1,
+        num_cores=n_interferers + 1,
         seed=seed,
     )
     max_prior_reads = spec.max_prior_reads()

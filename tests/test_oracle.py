@@ -169,6 +169,26 @@ def test_the_scan_stops_only_at_a_cas_on_a_top_rank_bank():
         checks.verify_selection(ctrl, None)
 
 
+@pytest.mark.parametrize("prioritized_bank, named", [
+    (None, "RD for request 1 "), (2, "RD for request 2 "), (3, "RD for request 1 ")])
+def test_an_idle_cycle_with_ready_targets_names_the_best_request(prioritized_bank,
+                                                                 named):
+    # Ready targets: an ACT on closed bank 3 (request 0) and row hits on
+    # banks 1 (requests 1 and 3) and 2 (request 2). The idle check fails on
+    # its per-target pass and names, as the full scan does, the request the
+    # FR-FCFS order ranks first: a CAS beats the older ACT, the prioritized
+    # bank beats arrival order, and a prioritized bank with only an ACT does
+    # not beat a CAS.
+    ctrl = Controller(make_timing(),
+                      SchedulerConfig(prioritized_bank=prioritized_bank),
+                      open_rows={1: 1, 2: 1})
+    for i, bank in enumerate([3, 1, 2, 1]):
+        assert ctrl.enqueue(MemRequest(i, bank, False, bank, 1))
+    message = failure(checks.verify_selection, ctrl, None)
+    assert message == failure(full_scan_verify_selection, ctrl, None)
+    assert message.startswith(f"cycle 0: idle although {named}")
+
+
 def full_scan_starts_to_fail_at(ctrl, cycle):
     """Whether an idle cycle passes the full scan at ``cycle - 1`` and fails
     it at ``cycle``."""

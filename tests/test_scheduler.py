@@ -1,11 +1,13 @@
 import pytest
 
+from dramwc import checks
 from dramwc.device import CommandKind, make_timing
 from dramwc.scheduler import (
     Controller,
     MemRequest,
     Mode,
     SchedulerConfig,
+    SchedulerError,
     SimulationStalled,
     solo_service,
 )
@@ -137,6 +139,22 @@ class TestSelectCommand:
     def test_nothing_ready_returns_none(self):
         ctrl = Controller(TIMING)
         assert ctrl.select_command() is None
+
+    def test_a_target_is_served_oldest_first(self, monkeypatch):
+        # Selection reads only the head of each (bank, row) group. A CAS for
+        # a younger request of the group is a simulator fault, raised at the
+        # issue rather than covered up by dropping the head.
+        ctrl = Controller(TIMING, open_rows={0: 1})
+        older, younger = read(0), read(1)
+        ctrl.enqueue(older)
+        ctrl.enqueue(younger)
+        assert ctrl.select_command() == (CommandKind.RD, older)
+        monkeypatch.setattr(checks, "verify_selection", lambda ctrl, chosen: None)
+        monkeypatch.setattr(Controller, "select_command",
+                            lambda self: (CommandKind.RD, younger))
+        with pytest.raises(SchedulerError,
+                           match="request 1 served ahead of the older request 0"):
+            ctrl.step()
 
 
 class TestStepAndRun:

@@ -4,10 +4,12 @@
 switch mode. Of the cycles it visits, it steps only those at which the
 selection state may have changed; a quiet cycle (no arrival since an idle,
 mode-stable step, and before that step's first-ready cycle) only retires the
-bursts that end on it. ``run_per_cycle`` below steps every cycle, polling,
-stepping, notifying and checking for stalls and the end of the run each
-time, and is kept here as the reference that every skipped span and every
-quiet cycle must agree with. The oracle-coverage test checks that each cycle
+bursts that end on it. ``Workload.poll`` skips the generators parked after a
+refused submit. ``run_per_cycle`` below steps every cycle, letting every
+started, unfinished generator emit, then stepping, notifying and checking
+for stalls and the end of the run each time, and is kept here as the
+reference that every skipped span, every quiet cycle and every parked
+generator must agree with. The oracle-coverage test checks that each cycle
 the oracle does not check is certified idle by an oracle check in the same
 state, even when ``select_command`` reports its next-ready cycle late.
 """
@@ -29,6 +31,7 @@ from dramwc.workload import (
     GeneratorKind,
     GeneratorSpec,
     MshrConfig,
+    MshrFile,
     ScenarioSpec,
     StagedRequest,
     Workload,
@@ -37,12 +40,21 @@ from dramwc.workload import (
 )
 
 
+def poll_every_generator(workload, cycle):
+    """Reference poll: every started, unfinished generator emits, parked or
+    not."""
+    workload.now = cycle
+    for gen in workload.generators:
+        if cycle >= gen.spec.start and not gen.done():
+            gen.emit(cycle)
+
+
 def run_per_cycle(ctrl, workload, horizon):
     """Reference run loop: every cycle from 0 to the end of the run."""
     last_progress = 0
     while ctrl.now < horizon:
         cycle = ctrl.now
-        workload.poll(cycle)
+        poll_every_generator(workload, cycle)
         issued, completed = ctrl.step()
         workload.notify(cycle, completed)
         if issued is not None:
@@ -179,6 +191,25 @@ NEXT_CYCLE_READY = ScenarioSpec(
     generators=[GeneratorSpec(GeneratorKind.LATENCY, 0, 0, budget=3, gap=1)],
     horizon=100, num_cores=1)
 
+# Generators parked by each kind of refusal: the read queue fills before the
+# MSHR file does; the write queue refuses the write-backs; the reservations'
+# shared pool runs out before any core reaches its own cap.
+READ_QUEUE_REFUSES = ScenarioSpec(
+    label="read-queue-refuses", open_rows={0: 1, 1: 1},
+    generators=[GeneratorSpec(GeneratorKind.BANDWIDTH_READ, core, core, budget=12)
+                for core in (0, 1)],
+    scheduler=SchedulerConfig(read_cap=2), horizon=600, num_cores=2)
+WRITE_QUEUE_REFUSES = ScenarioSpec(
+    label="write-queue-refuses", open_rows={0: 1},
+    generators=[GeneratorSpec(GeneratorKind.BANDWIDTH_WRITE, 0, 0, budget=16)],
+    scheduler=SchedulerConfig(write_cap=1, drain_batch=1), horizon=600, num_cores=1)
+SHARED_POOL_BINDS = ScenarioSpec(
+    label="shared-pool-binds", open_rows={0: 1, 1: 1, 2: 1},
+    generators=[GeneratorSpec(GeneratorKind.BANDWIDTH_READ, core, core, budget=12)
+                for core in range(3)],
+    mshr=MshrConfig(global_read_cap=8, per_core_read_cap=5, reserve_per_core=2),
+    horizon=600, num_cores=3)
+
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
@@ -186,6 +217,9 @@ NEXT_CYCLE_READY = ScenarioSpec(
 @example(spec=MODE_FLIP)
 @example(spec=NEXT_CYCLE_START)
 @example(spec=NEXT_CYCLE_READY)
+@example(spec=READ_QUEUE_REFUSES)
+@example(spec=WRITE_QUEUE_REFUSES)
+@example(spec=SHARED_POOL_BINDS)
 def test_run_matches_the_per_cycle_loop(spec):
     try:
         Workload(spec)
@@ -305,3 +339,128 @@ def test_oracle_checks_only_the_visited_cycles(monkeypatch):
     assert [r.cycle for r in trace.issues] == [0, 7]
     assert seen == [0, 1, 7, 8]
     assert trace.requests[0].completion_cycle == 18
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(spec=live_specs() | staged_specs())
+@example(spec=READ_QUEUE_REFUSES)
+@example(spec=WRITE_QUEUE_REFUSES)
+def test_selection_groups_match_the_queues(spec):
+    # After every cycle, stepped or quiet, each queue's (bank, row) groups
+    # hold exactly its requests to that target, in arrival order, and no
+    # group is empty.
+    try:
+        workload = Workload(spec)
+    except ValueError:  # ScenarioError: over-full staging, for one
+        return
+    retire = Controller._retire
+
+    def grouped(queue):
+        groups = {}
+        for req in queue:
+            groups.setdefault((req.bank, req.row), []).append(req.request_id)
+        return groups
+
+    def checked_retire(ctrl):
+        completed = retire(ctrl)
+        for queue, groups in ((ctrl.read_queue, ctrl.read_groups),
+                              (ctrl.write_queue, ctrl.write_groups)):
+            assert {target: [req.request_id for req in group]
+                    for target, group in groups.items()} == grouped(queue)
+        return completed
+
+    with mock.patch.object(Controller, "_retire", checked_retire):
+        try:
+            workload.controller.run(workload)
+        except SimulationStalled:
+            pass
+
+
+def emit_stamps(monkeypatch, workload):
+    """The trace's (completions, bursts) counts at each emit call of the
+    workload's generators, in call order, filled in as the run goes."""
+    stamps = []
+    trace = workload.controller.trace
+    for gen in workload.generators:
+        def counted(now, emit=gen.emit):
+            stamps.append((len(trace.completions), len(trace.bursts)))
+            emit(now)
+        monkeypatch.setattr(gen, "emit", counted)
+    return stamps
+
+
+def refusals(monkeypatch):
+    """Counts of the submits that the MSHR file and the controller queues
+    refuse, filled in as the run goes."""
+    refused = {"mshr": 0, "queue": 0}
+    acquire, enqueue = MshrFile.acquire, Controller.enqueue
+
+    def counted(name, fn):
+        def wrapper(*args):
+            accepted = fn(*args)
+            refused[name] += not accepted
+            return accepted
+        return wrapper
+    monkeypatch.setattr(MshrFile, "acquire", counted("mshr", acquire))
+    monkeypatch.setattr(Controller, "enqueue", counted("queue", enqueue))
+    return refused
+
+
+@pytest.mark.parametrize("spec, refused_by", [
+    (READ_QUEUE_REFUSES, "queue"), (WRITE_QUEUE_REFUSES, "queue"),
+    (SHARED_POOL_BINDS, "mshr")], ids=["read-queue", "write-queue", "shared-pool"])
+def test_the_parking_examples_are_refused_as_named(monkeypatch, spec, refused_by):
+    refused = refusals(monkeypatch)
+    workload = Workload(spec)
+    peak = [0] * spec.num_cores
+    acquire = workload.mshr.acquire
+
+    def acquire_and_track(core, is_write):
+        accepted = acquire(core, is_write)
+        peak[core] = max(peak[core], workload.mshr.reads[core])
+        return accepted
+    workload.mshr.acquire = acquire_and_track
+    workload.controller.run(workload)
+    assert refused[refused_by] > 0
+    if spec is READ_QUEUE_REFUSES:
+        assert refused["mshr"] == 0
+    if spec is SHARED_POOL_BINDS:  # no core ever reaches its own cap
+        assert refused["queue"] == 0
+        assert max(peak) < spec.mshr.per_core_read_cap
+
+
+def test_a_generator_refused_by_its_core_cap_waits_for_a_completion(monkeypatch):
+    # Two reads fill the core's cap; each completion frees one entry, which
+    # the completion's own re-issue takes, so every emit is refused. No CAS
+    # issue without a completion wakes the generator.
+    spec = ScenarioSpec(
+        label="core-cap", open_rows={0: 1},
+        generators=[GeneratorSpec(GeneratorKind.BANDWIDTH_READ, 0, 0, budget=10)],
+        mshr=MshrConfig(per_core_read_cap=2), horizon=600, num_cores=1)
+    refused = refusals(monkeypatch)
+    workload = Workload(spec)
+    stamps = emit_stamps(monkeypatch, workload)
+    trace = workload.controller.run(workload)
+    assert len(trace.completions) == 10 and refused == {"mshr": len(stamps), "queue": 0}
+    completions = [done for done, _ in stamps]
+    assert completions == sorted(set(completions))
+    assert len(stamps) < trace.total_cycles // 4
+
+
+def test_a_generator_refused_by_a_full_queue_waits_for_a_cas_issue(monkeypatch):
+    # A two-entry read queue refuses before the MSHR file does. Each CAS
+    # issue frees an entry and wakes the generator, mostly before the
+    # served read completes; a completion wakes it too.
+    spec = ScenarioSpec(
+        label="full-queue", open_rows={0: 1},
+        generators=[GeneratorSpec(GeneratorKind.BANDWIDTH_READ, 0, 0, budget=10)],
+        scheduler=SchedulerConfig(read_cap=2), horizon=600, num_cores=1)
+    refused = refusals(monkeypatch)
+    workload = Workload(spec)
+    stamps = emit_stamps(monkeypatch, workload)
+    workload.controller.run(workload)
+    assert refused["queue"] > 0 and refused["mshr"] == 0
+    pairs = list(zip(stamps, stamps[1:]))
+    assert all(sum(later) > sum(earlier) for earlier, later in pairs)
+    assert any(later[0] == earlier[0] for earlier, later in pairs)

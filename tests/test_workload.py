@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dramwc import harness, workload
+from dramwc.analysis import AnalysisInputs, bound_set
 from dramwc.device import TimingError
 from dramwc.workload import (
     GeneratorKind,
@@ -328,6 +329,29 @@ class TestAdversarial:
         a = build_adversarial(interferer_kind="stream", seed=11)
         b = build_adversarial(interferer_kind="stream", seed=11)
         assert a == b
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"n_interferers": 0}, r"n_interferers \(0\) must be at least 1"),
+        ({"n_interferers": -1}, r"n_interferers \(-1\) must be at least 1"),
+        ({"analyzed_core": 5}, r"analyzed_core \(5\) must be one of the 4 cores 0-3"),
+        ({"analyzed_core": -1}, r"analyzed_core \(-1\) must be one of the 4 cores"),
+        ({"analyzed_core": 2, "n_interferers": 1},
+         r"analyzed_core \(2\) must be one of the 2 cores 0-1"),
+    ])
+    def test_core_outside_the_scenario_rejected(self, kwargs, match):
+        # No bare IndexError for zero interferers, and no idle cores for an
+        # analyzed core past the interferers: the bounds would charge them.
+        with pytest.raises(ScenarioError, match=match):
+            build_adversarial(**kwargs)
+
+    @pytest.mark.parametrize("analyzed_core", [1, 3])
+    def test_every_other_core_interferes(self, analyzed_core):
+        spec = build_adversarial(analyzed_core=analyzed_core)
+        assert spec.num_cores == 4
+        assert {r.core for r in spec.prestage} == {0, 1, 2, 3}
+        assert spec.prestage[-1].core == analyzed_core
+        assert bound_set(AnalysisInputs.for_scenario(spec)) == \
+            bound_set(AnalysisInputs.for_scenario(build_adversarial()))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6))
