@@ -40,9 +40,7 @@ from .workload import (
 )
 from .analysis import (
     AnalysisInputs,
-    Bound,
-    kim_baseline_bound,
-    per_request_bound,
+    bounds,
     read_queue_delay,
     write_drain_delay,
 )

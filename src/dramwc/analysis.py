@@ -51,12 +51,6 @@ class AnalysisInputs:
                    miss_count=miss_count)
 
 
-@dataclass(frozen=True)
-class Bound:
-    per_request_cycles: int  # worst-case delay of one read of the analyzed core
-    total_cycles: int        # miss_count reads, each paying per_request_cycles
-
-
 def read_queue_delay(inputs: AnalysisInputs) -> int:
     """Delay from prior reads: each pipelined read holds the bus for a burst."""
     return inputs.max_prior_reads * inputs.timing.tburst
@@ -68,26 +62,26 @@ def write_drain_delay(inputs: AnalysisInputs) -> int:
     return inputs.drain_batch * inputs.timing.trc + inputs.timing.twtr
 
 
-def per_request_bound(inputs: AnalysisInputs, variant: str = "full") -> Bound:
-    """Worst-case inter-bank delay for one read of the analyzed core: the
-    read-queue term, plus the write-drain term for the ``full`` variant."""
-    if variant not in ("full", "no_write_queue"):
-        raise AnalysisError(f"unknown bound variant: {variant}")
-    per_request = read_queue_delay(inputs)
-    if variant == "full":
-        per_request += write_drain_delay(inputs)
-    return Bound(per_request, inputs.miss_count * per_request)
+def bounds(inputs: AnalysisInputs) -> dict[str, int]:
+    """Worst-case inter-bank delay in cycles of one read of the analyzed
+    core under each bound, in report order. A task's total is ``miss_count``
+    times the per-request value.
 
-
-def kim_baseline_bound(inputs: AnalysisInputs) -> Bound:
-    """One-request-per-core baseline: each competing core contributes one
-    PRE + ACT + RD/WR penalty, regardless of queued request counts. A PRE
-    costs one command-bus cycle, an ACT the activate-to-activate gap tRRD,
-    and a RD/WR the write-to-read turnaround WL + tBURST + tWTR."""
+    * ``full``: the read-queue term plus the write-drain term;
+    * ``no_write_queue``: the read-queue term alone;
+    * ``baseline``: the one-request-per-core bound of Kim et al. (RTAS
+      2014). Each competing core contributes one PRE + ACT + RD/WR
+      penalty, regardless of queued request counts. A PRE costs one
+      command-bus cycle, an ACT the activate-to-activate gap tRRD, and a
+      RD/WR the write-to-read turnaround WL + tBURST + tWTR.
+    """
     t = inputs.timing
-    per_core = 1 + t.trrd + t.wl + t.tburst + t.twtr
-    per_request = (inputs.num_cores - 1) * per_core
-    return Bound(per_request, inputs.miss_count * per_request)
+    reads = read_queue_delay(inputs)
+    return {
+        "full": reads + write_drain_delay(inputs),
+        "no_write_queue": reads,
+        "baseline": (inputs.num_cores - 1) * (1 + t.trrd + t.wl + t.tburst + t.twtr),
+    }
 
 
 def read_delays(trace: ScheduleTrace, analyzed_core: int) -> list[int]:
@@ -102,49 +96,30 @@ def read_delays(trace: ScheduleTrace, analyzed_core: int) -> list[int]:
     return delays
 
 
-def bound_set(inputs: AnalysisInputs) -> tuple[Bound, Bound, Bound]:
-    """The full, no-write-queue and one-request baseline bounds."""
-    return (per_request_bound(inputs, "full"),
-            per_request_bound(inputs, "no_write_queue"),
-            kim_baseline_bound(inputs))
-
-
 def bound_rows(inputs: AnalysisInputs) -> list[tuple[str, int, float]]:
     """Rows (quantity, cycles, ns) for the bound report CSV."""
-    full, nowq, kim = bound_set(inputs)
-    rows = [
-        ("read_queue_delay", read_queue_delay(inputs)),
-        ("write_drain_delay", write_drain_delay(inputs)),
-        ("per_request_full", full.per_request_cycles),
-        ("per_request_no_write_queue", nowq.per_request_cycles),
-        ("per_request_baseline", kim.per_request_cycles),
-    ]
+    per_request = bounds(inputs)
+    rows = [("read_queue_delay", read_queue_delay(inputs)),
+            ("write_drain_delay", write_drain_delay(inputs))]
+    rows += [(f"per_request_{name}", cycles) for name, cycles in per_request.items()]
     if inputs.miss_count:
-        rows += [
-            ("total_full", full.total_cycles),
-            ("total_no_write_queue", nowq.total_cycles),
-            ("total_baseline", kim.total_cycles),
-        ]
+        rows += [(f"total_{name}", inputs.miss_count * cycles)
+                 for name, cycles in per_request.items()]
     return [(name, cycles, inputs.timing.ns(cycles)) for name, cycles in rows]
 
 
 def format_bound_table(inputs: AnalysisInputs) -> str:
     """Aligned text table of per-request and task-level bounds."""
-    full, nowq, kim = bound_set(inputs)
-    rows = [
-        ("full", full.per_request_cycles, full.total_cycles),
-        ("no_write_queue", nowq.per_request_cycles, nowq.total_cycles),
-        ("one_request_baseline", kim.per_request_cycles, kim.total_cycles),
-    ]
     lines = [f"{'bound':<22}{'per-request':>12}{'ns':>12}{'total':>12}{'normalized':>12}"]
-    for name, per_request, total in rows:
+    for name, per_request in bounds(inputs).items():
+        total = inputs.miss_count * per_request
         if inputs.solo_cycles:
             slowdown = f"{(inputs.solo_cycles + total) / inputs.solo_cycles:.2f}"
         else:
             slowdown = "-"
+        label = "one_request_baseline" if name == "baseline" else name
         lines.append(
-            f"{name:<22}{per_request:>12}{inputs.timing.ns(per_request):>12.2f}"
+            f"{label:<22}{per_request:>12}{inputs.timing.ns(per_request):>12.2f}"
             f"{total:>12}{slowdown:>12}"
         )
     return "\n".join(lines) + "\n"
-

@@ -7,6 +7,7 @@ All quantities are in memory-clock cycles unless the name ends in ``_ns``.
 from __future__ import annotations
 
 import enum
+import math
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -89,8 +90,8 @@ def make_timing(raw: dict | None = None) -> TimingParams:
         merged[key] = value
 
     tck = float(merged.pop("tck_ns"))
-    if not tck > 0:
-        raise TimingError(f"tCK ({tck}) must be positive", ("tck_ns",))
+    if not (tck > 0 and math.isfinite(tck)):
+        raise TimingError(f"tCK ({tck}) must be positive and finite", ("tck_ns",))
     cycles = {}
     for key, value in merged.items():
         value, least = int(value), 0 if key == "rd_wr_gap" else 1

@@ -13,7 +13,7 @@ from pathlib import Path
 from . import analysis
 from .device import TIMING_KEYS, TimingError, TimingParams, make_timing
 from .keyvalue import codecs, read_lines, read_pairs
-from .scheduler import Mode, SchedulerConfig
+from .scheduler import Mode
 from .workload import (
     GeneratorKind,
     GeneratorSpec,
@@ -112,24 +112,6 @@ def preset(name: str) -> ScenarioSpec:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(_PRESETS)}")
 
 
-def pipeline_scenario(n_reads: int) -> ScenarioSpec:
-    """N row-hit reads staged on one open bank; their bursts must occupy
-    exactly n_reads * tburst back-to-back data-bus cycles."""
-    return ScenarioSpec(
-        label=f"pipeline-{n_reads}",
-        open_rows={1: 40},
-        prestage=[StagedRequest(False, 1, 1, 40) for _ in range(n_reads)],
-        horizon=40 + 8 * n_reads,
-        analyzed_core=1,
-        num_cores=2,
-        scheduler=SchedulerConfig(read_cap=max(SchedulerConfig.read_cap, n_reads + 2)),
-        mshr=MshrConfig(
-            global_read_cap=max(MshrConfig.global_read_cap, n_reads + 2),
-            per_core_read_cap=max(MshrConfig.per_core_read_cap, n_reads + 2),
-        ),
-    )
-
-
 def live_scenario(kind: GeneratorKind | str, n_interferers: int = 3,
                   seed: int = 0, latency_budget: int = 25,
                   horizon: int = 60_000,
@@ -207,33 +189,26 @@ def _analyzed_core(spec: ScenarioSpec) -> int:
 def evaluate(trace, spec: ScenarioSpec, slowdown: float | None = None) -> ExperimentReport:
     """Bound-vs-measurement report for the analyzed core of one trace, with
     the bounds of the scenario's own inputs."""
-    return _evaluate(trace, spec, analysis.AnalysisInputs.for_scenario(spec, trace), slowdown)
-
-
-def _evaluate(trace, spec, inputs, slowdown=None) -> ExperimentReport:
     delays = analysis.read_delays(trace, _analyzed_core(spec))
-    full, nowq, baseline = analysis.bound_set(inputs)
+    per_request = analysis.bounds(analysis.AnalysisInputs.for_scenario(spec, trace))
     worst = max(delays)
-
-    def margin(bound) -> float:
-        return bound.per_request_cycles / worst if worst > 0 else math.inf
-
-    def violations(bound) -> int:
-        return sum(d > bound.per_request_cycles for d in delays)
-
+    margin = {name: bound / worst if worst > 0 else math.inf
+              for name, bound in per_request.items()}
+    violations = {name: sum(d > bound for d in delays)
+                  for name, bound in per_request.items()}
     return ExperimentReport(
         scenario=spec.label,
         seed=spec.seed,
-        bound_full=full.per_request_cycles,
-        bound_nowq=nowq.per_request_cycles,
-        bound_baseline=baseline.per_request_cycles,
+        bound_full=per_request["full"],
+        bound_nowq=per_request["no_write_queue"],
+        bound_baseline=per_request["baseline"],
         measured_max=worst,
         measured_mean=sum(delays) / len(delays),
-        margin_full=margin(full),
-        margin_nowq=margin(nowq),
-        violations_full=violations(full),
-        violations_nowq=violations(nowq),
-        violations_baseline=violations(baseline),
+        margin_full=margin["full"],
+        margin_nowq=margin["no_write_queue"],
+        violations_full=violations["full"],
+        violations_nowq=violations["no_write_queue"],
+        violations_baseline=violations["baseline"],
         slowdown=slowdown,
     )
 
@@ -282,11 +257,11 @@ def compare(spec: ScenarioSpec, out_dir=None) -> ExperimentReport:
     """Single run with all three bounds and the measured delays side by side."""
     _analyzed_core(spec)  # fail before the run, not after it
     trace, _ = run_scenario(spec)
-    inputs = analysis.AnalysisInputs.for_scenario(spec, trace)
-    report = _evaluate(trace, spec, inputs)
+    report = evaluate(trace, spec)
     if out_dir is not None:
         _emit(Path(out_dir), trace, spec)
-        _write_report(Path(out_dir), inputs, report)
+        _write_report(Path(out_dir), analysis.AnalysisInputs.for_scenario(spec, trace),
+                      report)
     return report
 
 

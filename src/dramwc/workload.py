@@ -123,6 +123,9 @@ class GeneratorSpec:
             raise ScenarioError(f"unknown row_policy {self.row_policy!r}")
         if (self.budget or 0) < 0:
             raise ScenarioError(f"budget ({self.budget}) must be at least 0")
+        if self.kind is GeneratorKind.BANDWIDTH_WRITE and (self.budget or 0) % 2:
+            raise ScenarioError(f"a bandwidth_write budget ({self.budget}) must be "
+                                "even: its requests come in read/write-back pairs")
         check_min(self, 0, "gap", "start", "stream_reads", "stream_writes",
                   error=ScenarioError)
         if self.stream_reads + self.stream_writes < 1:
@@ -230,7 +233,8 @@ class BandwidthWriteGenerator(_Generator):
             self.write_debt.pop(0)
 
     def _emit_pair(self) -> bool:
-        if not self.budget_left(2):
+        # Each write-back still owed will spend budget too.
+        if not self.budget_left(2 + len(self.write_debt)):
             return False
         row = self._row()
         if not self._submit_next(False):

@@ -11,17 +11,18 @@ import pytest
 from dramwc import checks, harness, workload
 from dramwc.analysis import (
     AnalysisInputs,
-    kim_baseline_bound,
-    per_request_bound,
+    bounds,
     read_queue_delay,
     write_drain_delay,
 )
 from dramwc.device import CommandKind, make_timing
+from dramwc.scheduler import SchedulerConfig
 from dramwc.workload import (
     GeneratorKind,
     GeneratorSpec,
     MshrConfig,
     ScenarioSpec,
+    StagedRequest,
     build_adversarial,
     run_scenario,
 )
@@ -86,11 +87,11 @@ def test_c1_figure_replays():
 def test_c2_analytic_values():
     with criterion(2, "bound values match the platform constants exactly"):
         inputs = AnalysisInputs(timing=TIMING)
-        full = per_request_bound(inputs, "full")
+        full = bounds(inputs)["full"]
         assert read_queue_delay(inputs) == 120
         assert write_drain_delay(inputs) == 112
-        assert full.per_request_cycles == 232
-        assert abs(TIMING.ns(full.per_request_cycles) - 433.84) <= 0.01
+        assert full == 232
+        assert abs(TIMING.ns(full) - 433.84) <= 0.01
 
 
 def test_c3_bound_safety_over_seeded_scenarios():
@@ -118,14 +119,14 @@ def test_c4_baseline_underestimates():
         spec = build_adversarial(
             interferer_kind=GeneratorKind.BANDWIDTH_WRITE, seed=0)
         trace = replay(spec)
-        baseline = kim_baseline_bound(AnalysisInputs(timing=TIMING))
+        baseline = bounds(AnalysisInputs(timing=TIMING))["baseline"]
         report = harness.evaluate(trace, spec)
-        assert report.bound_baseline == baseline.per_request_cycles
-        assert report.measured_max > baseline.per_request_cycles
+        assert report.bound_baseline == baseline
+        assert report.measured_max > baseline
         assert report.violations_baseline >= 1
-        ratio = report.measured_max / baseline.per_request_cycles
+        ratio = report.measured_max / baseline
         print(f"[acceptance]   measured/baseline ratio: {ratio:.2f} "
-              f"({report.measured_max} vs {baseline.per_request_cycles} cycles)")
+              f"({report.measured_max} vs {baseline} cycles)")
 
 
 def test_c5_full_bound_is_tight():
@@ -133,21 +134,39 @@ def test_c5_full_bound_is_tight():
         spec = build_adversarial(
             interferer_kind=GeneratorKind.BANDWIDTH_WRITE, seed=0)
         trace = replay(spec)
-        full = per_request_bound(AnalysisInputs(timing=TIMING), "full")
+        full = bounds(AnalysisInputs(timing=TIMING))["full"]
         report = harness.evaluate(trace, spec)
-        assert report.bound_full == full.per_request_cycles
-        assert full.per_request_cycles >= report.measured_max
+        assert report.bound_full == full
+        assert full >= report.measured_max
         assert report.violations_full == 0
-        ratio = full.per_request_cycles / report.measured_max
+        ratio = full / report.measured_max
         in_range = "within" if 1.0 <= ratio <= 2.0 else "outside"
         print(f"[acceptance]   bound/measured ratio: {ratio:.3f} "
               f"({in_range} the informational 1.0-2.0 range)")
 
 
+def pipeline_scenario(n_reads):
+    """N row-hit reads staged on one open bank; their bursts must occupy
+    exactly n_reads * tburst back-to-back data-bus cycles."""
+    return ScenarioSpec(
+        label=f"pipeline-{n_reads}",
+        open_rows={1: 40},
+        prestage=[StagedRequest(False, 1, 1, 40) for _ in range(n_reads)],
+        horizon=40 + 8 * n_reads,
+        analyzed_core=1,
+        num_cores=2,
+        scheduler=SchedulerConfig(read_cap=max(SchedulerConfig.read_cap, n_reads + 2)),
+        mshr=MshrConfig(
+            global_read_cap=max(MshrConfig.global_read_cap, n_reads + 2),
+            per_core_read_cap=max(MshrConfig.per_core_read_cap, n_reads + 2),
+        ),
+    )
+
+
 @pytest.mark.parametrize("n_reads", [1, 8, 30])
 def test_c6_pipelining_throughput(n_reads):
     with criterion(6, f"{n_reads} row-hit reads keep the data bus saturated"):
-        trace = replay(harness.pipeline_scenario(n_reads))
+        trace = replay(pipeline_scenario(n_reads))
         bursts = sorted(trace.bursts, key=lambda b: b.start)
         assert len(bursts) == n_reads
         assert bursts[-1].end - bursts[0].start == n_reads * TIMING.tburst

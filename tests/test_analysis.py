@@ -7,8 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from dramwc import analysis, harness
 from dramwc.analysis import (
     AnalysisInputs,
-    kim_baseline_bound,
-    per_request_bound,
+    bounds,
     read_delays,
     read_queue_delay,
     write_drain_delay,
@@ -61,22 +60,16 @@ class TestWriteDrainDelay:
 
 class TestPerRequestBound:
     def test_full_bound_cycles_and_ns(self):
-        bound = per_request_bound(inputs())
-        assert bound.per_request_cycles == 120 + 112 == 232
-        assert abs(TIMING.ns(bound.per_request_cycles) - 232 * 1.87) < 1e-9
-        assert abs(TIMING.ns(bound.per_request_cycles) - 433.84) <= 0.01
+        full = bounds(inputs())["full"]
+        assert full == 120 + 112 == 232
+        assert abs(TIMING.ns(full) - 232 * 1.87) < 1e-9
+        assert abs(TIMING.ns(full) - 433.84) <= 0.01
 
     def test_no_write_queue_variant(self):
-        bound = per_request_bound(inputs(), "no_write_queue")
-        assert bound.per_request_cycles == read_queue_delay(inputs()) == 120
+        assert bounds(inputs())["no_write_queue"] == read_queue_delay(inputs()) == 120
 
     def test_zero_counts_leave_turnaround(self):
-        bound = per_request_bound(inputs(max_prior_reads=0, drain_batch=0))
-        assert bound.per_request_cycles == 4
-
-    def test_unknown_variant(self):
-        with pytest.raises(analysis.AnalysisError):
-            per_request_bound(inputs(), "fast")
+        assert bounds(inputs(max_prior_reads=0, drain_batch=0))["full"] == 4
 
     def test_invalid_inputs(self):
         with pytest.raises(analysis.AnalysisError):
@@ -92,13 +85,22 @@ class TestPerRequestBound:
 
 class TestTotalDelay:
     def test_no_misses(self):
-        assert per_request_bound(inputs()).total_cycles == 0
-        assert kim_baseline_bound(inputs()).total_cycles == 0
+        i = inputs()
+        assert i.miss_count * bounds(i)["full"] == 0
+        assert i.miss_count * bounds(i)["baseline"] == 0
+        # the task totals are printed as zeros in the table and left out
+        # of the report rows
+        rows = analysis.format_bound_table(i).splitlines()
+        assert [row.split()[3] for row in rows[1:]] == ["0", "0", "0"]
+        assert not [name for name, _, _ in analysis.bound_rows(i)
+                    if name.startswith("total_")]
 
     def test_thousand_misses(self):
         i = inputs(miss_count=1000)
-        assert per_request_bound(i).total_cycles == 232_000
-        assert per_request_bound(i, "no_write_queue").total_cycles == 120_000
+        assert i.miss_count * bounds(i)["full"] == 232_000
+        assert i.miss_count * bounds(i)["no_write_queue"] == 120_000
+        totals = {name: cycles for name, cycles, _ in analysis.bound_rows(i)}
+        assert (totals["total_full"], totals["total_no_write_queue"]) == (232_000, 120_000)
 
     def test_normalized_slowdown(self):
         # every miss pays the per-request bound once: 232,000 solo cycles
@@ -117,32 +119,35 @@ class TestTotalDelay:
 
 class TestBaselineBound:
     def test_single_core_has_no_interference(self):
-        assert kim_baseline_bound(inputs(num_cores=1)).per_request_cycles == 0
+        assert bounds(inputs(num_cores=1))["baseline"] == 0
 
     def test_default_penalties(self):
         # PRE 1 + ACT tRRD 4 + RD/WR (WL 6 + tBURST 4 + tWTR 4) per competing core
-        assert kim_baseline_bound(inputs()).per_request_cycles == 3 * 19 == 57
+        assert bounds(inputs())["baseline"] == 3 * 19 == 57
 
     def test_follows_trrd(self):
         timing = make_timing({"trrd": 6})
-        assert kim_baseline_bound(inputs(timing=timing)).per_request_cycles == 63
+        assert bounds(inputs(timing=timing))["baseline"] == 63
 
     def test_follows_write_latency(self):
         timing = make_timing({"wl": 5})
-        assert kim_baseline_bound(inputs(timing=timing)).per_request_cycles == 54
+        assert bounds(inputs(timing=timing))["baseline"] == 54
 
     def test_linear_in_competing_cores(self):
-        four = kim_baseline_bound(inputs(num_cores=4)).per_request_cycles
-        seven = kim_baseline_bound(inputs(num_cores=7)).per_request_cycles
+        four = bounds(inputs(num_cores=4))["baseline"]
+        seven = bounds(inputs(num_cores=7))["baseline"]
         assert seven == 2 * four
 
     def test_independent_of_prior_read_count(self):
-        lo = kim_baseline_bound(inputs(max_prior_reads=0))
-        hi = kim_baseline_bound(inputs(max_prior_reads=30))
+        lo = bounds(inputs(max_prior_reads=0))["baseline"]
+        hi = bounds(inputs(max_prior_reads=30))["baseline"]
         assert lo == hi
 
     def test_total_scales_with_misses(self):
-        assert kim_baseline_bound(inputs(miss_count=10)).total_cycles == 570
+        i = inputs(miss_count=10)
+        assert i.miss_count * bounds(i)["baseline"] == 570
+        totals = {name: cycles for name, cycles, _ in analysis.bound_rows(i)}
+        assert totals["total_baseline"] == 570
 
 
 @st.composite
@@ -164,16 +169,15 @@ def analysis_params(draw):
 @settings(max_examples=60, deadline=None)
 @given(analysis_params())
 def test_bound_decomposition_identity(i):
-    full = per_request_bound(i, "full")
-    nowq = per_request_bound(i, "no_write_queue")
-    assert (full.per_request_cycles - nowq.per_request_cycles
+    per_request = bounds(i)
+    assert (per_request["full"] - per_request["no_write_queue"]
             == i.drain_batch * i.timing.trc + i.timing.twtr)
 
 
 @settings(max_examples=60, deadline=None)
 @given(analysis_params(), st.integers(1, 8))
 def test_bound_monotone_in_each_input(i, bump):
-    base = per_request_bound(i).per_request_cycles
+    base = bounds(i)["full"]
     grown = [
         inputs(timing=i.timing, max_prior_reads=i.max_prior_reads + bump,
                drain_batch=i.drain_batch, miss_count=i.miss_count),
@@ -181,19 +185,18 @@ def test_bound_monotone_in_each_input(i, bump):
                drain_batch=i.drain_batch + bump, miss_count=i.miss_count),
     ]
     for variant in grown:
-        assert per_request_bound(variant).per_request_cycles >= base
-    total = per_request_bound(i).total_cycles
-    assert total == i.miss_count * base
+        assert bounds(variant)["full"] >= base
+    total = i.miss_count * base
     more_misses = inputs(timing=i.timing, max_prior_reads=i.max_prior_reads,
                          drain_batch=i.drain_batch,
                          miss_count=i.miss_count + bump)
-    assert per_request_bound(more_misses).total_cycles >= total
+    assert more_misses.miss_count * bounds(more_misses)["full"] >= total
 
 
 @settings(max_examples=60, deadline=None)
 @given(analysis_params())
 def test_ns_conversion(i):
-    cycles = per_request_bound(i).per_request_cycles
+    cycles = bounds(i)["full"]
     assert abs(i.timing.ns(cycles) - cycles * i.timing.tck_ns) < 1e-9
 
 
@@ -302,8 +305,8 @@ class TestBenchmarkShape:
     @staticmethod
     def shape(spec):
         i = AnalysisInputs.for_scenario(spec)
-        bounds = tuple(b.per_request_cycles for b in analysis.bound_set(i))
-        return (i.max_prior_reads, i.drain_batch, i.num_cores), bounds
+        return ((i.max_prior_reads, i.drain_batch, i.num_cores),
+                tuple(bounds(i).values()))
 
     @pytest.mark.parametrize("kind", ["bandwidth_write", "bandwidth_read"])
     def test_live_grid(self, kind):
@@ -384,7 +387,7 @@ class TestBoundCheck:
         assert (reduced.max_prior_reads, reduced.drain_batch) == (2, 2)
         trace, _ = run_scenario(spec)
         report = harness.evaluate(trace, spec)
-        assert report.bound_full == per_request_bound(reduced).per_request_cycles == 66
+        assert report.bound_full == bounds(reduced)["full"] == 66
         assert report.violations_full == 0
         assert report.measured_max == 63
 

@@ -312,6 +312,9 @@ class TestCli:
         # line 1 alone already fails on tRC, but it is line 2 that breaks tFAW
         ("trp 30\ntrrd 30\ntrc 40\n",
          "line 2: tFAW (20) cannot be shorter than tRRD (30)"),
+        # an infinite clock period would print inf in every ns column
+        ("miss_count 3\ntck_ns inf\n", "line 2: tCK (inf) must be positive and finite"),
+        ("tck_ns 1e400\n", "line 1: tCK (inf) must be positive and finite"),
     ])
     def test_analyze_range_error_names_its_line(self, tmp_path, capsys, lines,
                                                 message):
@@ -577,6 +580,32 @@ violations_baseline,1,
 total_full,232000,433840.00
 total_no_write_queue,120000,224400.00
 total_baseline,57000,106590.00
+"""
+
+    def test_analyze_table_and_report_away_from_the_defaults(self, tmp_path, capsys):
+        # Every input the bounds read moved off its default: six competing
+        # cores at 1 + 6 + 5 + 4 + 4 cycles each, five prior reads and a
+        # drain batch of two.
+        config = tmp_path / "analysis.txt"
+        config.write_text("num_cores 7\ntrrd 6\nwl 5\ndrain_batch 2\n"
+                          "max_prior_reads 5\nmiss_count 3\nsolo_cycles 100\n")
+        assert harness.main(["analyze", "--config", str(config),
+                             "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == (
+            "bound                  per-request          ns       total  normalized\n"
+            "full                            78      145.86         234        3.34\n"
+            "no_write_queue                  20       37.40          60        1.60\n"
+            "one_request_baseline           120      224.40         360        4.60\n")
+        assert (tmp_path / "report.csv").read_text() == """\
+quantity,cycles,ns
+read_queue_delay,20,37.40
+write_drain_delay,58,108.46
+per_request_full,78,145.86
+per_request_no_write_queue,20,37.40
+per_request_baseline,120,224.40
+total_full,234,437.58
+total_no_write_queue,60,112.20
+total_baseline,360,673.20
 """
 
 

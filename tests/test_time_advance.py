@@ -127,10 +127,14 @@ def live_specs(draw):
     for core in range(num_cores):
         if draw(st.integers(0, 4)) == 0:
             continue
+        kind = draw(st.sampled_from(list(GeneratorKind)))
+        # A bandwidth_write budget is spent in read/write-back pairs.
+        step = 2 if kind is GeneratorKind.BANDWIDTH_WRITE else 1
+        budgets = st.integers(0, 30 // step).map(lambda n: n * step)
         generators.append(GeneratorSpec(
-            draw(st.sampled_from(list(GeneratorKind))), core, core,
+            kind, core, core,
             row_policy=draw(st.sampled_from(["sequential", "random"])),
-            budget=draw(st.none() | st.integers(0, 30)),
+            budget=draw(st.none() | budgets),
             gap=draw(st.sampled_from([0, 0, 1, 3, 40])),
             start=draw(st.sampled_from([0, 0, 1, 2, 7, 60, 400])),
             stream_reads=draw(st.integers(0, 3)),

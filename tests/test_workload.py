@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dramwc import harness, workload
-from dramwc.analysis import AnalysisInputs, bound_set
+from dramwc.analysis import AnalysisInputs, bounds
 from dramwc.device import TimingError
+from dramwc.scheduler import SchedulerConfig
 from dramwc.workload import (
     GeneratorKind,
     GeneratorSpec,
@@ -168,6 +169,30 @@ class TestGenerators:
         reads = sum(1 for r in trace.completions if not r.is_write)
         writes = sum(1 for r in trace.completions if r.is_write)
         assert reads == writes == 20
+
+    def test_bandwidth_write_owed_write_backs_count_against_the_budget(self):
+        # A one-entry write queue refuses most write-backs. Each refused one
+        # is owed and already spends budget, so no further pair may start.
+        spec = ScenarioSpec(
+            label="write-queue-refuses",
+            open_rows={0: 1},
+            generators=[GeneratorSpec(GeneratorKind.BANDWIDTH_WRITE, 0, 0, budget=16)],
+            scheduler=SchedulerConfig(write_cap=1, drain_batch=1),
+            horizon=600,
+            num_cores=1,
+        )
+        trace, _ = run_scenario(spec)
+        writes = sum(r.is_write for r in trace.requests.values())
+        assert (len(trace.requests), writes) == (16, 8)
+        assert trace.quiescent
+
+    @pytest.mark.parametrize("budget", [1, 15])
+    def test_odd_bandwidth_write_budget_rejected(self, budget):
+        # Read/write-back pairs can never spend an odd budget: such a run
+        # would never finish its generator and would idle to its horizon.
+        with pytest.raises(ScenarioError,
+                           match=rf"bandwidth_write budget \({budget}\) must be even"):
+            GeneratorSpec(GeneratorKind.BANDWIDTH_WRITE, 1, 1, budget=budget)
 
     def test_stream_ratio_two_to_one(self):
         spec = live_spec(GeneratorKind.STREAM, budget=30, horizon=3000)
@@ -350,8 +375,8 @@ class TestAdversarial:
         assert spec.num_cores == 4
         assert {r.core for r in spec.prestage} == {0, 1, 2, 3}
         assert spec.prestage[-1].core == analyzed_core
-        assert bound_set(AnalysisInputs.for_scenario(spec)) == \
-            bound_set(AnalysisInputs.for_scenario(build_adversarial()))
+        assert bounds(AnalysisInputs.for_scenario(spec)) == \
+            bounds(AnalysisInputs.for_scenario(build_adversarial()))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -412,6 +437,7 @@ EMITTED = (
        for kind in GeneratorKind]
 )
 LIVE = scenario_to_text(harness.live_scenario("stream", 1, latency_budget=5))
+WRITER = scenario_to_text(live_spec(GeneratorKind.BANDWIDTH_WRITE, budget=16))
 STAGED = scenario_to_text(harness.preset("fig5"))
 
 # (base text, {line: replacement} applied to the first equal lines, and
@@ -431,6 +457,8 @@ FAULTS = {
     "bool out of range": (LIVE, {"partitioning 1": "partitioning 2"}, "line"),
     "unknown timing key": (LIVE, {"trp 7": "trq 7"}, "line"),
     "inconsistent timing": (LIVE, {"trc 27": "trc 5"}, "header"),
+    "infinite tck": (LIVE, {"tck_ns 1.87": "tck_ns inf"}, "header"),
+    "odd bandwidth_write budget": (WRITER, {"budget 16": "budget 15"}, "header"),
     "non-numeric value": (LIVE, {"horizon 60000": "horizon x"}, "line"),
     "repeated key": (LIVE, {"num_rows 4096": "num_cores 2"}, "line"),
     "zero read cap": (LIVE, {"read_cap 32": "read_cap 0"}, "header"),
