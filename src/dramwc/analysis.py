@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .device import TimingParams, make_timing
+from .device import TimingParams
 from .keyvalue import check_min
 from .scheduler import ScheduleTrace
 from .workload import ScenarioSpec
@@ -46,7 +46,7 @@ class AnalysisInputs:
         ``miss_count`` the analyzed core's completed reads in ``trace``."""
         miss_count = 0 if trace is None else sum(
             r.core == spec.analyzed_core and not r.is_write for r in trace.completions)
-        return cls(timing=make_timing(spec.timing), max_prior_reads=spec.max_prior_reads(),
+        return cls(timing=spec.timing, max_prior_reads=spec.max_prior_reads(),
                    drain_batch=spec.scheduler.drain_batch, num_cores=spec.num_cores,
                    miss_count=miss_count)
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -89,11 +90,14 @@ def make_timing(raw: dict | None = None) -> TimingParams:
             raise TimingError(f"unknown timing parameter: {key}", (key,))
         merged[key] = value
 
-    tck = float(merged.pop("tck_ns"))
-    if not (tck > 0 and math.isfinite(tck)):
+    tck = merged.pop("tck_ns")
+    if not (isinstance(tck, numbers.Real) and tck > 0 and math.isfinite(tck)):
         raise TimingError(f"tCK ({tck}) must be positive and finite", ("tck_ns",))
     cycles = {}
     for key, value in merged.items():
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)
+                and value == int(value)):  # not 7.9, "7" or None
+            raise TimingError(f"{key} ({value!r}) must be a whole number", (key,))
         value, least = int(value), 0 if key == "rd_wr_gap" else 1
         if value < least:
             raise TimingError(f"{key} ({value}) must be at least {least}", (key,))
@@ -110,7 +114,11 @@ def make_timing(raw: dict | None = None) -> TimingParams:
     # still cycles at tRC (needs tRCD + WL + tBURST + tWR <= tRAS).
     cycles.setdefault("twr", max(1, tras - cycles["trcd"] - cycles["wl"] - cycles["tburst"]))
     cycles.setdefault("rd_wr_gap", max(1, cycles["cl"] + cycles["tburst"] + 2 - cycles["wl"]))
-    return TimingParams(tck_ns=tck, tras=tras, **cycles)
+    return TimingParams(tck_ns=float(tck), tras=tras, **cycles)
+
+
+#: The DDR3-1066 timing, without overrides.
+DEFAULT_TIMING = make_timing()
 
 
 @dataclass(frozen=True)

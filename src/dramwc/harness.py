@@ -114,7 +114,6 @@ def preset(name: str) -> ScenarioSpec:
 
 def live_scenario(kind: GeneratorKind | str, n_interferers: int = 3,
                   seed: int = 0, latency_budget: int = 25,
-                  horizon: int = 60_000,
                   mshr: MshrConfig | None = None) -> ScenarioSpec:
     """Latency-style analyzed task on core 0 co-running with n interferers."""
     kind = GeneratorKind(kind)
@@ -124,7 +123,7 @@ def live_scenario(kind: GeneratorKind | str, n_interferers: int = 3,
         label=f"live-{kind.value}-x{n_interferers}-{seed}",
         open_rows={core: 100 + core for core in range(n_interferers + 1)},
         generators=generators,
-        horizon=horizon,
+        horizon=60_000,
         analyzed_core=0,
         num_cores=n_interferers + 1,
         mshr=mshr or MshrConfig(),

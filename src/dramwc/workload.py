@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import checks
-from .device import NEVER, TIMING_KEYS, TimingError, TimingParams, make_timing
+from .device import DEFAULT_TIMING, NEVER, TIMING_KEYS, TimingError, TimingParams, make_timing
 from .keyvalue import check_min, codecs, read_lines, read_pairs, to_lines
 from .scheduler import Controller, MemRequest, Mode, SchedulerConfig
 
@@ -119,6 +119,10 @@ class GeneratorSpec:
     stream_writes: int = 1          # writes per stream pattern period
 
     def __post_init__(self):
+        try:
+            self.kind = GeneratorKind(self.kind)
+        except ValueError:
+            raise ScenarioError(f"unknown generator kind {self.kind!r}") from None
         if self.row_policy not in ("sequential", "random"):
             raise ScenarioError(f"unknown row_policy {self.row_policy!r}")
         if (self.budget or 0) < 0:
@@ -142,6 +146,9 @@ class _Generator:
         self.submit = submit  # (row, is_write) -> accepted, for this core's bank
         self.emitted = 0
         self.held_row: int | None = None
+        # The first cycle at which a poll can change this generator; after
+        # it only freed room can, since a refused submit keeps its held row.
+        self.ready_at = spec.start
         # The room stamp of the last polled emit that had a submit refused,
         # and whether it counts CAS issues (see Workload.poll).
         self.parked = -1
@@ -157,9 +164,16 @@ class _Generator:
             self.held_row = self.rng.randrange(self.num_rows)
         return self.held_row
 
+    def _send(self, row: int, is_write: bool) -> bool:
+        """Submit a request; an accepted one spends budget."""
+        if not self.submit(row, is_write):
+            return False
+        self.emitted += 1
+        return True
+
     def _submit_next(self, is_write: bool) -> bool:
         """Submit a new request to :meth:`_row`; True if it was accepted."""
-        if not self._track(self.submit(self._row(), is_write)):
+        if not self._send(self._row(), is_write):
             return False
         self.held_row = None
         return True
@@ -171,51 +185,24 @@ class _Generator:
     def done(self) -> bool:
         return self.spec.budget is not None and self.emitted >= self.spec.budget
 
-    def _track(self, accepted: bool) -> bool:
-        if accepted:
-            self.emitted += 1
-        return accepted
-
     def emit(self, now: int) -> None:
         raise NotImplementedError
 
     def on_completion(self, now: int, is_write: bool) -> None:
         pass
 
-    def wake(self, now: int) -> int:
-        """First cycle from ``now`` on at which a poll can change this
-        generator, or NEVER if only freed queue or MSHR room can: a refused
-        submit changes nothing but the held row, which is the same whenever
-        it is drawn."""
-        return self.spec.start if self.spec.start >= now else NEVER
-
 
 class LatencyGenerator(_Generator):
     """Pointer-chase analog: a single outstanding dependent read at a time."""
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.in_flight = False
-        self.ready_at = self.spec.start
-
     def emit(self, now):
-        if self.in_flight or now < self.ready_at or not self.budget_left():
-            return
-        if self._submit_next(False):
-            self.in_flight = True
+        if now >= self.ready_at and self.budget_left() and self._submit_next(False):
+            self.ready_at = NEVER  # until the read completes
 
     def on_completion(self, now, is_write):
         # The next address depends on the returned data, so the follow-up
         # read cannot leave before the next cycle plus the compute gap.
-        self.in_flight = False
         self.ready_at = now + 1 + self.spec.gap
-
-    def wake(self, now):
-        if self.in_flight:
-            return NEVER
-        if self.ready_at >= now:  # ready_at starts at spec.start
-            return self.ready_at
-        return super().wake(now)
 
 
 class BandwidthWriteGenerator(_Generator):
@@ -227,9 +214,7 @@ class BandwidthWriteGenerator(_Generator):
         self.write_debt: list[int] = []  # rows whose write-back is still owed
 
     def _flush_debt(self):
-        while self.write_debt:
-            if not self._track(self.submit(self.write_debt[0], True)):
-                return
+        while self.write_debt and self._send(self.write_debt[0], True):
             self.write_debt.pop(0)
 
     def _emit_pair(self) -> bool:
@@ -239,7 +224,7 @@ class BandwidthWriteGenerator(_Generator):
         row = self._row()
         if not self._submit_next(False):
             return False
-        if not self._track(self.submit(row, True)):
+        if not self._send(row, True):
             self.write_debt.append(row)
         return True
 
@@ -312,7 +297,7 @@ class StagedRequest:
 @dataclass
 class ScenarioSpec:
     label: str = "scenario"
-    timing: dict = field(default_factory=dict)
+    timing: TimingParams = DEFAULT_TIMING  # a dict of overrides is resolved
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
     mshr: MshrConfig = field(default_factory=MshrConfig)
     open_rows: dict[int, int] = field(default_factory=dict)
@@ -326,6 +311,8 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.timing, TimingParams):
+            self.timing = make_timing(self.timing)
         # The label is one token of a ``key value`` line.
         if "#" in self.label or self.label.split() != [self.label]:
             raise ScenarioError(f"label {self.label!r} must be one word "
@@ -338,11 +325,11 @@ class ScenarioSpec:
         latency generator or staged read). Reservations only take entries
         from the other cores, so leaving them out keeps the count sound."""
         core, cap = self.analyzed_core, self.mshr.per_core_read_cap
-        in_flight = sum(not r.is_write for r in self.prestage if r.core == core) + sum(
+        own_reads = sum(not r.is_write for r in self.prestage if r.core == core) + sum(
             1 if g.kind is GeneratorKind.LATENCY else cap
             for g in self.generators if g.core == core)
         return min(self.scheduler.read_cap - 1, self.mshr.global_read_cap - 1,
-                   (self.num_cores - 1) * cap + max(0, min(in_flight, cap) - 1))
+                   (self.num_cores - 1) * cap + max(0, min(own_reads, cap) - 1))
 
 
 def _check_placement(spec: ScenarioSpec, core: int = 0, bank: int = 0) -> None:
@@ -409,8 +396,7 @@ class Workload:
             )
         self.has_sources = bool(spec.generators or spec.prestage)
         self.mshr = MshrFile(spec.mshr, num_cores=spec.num_cores)
-        self.controller = Controller(make_timing(spec.timing), spec.scheduler,
-                                     open_rows=spec.open_rows,
+        self.controller = Controller(spec.timing, spec.scheduler, open_rows=spec.open_rows,
                                      initial_mode=spec.initial_mode)
         self.now = 0
         self._next_id = 0
@@ -439,8 +425,8 @@ class Workload:
         return True
 
     def poll(self, now: int) -> None:
-        """Let every started, unfinished generator emit, except the parked
-        ones.
+        """Let every unfinished generator whose ``ready_at`` has come emit,
+        except the parked ones.
 
         After an emit with a refused submit, the generator is parked on a
         stamp: the completion count, plus the CAS-issue (burst) count if a
@@ -457,8 +443,8 @@ class Workload:
         released = len(trace.completions)
         freed = released + len(trace.bursts)
         for gen in self.generators:
-            if (gen.parked == (freed if gen.parked_on_queue else released)
-                    or now < gen.spec.start or gen.done()):
+            if (now < gen.ready_at or gen.done()
+                    or gen.parked == (freed if gen.parked_on_queue else released)):
                 continue
             self._refused = self._queue_refused = False
             gen.emit(now)
@@ -468,9 +454,10 @@ class Workload:
 
     def next_wake(self, now: int) -> int:
         """First cycle from ``now`` on at which polling can submit a request
-        or change a generator (see :meth:`_Generator.wake`), or NEVER."""
-        return min((gen.wake(now) for gen in self.generators if not gen.done()),
-                   default=NEVER)
+        or change a generator, or NEVER: the earliest unfinished generator's
+        ``ready_at`` not yet passed (past it, only freed room can)."""
+        return min((gen.ready_at for gen in self.generators
+                    if gen.ready_at >= now and not gen.done()), default=NEVER)
 
     def notify(self, now: int, completed: list[MemRequest]) -> None:
         # Every id past the staged ones is a generator's, on its own core.
@@ -513,7 +500,7 @@ def build_adversarial(analyzed_core: int = 0,
                       interferer_kind: GeneratorKind = GeneratorKind.BANDWIDTH_WRITE,
                       seed: int = 0,
                       n_interferers: int = 3,
-                      timing: dict | None = None,
+                      timing: TimingParams | dict | None = None,
                       mshr: MshrConfig | None = None) -> ScenarioSpec:
     """Stage the worst-case initial condition for one analyzed read.
 
@@ -544,7 +531,7 @@ def build_adversarial(analyzed_core: int = 0,
     spec = ScenarioSpec(
         label=f"adversarial-{kind.value}-{seed}",
         mshr=mshr or MshrConfig(),
-        timing=dict(timing or {}),
+        timing=timing or DEFAULT_TIMING,
         open_rows=open_rows,
         horizon=4000, analyzed_core=analyzed_core,
         num_cores=n_interferers + 1,
@@ -625,7 +612,7 @@ _SECTIONS = ("timing", "scheduler", "mshr", "banks", "generator", "prestage")
 def scenario_to_text(spec: ScenarioSpec) -> str:
     """Serialize a scenario to the sectioned text format."""
     lines = ["# dramwc scenario", *to_lines(spec, _SCALARS),
-             "", "[timing]", *to_lines(make_timing(spec.timing), TIMING_KEYS),
+             "", "[timing]", *to_lines(spec.timing, TIMING_KEYS),
              "", "[scheduler]", *to_lines(spec.scheduler),
              "", "[mshr]", *to_lines(spec.mshr),
              "", "[banks]"]
@@ -680,9 +667,9 @@ def scenario_from_text(text: str) -> ScenarioSpec:
 
     spec = ScenarioSpec(**read_pairs(top, codecs(ScenarioSpec, _SCALARS), ScenarioError))
     at, body = sections["timing"]
-    spec.timing = read_pairs(body, codecs(TimingParams, TIMING_KEYS), TimingError)
+    timing = read_pairs(body, codecs(TimingParams, TIMING_KEYS), TimingError)
     with _blame(at, TimingError):
-        make_timing(spec.timing)
+        spec.timing = make_timing(timing)
     spec.scheduler = keyed(SchedulerConfig, *sections["scheduler"])
     spec.mshr = keyed(MshrConfig, *sections["mshr"])
     for lineno, tokens in sections["banks"][1]:

@@ -53,6 +53,22 @@ class TestMakeTiming:
         t = make_timing({"twr": 8, "tburst": 8})
         assert t.twr == 8 and t.tburst == 8
 
+    @pytest.mark.parametrize("value", [7.9, "x", "7", None, float("nan"), float("inf")])
+    def test_cycle_value_must_be_a_whole_number(self, value):
+        # Neither truncated nor a bare ValueError or TypeError.
+        with pytest.raises(TimingError, match=r"^trp \(.*\) must be a whole number$") as exc:
+            make_timing({"trp": value})
+        assert exc.value.keys == ("trp",)
+
+    def test_integral_float_cycle_value_accepted(self):
+        assert make_timing({"trp": 7.0}).trp == 7
+
+    @pytest.mark.parametrize("value", ["x", "1.87", None])
+    def test_non_numeric_tck_rejected(self, value):
+        with pytest.raises(TimingError, match=r"^tCK \(.*\) must be positive and finite") as exc:
+            make_timing({"tck_ns": value})
+        assert exc.value.keys == ("tck_ns",)
+
     def test_default_twr_keeps_row_miss_writes_at_trc(self):
         t = make_timing()
         # PRE->PRE distance for a row-miss write stream is

@@ -4,16 +4,19 @@
 switch mode. Of the cycles it visits, it steps only those at which the
 selection state may have changed; a quiet cycle (no arrival since an idle,
 mode-stable step, and before that step's first-ready cycle) only retires the
-bursts that end on it. ``Workload.poll`` skips the generators parked after a
-refused submit. ``run_per_cycle`` below steps every cycle, letting every
-started, unfinished generator emit, then stepping, notifying and checking
-for stalls and the end of the run each time, and is kept here as the
-reference that every skipped span, every quiet cycle and every parked
-generator must agree with. The oracle-coverage test checks that each cycle
-the oracle does not check is certified idle by an oracle check in the same
-state, even when ``select_command`` reports its next-ready cycle late.
+bursts that end on it. ``Workload.poll`` skips a generator before its
+``ready_at`` (a latency probe's is NEVER while its read is in flight) and
+one parked after a refused submit. ``run_per_cycle`` below steps every
+cycle, letting every started, unfinished generator emit, then stepping,
+notifying and checking for stalls and the end of the run each time, and is
+kept here as the reference that every skipped span, every quiet cycle and
+every skipped generator must agree with. The oracle-coverage test checks
+that each cycle the oracle does not check is certified idle by an oracle
+check in the same state, even when ``select_command`` reports its
+next-ready cycle late.
 """
 
+import hashlib
 from unittest import mock
 
 import pytest
@@ -213,6 +216,16 @@ SHARED_POOL_BINDS = ScenarioSpec(
                 for core in range(3)],
     mshr=MshrConfig(global_read_cap=8, per_core_read_cap=5, reserve_per_core=2),
     horizon=600, num_cores=3)
+# Every gate of the latency probe at once: a late start, a compute gap after
+# each completion, and a two-entry read queue that a saturating reader keeps
+# full, so the probe's reads are refused and parked; a stream starts late.
+PROBE_GATES = ScenarioSpec(
+    label="probe-gates", open_rows={0: 1, 1: 1, 2: 1},
+    generators=[GeneratorSpec(GeneratorKind.LATENCY, 0, 0, budget=20, gap=3, start=7),
+                GeneratorSpec(GeneratorKind.BANDWIDTH_READ, 1, 1),
+                GeneratorSpec(GeneratorKind.STREAM, 2, 2, start=60)],
+    scheduler=SchedulerConfig(read_cap=2), horizon=2000, analyzed_core=0,
+    num_cores=3)
 
 
 @settings(max_examples=150, deadline=None,
@@ -224,6 +237,7 @@ SHARED_POOL_BINDS = ScenarioSpec(
 @example(spec=READ_QUEUE_REFUSES)
 @example(spec=WRITE_QUEUE_REFUSES)
 @example(spec=SHARED_POOL_BINDS)
+@example(spec=PROBE_GATES)
 def test_run_matches_the_per_cycle_loop(spec):
     try:
         Workload(spec)
@@ -468,3 +482,26 @@ def test_a_generator_refused_by_a_full_queue_waits_for_a_cas_issue(monkeypatch):
     pairs = list(zip(stamps, stamps[1:]))
     assert all(sum(later) > sum(earlier) for earlier, later in pairs)
     assert any(later[0] == earlier[0] for earlier, later in pairs)
+
+
+def test_probe_gates_are_pinned(monkeypatch):
+    # The latency probe's start, its gap after each completion and its
+    # parking on a full queue, pinned by the run's files: 20 probe reads
+    # among 119 completions, with 39 of the probe's submits refused.
+    refused = []
+    enqueue = Controller.enqueue
+
+    def counted(ctrl, req):
+        accepted = enqueue(ctrl, req)
+        if not accepted:
+            refused.append(req.core)
+        return accepted
+    monkeypatch.setattr(Controller, "enqueue", counted)
+    trace, _ = run_scenario(PROBE_GATES)
+    assert (trace.total_cycles, len(trace.completions)) == (484, 119)
+    assert refused.count(0) == 39
+    digests = [hashlib.sha256(text.encode()).hexdigest()
+               for text in (trace.to_csv(), trace.stats_text())]
+    assert digests == [
+        "04c652b18e6797853b96401ba513b7107c323797bc1afecf1930914626f8621c",
+        "86e0368dc0dd37c93394d8d4c72a04050f4eeab6f6f2fd4c666f8d33fb526d7b"]

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from dramwc import harness, workload
 from dramwc.analysis import AnalysisInputs, bounds
-from dramwc.device import TimingError
+from dramwc.device import TimingError, make_timing
 from dramwc.scheduler import SchedulerConfig
 from dramwc.workload import (
     GeneratorKind,
@@ -193,6 +193,23 @@ class TestGenerators:
         with pytest.raises(ScenarioError,
                            match=rf"bandwidth_write budget \({budget}\) must be even"):
             GeneratorSpec(GeneratorKind.BANDWIDTH_WRITE, 1, 1, budget=budget)
+
+    def test_kind_given_by_its_value_is_converted(self):
+        spec = ScenarioSpec(generators=[GeneratorSpec("stream", 0, 0, budget=3)],
+                            num_cores=1)
+        assert spec.generators[0].kind is GeneratorKind.STREAM
+        assert "kind stream" in scenario_to_text(spec)
+        trace, _ = run_scenario(spec)
+        assert len(trace.completions) == 3
+
+    def test_odd_budget_rejected_for_a_kind_given_by_its_value(self):
+        with pytest.raises(ScenarioError, match="must be even"):
+            GeneratorSpec("bandwidth_write", 0, 0, budget=3)
+
+    @pytest.mark.parametrize("kind", ["pointer_chase", None, 2])
+    def test_unknown_kind_rejected(self, kind):
+        with pytest.raises(ScenarioError, match="unknown generator kind"):
+            GeneratorSpec(kind, 0, 0)
 
     def test_stream_ratio_two_to_one(self):
         spec = live_spec(GeneratorKind.STREAM, budget=30, horizon=3000)
@@ -474,6 +491,14 @@ FAULTS = {
 def test_label_that_cannot_be_read_back_rejected(label):
     with pytest.raises(ScenarioError, match="label"):
         ScenarioSpec(label=label)
+
+
+def test_timing_overrides_are_resolved_when_the_spec_is_built():
+    spec = ScenarioSpec(timing={"trc": 30})
+    assert spec.timing == make_timing({"trc": 30})
+    assert ScenarioSpec().timing == make_timing()
+    with pytest.raises(TimingError, match="tRC"):
+        ScenarioSpec(timing={"trc": 5})
 
 
 def _apply_fault(text, edits, blame):
