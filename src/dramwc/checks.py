@@ -5,8 +5,8 @@ batching, data-bus exclusivity, activate-window limits, and conservation.
 from __future__ import annotations
 
 from . import device
-from .device import CommandKind
-from .scheduler import Mode, ScheduleTrace, priority_key
+from .device import ACT, RD, WR
+from .scheduler import READ, WRITE_DRAIN, Mode, ScheduleTrace, priority_key
 
 
 class TraceInvariantError(AssertionError):
@@ -137,9 +137,9 @@ def check_burst_timing(trace: ScheduleTrace) -> None:
     timing = trace.timing
     bursts = {b.request_id: b for b in trace.bursts}
     for rec in trace.issues:
-        if rec.kind is CommandKind.RD:
+        if rec.kind is RD:
             expected = (rec.cycle + timing.cl, rec.cycle + timing.cl + timing.tburst)
-        elif rec.kind is CommandKind.WR:
+        elif rec.kind is WR:
             expected = (rec.cycle + timing.wl, rec.cycle + timing.wl + timing.tburst)
         else:
             continue
@@ -157,7 +157,7 @@ def check_burst_timing(trace: ScheduleTrace) -> None:
 
 
 def check_tfaw(trace: ScheduleTrace) -> None:
-    acts = sorted(rec.cycle for rec in trace.issues if rec.kind is CommandKind.ACT)
+    acts = sorted(rec.cycle for rec in trace.issues if rec.kind is ACT)
     window = trace.timing.tfaw
     for i in range(4, len(acts)):
         if acts[i] - acts[i - 4] < window:
@@ -170,9 +170,9 @@ def check_mode_exclusion(trace: ScheduleTrace) -> None:
     intervals = _mode_intervals(trace)
     for i, rec in _issues_by_interval(trace, intervals):
         mode = intervals[i][1]
-        if rec.kind is CommandKind.WR and mode is not Mode.WRITE_DRAIN:
+        if rec.kind is WR and mode is not WRITE_DRAIN:
             raise TraceInvariantError(f"WR issued outside a drain at {rec.cycle}")
-        if rec.kind is CommandKind.RD and mode is not Mode.READ:
+        if rec.kind is RD and mode is not READ:
             raise TraceInvariantError(f"RD issued during a drain at {rec.cycle}")
 
 
@@ -182,11 +182,11 @@ def check_drain_batching(trace: ScheduleTrace) -> None:
     intervals = _mode_intervals(trace)
     drained = [0] * len(intervals)
     for i, rec in _issues_by_interval(trace, intervals):
-        if rec.kind is CommandKind.WR:
+        if rec.kind is WR:
             drained[i] += 1
     # The last interval is still open at the end of the trace.
     for i, (start, mode) in enumerate(intervals[:-1]):
-        if mode is not Mode.WRITE_DRAIN:
+        if mode is not WRITE_DRAIN:
             continue
         if i > 0:
             queued = trace.mode_switches[i - 1].write_queue_len

@@ -29,8 +29,13 @@ class CommandKind(enum.Enum):
     WR = "WR"
 
 
+# The members as module names. On CPython 3.10 and 3.11 a read through the
+# class (``CommandKind.RD``) takes the enum metaclass's slow attribute path,
+# about ten times the cost of a global, so the per-cycle code reads these.
+PRE, ACT, RD, WR = CommandKind
+
 #: Column (CAS) command kinds; ACT and PRE form the row (RAS) class.
-CAS_KINDS = (CommandKind.RD, CommandKind.WR)
+CAS_KINDS = (RD, WR)
 
 #: DDR3-1066 timing set. Cycle values except tck_ns.
 DDR3_1066 = {
@@ -159,12 +164,12 @@ def decompose_request(req, bank: BankState) -> tuple[CommandKind, ...]:
     Row hit -> (CAS,); closed bank -> (ACT, CAS); conflicting open row ->
     (PRE, ACT, CAS). The head is the kind of the request's next command.
     """
-    cas = CommandKind.WR if req.is_write else CommandKind.RD
+    cas = WR if req.is_write else RD
     if bank.open_row == req.row:
         return (cas,)
     if bank.open_row is None:
-        return (CommandKind.ACT, cas)
-    return (CommandKind.PRE, CommandKind.ACT, cas)
+        return (ACT, cas)
+    return (PRE, ACT, cas)
 
 
 #: earliest_ready of a command that the bank's row state forbids outright.
@@ -182,7 +187,7 @@ def earliest_ready(
     command of this kind for this row, or NEVER when the open row forbids
     it. Each constraint has the form ``now >= X``, so until the state
     changes the command is ready from here on."""
-    if kind is CommandKind.ACT:
+    if kind is ACT:
         if bank.open_row is not None:
             return NEVER
         at = bank.earliest_act
@@ -192,14 +197,14 @@ def earliest_ready(
             if len(hist) >= 4:
                 at = max(at, hist[-4] + timing.tfaw)
         return at
-    if kind is CommandKind.PRE:
+    if kind is PRE:
         return NEVER if bank.open_row is None else bank.earliest_pre
-    if kind is CommandKind.RD:
+    if kind is RD:
         if bank.open_row != row:
             return NEVER
         return max(bank.earliest_rd, chan.earliest_rd_cas,
                    chan.data_bus_free - timing.cl)
-    if kind is CommandKind.WR:
+    if kind is WR:
         if bank.open_row != row:
             return NEVER
         return max(bank.earliest_wr, chan.earliest_wr_cas,
@@ -238,7 +243,7 @@ def apply_command(
         raise RuntimeError(f"command not ready at cycle {now}: {kind.value} "
                            f"for request {req.request_id}")
 
-    if kind is CommandKind.ACT:
+    if kind is ACT:
         bank.open_row = req.row
         bank.earliest_rd = max(bank.earliest_rd, now + timing.trcd)
         bank.earliest_wr = max(bank.earliest_wr, now + timing.trcd)
@@ -248,12 +253,12 @@ def apply_command(
             chan.act_history.pop(0)
         return None
 
-    if kind is CommandKind.PRE:
+    if kind is PRE:
         bank.open_row = None
         bank.earliest_act = max(bank.earliest_act, now + timing.trp)
         return None
 
-    if kind is CommandKind.RD:
+    if kind is RD:
         bank.earliest_pre = max(bank.earliest_pre, now + timing.trtp)
         burst = DataBurst(now + timing.cl, now + timing.cl + timing.tburst,
                           req.request_id)

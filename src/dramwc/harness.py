@@ -216,16 +216,17 @@ def evaluate(trace, spec: ScenarioSpec, slowdown: float | None = None) -> Experi
 # File emission
 # ---------------------------------------------------------------------------
 
-def _write(path: Path, content: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(content, encoding="utf-8")
+def _write(out: Path, files: dict[str, str]) -> None:
+    """Write each named file under ``out``, creating ``out`` once."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        (out / name).write_text(content, encoding="utf-8")
 
 
 def _emit(out: Path, trace, spec: ScenarioSpec) -> None:
     """Write one run's trace.csv, stats.txt and scenario.txt under ``out``."""
-    _write(out / "trace.csv", trace.to_csv())
-    _write(out / "stats.txt", trace.stats_text())
-    _write(out / "scenario.txt", scenario_to_text(spec))
+    _write(out, {"trace.csv": trace.to_csv(), "stats.txt": trace.stats_text(),
+                 "scenario.txt": scenario_to_text(spec)})
 
 
 def _write_report(out: Path, inputs: analysis.AnalysisInputs,
@@ -242,7 +243,7 @@ def _write_report(out: Path, inputs: analysis.AnalysisInputs,
             rows.append(f"{name}_ratio,{report.text(name)},")
         for name in ("violations_full", "violations_nowq", "violations_baseline"):
             rows.append(f"{name},{report.text(name)},")
-    _write(out / "report.csv", "\n".join(rows) + "\n")
+    _write(out, {"report.csv": "\n".join(rows) + "\n"})
 
 
 def simulate(spec: ScenarioSpec, out_dir) -> "tuple":
@@ -295,7 +296,7 @@ def sweep(kind, n_interferers: int, seeds, out_dir=None,
     if out_dir is not None:
         lines = [ExperimentReport.CSV_HEADER]
         lines += [r.csv_row() for r in sorted(reports, key=lambda r: r.seed)]
-        _write(Path(out_dir) / "summary.csv", "\n".join(lines) + "\n")
+        _write(Path(out_dir), {"summary.csv": "\n".join(lines) + "\n"})
     return reports
 
 

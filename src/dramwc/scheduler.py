@@ -14,7 +14,7 @@ import heapq
 from dataclasses import dataclass
 
 from . import device
-from .device import CommandKind, DataBurst, TimingParams
+from .device import ACT, CAS_KINDS, PRE, RD, WR, CommandKind, DataBurst, TimingParams
 from .keyvalue import check_min
 
 
@@ -29,6 +29,10 @@ class SimulationStalled(SchedulerError):
 class Mode(enum.Enum):
     READ = "read"
     WRITE_DRAIN = "write_drain"
+
+
+# Module names for the per-cycle code, as device binds the command kinds.
+READ, WRITE_DRAIN = Mode
 
 
 @dataclass
@@ -152,7 +156,7 @@ class ScheduleTrace:
 def priority_key(kind: CommandKind, bank: int, arrival_order: int,
                  prioritized_bank: int | None) -> tuple:
     """FR-FCFS ordering key; smaller wins."""
-    cas_rank = 0 if kind in device.CAS_KINDS else 1
+    cas_rank = 0 if kind in CAS_KINDS else 1
     bank_rank = 0 if prioritized_bank is None or bank == prioritized_bank else 1
     return (cas_rank, bank_rank, arrival_order, bank)
 
@@ -226,20 +230,20 @@ class Controller:
 
     def _mode_due(self) -> Mode | None:
         """The mode that update_mode would switch to now, or None."""
-        if self.mode is Mode.READ:
+        if self.mode is READ:
             if self.write_queue and (
                 len(self.write_queue) >= self.config.write_cap or not self.read_queue
             ):
-                return Mode.WRITE_DRAIN
+                return WRITE_DRAIN
         elif not self.write_queue or (
             self.drained_in_batch >= self.config.drain_batch and self.read_queue
         ):
-            return Mode.READ
+            return READ
         return None
 
     def _switch_mode(self, mode: Mode) -> None:
         self.mode = mode
-        if mode is Mode.WRITE_DRAIN:
+        if mode is WRITE_DRAIN:
             self.drained_in_batch = 0
         self.trace.mode_switches.append(
             ModeSwitch(self.now, mode, len(self.write_queue))
@@ -248,13 +252,13 @@ class Controller:
     def _next_kind(self, req: MemRequest) -> CommandKind:
         open_row = self.banks[req.bank].open_row
         if open_row == req.row:
-            return CommandKind.WR if req.is_write else CommandKind.RD
+            return WR if req.is_write else RD
         if open_row is None:
-            return CommandKind.ACT
-        return CommandKind.PRE
+            return ACT
+        return PRE
 
     def candidate_queue(self) -> list[MemRequest]:
-        return self.read_queue if self.mode is Mode.READ else self.write_queue
+        return self.read_queue if self.mode is READ else self.write_queue
 
     def select_command(self) -> tuple[CommandKind, MemRequest] | None:
         """Highest-priority ready command among the active queue, as the
@@ -270,7 +274,7 @@ class Controller:
         best_key = None
         next_ready = device.NEVER
         prio = self.config.prioritized_bank
-        groups = self.read_groups if self.mode is Mode.READ else self.write_groups
+        groups = self.read_groups if self.mode is READ else self.write_groups
         for group in groups.values():
             req = group[0]
             kind = self._next_kind(req)
@@ -308,7 +312,7 @@ class Controller:
                 self.trace.bursts.append(burst)
                 self._dequeue(req)
                 heapq.heappush(self._inflight, (burst.end, req.request_id, req))
-                if kind is CommandKind.WR:
+                if kind is WR:
                     self.drained_in_batch += 1
         return issued, self._retire()
 

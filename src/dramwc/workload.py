@@ -57,9 +57,13 @@ class MshrFile:
         self.reads = [0] * num_cores
         self.writes = [0] * num_cores
         self.writes_total = 0
+        # Running sums over cores, kept by acquire and release: all held
+        # reads, and the reads each core holds beyond its reservation.
+        self.reads_total = 0
+        self.shared_used = 0
 
     def idle(self) -> bool:
-        return sum(self.reads) == 0 and self.writes_total == 0
+        return self.reads_total == 0 and self.writes_total == 0
 
     def acquire(self, core: int, is_write: bool) -> bool:
         cfg = self.config
@@ -69,18 +73,20 @@ class MshrFile:
             self.writes[core] += 1
             self.writes_total += 1
             return True
-        if self.reads[core] >= cfg.per_core_read_cap:
+        held = self.reads[core]
+        if held >= cfg.per_core_read_cap:
             return False
         reserve = cfg.reserve_per_core
+        beyond = held >= reserve  # the new entry would be a shared one
         if reserve:
-            if self.reads[core] >= reserve:
-                shared = cfg.global_read_cap - reserve * self.num_cores
-                shared_used = sum(max(0, r - reserve) for r in self.reads)
-                if shared_used >= shared:
-                    return False
-        elif sum(self.reads) >= cfg.global_read_cap:
+            if beyond and (self.shared_used
+                           >= cfg.global_read_cap - reserve * self.num_cores):
+                return False
+        elif self.reads_total >= cfg.global_read_cap:
             return False
-        self.reads[core] += 1
+        self.reads[core] = held + 1
+        self.reads_total += 1
+        self.shared_used += beyond
         return True
 
     def release(self, core: int, is_write: bool) -> None:
@@ -90,9 +96,12 @@ class MshrFile:
             self.writes[core] -= 1
             self.writes_total -= 1
         else:
-            if self.reads[core] == 0:
+            held = self.reads[core]
+            if held == 0:
                 raise ScenarioError(f"read release without acquire on core {core}")
-            self.reads[core] -= 1
+            self.reads[core] = held - 1
+            self.reads_total -= 1
+            self.shared_used -= held > self.config.reserve_per_core
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +109,18 @@ class MshrFile:
 # ---------------------------------------------------------------------------
 
 class GeneratorKind(enum.Enum):
+    """A generator's behaviour. ``GeneratorKind(value)`` accepts a member or
+    its value; anything else is a ScenarioError naming the choices."""
+
     LATENCY = "latency"
     BANDWIDTH_READ = "bandwidth_read"
     BANDWIDTH_WRITE = "bandwidth_write"
     STREAM = "stream"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ScenarioError(f"unknown generator kind {value!r}; choose from "
+                            + ", ".join(kind.value for kind in cls))
 
 
 @dataclass
@@ -119,10 +136,7 @@ class GeneratorSpec:
     stream_writes: int = 1          # writes per stream pattern period
 
     def __post_init__(self):
-        try:
-            self.kind = GeneratorKind(self.kind)
-        except ValueError:
-            raise ScenarioError(f"unknown generator kind {self.kind!r}") from None
+        self.kind = GeneratorKind(self.kind)
         if self.row_policy not in ("sequential", "random"):
             raise ScenarioError(f"unknown row_policy {self.row_policy!r}")
         if (self.budget or 0) < 0:

@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +88,17 @@ class TestSimulateFiles:
             assert (tmp_path / name).exists()
         csv = (tmp_path / "trace.csv").read_text()
         assert csv.startswith("cycle,event,kind,bank,row,core,request_id")
+
+    def test_each_directory_is_created_once(self, tmp_path, monkeypatch):
+        made, mkdir = [], Path.mkdir
+
+        def counted(path, *args, **kwargs):
+            made.append(path)
+            return mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", counted)
+        sweep("bandwidth_write", 3, [0, 1], tmp_path, staged=True)
+        assert made == [tmp_path / "seed_0", tmp_path / "seed_1", tmp_path]
 
     def test_reruns_are_byte_identical(self, tmp_path):
         simulate(preset("fig5"), tmp_path / "a")

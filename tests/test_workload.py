@@ -85,6 +85,43 @@ class TestMshrFile:
         with pytest.raises(ScenarioError):
             mshr.release(0, True)
 
+    @settings(max_examples=200, deadline=None)
+    @given(num_cores=st.integers(1, 5), per_core=st.integers(1, 12),
+           global_cap=st.integers(1, 40), reserve=st.integers(0, 8),
+           ops=st.lists(st.tuples(st.booleans(), st.integers(0, 4)), max_size=120))
+    def test_running_totals_match_the_summed_reference(self, num_cores, per_core,
+                                                       global_cap, reserve, ops):
+        """Read admission by the running totals gives the verdict of the
+        formula that sums over cores on every acquire."""
+        reserve = min(reserve, global_cap // num_cores)
+        cfg = MshrConfig(global_read_cap=global_cap, per_core_read_cap=per_core,
+                         reserve_per_core=reserve)
+        mshr = MshrFile(cfg, num_cores=num_cores)
+
+        def reference_admits(reads, core):
+            if reads[core] >= per_core:
+                return False
+            if reserve:
+                shared = global_cap - reserve * num_cores
+                return (reads[core] < reserve
+                        or sum(max(0, r - reserve) for r in reads) < shared)
+            return sum(reads) < global_cap
+
+        reads = [0] * num_cores
+        for is_acquire, core in ops:
+            core %= num_cores
+            if is_acquire:
+                expected = reference_admits(reads, core)
+                assert mshr.acquire(core, False) == expected
+                reads[core] += expected
+            elif reads[core]:
+                mshr.release(core, False)
+                reads[core] -= 1
+            assert mshr.reads == reads
+            assert mshr.reads_total == sum(reads)
+            assert mshr.shared_used == sum(max(0, r - reserve) for r in reads)
+            assert mshr.idle() == (not any(reads))
+
 
 def live_spec(kind, budget=None, horizon=400, track_core=1, **gen_kwargs):
     return ScenarioSpec(
@@ -210,6 +247,16 @@ class TestGenerators:
     def test_unknown_kind_rejected(self, kind):
         with pytest.raises(ScenarioError, match="unknown generator kind"):
             GeneratorSpec(kind, 0, 0)
+
+    @pytest.mark.parametrize("entry", [
+        lambda kind: harness.live_scenario(kind),
+        lambda kind: build_adversarial(interferer_kind=kind),
+        lambda kind: harness.sweep(kind, 3, [0]),
+    ], ids=["live_scenario", "build_adversarial", "sweep"])
+    def test_unknown_kind_names_the_choices_at_every_entry_point(self, entry):
+        with pytest.raises(ScenarioError, match="unknown generator kind 'nope'; "
+                           "choose from latency, bandwidth_read, bandwidth_write, stream"):
+            entry("nope")
 
     def test_stream_ratio_two_to_one(self):
         spec = live_spec(GeneratorKind.STREAM, budget=30, horizon=3000)
