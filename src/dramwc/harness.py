@@ -22,6 +22,7 @@ from .workload import (
     ScenarioSpec,
     StagedRequest,
     build_adversarial,
+    interferer_cores,
     run_scenario,
     scenario_from_text,
     scenario_to_text,
@@ -118,7 +119,7 @@ def live_scenario(kind: GeneratorKind | str, n_interferers: int = 3,
     """Latency-style analyzed task on core 0 co-running with n interferers."""
     kind = GeneratorKind(kind)
     generators = [GeneratorSpec(GeneratorKind.LATENCY, core=0, bank=0, budget=latency_budget)]
-    generators += [GeneratorSpec(kind, core=c, bank=c) for c in range(1, n_interferers + 1)]
+    generators += [GeneratorSpec(kind, core=c, bank=c) for c in interferer_cores(n_interferers)]
     return ScenarioSpec(
         label=f"live-{kind.value}-x{n_interferers}-{seed}",
         open_rows={core: 100 + core for core in range(n_interferers + 1)},
@@ -402,7 +403,7 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", help="seeded interference experiments")
     p_sweep.add_argument("--kind", required=True,
                          choices=[k.value for k in GeneratorKind])
-    p_sweep.add_argument("--n", type=int, default=3, choices=(1, 2, 3))
+    p_sweep.add_argument("--n", type=int, default=3)
     p_sweep.add_argument("--seeds", default="0..4")
     p_sweep.add_argument("--staged", action="store_true",
                          help="replay staged worst cases instead of live runs")

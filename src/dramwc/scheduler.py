@@ -114,7 +114,7 @@ class ScheduleTrace:
         rows = []
         for rec in self.issues:
             rows.append((rec.cycle, 0, rec.request_id,
-                         f"{rec.cycle},issue,{rec.kind.value},{rec.bank},"
+                         f"{rec.cycle},issue,{rec.kind._value_},{rec.bank},"
                          f"{rec.row},{rec.core},{rec.request_id}"))
         for rec in self.completions:
             rows.append((rec.completion_cycle, 1, rec.request_id,

@@ -24,7 +24,7 @@ class ScenarioError(ValueError):
 # MSHR file
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class MshrConfig:
     global_read_cap: int = 32
     global_write_cap: int = 16
@@ -42,14 +42,16 @@ class MshrFile:
 
     Reads are capped per core and globally; writes only globally. With
     reservations enabled each core always has ``reserve_per_core`` read
-    entries available regardless of the other cores' demand.
+    entries available regardless of the other cores' demand. :meth:`admits`
+    is the one admission rule.
     """
 
     def __init__(self, config: MshrConfig | None = None, num_cores: int = 4):
-        self.config = config or MshrConfig()
-        self.num_cores = num_cores
-        cfg = self.config
-        if cfg.reserve_per_core * num_cores > cfg.global_read_cap:
+        self.config = cfg = config or MshrConfig()
+        # The read entries beyond the reservations, which any core may take:
+        # all of them when nothing is reserved.
+        self.shared = cfg.global_read_cap - cfg.reserve_per_core * num_cores
+        if self.shared < 0:
             raise ScenarioError(
                 f"reservations ({cfg.reserve_per_core} x {num_cores}) exceed the "
                 f"global read capacity ({cfg.global_read_cap})"
@@ -57,36 +59,30 @@ class MshrFile:
         self.reads = [0] * num_cores
         self.writes = [0] * num_cores
         self.writes_total = 0
-        # Running sums over cores, kept by acquire and release: all held
-        # reads, and the reads each core holds beyond its reservation.
-        self.reads_total = 0
-        self.shared_used = 0
+        self.shared_used = 0  # reads held beyond their core's reservation
 
     def idle(self) -> bool:
-        return self.reads_total == 0 and self.writes_total == 0
+        return self.writes_total == 0 and not any(self.reads)
 
-    def acquire(self, core: int, is_write: bool) -> bool:
+    def admits(self, core: int, is_write: bool) -> bool:
+        """Whether ``core`` may take one more entry now."""
         cfg = self.config
         if is_write:
-            if self.writes_total >= cfg.global_write_cap:
-                return False
+            return self.writes_total < cfg.global_write_cap
+        held = self.reads[core]
+        return held < cfg.per_core_read_cap and (
+            held < cfg.reserve_per_core or self.shared_used < self.shared)
+
+    def acquire(self, core: int, is_write: bool) -> bool:
+        if not self.admits(core, is_write):
+            return False
+        if is_write:
             self.writes[core] += 1
             self.writes_total += 1
-            return True
-        held = self.reads[core]
-        if held >= cfg.per_core_read_cap:
-            return False
-        reserve = cfg.reserve_per_core
-        beyond = held >= reserve  # the new entry would be a shared one
-        if reserve:
-            if beyond and (self.shared_used
-                           >= cfg.global_read_cap - reserve * self.num_cores):
-                return False
-        elif self.reads_total >= cfg.global_read_cap:
-            return False
-        self.reads[core] = held + 1
-        self.reads_total += 1
-        self.shared_used += beyond
+        else:
+            held = self.reads[core]
+            self.reads[core] = held + 1
+            self.shared_used += held >= self.config.reserve_per_core
         return True
 
     def release(self, core: int, is_write: bool) -> None:
@@ -100,7 +96,6 @@ class MshrFile:
             if held == 0:
                 raise ScenarioError(f"read release without acquire on core {core}")
             self.reads[core] = held - 1
-            self.reads_total -= 1
             self.shared_used -= held > self.config.reserve_per_core
 
 
@@ -346,11 +341,17 @@ class ScenarioSpec:
                    (self.num_cores - 1) * cap + max(0, min(own_reads, cap) - 1))
 
 
-def _check_placement(spec: ScenarioSpec, core: int = 0, bank: int = 0) -> None:
-    """A core and bank named by a scenario must exist in it."""
-    if not (0 <= core < spec.num_cores and 0 <= bank < spec.scheduler.num_banks):
-        raise ScenarioError(f"core {core}, bank {bank} is outside the scenario's "
-                            f"{spec.num_cores} cores and {spec.scheduler.num_banks} banks")
+def _check_placement(spec: ScenarioSpec, core: int | None = None,
+                     bank: int | None = None) -> None:
+    """A core and a bank named by a scenario must exist in it. The error
+    names the ones given."""
+    named = [(what, index, count) for what, index, count in (
+        ("core", core, spec.num_cores), ("bank", bank, spec.scheduler.num_banks))
+        if index is not None]
+    if any(not 0 <= index < count for _, index, count in named):
+        raise ScenarioError(", ".join(f"{what} {index}" for what, index, _ in named)
+                            + " is outside the scenario's "
+                            + " and ".join(f"{count} {what}s" for what, _, count in named))
 
 
 class Workload:
@@ -369,17 +370,24 @@ class Workload:
 
     def __init__(self, spec: ScenarioSpec):
         check_min(spec, 1, "horizon", "num_cores", "num_rows", error=ScenarioError)
-        _check_placement(spec, core=spec.analyzed_core or 0)
+        _check_placement(spec, core=spec.analyzed_core)
         for bank in spec.open_rows:
             _check_placement(spec, bank=bank)
         core_bank: dict[int, int] = {}
+        bank_core: dict[int, int] = {}
 
         def claim(core: int, bank: int) -> None:
             _check_placement(spec, core, bank)
             owned = core_bank.setdefault(core, bank)
+            owner = bank_core.setdefault(bank, core)
             if owned != bank:
                 raise ScenarioError(
                     f"core {core} uses banks {owned} and {bank} but partitioning "
+                    f"assigns one private bank per core"
+                )
+            if owner != core:
+                raise ScenarioError(
+                    f"cores {owner} and {core} share bank {bank} but partitioning "
                     f"assigns one private bank per core"
                 )
 
@@ -510,6 +518,28 @@ def run_scenario(spec: ScenarioSpec):
 # Staged worst-case scenarios
 # ---------------------------------------------------------------------------
 
+def interferer_cores(n_interferers: int, analyzed_core: int = 0) -> list[int]:
+    """The cores other than the analyzed one in a scenario of
+    ``n_interferers + 1`` cores, at least 2."""
+    if n_interferers < 1:
+        raise ScenarioError(f"n_interferers ({n_interferers}) must be at least 1")
+    if not 0 <= analyzed_core <= n_interferers:
+        raise ScenarioError(f"analyzed_core ({analyzed_core}) must be one of the "
+                            f"{n_interferers + 1} cores 0-{n_interferers}")
+    return [c for c in range(n_interferers + 1) if c != analyzed_core]
+
+
+@functools.cache  # a staged sweep builds hundreds of scenarios of one set of caps
+def _interferer_room(mshr: MshrConfig, num_cores: int) -> int:
+    """The reads a freshly filled MSHR file admits to every core but one;
+    which one does not matter in an empty file."""
+    filled, room = MshrFile(mshr, num_cores), 0
+    for core in range(1, num_cores):
+        while filled.acquire(core, False):
+            room += 1
+    return room
+
+
 def build_adversarial(analyzed_core: int = 0,
                       interferer_kind: GeneratorKind = GeneratorKind.BANDWIDTH_WRITE,
                       seed: int = 0,
@@ -525,22 +555,19 @@ def build_adversarial(analyzed_core: int = 0,
     full complement of prior reads); other seeds sample perturbed variants
     under the same capacity limits. The limits are those of the returned
     scenario: its drain batch, its per-core MSHR read cap, and its
-    :meth:`ScenarioSpec.max_prior_reads`, which its bound charges. MSHR
-    reservations that admit fewer interferer reads than that count are a
-    ScenarioError, not a scenario the MSHR file cannot admit.
+    :meth:`ScenarioSpec.max_prior_reads`, which its bound charges. The reads
+    are staged through an MSHR file of the scenario's caps, so its run
+    admits them. Caps that admit fewer interferer reads than that count, or
+    a write cap below the drain batch for a kind that stages writes, are a
+    ScenarioError, not a scenario its run refuses.
 
     The scenario has ``n_interferers + 1`` cores, at least 2, and the
     analyzed core is one of them, so every other core interferes and the
     bounds charge no idle core.
     """
-    if n_interferers < 1:
-        raise ScenarioError(f"n_interferers ({n_interferers}) must be at least 1")
-    if not 0 <= analyzed_core <= n_interferers:
-        raise ScenarioError(f"analyzed_core ({analyzed_core}) must be one of the "
-                            f"{n_interferers + 1} cores 0-{n_interferers}")
+    cores = interferer_cores(n_interferers, analyzed_core)
     kind = GeneratorKind(interferer_kind)
     rng = random.Random(seed)
-    cores = [c for c in range(n_interferers + 1) if c != analyzed_core]
     open_rows = {core: 100 + core for core in [analyzed_core, *cores]}  # bank == core
     spec = ScenarioSpec(
         label=f"adversarial-{kind.value}-{seed}",
@@ -552,22 +579,26 @@ def build_adversarial(analyzed_core: int = 0,
         seed=seed,
     )
     max_prior_reads = spec.max_prior_reads()
-    # The interferer reads MshrFile.acquire admits: reserved plus shared entries.
-    cap, reserve = spec.mshr.per_core_read_cap, spec.mshr.reserve_per_core
-    shared = spec.mshr.global_read_cap - reserve * spec.num_cores
-    room = len(cores) * min(cap, reserve) + min(shared, len(cores) * max(0, cap - reserve))
-    if reserve and room < max_prior_reads:
+    room = _interferer_room(spec.mshr, spec.num_cores)
+    if room < max_prior_reads:
         raise ScenarioError(
-            f"MSHR reservations of {reserve} per core leave capacity for {room} "
-            f"interferer reads, fewer than the {max_prior_reads} prior reads the bound charges")
+            f"MSHR reservations of {spec.mshr.reserve_per_core} per core leave capacity "
+            f"for {room} interferer reads, fewer than the {max_prior_reads} prior reads "
+            f"the bound charges")
+    drain_batch = spec.scheduler.drain_batch
+    stages_writes = kind in (GeneratorKind.BANDWIDTH_WRITE, GeneratorKind.STREAM)
+    if stages_writes and spec.mshr.global_write_cap < drain_batch:
+        raise ScenarioError(
+            f"the MSHR write capacity ({spec.mshr.global_write_cap}) cannot hold "
+            f"a staged write batch of up to {drain_batch} writes")
 
     canonical = seed == 0
-    if kind is GeneratorKind.BANDWIDTH_READ or kind is GeneratorKind.LATENCY:
+    if not stages_writes:
         n_writes = 0
     elif canonical:
-        n_writes = spec.scheduler.drain_batch
+        n_writes = drain_batch
     else:
-        n_writes = rng.randint(1, spec.scheduler.drain_batch)
+        n_writes = rng.randint(1, drain_batch)
 
     if kind is GeneratorKind.LATENCY:
         n_reads = min(len(cores), max_prior_reads)  # one per interfering core
@@ -590,15 +621,17 @@ def build_adversarial(analyzed_core: int = 0,
             prestage.append(StagedRequest(True, core, core, row))
 
     # Prior reads: row hits on their cores' open banks so they pipeline,
-    # canonically round robin, which spends the equal budgets evenly.
-    read_budget = dict.fromkeys(cores, 1 if kind is GeneratorKind.LATENCY
-                                else spec.mshr.per_core_read_cap)
+    # canonically round robin. A core is eligible while an MSHR file of the
+    # scenario's caps admits its next read; a latency core keeps one read
+    # outstanding. n_reads is within room, so some core always is, and the
+    # even round robin spread is admitted too.
+    staging = MshrFile(spec.mshr, spec.num_cores)
+    one_each = kind is GeneratorKind.LATENCY
     for placed in range(n_reads):
-        eligible = [c for c in cores if read_budget[c]]
-        if not eligible:
-            break
+        eligible = [c for c in cores
+                    if staging.admits(c, False) and not (one_each and staging.reads[c])]
         core = cores[placed % len(cores)] if canonical else rng.choice(eligible)
-        read_budget[core] -= 1
+        staging.acquire(core, False)
         prestage.append(StagedRequest(False, core, core, open_rows[core]))
 
     if not canonical:

@@ -245,6 +245,14 @@ class TestLiveScenario:
         with pytest.raises(ValueError):
             core_span(trace, 9)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_interferers_rejected(self, n):
+        # Not a solo run reported as a co-run with a full bound charged.
+        with pytest.raises(ScenarioError, match=rf"n_interferers \({n}\) must be at least 1"):
+            live_scenario(GeneratorKind.BANDWIDTH_WRITE, n)
+        with pytest.raises(ScenarioError, match="must be at least 1"):
+            harness.sweep("bandwidth_write", n, [0])
+
 
 class TestCli:
     def test_parse_seeds(self):
@@ -516,6 +524,27 @@ class TestCli:
         ])
         assert code == 0
         assert (tmp_path / "summary.csv").exists()
+
+    def test_sweep_takes_any_interferer_count_its_scenario_admits(self, tmp_path):
+        code = harness.main(["sweep", "--kind", "bandwidth_write", "--n", "7",
+                             "--seeds", "0", "--out", str(tmp_path), "--staged"])
+        assert code == 0
+        assert "num_cores 8" in (tmp_path / "seed_0" / "scenario.txt").read_text()
+
+    @pytest.mark.parametrize("n, message", [
+        ("0", "n_interferers (0) must be at least 1"),
+        ("16", "bank 16 is outside the scenario's 16 banks"),
+    ])
+    @pytest.mark.parametrize("staged", [[], ["--staged"]], ids=["live", "staged"])
+    def test_sweep_rejects_an_interferer_count_its_scenario_cannot_hold(
+            self, n, message, staged, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            harness.main(["sweep", "--kind", "bandwidth_write", "--n", n,
+                          "--seeds", "0", "--out", str(tmp_path), *staged])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("dramwc")]
+        assert errors == [f"dramwc: error: {message}"]
 
 
 BOUND_ROWS = """quantity,cycles,ns

@@ -92,7 +92,8 @@ class TestMshrFile:
     def test_running_totals_match_the_summed_reference(self, num_cores, per_core,
                                                        global_cap, reserve, ops):
         """Read admission by the running totals gives the verdict of the
-        formula that sums over cores on every acquire."""
+        formula that sums over cores on every acquire, and ``admits`` asks
+        the same question without taking the entry."""
         reserve = min(reserve, global_cap // num_cores)
         cfg = MshrConfig(global_read_cap=global_cap, per_core_read_cap=per_core,
                          reserve_per_core=reserve)
@@ -112,13 +113,13 @@ class TestMshrFile:
             core %= num_cores
             if is_acquire:
                 expected = reference_admits(reads, core)
+                assert mshr.admits(core, False) == expected
                 assert mshr.acquire(core, False) == expected
                 reads[core] += expected
             elif reads[core]:
                 mshr.release(core, False)
                 reads[core] -= 1
             assert mshr.reads == reads
-            assert mshr.reads_total == sum(reads)
             assert mshr.shared_used == sum(max(0, r - reserve) for r in reads)
             assert mshr.idle() == (not any(reads))
 
@@ -310,13 +311,33 @@ class TestGenerators:
         with pytest.raises(ScenarioError, match="private bank"):
             Workload(spec)
 
+    def test_bank_shared_by_two_cores_rejected(self):
+        spec = ScenarioSpec(
+            prestage=[StagedRequest(False, 1, 1, 5), StagedRequest(False, 2, 1, 6),
+                      StagedRequest(False, 0, 0, 3)],
+            analyzed_core=0,
+        )
+        with pytest.raises(ScenarioError, match="cores 1 and 2 share bank 1 but "
+                           "partitioning assigns one private bank per core"):
+            Workload(spec)
+        with pytest.raises(ScenarioError, match="cores 1 and 2 share bank 1"):
+            run_scenario(scenario_from_text(scenario_to_text(spec)))
+
+    def test_generator_and_staged_request_of_two_cores_on_one_bank_rejected(self):
+        spec = ScenarioSpec(
+            generators=[GeneratorSpec(GeneratorKind.LATENCY, core=2, bank=3)],
+            prestage=[StagedRequest(True, 1, 3, 0)],
+        )
+        with pytest.raises(ScenarioError, match="cores 2 and 1 share bank 3"):
+            Workload(spec)
+
     @pytest.mark.parametrize("spec, match", [
         (ScenarioSpec(generators=[GeneratorSpec(GeneratorKind.LATENCY, 4, 1)]),
          "core 4, bank 1 is outside"),
         (ScenarioSpec(prestage=[StagedRequest(False, 1, 16, 0)]),
          "bank 16 is outside"),
         (ScenarioSpec(open_rows={-1: 3}), "bank -1 is outside"),
-        (ScenarioSpec(analyzed_core=4), "core 4, bank 0 is outside"),
+        (ScenarioSpec(analyzed_core=4), "core 4 is outside the scenario's 4 cores"),
         (ScenarioSpec(horizon=0), "horizon"),
     ])
     def test_out_of_range_scenario_rejected_before_running(self, spec, match):
@@ -413,6 +434,22 @@ class TestAdversarial:
         for kind in (GeneratorKind.BANDWIDTH_READ, GeneratorKind.LATENCY):
             spec = build_adversarial(interferer_kind=kind, seed=3)
             assert not any(p.is_write for p in spec.prestage)
+
+    @pytest.mark.parametrize("kind", [GeneratorKind.BANDWIDTH_WRITE,
+                                      GeneratorKind.STREAM])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_write_batch_the_mshr_file_cannot_hold_rejected(self, kind, seed):
+        # A random seed may stage fewer writes, but the same caps are refused.
+        with pytest.raises(ScenarioError, match=r"MSHR write capacity \(2\) cannot "
+                           r"hold a staged write batch of up to 4 writes"):
+            build_adversarial(interferer_kind=kind, seed=seed,
+                              mshr=MshrConfig(global_write_cap=2))
+
+    @pytest.mark.parametrize("kind", [GeneratorKind.BANDWIDTH_READ,
+                                      GeneratorKind.LATENCY])
+    def test_read_only_kinds_need_no_write_capacity(self, kind):
+        run_scenario(build_adversarial(interferer_kind=kind, seed=1,
+                                       mshr=MshrConfig(global_write_cap=1)))
 
     def test_seed_determinism(self):
         a = build_adversarial(interferer_kind="stream", seed=11)
