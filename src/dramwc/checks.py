@@ -27,8 +27,9 @@ def verify_selection(controller, chosen) -> int | None:
     arrival-order queue, not the controller's (bank, row) groups, and each
     queued request's head comes from decompose_request rather than the
     controller's fast path. The head and its earliest_ready cycle are
-    derived once per distinct (bank, row, is_write) target and shared by
-    the requests to it: both depend only on the target, the bank's open row
+    derived once per distinct (bank, row, is_write) target, the ``target``
+    that enqueue stamps on each request, and shared by the requests to it:
+    both depend only on the target, the bank's open row
     and timing state and the channel, none of which changes during the call,
     so this is exact.
 
@@ -50,23 +51,25 @@ def verify_selection(controller, chosen) -> int | None:
     if len(controller.write_queue) > controller.config.write_cap:
         raise TraceInvariantError("write queue exceeds its capacity")
     queue = controller.candidate_queue()
+    now = controller.now
     heads = {}
     if chosen is None:
         first_ready = device.NEVER
-        for target, req in {(r.bank, r.row, r.is_write): r for r in queue}.items():
+        for target, req in {r.target: r for r in queue}.items():
             heads[target] = head = _head(controller, req)
-            first_ready = min(first_ready, head[1])
-        if first_ready > controller.now:
+            if head[1] < first_ready:
+                first_ready = head[1]
+        if first_ready > now:
             return first_ready
     prio = controller.config.prioritized_bank
     best_key = None
     best = None
     for req in queue:
-        target = (req.bank, req.row, req.is_write)
-        if target not in heads:
-            heads[target] = _head(controller, req)
-        kind, at = heads[target]
-        if at > controller.now:
+        head = heads.get(req.target)
+        if head is None:
+            heads[req.target] = head = _head(controller, req)
+        kind, at = head
+        if at > now:
             continue
         key = priority_key(kind, req.bank, req.arrival_order, prio)
         if best_key is None or key < best_key:

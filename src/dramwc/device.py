@@ -126,7 +126,7 @@ def make_timing(raw: dict | None = None) -> TimingParams:
 DEFAULT_TIMING = make_timing()
 
 
-@dataclass(frozen=True)
+@dataclass
 class DataBurst:
     start: int
     end: int  # exclusive

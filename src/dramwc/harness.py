@@ -450,8 +450,9 @@ def _run_command(args) -> int:
             spec = preset(args.preset)
         elif args.scenario:
             spec = scenario_from_text(_read(args.scenario))
-        else:
-            spec = build_adversarial(interferer_kind=args.kind, seed=args.seed)
+        else:  # staged through an MSHR file of the reservation it runs with
+            spec = build_adversarial(interferer_kind=args.kind, seed=args.seed,
+                                     mshr=_apply_overrides(ScenarioSpec(), args).mshr)
         spec = _apply_overrides(spec, args)
         report = compare(spec, args.out)
         print(f"{report.scenario}: measured max {report.measured_max}, "

@@ -69,12 +69,13 @@ class MemRequest:
     bank: int
     row: int
     arrival_cycle: int = 0
-    arrival_order: int = -1  # assigned by the controller on accept, as is
-    hit_class: str = ""      # the own-bank state then: hit, closed or conflict
+    arrival_order: int = -1  # assigned by the controller on accept, as are
+    hit_class: str = ""      # the own-bank state then (hit, closed, conflict)
+    target: tuple = ()       # and (bank, row, is_write), the oracle's scan key
     completion_cycle: int | None = None  # set when its data burst ends
 
 
-@dataclass(frozen=True)
+@dataclass
 class IssueRecord:
     cycle: int
     kind: CommandKind
@@ -155,7 +156,8 @@ class ScheduleTrace:
 
 def priority_key(kind: CommandKind, bank: int, arrival_order: int,
                  prioritized_bank: int | None) -> tuple:
-    """FR-FCFS ordering key; smaller wins."""
+    """FR-FCFS ordering key; smaller wins. The oracle ranks by it;
+    select_command builds the same key in its own loop."""
     cas_rank = 0 if kind in CAS_KINDS else 1
     bank_rank = 0 if prioritized_bank is None or bank == prioritized_bank else 1
     return (cas_rank, bank_rank, arrival_order, bank)
@@ -212,6 +214,7 @@ class Controller:
             raise SchedulerError(f"request {req.request_id} targets unknown bank {req.bank}")
         req.arrival_order = self._next_order
         self._next_order += 1
+        req.target = (req.bank, req.row, req.is_write)
         queue.append(req)
         groups = self.write_groups if req.is_write else self.read_groups
         groups.setdefault((req.bank, req.row), []).append(req)
@@ -249,14 +252,6 @@ class Controller:
             ModeSwitch(self.now, mode, len(self.write_queue))
         )
 
-    def _next_kind(self, req: MemRequest) -> CommandKind:
-        open_row = self.banks[req.bank].open_row
-        if open_row == req.row:
-            return WR if req.is_write else RD
-        if open_row is None:
-            return ACT
-        return PRE
-
     def candidate_queue(self) -> list[MemRequest]:
         return self.read_queue if self.mode is READ else self.write_queue
 
@@ -275,15 +270,26 @@ class Controller:
         next_ready = device.NEVER
         prio = self.config.prioritized_bank
         groups = self.read_groups if self.mode is READ else self.write_groups
+        banks, chan, timing, now = self.banks, self.chan, self.timing, self.now
+        earliest_ready = device.earliest_ready
         for group in groups.values():
             req = group[0]
-            kind = self._next_kind(req)
-            at = device.earliest_ready(kind, req.row, self.banks[req.bank],
-                                       self.chan, self.timing)
-            if at > self.now:
-                next_ready = min(next_ready, at)
+            bank, row = req.bank, req.row
+            state = banks[bank]
+            # The head's kind and FR-FCFS key, in line; the oracle derives
+            # its own, from decompose_request and priority_key.
+            open_row = state.open_row
+            if open_row == row:
+                kind, cas_rank = WR if req.is_write else RD, 0
+            else:
+                kind, cas_rank = ACT if open_row is None else PRE, 1
+            at = earliest_ready(kind, row, state, chan, timing)
+            if at > now:
+                if at < next_ready:
+                    next_ready = at
                 continue
-            key = priority_key(kind, req.bank, req.arrival_order, prio)
+            key = (cas_rank, 0 if prio is None or bank == prio else 1,
+                   req.arrival_order, bank)
             if best_key is None or key < best_key:
                 best, best_key = (kind, req), key
         self.next_ready = next_ready
@@ -369,31 +375,34 @@ class Controller:
         oracle's check in the same state has already certified that.
         """
         horizon = workload.spec.horizon
+        stall_window = self.config.stall_window
+        poll, notify, finished = workload.poll, workload.notify, workload.finished
+        step, retire, mode_due, idle = self.step, self._retire, self._mode_due, self.idle
         last_progress = 0
         quiet_order, quiet_until = -1, 0  # arrival count and end of the quiet span
         while self.now < horizon:
             cycle = self.now
-            workload.poll(cycle)
+            poll(cycle)
             if cycle < quiet_until and self._next_order == quiet_order:
-                issued, completed = None, self._retire()
+                issued, completed = None, retire()
             else:
-                issued, completed = self.step()
+                issued, completed = step()
                 quiet_order = self._next_order
                 quiet_until = (min(self.next_ready, self._first_ready)
-                               if issued is None and self._mode_due() is None
+                               if issued is None and mode_due() is None
                                else 0)
-            workload.notify(cycle, completed)
+            notify(cycle, completed)
             if issued is not None:
                 last_progress = cycle
-            elif not self.idle() and cycle - last_progress > self.config.stall_window:
+            elif not idle() and cycle - last_progress > stall_window:
                 raise SimulationStalled(
                     f"no command issued since cycle {last_progress} "
                     f"(reads={len(self.read_queue)}, writes={len(self.write_queue)}, "
                     f"mode={self.mode.value})"
                 )
-            if workload.finished():
+            if finished():
                 break
-            if issued is not None or completed or self._mode_due() is not None:
+            if issued is not None or completed or mode_due() is not None:
                 continue  # freed room may admit a request; the mode may flip
             target = self._next_event(workload, horizon, last_progress)
             if target > self.now:

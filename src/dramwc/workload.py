@@ -478,8 +478,12 @@ class Workload:
         """First cycle from ``now`` on at which polling can submit a request
         or change a generator, or NEVER: the earliest unfinished generator's
         ``ready_at`` not yet passed (past it, only freed room can)."""
-        return min((gen.ready_at for gen in self.generators
-                    if gen.ready_at >= now and not gen.done()), default=NEVER)
+        wake = NEVER
+        for gen in self.generators:
+            at = gen.ready_at
+            if now <= at < wake and not gen.done():
+                wake = at
+        return wake
 
     def notify(self, now: int, completed: list[MemRequest]) -> None:
         # Every id past the staged ones is a generator's, on its own core.

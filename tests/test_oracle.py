@@ -150,6 +150,39 @@ def test_first_ready_cycle_is_where_the_full_scan_starts_to_fail(ctrl):
     assert failure(full_scan_verify_selection, ctrl, None) is not None
 
 
+def reference_selection(ctrl):
+    """select_command's pick and next-ready cycle, rebuilt from the oracle's
+    parts: the oldest active request of each (bank, row) is a group head,
+    whose kind comes from decompose_request, whose ready cycle comes from
+    earliest_ready, and whose rank comes from priority_key."""
+    heads = {}
+    for req in ctrl.candidate_queue():
+        heads.setdefault((req.bank, req.row), req)
+    best, best_key, next_ready = None, None, NEVER
+    for req in heads.values():
+        bank = ctrl.banks[req.bank]
+        kind = device.decompose_request(req, bank)[0]
+        at = device.earliest_ready(kind, req.row, bank, ctrl.chan, ctrl.timing)
+        if at > ctrl.now:
+            next_ready = min(next_ready, at)
+            continue
+        key = priority_key(kind, req.bank, req.arrival_order,
+                           ctrl.config.prioritized_bank)
+        if best_key is None or key < best_key:
+            best, best_key = (kind, req.request_id), key
+    return best, next_ready
+
+
+@settings(max_examples=400, deadline=None)
+@given(ctrl=controller_states())
+def test_selection_matches_the_reference_over_group_heads(ctrl):
+    # select_command derives each head's kind and FR-FCFS key in its own
+    # loop; they must agree with the decomposition and with priority_key.
+    chosen = ctrl.select_command()
+    picked = None if chosen is None else (chosen[0], chosen[1].request_id)
+    assert (picked, ctrl.next_ready) == reference_selection(ctrl)
+
+
 def test_the_scan_stops_only_at_a_cas_on_a_top_rank_bank():
     # The older RD on bank 2 comes first in the queue, but the younger RD on
     # the prioritized bank outranks it.
@@ -281,7 +314,7 @@ def _selector(rank):
         ready = []
         self.next_ready = NEVER
         for req in self.candidate_queue():
-            kind = self._next_kind(req)
+            kind = device.decompose_request(req, self.banks[req.bank])[0]
             at = device.earliest_ready(kind, req.row, self.banks[req.bank],
                                        self.chan, self.timing)
             if at > self.now:

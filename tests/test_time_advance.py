@@ -395,6 +395,24 @@ def test_selection_groups_match_the_queues(spec):
             pass
 
 
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(spec=live_specs() | staged_specs())
+def test_every_accepted_request_carries_its_target(spec):
+    # The oracle dedupes its scan on the (bank, row, is_write) target that
+    # enqueue stamps on each request it accepts.
+    try:
+        workload = Workload(spec)
+    except ValueError:  # ScenarioError: over-full staging, for one
+        return
+    try:
+        workload.controller.run(workload)
+    except SimulationStalled:
+        pass
+    for req in workload.controller.trace.requests.values():
+        assert req.target == (req.bank, req.row, req.is_write)
+
+
 def emit_stamps(monkeypatch, workload):
     """The trace's (completions, bursts) counts at each emit call of the
     workload's generators, in call order, filled in as the run goes."""
