@@ -561,8 +561,9 @@ def build_adversarial(analyzed_core: int = 0,
     scenario: its drain batch, its per-core MSHR read cap, and its
     :meth:`ScenarioSpec.max_prior_reads`, which its bound charges. The reads
     are staged through an MSHR file of the scenario's caps, so its run
-    admits them. Caps that admit fewer interferer reads than that count, or
-    a write cap below the drain batch for a kind that stages writes, are a
+    admits them. Caps that admit fewer interferer reads than the scenario
+    stages (that count, or one per interferer for the latency kind), or a
+    write cap below the drain batch for a kind that stages writes, are a
     ScenarioError, not a scenario its run refuses.
 
     The scenario has ``n_interferers + 1`` cores, at least 2, and the
@@ -583,12 +584,14 @@ def build_adversarial(analyzed_core: int = 0,
         seed=seed,
     )
     max_prior_reads = spec.max_prior_reads()
+    one_each = kind is GeneratorKind.LATENCY
+    staged_reads = min(len(cores), max_prior_reads) if one_each else max_prior_reads
     room = _interferer_room(spec.mshr, spec.num_cores)
-    if room < max_prior_reads:
+    if room < staged_reads:
         raise ScenarioError(
             f"MSHR reservations of {spec.mshr.reserve_per_core} per core leave capacity "
-            f"for {room} interferer reads, fewer than the {max_prior_reads} prior reads "
-            f"the bound charges")
+            f"for {room} interferer reads, fewer than the {staged_reads} prior reads "
+            + ("staged one per interferer" if one_each else "the bound charges"))
     drain_batch = spec.scheduler.drain_batch
     stages_writes = kind in (GeneratorKind.BANDWIDTH_WRITE, GeneratorKind.STREAM)
     if stages_writes and spec.mshr.global_write_cap < drain_batch:
@@ -604,8 +607,8 @@ def build_adversarial(analyzed_core: int = 0,
     else:
         n_writes = rng.randint(1, drain_batch)
 
-    if kind is GeneratorKind.LATENCY:
-        n_reads = min(len(cores), max_prior_reads)  # one per interfering core
+    if one_each:
+        n_reads = staged_reads
     elif canonical or not max_prior_reads:
         n_reads = max_prior_reads
     else:
@@ -630,7 +633,6 @@ def build_adversarial(analyzed_core: int = 0,
     # outstanding. n_reads is within room, so some core always is, and the
     # even round robin spread is admitted too.
     staging = MshrFile(spec.mshr, spec.num_cores)
-    one_each = kind is GeneratorKind.LATENCY
     for placed in range(n_reads):
         eligible = [c for c in cores
                     if staging.admits(c, False) and not (one_each and staging.reads[c])]

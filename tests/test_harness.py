@@ -414,30 +414,40 @@ class TestCli:
 
     def test_mshr_reserve_flag_recorded(self, tmp_path):
         harness.main(["compare", "--kind", "latency", "--out", str(tmp_path),
-                      "--mshr-reserve", "2"])
+                      "--mshr-reserve", "8"])
         scenario = (tmp_path / "scenario.txt").read_text()
-        assert "reserve_per_core 2" in scenario
+        assert "reserve_per_core 8" in scenario
 
-    @pytest.mark.parametrize("kind, reserve, room", [
-        ("stream", 3, 29), ("latency", 8, 24)])
     def test_compare_stages_through_the_reservation_it_runs_with(
-            self, tmp_path, capsys, kind, reserve, room):
+            self, tmp_path, capsys):
         # compare --kind builds its staged worst case with the reservation
         # already applied, so it fails as the staged sweep does: not with
         # reads staged for no reservation that its run then refuses.
         errors = []
-        for command in (["compare", "--kind", kind],
-                        ["sweep", "--kind", kind, "--staged", "--seeds", "0"]):
+        for command in (["compare", "--kind", "stream"],
+                        ["sweep", "--kind", "stream", "--staged", "--seeds", "0"]):
             with pytest.raises(SystemExit) as exc:
                 harness.main([*command, "--out", str(tmp_path / command[0]),
-                              "--mshr-reserve", str(reserve)])
+                              "--mshr-reserve", "3"])
             assert exc.value.code == 2
             errors.append(capsys.readouterr().err.splitlines()[-1])
         assert errors[0] == errors[1] == (
-            f"dramwc: error: MSHR reservations of {reserve} per core leave "
-            f"capacity for {room} interferer reads, fewer than the 30 prior "
-            f"reads the bound charges")
+            "dramwc: error: MSHR reservations of 3 per core leave capacity for "
+            "29 interferer reads, fewer than the 30 prior reads the bound charges")
         assert not (tmp_path / "compare").exists()
+
+    def test_latency_staging_fits_any_reservation(self, tmp_path):
+        # a latency interferer stages one read, which its reserved entries
+        # hold, so both staged commands run at every reservation of the grid
+        for reserve in (3, 8):
+            out = tmp_path / str(reserve)
+            harness.main(["compare", "--kind", "latency", "--out", str(out / "c"),
+                          "--mshr-reserve", str(reserve)])
+            harness.main(["sweep", "--kind", "latency", "--staged", "--seeds", "0",
+                          "--out", str(out / "s"), "--mshr-reserve", str(reserve)])
+            for scenario in (out / "c" / "scenario.txt",
+                             out / "s" / "seed_0" / "scenario.txt"):
+                assert f"reserve_per_core {reserve}" in scenario.read_text()
 
     def test_staged_sweep_records_mshr_reserve(self, tmp_path):
         # two entries per core leave a shared pool of 24, which the canonical
