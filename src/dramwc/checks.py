@@ -36,9 +36,10 @@ def verify_selection(controller, chosen) -> int | None:
     An idle cycle is certified per target: if no target is ready, no
     request is, and the call returns its first-ready cycle, the earliest
     cycle at which one of them becomes ready while the state stands still
-    (NEVER if none can). ``Controller.run`` compares each jump target with it
-    instead of re-scanning the skipped span. If some target is ready, the
-    idle cycle fails, and the per-request scan below names the request.
+    (NEVER if none can). ``Controller.run`` leaves the cycles before it
+    unstepped, as quiet cycles, until a request arrives. If some target is
+    ready, the idle cycle fails, and the per-request scan below names the
+    request.
 
     A pick, or an idle cycle with a ready target, is checked by ranking
     every ready request by its own FR-FCFS key; unlike select_command, the

@@ -165,9 +165,8 @@ def priority_key(kind: CommandKind, bank: int, arrival_order: int,
 
 class Controller:
     """Deterministic single-channel controller. :meth:`step` advances one
-    cycle; :meth:`run` steps the cycles at which a command can issue or the
-    mode switch, only retires bursts on the other visited cycles, and jumps
-    over the rest."""
+    cycle; :meth:`run` visits every cycle, steps those at which a command
+    can issue or the mode switch, and only retires bursts on the others."""
 
     def __init__(self, timing: TimingParams, config: SchedulerConfig | None = None,
                  open_rows: dict[int, int] | None = None,
@@ -194,7 +193,6 @@ class Controller:
         self.drained_in_batch = 0
         self.now = 0
         self._next_order = 0
-        self.next_ready = device.NEVER  # set by select_command
         self._first_ready = device.NEVER  # the oracle's, set by step when idle
         self._inflight: list[tuple[int, int, MemRequest]] = []  # (end, id, req)
         self.trace = ScheduleTrace(timing, self.config, initial_mode)
@@ -259,15 +257,12 @@ class Controller:
         """Highest-priority ready command among the active queue, as the
         pair (kind, request served), or None.
 
-        Also sets ``next_ready`` to the earliest cycle at which a command it
-        could not issue becomes ready (NEVER if there is none). Requests to
-        one (bank, row) share their next command and its readiness, so only
-        the oldest of them can win: selection reads only the head of each
-        (bank, row) group, whatever the length of the queue.
+        Requests to one (bank, row) share their next command and its
+        readiness, so only the oldest of them can win: selection reads only
+        the head of each (bank, row) group, whatever the length of the queue.
         """
         best = None
         best_key = None
-        next_ready = device.NEVER
         prio = self.config.prioritized_bank
         groups = self.read_groups if self.mode is READ else self.write_groups
         banks, chan, timing, now = self.banks, self.chan, self.timing, self.now
@@ -283,24 +278,22 @@ class Controller:
                 kind, cas_rank = WR if req.is_write else RD, 0
             else:
                 kind, cas_rank = ACT if open_row is None else PRE, 1
-            at = earliest_ready(kind, row, state, chan, timing)
-            if at > now:
-                if at < next_ready:
-                    next_ready = at
+            if earliest_ready(kind, row, state, chan, timing) > now:
                 continue
             key = (cas_rank, 0 if prio is None or bank == prio else 1,
                    req.arrival_order, bank)
             if best_key is None or key < best_key:
                 best, best_key = (kind, req), key
-        self.next_ready = next_ready
         return best
 
     def step(self) -> tuple[IssueRecord | None, list[MemRequest]]:
         """Advance one cycle: update mode, issue at most one command, and
         complete the requests whose data burst ends this cycle.
 
-        This is the full per-cycle primitive, with the oracle check; the
-        quiet cycles of :meth:`run` do only its last part, :meth:`_retire`.
+        This is the full per-cycle primitive, with the oracle check. On an
+        idle cycle it keeps the oracle's first-ready cycle, the end of the
+        quiet span that :meth:`run` may follow it with; a quiet cycle does
+        only the last part of a step, :meth:`_retire`.
         """
         self.update_mode()
         chosen = self.select_command()
@@ -356,23 +349,17 @@ class Controller:
         """Run the workload that owns this controller until its horizon, or
         until it says the run has ended (see :meth:`Workload.finished`).
 
-        After a cycle that issues and completes nothing, with no mode switch
-        due, every input of the next cycle is as it was, so the clock jumps
-        to the next cycle at which state can change (:meth:`_next_event`).
-        That idle cycle's oracle check gave the first cycle at which anything
-        becomes ready in this state, so the skipped span is sound iff the
-        target does not pass it; otherwise the oracle runs at the cycle
-        before the target, where something is ready, and reports it.
-
-        A visited cycle is quiet when the last stepped cycle issued nothing
-        and left no mode switch due, no request has arrived since, and the
-        cycle comes before that step's first-ready cycle (the earlier of
-        ``next_ready`` and the oracle's). A quiet cycle only retires the
-        bursts that end on it. Selection reads the queues, which only an
-        arrival or an issue changes, the bank and channel state, which only
-        an issue changes, and the mode, whose inputs are the queues and the
-        drain count, so on a quiet cycle it would issue nothing, and the
-        oracle's check in the same state has already certified that.
+        Every cycle is visited: the workload polls, the cycle is stepped or
+        quiet, and the workload is notified of its completions. A cycle is
+        quiet when the last stepped cycle issued nothing and left no mode
+        switch due, no request has arrived since, and the cycle comes before
+        the first-ready cycle that the oracle's idle check of that step
+        returned. A quiet cycle only retires the bursts that end on it.
+        Selection reads the queues, which only an arrival or an issue
+        changes, the bank and channel state, which only an issue changes,
+        and the mode, whose inputs are the queues and the drain count, so on
+        a quiet cycle it would issue nothing, and the oracle's check in the
+        same state has already certified that.
         """
         horizon = workload.spec.horizon
         stall_window = self.config.stall_window
@@ -388,9 +375,8 @@ class Controller:
             else:
                 issued, completed = step()
                 quiet_order = self._next_order
-                quiet_until = (min(self.next_ready, self._first_ready)
-                               if issued is None and mode_due() is None
-                               else 0)
+                quiet_until = (self._first_ready
+                               if issued is None and mode_due() is None else 0)
             notify(cycle, completed)
             if issued is not None:
                 last_progress = cycle
@@ -402,28 +388,9 @@ class Controller:
                 )
             if finished():
                 break
-            if issued is not None or completed or mode_due() is not None:
-                continue  # freed room may admit a request; the mode may flip
-            target = self._next_event(workload, horizon, last_progress)
-            if target > self.now:
-                if target > self._first_ready:
-                    self.now = target - 1
-                    checks.verify_selection(self, None)
-                self.now = target
         self.trace.total_cycles = self.now
         self.trace.quiescent = self.idle() and workload.exhausted()
         return self.trace
-
-    def _next_event(self, workload, horizon: int, last_progress: int) -> int:
-        """The first cycle from ``now`` on at which, after an uneventful
-        cycle, something can happen: a command becomes ready, a burst
-        completes, a generator wakes, the stall guard trips, or the horizon."""
-        target = min(self.next_ready, horizon, workload.next_wake(self.now))
-        if self._inflight:
-            target = min(target, self._inflight[0][0])
-        if not self.idle():
-            target = min(target, last_progress + self.config.stall_window + 1)
-        return target
 
 
 @functools.lru_cache(maxsize=None)

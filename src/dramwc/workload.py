@@ -474,17 +474,6 @@ class Workload:
                 gen.parked_on_queue = self._queue_refused
                 gen.parked = freed if self._queue_refused else released
 
-    def next_wake(self, now: int) -> int:
-        """First cycle from ``now`` on at which polling can submit a request
-        or change a generator, or NEVER: the earliest unfinished generator's
-        ``ready_at`` not yet passed (past it, only freed room can)."""
-        wake = NEVER
-        for gen in self.generators:
-            at = gen.ready_at
-            if now <= at < wake and not gen.done():
-                wake = at
-        return wake
-
     def notify(self, now: int, completed: list[MemRequest]) -> None:
         # Every id past the staged ones is a generator's, on its own core.
         self.now = now
@@ -524,9 +513,15 @@ def run_scenario(spec: ScenarioSpec):
 
 def interferer_cores(n_interferers: int, analyzed_core: int = 0) -> list[int]:
     """The cores other than the analyzed one in a scenario of
-    ``n_interferers + 1`` cores, at least 2."""
+    ``n_interferers + 1`` cores, at least 2 and at most one per bank of the
+    default scheduler, since each core has a private bank."""
     if n_interferers < 1:
         raise ScenarioError(f"n_interferers ({n_interferers}) must be at least 1")
+    if n_interferers >= SchedulerConfig.num_banks:
+        raise ScenarioError(
+            f"n_interferers ({n_interferers}) must be at most "
+            f"{SchedulerConfig.num_banks - 1}: each core needs a private bank, "
+            f"and there are {SchedulerConfig.num_banks}")
     if not 0 <= analyzed_core <= n_interferers:
         raise ScenarioError(f"analyzed_core ({analyzed_core}) must be one of the "
                             f"{n_interferers + 1} cores 0-{n_interferers}")

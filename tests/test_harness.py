@@ -562,9 +562,18 @@ class TestCli:
         assert code == 0
         assert "num_cores 8" in (tmp_path / "seed_0" / "scenario.txt").read_text()
 
+    @pytest.mark.parametrize("staged", [[], ["--staged"]], ids=["live", "staged"])
+    def test_sweep_takes_as_many_interferers_as_the_banks_allow(
+            self, staged, tmp_path):
+        code = harness.main(["sweep", "--kind", "stream", "--n", "15",
+                             "--seeds", "0", "--out", str(tmp_path), *staged])
+        assert code == 0
+        assert "num_cores 16" in (tmp_path / "seed_0" / "scenario.txt").read_text()
+
     @pytest.mark.parametrize("n, message", [
         ("0", "n_interferers (0) must be at least 1"),
-        ("16", "bank 16 is outside the scenario's 16 banks"),
+        ("16", "n_interferers (16) must be at most 15: each core needs a "
+               "private bank, and there are 16"),
     ])
     @pytest.mark.parametrize("staged", [[], ["--staged"]], ids=["live", "staged"])
     def test_sweep_rejects_an_interferer_count_its_scenario_cannot_hold(

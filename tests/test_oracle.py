@@ -4,8 +4,9 @@ controllers.
 ``full_scan_verify_selection`` below is the oracle as it was before it
 stopped at the first unbeatable candidate and before it returned its
 first-ready cycle: it scans every queued request on every call. The oracle
-must give the same verdict, word for word, on any controller state, and a
-controller that breaks FR-FCFS or jumps too far must still be caught.
+must give the same verdict, word for word, on any controller state, its
+first-ready cycle must be the first at which the full scan fails, and a
+controller that breaks FR-FCFS must still be caught.
 """
 
 import collections
@@ -151,26 +152,25 @@ def test_first_ready_cycle_is_where_the_full_scan_starts_to_fail(ctrl):
 
 
 def reference_selection(ctrl):
-    """select_command's pick and next-ready cycle, rebuilt from the oracle's
-    parts: the oldest active request of each (bank, row) is a group head,
-    whose kind comes from decompose_request, whose ready cycle comes from
-    earliest_ready, and whose rank comes from priority_key."""
+    """select_command's pick, rebuilt from the oracle's parts: the oldest
+    active request of each (bank, row) is a group head, whose kind comes
+    from decompose_request, whose ready cycle comes from earliest_ready, and
+    whose rank comes from priority_key."""
     heads = {}
     for req in ctrl.candidate_queue():
         heads.setdefault((req.bank, req.row), req)
-    best, best_key, next_ready = None, None, NEVER
+    best, best_key = None, None
     for req in heads.values():
         bank = ctrl.banks[req.bank]
         kind = device.decompose_request(req, bank)[0]
-        at = device.earliest_ready(kind, req.row, bank, ctrl.chan, ctrl.timing)
-        if at > ctrl.now:
-            next_ready = min(next_ready, at)
+        if device.earliest_ready(kind, req.row, bank, ctrl.chan,
+                                 ctrl.timing) > ctrl.now:
             continue
         key = priority_key(kind, req.bank, req.arrival_order,
                            ctrl.config.prioritized_bank)
         if best_key is None or key < best_key:
             best, best_key = (kind, req.request_id), key
-    return best, next_ready
+    return best
 
 
 @settings(max_examples=400, deadline=None)
@@ -180,7 +180,7 @@ def test_selection_matches_the_reference_over_group_heads(ctrl):
     # loop; they must agree with the decomposition and with priority_key.
     chosen = ctrl.select_command()
     picked = None if chosen is None else (chosen[0], chosen[1].request_id)
-    assert (picked, ctrl.next_ready) == reference_selection(ctrl)
+    assert picked == reference_selection(ctrl)
 
 
 def test_the_scan_stops_only_at_a_cas_on_a_top_rank_bank():
@@ -308,18 +308,13 @@ def test_oracle_agrees_on_one_bank_with_two_rows(mode, prioritized_bank, order):
 
 def _selector(rank):
     """A select_command that picks the ready head with the smallest
-    ``rank(kind, req, prioritized_bank)``, and sets next_ready as the real
-    one does."""
+    ``rank(kind, req, prioritized_bank)``."""
     def select_command(self):
         ready = []
-        self.next_ready = NEVER
         for req in self.candidate_queue():
             kind = device.decompose_request(req, self.banks[req.bank])[0]
-            at = device.earliest_ready(kind, req.row, self.banks[req.bank],
-                                       self.chan, self.timing)
-            if at > self.now:
-                self.next_ready = min(self.next_ready, at)
-            else:
+            if device.command_ready(kind, req.row, self.banks[req.bank],
+                                    self.chan, self.timing, self.now):
                 ready.append((rank(kind, req, self.config.prioritized_bank),
                               kind, req))
         return min(ready, key=lambda r: r[0])[1:] if ready else None
@@ -344,15 +339,6 @@ def _rows_over_cas(kind, req, prio):
     return (1 - cas, *rest)
 
 
-def _one_cycle_late(select_command):
-    def late(self):
-        chosen = select_command(self)
-        if self.next_ready != NEVER:
-            self.next_ready += 1
-        return chosen
-    return late
-
-
 def _scenarios(prioritized_bank=None):
     specs = [harness.preset(name) for name in ("fig2", "fig3", "fig4", "fig5")]
     specs += [build_adversarial(interferer_kind=kind, seed=seed)
@@ -374,9 +360,7 @@ def test_mutant_frame_with_the_true_order_matches_the_controller(monkeypatch):
     (_selector(_youngest_first), None, "over higher-priority"),
     (_selector(_ignores_prioritized_bank), 1, "over higher-priority"),
     (_selector(_rows_over_cas), None, "over higher-priority"),
-    (_one_cycle_late(Controller.select_command), None, "idle although"),
-], ids=["youngest-first", "ignores-prioritized-bank", "rows-over-cas",
-        "next-ready-one-cycle-late"])
+], ids=["youngest-first", "ignores-prioritized-bank", "rows-over-cas"])
 def test_mutant_controllers_are_caught(monkeypatch, select_command,
                                        prioritized_bank, message):
     specs = _scenarios(prioritized_bank)

@@ -191,7 +191,7 @@ class TestStepAndRun:
         # cycle 0; the clock has already moved past it.
         assert ctrl.now == 52
 
-    def test_idle_controller_jumps_to_a_late_generator(self, monkeypatch):
+    def test_idle_controller_steps_nothing_until_a_late_generator(self, monkeypatch):
         stepped = []
         step = Controller.step
         monkeypatch.setattr(Controller, "step",
@@ -209,8 +209,8 @@ class TestStepAndRun:
         done = 50_000 + TIMING.cl + TIMING.tburst
         assert [r.cycle for r in trace.issues] == [50_000]
         assert trace.requests[0].completion_cycle == done
-        # idle at 0, the read at 50,000, idle after it; its completion at
-        # done is a quiet cycle, retired without a step
+        # idle at 0, the read at 50,000, idle after it; every other cycle,
+        # the completion at done among them, is quiet, retired without a step
         assert stepped == [0, 50_000, 50_001]
 
     def test_completion_is_burst_end(self):

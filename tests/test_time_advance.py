@@ -1,19 +1,18 @@
-"""Next-event time advance: ``Controller.run`` against a per-cycle loop.
+"""Quiet cycles and parked generators: ``Controller.run`` against a
+per-cycle loop.
 
-``run`` skips the cycles at which nothing can issue, complete, arrive or
-switch mode. Of the cycles it visits, it steps only those at which the
-selection state may have changed; a quiet cycle (no arrival since an idle,
-mode-stable step, and before that step's first-ready cycle) only retires the
-bursts that end on it. ``Workload.poll`` skips a generator before its
-``ready_at`` (a latency probe's is NEVER while its read is in flight) and
-one parked after a refused submit. ``run_per_cycle`` below steps every
-cycle, letting every started, unfinished generator emit, then stepping,
-notifying and checking for stalls and the end of the run each time, and is
-kept here as the reference that every skipped span, every quiet cycle and
-every skipped generator must agree with. The oracle-coverage test checks
-that each cycle the oracle does not check is certified idle by an oracle
-check in the same state, even when ``select_command`` reports its
-next-ready cycle late.
+``run`` visits every cycle but steps only those at which the selection
+state may have changed; a quiet cycle (no arrival since an idle, mode-stable
+step, and before the first-ready cycle of that step's oracle check) only
+retires the bursts that end on it. ``Workload.poll`` skips a generator
+before its ``ready_at`` (a latency probe's is NEVER while its read is in
+flight) and one parked after a refused submit. ``run_per_cycle`` below
+steps every cycle, letting every started, unfinished generator emit, then
+stepping, notifying and checking for stalls and the end of the run each
+time, and is kept here as the reference that every quiet cycle and every
+skipped generator must agree with. The oracle-coverage test checks that
+each cycle the oracle does not check is certified idle by an oracle check
+in the same state.
 """
 
 import hashlib
@@ -23,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dramwc import checks
-from dramwc.device import DDR3_1066, NEVER, make_timing
+from dramwc.device import DDR3_1066, make_timing
 from dramwc.scheduler import (
     Controller,
     Mode,
@@ -182,7 +181,7 @@ def staged_specs(draw):
 
 # A drain ends after one write with the write queue refilled and no read
 # ready yet (tWTR), so the controller returns to write drain on the very next
-# cycle, which issues nothing: a mode flip that a jump must not pass over.
+# cycle, which issues nothing: a mode flip that must not be a quiet cycle.
 MODE_FLIP = ScenarioSpec(
     label="mode-flip", open_rows={0: 1},
     generators=[GeneratorSpec(GeneratorKind.BANDWIDTH_WRITE, 0, 0, budget=20)],
@@ -248,33 +247,21 @@ def test_run_matches_the_per_cycle_loop(spec):
 
 
 # A closed-bank read (ACT at 0, RD ready at tRCD = 7) whose stall guard
-# brings the run to cycle 7 as well: with next_ready reported late, that
-# visit must still be stepped, not retired as quiet.
+# would trip at cycle 7 as well: that visit must be stepped, not retired as
+# quiet, or the run stalls.
 STALL_AT_FIRST_READY = ScenarioSpec(
     label="stall-at-first-ready", prestage=[StagedRequest(False, 0, 0, 1)],
     scheduler=SchedulerConfig(stall_window=6), horizon=100, num_cores=1)
 
 
-def late_select_command(k):
-    """select_command, reporting next_ready k cycles late."""
-    select_command = Controller.select_command
-
-    def late(self):
-        chosen = select_command(self)
-        if self.next_ready != NEVER:
-            self.next_ready += k
-        return chosen
-    return late
-
-
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(spec=live_specs() | staged_specs(), late=st.sampled_from([0, 1, 1000]))
-@example(spec=MODE_FLIP, late=1)
-@example(spec=NEXT_CYCLE_START, late=1)
-@example(spec=NEXT_CYCLE_READY, late=1)
-@example(spec=STALL_AT_FIRST_READY, late=1)
-def test_every_cycle_the_oracle_skips_is_certified_idle(spec, late):
+@given(spec=live_specs() | staged_specs())
+@example(spec=MODE_FLIP)
+@example(spec=NEXT_CYCLE_START)
+@example(spec=NEXT_CYCLE_READY)
+@example(spec=STALL_AT_FIRST_READY)
+def test_every_cycle_the_oracle_skips_is_certified_idle(spec):
     try:
         workload = Workload(spec)
     except ValueError:  # ScenarioError: over-full staging, for one
@@ -297,20 +284,12 @@ def test_every_cycle_the_oracle_skips_is_certified_idle(spec, late):
         return accepted
 
     with mock.patch.object(checks, "verify_selection", record_check), \
-            mock.patch.object(Controller, "enqueue", record_arrival), \
-            mock.patch.object(Controller, "select_command",
-                              late_select_command(late)):
+            mock.patch.object(Controller, "enqueue", record_arrival):
         try:
             ctrl.run(workload)
-            end = ctrl.now
         except SimulationStalled:
-            end = ctrl.now
-        except checks.TraceInvariantError:
-            # A late report made a jump pass the first-ready cycle, and the
-            # oracle's check before its target caught it: the run is
-            # examined up to its last passing check.
-            assert late
-            end = max(checked) + 1
+            pass
+        end = ctrl.now
     last = None  # the oracle's last check before the cycle
     for cycle in range(end):
         if cycle in checked:
@@ -330,18 +309,6 @@ ONE_CLOSED_READ = ScenarioSpec(prestage=[StagedRequest(False, 0, 0, 1)],
                                horizon=100, num_cores=1)
 
 
-def test_overshooting_jump_is_caught_by_the_oracle(monkeypatch):
-    # A closed-bank read: ACT at 0, then RD ready at tRCD = 7. A jump target
-    # three cycles late is checked at cycle 9, where the RD is ready.
-    next_event = Controller._next_event
-    monkeypatch.setattr(Controller, "_next_event",
-                        lambda self, *args: next_event(self, *args) + 3)
-    workload = Workload(ONE_CLOSED_READ)
-    with pytest.raises(checks.TraceInvariantError,
-                       match=r"cycle 9: idle although .*RD.* is ready"):
-        workload.controller.run(workload)
-
-
 def test_oracle_checks_only_the_visited_cycles(monkeypatch):
     seen = []
     verify = checks.verify_selection
@@ -349,11 +316,10 @@ def test_oracle_checks_only_the_visited_cycles(monkeypatch):
                         lambda ctrl, chosen: seen.append(ctrl.now) or verify(ctrl, chosen))
     workload = Workload(ONE_CLOSED_READ)
     trace = workload.controller.run(workload)
-    # ACT at 0; cycle 1 idle, first ready 7: jump to 7; RD at 7; cycle 8
-    # idle, nothing waiting: jump to the burst's end, 18, a quiet cycle (no
-    # arrival since cycle 8, nothing ever ready) that only retires the read;
-    # its completion ends the run. No target passes the idle cycle's
-    # first-ready cycle, so no jump is re-checked.
+    # ACT at 0; cycle 1 idle, first ready 7: cycles 2-6 are quiet; RD at 7;
+    # cycle 8 idle, nothing waiting, so nothing is ever ready: cycles 9-18
+    # are quiet, and the one at the burst's end, 18, retires the read,
+    # whose completion ends the run.
     assert [r.cycle for r in trace.issues] == [0, 7]
     assert seen == [0, 1, 7, 8]
     assert trace.requests[0].completion_cycle == 18
