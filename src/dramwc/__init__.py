@@ -45,5 +45,6 @@ from .analysis import (
     write_drain_delay,
 )
 from .checks import TraceInvariantError, validate_trace
+from .keyvalue import InputError
 
 __version__ = "0.1.0"

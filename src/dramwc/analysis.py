@@ -14,13 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .device import TimingParams
-from .keyvalue import check_min
+from .keyvalue import InputError, check_min
 from .scheduler import ScheduleTrace
 from .workload import ScenarioSpec
 
 
-class AnalysisError(ValueError):
-    pass
+class AnalysisError(InputError):
+    """Inputs outside what the bounds model."""
 
 
 @dataclass
@@ -43,7 +43,16 @@ class AnalysisInputs:
     def for_scenario(cls, spec: ScenarioSpec,
                      trace: ScheduleTrace | None = None) -> AnalysisInputs:
         """The inputs of the bounds on ``spec``'s analyzed read, with
-        ``miss_count`` the analyzed core's completed reads in ``trace``."""
+        ``miss_count`` the analyzed core's completed reads in ``trace``.
+
+        The bounds model plain FR-FCFS, so a prioritized bank other than the
+        analyzed core's own, which can starve its read, is an AnalysisError.
+        """
+        core, bank = spec.analyzed_core, spec.scheduler.prioritized_bank
+        own = {r.bank for r in [*spec.generators, *spec.prestage] if r.core == core}
+        if bank is not None and bank not in own:
+            raise AnalysisError(f"prioritized_bank ({bank}) is not the analyzed core's "
+                                "bank; the bounds model plain FR-FCFS", ("prioritized_bank",))
         miss_count = 0 if trace is None else sum(
             r.core == spec.analyzed_core and not r.is_write for r in trace.completions)
         return cls(timing=spec.timing, max_prior_reads=spec.max_prior_reads(),

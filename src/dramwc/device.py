@@ -12,14 +12,11 @@ import numbers
 import sys
 from dataclasses import dataclass, field, fields
 
+from .keyvalue import InputError
 
-class TimingError(ValueError):
-    """Missing or inconsistent timing parameters. ``keys`` names the
-    parameters that the failing check read."""
 
-    def __init__(self, message: str, keys: tuple[str, ...] = ()):
-        super().__init__(message)
-        self.keys = keys
+class TimingError(InputError):
+    """Missing or inconsistent timing parameters."""
 
 
 class CommandKind(enum.Enum):

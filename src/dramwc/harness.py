@@ -11,8 +11,8 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import analysis
-from .device import TIMING_KEYS, TimingError, TimingParams, make_timing
-from .keyvalue import codecs, read_lines, read_pairs
+from .device import TIMING_KEYS, TimingParams, make_timing
+from .keyvalue import InputError, build, codecs, read_lines
 from .scheduler import Mode
 from .workload import (
     GeneratorKind,
@@ -110,7 +110,7 @@ def preset(name: str) -> ScenarioSpec:
     try:
         return _PRESETS[name]()
     except KeyError:
-        raise ValueError(f"unknown preset {name!r}; choose from {sorted(_PRESETS)}")
+        raise ScenarioError(f"unknown preset {name!r}; choose from {sorted(_PRESETS)}")
 
 
 def live_scenario(kind: GeneratorKind | str, n_interferers: int = 3,
@@ -136,7 +136,7 @@ def solo_variant(spec: ScenarioSpec) -> ScenarioSpec:
     """The same scenario with only the analyzed core's generator running."""
     keep = [g for g in spec.generators if g.core == spec.analyzed_core]
     if not keep:
-        raise ValueError("scenario has no generator on the analyzed core")
+        raise ScenarioError("scenario has no generator on the analyzed core")
     return replace(spec, label=spec.label + "-solo", generators=keep, prestage=[])
 
 
@@ -144,7 +144,7 @@ def core_span(trace, core: int) -> int:
     """Cycles from the first arrival to the last completion for one core."""
     completions = [r for r in trace.completions if r.core == core]
     if not completions:
-        raise ValueError(f"core {core} completed nothing")
+        raise analysis.AnalysisError(f"core {core} completed nothing")
     first = min(r.arrival_cycle for r in completions)
     return max(r.completion_cycle for r in completions) - first
 
@@ -256,7 +256,9 @@ def simulate(spec: ScenarioSpec, out_dir) -> "tuple":
 
 def compare(spec: ScenarioSpec, out_dir=None) -> ExperimentReport:
     """Single run with all three bounds and the measured delays side by side."""
-    _analyzed_core(spec)  # fail before the run, not after it
+    # Fail before the run, not after it.
+    _analyzed_core(spec)
+    analysis.AnalysisInputs.for_scenario(spec)
     trace, _ = run_scenario(spec)
     report = evaluate(trace, spec)
     if out_dir is not None:
@@ -327,8 +329,7 @@ def _read(path) -> str:
         raise ScenarioError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _analysis_inputs(values: dict) -> analysis.AnalysisInputs:
-    values = dict(values)
+def _analysis_inputs(**values) -> analysis.AnalysisInputs:
     timing = make_timing({k: values.pop(k) for k in TIMING_KEYS if k in values})
     return analysis.AnalysisInputs(timing, **values)
 
@@ -336,42 +337,19 @@ def _analysis_inputs(values: dict) -> analysis.AnalysisInputs:
 def load_analysis(path) -> analysis.AnalysisInputs:
     """Read an ``analyze --config`` file: optional ``key value`` lines whose
     keys are the timing keys plus every AnalysisInputs field but ``timing``.
-
-    A range error names the line from which on the values read so far for
-    the keys that the failing check read, the defaults standing in for all
-    other keys, stay invalid. An error masked by an earlier one then names
-    its own line.
-    """
+    A range error names its line as :func:`keyvalue.build` does."""
     names = tuple(f.name for f in fields(analysis.AnalysisInputs) if f.name != "timing")
     table = {**codecs(TimingParams, TIMING_KEYS), **codecs(analysis.AnalysisInputs, names)}
-    lines = list(read_lines(_read(path)))
-    values = read_pairs(lines, table, ScenarioError)
-    try:
-        return _analysis_inputs(values)
-    except (TimingError, analysis.AnalysisError) as exc:
-        since, read = None, {}
-        for lineno, (key, _) in lines:
-            if key not in exc.keys:
-                continue
-            read[key] = values[key]
-            try:
-                _analysis_inputs(read)
-                since = None
-            except (TimingError, analysis.AnalysisError):
-                since = since or lineno
-        raise type(exc)(f"line {since}: {exc}") from None
+    return build(list(read_lines(_read(path))), table, _analysis_inputs, ScenarioError)
 
 
 def _apply_overrides(spec: ScenarioSpec, args) -> ScenarioSpec:
-    try:
-        if getattr(args, "prioritized_bank", None) is not None:
-            spec = replace(spec, scheduler=replace(
-                spec.scheduler, prioritized_bank=args.prioritized_bank))
-        if getattr(args, "mshr_reserve", None) is not None:
-            spec = replace(spec, mshr=replace(
-                spec.mshr, reserve_per_core=args.mshr_reserve))
-    except ValueError as exc:
-        raise ScenarioError(f"bad override: {exc}") from None
+    if getattr(args, "prioritized_bank", None) is not None:
+        spec = replace(spec, scheduler=replace(
+            spec.scheduler, prioritized_bank=args.prioritized_bank))
+    if getattr(args, "mshr_reserve", None) is not None:
+        spec = replace(spec, mshr=replace(
+            spec.mshr, reserve_per_core=args.mshr_reserve))
     return spec
 
 
@@ -417,7 +395,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run_command(args)
-    except (ScenarioError, TimingError, analysis.AnalysisError) as exc:
+    except InputError as exc:
         parser.error(str(exc))
 
 

@@ -1,5 +1,6 @@
 """Flat ``key value`` text for the config dataclasses: the field codec, the
-line reader, and the range check their ``__post_init__`` methods share.
+line reader, the range check their ``__post_init__`` methods share, and the
+one error type of bad input.
 
 A field's text form follows its type: ``int``, ``float`` and ``str`` as
 written, ``bool`` as 0/1, an enum by its value, and ``int | None`` with -1,
@@ -15,6 +16,18 @@ from dataclasses import fields
 
 NONE = -1
 _BOOLS = {"0": False, "1": True}
+
+
+class InputError(ValueError):
+    """Bad input. ``keys`` names the fields that the failing check read."""
+
+    def __init__(self, message: str, keys: tuple[str, ...] = ()):
+        super().__init__(message)
+        self.keys = keys
+
+
+class ScenarioError(InputError):
+    """Malformed or cap-violating scenario."""
 
 
 def _codec(tp) -> tuple:
@@ -74,11 +87,35 @@ def read_pairs(lines, table: dict[str, tuple], error) -> dict:
     return values
 
 
-def check_min(obj, minimum: int, *names: str, error=ValueError) -> None:
-    """Raise ``error`` naming the first of the fields below ``minimum``; its
-    ``keys`` attribute holds that field's name."""
+def build(lines: list, table: dict[str, tuple], make, error):
+    """``make(**values)`` of the ``key value`` lines decoded against ``table``;
+    a syntax error is ``error``, as in :func:`read_pairs`.
+
+    An InputError from ``make`` names the line from which on the values read
+    so far for the keys that the failing check read, the defaults standing
+    in for all other keys, stay invalid. An error masked by an earlier one
+    then names its own line.
+    """
+    values = read_pairs(lines, table, error)
+    try:
+        return make(**values)
+    except InputError as exc:
+        since, read = None, {}
+        for lineno, (key, _) in lines:
+            if key not in exc.keys:
+                continue
+            read[key] = values[key]
+            try:
+                make(**read)
+                since = None
+            except InputError:
+                since = since or lineno
+        raise type(exc)(f"line {since}: {exc}", exc.keys) from None
+
+
+def check_min(obj, minimum: int, *names: str, error=ScenarioError) -> None:
+    """Raise ``error`` keyed by the first of the fields below ``minimum``."""
     for name in names:
         if getattr(obj, name) < minimum:
-            exc = error(f"{name} ({getattr(obj, name)}) must be at least {minimum}")
-            exc.keys = (name,)
-            raise exc
+            raise error(f"{name} ({getattr(obj, name)}) must be at least {minimum}",
+                        (name,))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import device
 from .device import ACT, CAS_KINDS, PRE, RD, WR, CommandKind, DataBurst, TimingParams
-from .keyvalue import check_min
+from .keyvalue import ScenarioError, check_min
 
 
 class SchedulerError(RuntimeError):
@@ -49,16 +49,16 @@ class SchedulerConfig:
         check_min(self, 1, "read_cap", "write_cap", "drain_batch", "num_banks",
                   "stall_window")
         if not 0 <= (self.prioritized_bank or 0) < self.num_banks:
-            raise ValueError(f"prioritized_bank ({self.prioritized_bank}) is not "
-                             f"one of the {self.num_banks} banks")
+            raise ScenarioError(f"prioritized_bank ({self.prioritized_bank}) is not "
+                                f"one of the {self.num_banks} banks",
+                                ("prioritized_bank", "num_banks"))
         if not self.partitioning:
-            raise ValueError("partitioning must be on: every core has one "
-                             "private bank")
+            raise ScenarioError("partitioning must be on: every core has one "
+                                "private bank", ("partitioning",))
         if self.drain_batch > self.write_cap:
-            raise ValueError(
+            raise ScenarioError(
                 f"drain_batch ({self.drain_batch}) cannot exceed write_cap "
-                f"({self.write_cap})"
-            )
+                f"({self.write_cap})", ("drain_batch", "write_cap"))
 
 
 @dataclass
@@ -176,7 +176,8 @@ class Controller:
         open_rows = open_rows or {}
         for bank in open_rows:
             if not 0 <= bank < self.config.num_banks:
-                raise ValueError(f"open row for unknown bank {bank}")
+                raise ScenarioError(f"bank {bank} is outside the scenario's "
+                                    f"{self.config.num_banks} banks")
         self.banks = [
             device.BankState(open_row=open_rows.get(i))
             for i in range(self.config.num_banks)

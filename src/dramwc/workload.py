@@ -12,12 +12,8 @@ from dataclasses import dataclass, field
 
 from . import checks
 from .device import DEFAULT_TIMING, NEVER, TIMING_KEYS, TimingError, TimingParams, make_timing
-from .keyvalue import check_min, codecs, read_lines, read_pairs, to_lines
-from .scheduler import Controller, MemRequest, Mode, SchedulerConfig
-
-
-class ScenarioError(ValueError):
-    """Malformed or cap-violating scenario."""
+from .keyvalue import ScenarioError, build, check_min, codecs, read_lines, read_pairs, to_lines
+from .scheduler import Controller, MemRequest, Mode, SchedulerConfig, SchedulerError
 
 
 # ---------------------------------------------------------------------------
@@ -32,9 +28,8 @@ class MshrConfig:
     reserve_per_core: int = 0  # guaranteed read entries per core when > 0
 
     def __post_init__(self):
-        check_min(self, 1, "global_read_cap", "global_write_cap",
-                  "per_core_read_cap", error=ScenarioError)
-        check_min(self, 0, "reserve_per_core", error=ScenarioError)
+        check_min(self, 1, "global_read_cap", "global_write_cap", "per_core_read_cap")
+        check_min(self, 0, "reserve_per_core")
 
 
 class MshrFile:
@@ -88,13 +83,13 @@ class MshrFile:
     def release(self, core: int, is_write: bool) -> None:
         if is_write:
             if self.writes[core] == 0:
-                raise ScenarioError(f"write release without acquire on core {core}")
+                raise SchedulerError(f"write release without acquire on core {core}")
             self.writes[core] -= 1
             self.writes_total -= 1
         else:
             held = self.reads[core]
             if held == 0:
-                raise ScenarioError(f"read release without acquire on core {core}")
+                raise SchedulerError(f"read release without acquire on core {core}")
             self.reads[core] = held - 1
             self.shared_used -= held > self.config.reserve_per_core
 
@@ -139,8 +134,7 @@ class GeneratorSpec:
         if self.kind is GeneratorKind.BANDWIDTH_WRITE and (self.budget or 0) % 2:
             raise ScenarioError(f"a bandwidth_write budget ({self.budget}) must be "
                                 "even: its requests come in read/write-back pairs")
-        check_min(self, 0, "gap", "start", "stream_reads", "stream_writes",
-                  error=ScenarioError)
+        check_min(self, 0, "gap", "start", "stream_reads", "stream_writes")
         if self.stream_reads + self.stream_writes < 1:
             raise ScenarioError("a stream pattern needs at least one request")
 
@@ -325,7 +319,10 @@ class ScenarioSpec:
         # The label is one token of a ``key value`` line.
         if "#" in self.label or self.label.split() != [self.label]:
             raise ScenarioError(f"label {self.label!r} must be one word "
-                                f"without whitespace or '#'")
+                                f"without whitespace or '#'", ("label",))
+        check_min(self, 1, "horizon", "num_cores", "num_rows")
+        _check_placement(self, core=self.analyzed_core,
+                         keys=("analyzed_core", "num_cores"))
 
     def max_prior_reads(self) -> int:
         """The reads that can sit ahead of the analyzed core's read: what the
@@ -342,16 +339,17 @@ class ScenarioSpec:
 
 
 def _check_placement(spec: ScenarioSpec, core: int | None = None,
-                     bank: int | None = None) -> None:
+                     bank: int | None = None, keys: tuple[str, ...] = ()) -> None:
     """A core and a bank named by a scenario must exist in it. The error
-    names the ones given."""
+    names the ones given, and is keyed by ``keys``."""
     named = [(what, index, count) for what, index, count in (
         ("core", core, spec.num_cores), ("bank", bank, spec.scheduler.num_banks))
         if index is not None]
     if any(not 0 <= index < count for _, index, count in named):
         raise ScenarioError(", ".join(f"{what} {index}" for what, index, _ in named)
                             + " is outside the scenario's "
-                            + " and ".join(f"{count} {what}s" for what, _, count in named))
+                            + " and ".join(f"{count} {what}s" for what, _, count in named),
+                            keys)
 
 
 class Workload:
@@ -369,10 +367,6 @@ class Workload:
     """
 
     def __init__(self, spec: ScenarioSpec):
-        check_min(spec, 1, "horizon", "num_cores", "num_rows", error=ScenarioError)
-        _check_placement(spec, core=spec.analyzed_core)
-        for bank in spec.open_rows:
-            _check_placement(spec, bank=bank)
         core_bank: dict[int, int] = {}
         bank_core: dict[int, int] = {}
 
@@ -688,7 +682,8 @@ def scenario_from_text(text: str) -> ScenarioSpec:
 
     Every key is optional and keeps its dataclass default. Anything else
     malformed raises ScenarioError naming its line, or TimingError for the
-    ``[timing]`` section: a section's own range checks name its header.
+    ``[timing]`` section: a section's own range checks name its header, and
+    the top-level scalars' the line that :func:`keyvalue.build` names.
     """
     top: list = []
     sections = {name: (0, []) for name in _SECTIONS}
@@ -713,13 +708,15 @@ def scenario_from_text(text: str) -> ScenarioSpec:
         with _blame(at):
             return cls(**values)
 
-    spec = ScenarioSpec(**read_pairs(top, codecs(ScenarioSpec, _SCALARS), ScenarioError))
+    spec = build(top, codecs(ScenarioSpec, _SCALARS), ScenarioSpec, ScenarioError)
     at, body = sections["timing"]
     timing = read_pairs(body, codecs(TimingParams, TIMING_KEYS), TimingError)
     with _blame(at, TimingError):
         spec.timing = make_timing(timing)
     spec.scheduler = keyed(SchedulerConfig, *sections["scheduler"])
     spec.mshr = keyed(MshrConfig, *sections["mshr"])
+    with _blame(sections["mshr"][0]):
+        MshrFile(spec.mshr, spec.num_cores)  # the reservations fit
     for lineno, tokens in sections["banks"][1]:
         with _blame(lineno):
             bank, row = map(int, tokens)

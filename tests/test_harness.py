@@ -526,6 +526,35 @@ class TestCli:
         assert exc.value.code == 2
         assert "prioritized_bank (16)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source, bank", [("preset", 2), ("scenario", 1)])
+    def test_prioritized_bank_the_bounds_do_not_model_is_a_usage_error(
+            self, tmp_path, capsys, monkeypatch, source, bank):
+        # The bounds model plain FR-FCFS; a prioritized bank of another core
+        # can starve the analyzed read, so compare refuses it before running.
+        if source == "preset":
+            args = ["--preset", "fig2"]  # analyzed core 1, on bank 1
+        else:
+            path = tmp_path / "scenario.txt"
+            path.write_text(scenario_to_text(live_scenario("bandwidth_read", 3, 0)))
+            args = ["--scenario", str(path)]  # analyzed core 0, on bank 0
+        ran = []
+        monkeypatch.setattr(harness, "run_scenario", lambda spec: ran.append(spec))
+        with pytest.raises(SystemExit) as exc:
+            harness.main(["compare", *args, "--prioritized-bank", str(bank),
+                          "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2  # the usage line and the error
+        assert err[1].startswith(f"dramwc: error: prioritized_bank ({bank}) ")
+        assert ran == []
+        assert not (tmp_path / "out").exists()
+
+    def test_prioritized_analyzed_bank_keeps_its_bounds(self, tmp_path, capsys):
+        assert harness.main(["compare", "--preset", "fig2", "--prioritized-bank", "1",
+                             "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == (
+            "fig2: measured max 0, bound(full) 192, bound(nowq) 80, baseline 38\n")
+
     def test_simulator_faults_propagate(self, tmp_path, monkeypatch):
         from dramwc import checks
         from dramwc.checks import TraceInvariantError
@@ -755,3 +784,19 @@ def test_prioritized_bank_changes_schedule(tmp_path):
     boosted_first = next(r for r in boosted.issues if r.bank == 1)
     assert plain_first.cycle == 12
     assert boosted_first.cycle == 0
+
+
+def test_bad_input_is_an_input_error():
+    # InputError is the one type that main reports as a usage error.
+    from dramwc import InputError, TimingError
+    from dramwc.analysis import AnalysisError
+
+    for error in (ScenarioError, TimingError, AnalysisError):
+        assert issubclass(error, InputError)
+    with pytest.raises(ScenarioError):
+        preset("fig9")
+    with pytest.raises(ScenarioError):
+        solo_variant(preset("fig2"))
+    trace, _ = run_scenario(preset("fig2"))
+    with pytest.raises(AnalysisError):
+        core_span(trace, 0)

@@ -14,6 +14,7 @@ from dramwc.scheduler import (
 from dramwc.workload import (
     GeneratorKind,
     GeneratorSpec,
+    ScenarioError,
     ScenarioSpec,
     StagedRequest,
     Workload,
@@ -57,6 +58,11 @@ class TestEnqueue:
         ctrl.enqueue(read(1))
         orders = [r.arrival_order for r in ctrl.write_queue + ctrl.read_queue]
         assert orders == [0, 1]
+
+    def test_bad_config_is_a_keyed_scenario_error(self):
+        with pytest.raises(ScenarioError, match=r"read_cap \(0\)") as exc:
+            SchedulerConfig(read_cap=0)
+        assert exc.value.keys == ("read_cap",)
 
     def test_drain_batch_cannot_exceed_write_cap(self):
         with pytest.raises(ValueError, match="drain_batch"):

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from dramwc import harness, workload
 from dramwc.analysis import AnalysisInputs, bounds
 from dramwc.device import TimingError, make_timing
-from dramwc.scheduler import SchedulerConfig
+from dramwc.keyvalue import InputError
+from dramwc.scheduler import SchedulerConfig, SchedulerError
 from dramwc.workload import (
     GeneratorKind,
     GeneratorSpec,
@@ -79,11 +81,12 @@ class TestMshrFile:
         assert not mshr.acquire(2, True)
 
     def test_release_without_acquire_is_fault(self):
+        # A simulator bug, not bad input: it must not print as a usage error.
         mshr = MshrFile()
-        with pytest.raises(ScenarioError):
-            mshr.release(0, False)
-        with pytest.raises(ScenarioError):
-            mshr.release(0, True)
+        for is_write in (False, True):
+            with pytest.raises(SchedulerError) as exc:
+                mshr.release(0, is_write)
+            assert not isinstance(exc.value, InputError)
 
     @settings(max_examples=200, deadline=None)
     @given(num_cores=st.integers(1, 5), per_core=st.integers(1, 12),
@@ -331,18 +334,20 @@ class TestGenerators:
         with pytest.raises(ScenarioError, match="cores 2 and 1 share bank 3"):
             Workload(spec)
 
+    # Each spec is built inside pytest.raises: ScenarioSpec checks its own
+    # scalars, and Controller the open rows' banks.
     @pytest.mark.parametrize("spec, match", [
-        (ScenarioSpec(generators=[GeneratorSpec(GeneratorKind.LATENCY, 4, 1)]),
+        (partial(ScenarioSpec, generators=[GeneratorSpec(GeneratorKind.LATENCY, 4, 1)]),
          "core 4, bank 1 is outside"),
-        (ScenarioSpec(prestage=[StagedRequest(False, 1, 16, 0)]),
+        (partial(ScenarioSpec, prestage=[StagedRequest(False, 1, 16, 0)]),
          "bank 16 is outside"),
-        (ScenarioSpec(open_rows={-1: 3}), "bank -1 is outside"),
-        (ScenarioSpec(analyzed_core=4), "core 4 is outside the scenario's 4 cores"),
-        (ScenarioSpec(horizon=0), "horizon"),
+        (partial(ScenarioSpec, open_rows={-1: 3}), "bank -1 is outside"),
+        (partial(ScenarioSpec, analyzed_core=4), "core 4 is outside the scenario's 4 cores"),
+        (partial(ScenarioSpec, horizon=0), "horizon"),
     ])
     def test_out_of_range_scenario_rejected_before_running(self, spec, match):
         with pytest.raises(ScenarioError, match=match):
-            Workload(spec)
+            Workload(spec())
 
     def test_mshr_caps_hold_every_cycle(self):
         spec = ScenarioSpec(
@@ -568,6 +573,11 @@ FAULTS = {
     "short bank line": (STAGED, {"1 15": "1"}, "line"),
     "unknown section": (STAGED, {"[mshr]": "[msrh]"}, "line"),
     "repeated section": (STAGED, {"[banks]": "[mshr]"}, "line"),
+    "zero horizon": (STAGED, {"horizon 300": "horizon 0"}, "line"),
+    "zero rows": (STAGED, {"num_rows 4096": "num_rows 0"}, "line"),
+    "zero cores": (STAGED, {"num_cores 4": "num_cores 0"}, "line"),
+    "analyzed core out of range": (STAGED, {"analyzed_core 0": "analyzed_core 9"}, "line"),
+    "over-reserved mshr": (LIVE, {"reserve_per_core 0": "reserve_per_core 17"}, "header"),
 }
 
 
