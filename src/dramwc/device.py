@@ -183,29 +183,44 @@ def earliest_ready(
     """First cycle at which every bank and channel constraint allows a
     command of this kind for this row, or NEVER when the open row forbids
     it. Each constraint has the form ``now >= X``, so until the state
-    changes the command is ready from here on."""
+    changes the command is ready from here on.
+
+    The latest gate wins; it is picked by plain comparisons, which cost
+    about a third of a builtin ``max()`` call on CPython 3.11."""
+    if kind is RD:
+        if bank.open_row != row:
+            return NEVER
+        at = bank.earliest_rd
+        gate = chan.earliest_rd_cas
+        if gate > at:
+            at = gate
+        gate = chan.data_bus_free - timing.cl
+        return gate if gate > at else at
+    if kind is WR:
+        if bank.open_row != row:
+            return NEVER
+        at = bank.earliest_wr
+        gate = chan.earliest_wr_cas
+        if gate > at:
+            at = gate
+        gate = chan.data_bus_free - timing.wl
+        return gate if gate > at else at
     if kind is ACT:
         if bank.open_row is not None:
             return NEVER
         at = bank.earliest_act
         hist = chan.act_history
         if hist:
-            at = max(at, hist[-1] + timing.trrd)
+            gate = hist[-1] + timing.trrd
+            if gate > at:
+                at = gate
             if len(hist) >= 4:
-                at = max(at, hist[-4] + timing.tfaw)
+                gate = hist[-4] + timing.tfaw
+                if gate > at:
+                    at = gate
         return at
     if kind is PRE:
         return NEVER if bank.open_row is None else bank.earliest_pre
-    if kind is RD:
-        if bank.open_row != row:
-            return NEVER
-        return max(bank.earliest_rd, chan.earliest_rd_cas,
-                   chan.data_bus_free - timing.cl)
-    if kind is WR:
-        if bank.open_row != row:
-            return NEVER
-        return max(bank.earliest_wr, chan.earliest_wr_cas,
-                   chan.data_bus_free - timing.wl)
     raise ValueError(f"unknown command kind: {kind}")
 
 
@@ -240,11 +255,18 @@ def apply_command(
         raise RuntimeError(f"command not ready at cycle {now}: {kind.value} "
                            f"for request {req.request_id}")
 
+    # Every register only moves later: ``if at > reg: reg = at`` is
+    # ``reg = max(reg, at)`` without the builtin call.
     if kind is ACT:
         bank.open_row = req.row
-        bank.earliest_rd = max(bank.earliest_rd, now + timing.trcd)
-        bank.earliest_wr = max(bank.earliest_wr, now + timing.trcd)
-        bank.earliest_pre = max(bank.earliest_pre, now + timing.tras)
+        at = now + timing.trcd
+        if at > bank.earliest_rd:
+            bank.earliest_rd = at
+        if at > bank.earliest_wr:
+            bank.earliest_wr = at
+        at = now + timing.tras
+        if at > bank.earliest_pre:
+            bank.earliest_pre = at
         chan.act_history.append(now)
         if len(chan.act_history) > 4:
             chan.act_history.pop(0)
@@ -252,24 +274,35 @@ def apply_command(
 
     if kind is PRE:
         bank.open_row = None
-        bank.earliest_act = max(bank.earliest_act, now + timing.trp)
+        at = now + timing.trp
+        if at > bank.earliest_act:
+            bank.earliest_act = at
         return None
 
     if kind is RD:
-        bank.earliest_pre = max(bank.earliest_pre, now + timing.trtp)
-        burst = DataBurst(now + timing.cl, now + timing.cl + timing.tburst,
-                          req.request_id)
-        chan.earliest_rd_cas = max(chan.earliest_rd_cas, now + timing.tccd)
-        chan.earliest_wr_cas = max(chan.earliest_wr_cas, now + timing.rd_wr_gap)
+        at = now + timing.trtp
+        if at > bank.earliest_pre:
+            bank.earliest_pre = at
+        start = now + timing.cl
+        burst = DataBurst(start, start + timing.tburst, req.request_id)
+        at = now + timing.tccd
+        if at > chan.earliest_rd_cas:
+            chan.earliest_rd_cas = at
+        at = now + timing.rd_wr_gap
+        if at > chan.earliest_wr_cas:
+            chan.earliest_wr_cas = at
     else:  # WR
-        bank.earliest_pre = max(
-            bank.earliest_pre, now + timing.wl + timing.tburst + timing.twr
-        )
-        burst = DataBurst(now + timing.wl, now + timing.wl + timing.tburst,
-                          req.request_id)
-        chan.earliest_wr_cas = max(chan.earliest_wr_cas, now + timing.tccd)
-        chan.earliest_rd_cas = max(
-            chan.earliest_rd_cas, now + timing.wl + timing.tburst + timing.twtr
-        )
+        start = now + timing.wl
+        end = start + timing.tburst
+        at = end + timing.twr
+        if at > bank.earliest_pre:
+            bank.earliest_pre = at
+        burst = DataBurst(start, end, req.request_id)
+        at = now + timing.tccd
+        if at > chan.earliest_wr_cas:
+            chan.earliest_wr_cas = at
+        at = end + timing.twtr
+        if at > chan.earliest_rd_cas:
+            chan.earliest_rd_cas = at
     chan.data_bus_free = burst.end
     return burst

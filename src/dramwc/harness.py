@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -218,10 +219,18 @@ def evaluate(trace, spec: ScenarioSpec, slowdown: float | None = None) -> Experi
 # ---------------------------------------------------------------------------
 
 def _write(out: Path, files: dict[str, str]) -> None:
-    """Write each named file under ``out``, creating ``out`` once."""
+    """Write each named file's UTF-8 bytes under ``out``, creating ``out``
+    once. The bytes go straight to the file descriptor, past the text and
+    buffer layers that ``Path.write_text`` stacks on it."""
     out.mkdir(parents=True, exist_ok=True)
     for name, content in files.items():
-        (out / name).write_text(content, encoding="utf-8")
+        data = memoryview(content.encode("utf-8"))
+        fd = os.open(out / name, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
 
 
 def _emit(out: Path, trace, spec: ScenarioSpec) -> None:

@@ -112,17 +112,25 @@ class ScheduleTrace:
         self.quiescent = False
 
     def to_csv(self) -> str:
-        rows = []
-        for rec in self.issues:
-            rows.append((rec.cycle, 0, rec.request_id,
-                         f"{rec.cycle},issue,{rec.kind._value_},{rec.bank},"
-                         f"{rec.row},{rec.core},{rec.request_id}"))
+        """One row per issue and per completion, by cycle, an issue before
+        the completions of its cycle and completions by request id.
+
+        ``step`` logs at most one issue a cycle, in cycle order, and
+        ``_retire`` pops completions off its heap in (cycle, id) order, so
+        merging the two logs puts the rows in that order without a sort."""
+        issues = self.issues
+        issue_rows = [f"{rec.cycle},issue,{rec.kind._value_},{rec.bank},"
+                      f"{rec.row},{rec.core},{rec.request_id}" for rec in issues]
+        rows = [self.CSV_HEADER]
+        i, n = 0, len(issues)
         for rec in self.completions:
-            rows.append((rec.completion_cycle, 1, rec.request_id,
-                         f"{rec.completion_cycle},complete,,{rec.bank},,"
-                         f"{rec.core},{rec.request_id}"))
-        rows.sort(key=lambda r: r[:3])
-        return "\n".join([self.CSV_HEADER] + [r[3] for r in rows]) + "\n"
+            cycle = rec.completion_cycle
+            while i < n and issues[i].cycle <= cycle:
+                rows.append(issue_rows[i])
+                i += 1
+            rows.append(f"{cycle},complete,,{rec.bank},,{rec.core},{rec.request_id}")
+        rows += issue_rows[i:]
+        return "\n".join(rows) + "\n"
 
     def per_request_delay(self, request_id: int) -> int:
         """Interference delay: contended latency minus the solo service time
@@ -142,8 +150,15 @@ class ScheduleTrace:
         ]
         cores = sorted({req.core for req in self.requests.values()})
         by_core: dict[int, list[int]] = {c: [] for c in cores}
+        # per_request_delay's formula, with each solo service time looked up
+        # once per call: a cached lookup hashes the whole TimingParams.
+        solo: dict[tuple[bool, str], int] = {}
         for rec in self.completions:
-            by_core[rec.core].append(self.per_request_delay(rec.request_id))
+            key = (rec.is_write, rec.hit_class)
+            base = solo.get(key)
+            if base is None:
+                base = solo[key] = solo_service(self.timing, *key)
+            by_core[rec.core].append(rec.completion_cycle - rec.arrival_cycle - base)
         for core in cores:
             delays = by_core[core]
             lines.append(f"core{core}_completions {len(delays)}")

@@ -352,6 +352,47 @@ def _check_placement(spec: ScenarioSpec, core: int | None = None,
                             keys)
 
 
+class _Placement:
+    """Where a scenario's generators and staged requests run: each core on
+    one private bank that no other core uses, with at most one generator,
+    and no zero budget for the analyzed core's generator, which would end
+    the run before any request is served. ``Workload.__init__`` and
+    :func:`scenario_from_text` add each item through here, so the latter's
+    error can name the item's line."""
+
+    def __init__(self, spec: ScenarioSpec):
+        self.spec = spec
+        self.core_bank: dict[int, int] = {}
+        self.bank_core: dict[int, int] = {}
+        self.generator_cores: set[int] = set()
+
+    def claim(self, core: int, bank: int) -> None:
+        _check_placement(self.spec, core, bank)
+        owned = self.core_bank.setdefault(core, bank)
+        owner = self.bank_core.setdefault(bank, core)
+        if owned != bank:
+            raise ScenarioError(
+                f"core {core} uses banks {owned} and {bank} but partitioning "
+                f"assigns one private bank per core"
+            )
+        if owner != core:
+            raise ScenarioError(
+                f"cores {owner} and {core} share bank {bank} but partitioning "
+                f"assigns one private bank per core"
+            )
+
+    def add_generator(self, gspec: GeneratorSpec) -> None:
+        if gspec.core in self.generator_cores:
+            raise ScenarioError(f"core {gspec.core} has two generators")
+        self.generator_cores.add(gspec.core)
+        self.claim(gspec.core, gspec.bank)
+        if gspec.core == self.spec.analyzed_core and gspec.budget == 0:
+            raise ScenarioError(
+                f"analyzed core {gspec.core} has a generator with budget 0, "
+                f"so the run would end before any request is served"
+            )
+
+
 class Workload:
     """One run of a scenario: its MSHR file, its controller (``controller``,
     with the pre-staged requests already enqueued) and its generators, each
@@ -367,31 +408,12 @@ class Workload:
     """
 
     def __init__(self, spec: ScenarioSpec):
-        core_bank: dict[int, int] = {}
-        bank_core: dict[int, int] = {}
-
-        def claim(core: int, bank: int) -> None:
-            _check_placement(spec, core, bank)
-            owned = core_bank.setdefault(core, bank)
-            owner = bank_core.setdefault(bank, core)
-            if owned != bank:
-                raise ScenarioError(
-                    f"core {core} uses banks {owned} and {bank} but partitioning "
-                    f"assigns one private bank per core"
-                )
-            if owner != core:
-                raise ScenarioError(
-                    f"cores {owner} and {core} share bank {bank} but partitioning "
-                    f"assigns one private bank per core"
-                )
-
+        placement = _Placement(spec)
         self.spec = spec
         self.generators: list[_Generator] = []
         self.gen_by_core: dict[int, _Generator] = {}
         for gspec in sorted(spec.generators, key=lambda g: g.core):
-            if gspec.core in self.gen_by_core:
-                raise ScenarioError(f"core {gspec.core} has two generators")
-            claim(gspec.core, gspec.bank)
+            placement.add_generator(gspec)
             base_row = spec.open_rows.get(gspec.bank, 0)
             rng = random.Random((spec.seed << 8) ^ (gspec.core + 1))
             submit = functools.partial(self._submit, gspec.core, gspec.bank)
@@ -400,16 +422,11 @@ class Workload:
             self.generators.append(gen)
             self.gen_by_core[gspec.core] = gen
         for staged in spec.prestage:
-            claim(staged.core, staged.bank)
+            placement.claim(staged.core, staged.bank)
         analyzed = self.gen_by_core.get(spec.analyzed_core)
         # Generator completions on the analyzed core still owed before the
         # run ends; None when that core has no budgeted generator.
         self.analyzed_left = None if analyzed is None else analyzed.spec.budget
-        if self.analyzed_left == 0:
-            raise ScenarioError(
-                f"analyzed core {spec.analyzed_core} has a generator with budget 0, "
-                f"so the run would end before any request is served"
-            )
         self.has_sources = bool(spec.generators or spec.prestage)
         self.mshr = MshrFile(spec.mshr, num_cores=spec.num_cores)
         self.controller = Controller(spec.timing, spec.scheduler, open_rows=spec.open_rows,
@@ -683,7 +700,10 @@ def scenario_from_text(text: str) -> ScenarioSpec:
     Every key is optional and keeps its dataclass default. Anything else
     malformed raises ScenarioError naming its line, or TimingError for the
     ``[timing]`` section: a section's own range checks name its header, and
-    the top-level scalars' the line that :func:`keyvalue.build` names.
+    the top-level scalars' the line that :func:`keyvalue.build` names. A
+    placement rule of ``Workload`` names the ``[generator]`` header or the
+    ``[prestage]`` line of the item that breaks it; whether the pre-staged
+    requests fit the queues and MSHRs is left to ``Workload``.
     """
     top: list = []
     sections = {name: (0, []) for name in _SECTIONS}
@@ -724,10 +744,11 @@ def scenario_from_text(text: str) -> ScenarioSpec:
                 raise ScenarioError(f"repeated bank {bank}")
             _check_placement(spec, bank=bank)
         spec.open_rows[bank] = row
+    placement = _Placement(spec)
     for at, body in generators:
         gen = keyed(GeneratorSpec, at, body)
         with _blame(at):
-            _check_placement(spec, gen.core, gen.bank)
+            placement.add_generator(gen)
         spec.generators.append(gen)
     for lineno, tokens in sections["prestage"][1]:
         with _blame(lineno):
@@ -735,6 +756,6 @@ def scenario_from_text(text: str) -> ScenarioSpec:
             if word not in ("read", "write"):
                 raise ScenarioError(f"{word!r} is neither read nor write")
             staged = StagedRequest(word == "write", int(core), int(bank), int(row))
-            _check_placement(spec, staged.core, staged.bank)
+            placement.claim(staged.core, staged.bank)
         spec.prestage.append(staged)
     return spec

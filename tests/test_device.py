@@ -8,6 +8,7 @@ from dramwc.device import (
     BankState,
     ChannelState,
     CommandKind,
+    DataBurst,
     TimingError,
     apply_command,
     command_ready,
@@ -123,6 +124,14 @@ class TestCommandReady:
         apply_command(CommandKind.RD, req(bank=0), bank0, chan, self.t, 0)
         assert not command_ready(CommandKind.RD, 1, bank1, chan, self.t, 1)
         assert command_ready(CommandKind.RD, 1, bank1, chan, self.t, 4)
+        # With tCCD above tBURST the column gap, not the data bus, gates the
+        # next read, so it must be exact.
+        t = make_timing({"tccd": 8})
+        bank0, bank1 = BankState(open_row=1), BankState(open_row=1)
+        chan = ChannelState()
+        apply_command(CommandKind.RD, req(bank=0), bank0, chan, t, 0)
+        assert not command_ready(CommandKind.RD, 1, bank1, chan, t, 7)
+        assert command_ready(CommandKind.RD, 1, bank1, chan, t, 8)
 
     def test_fifth_act_waits_for_tfaw(self):
         chan = ChannelState()
@@ -239,6 +248,91 @@ class TestApplyCommand:
         bank, chan = BankState(open_row=2), ChannelState()
         with pytest.raises(RuntimeError, match="not ready at cycle 0: RD for request 4"):
             apply_command(CommandKind.RD, req(row=9, rid=4), bank, chan, self.t, 0)
+
+
+def apply_reference(kind, req, bank, chan, timing, now):
+    """apply_command as it was written with builtin max(), before its
+    registers were compared in line."""
+    if not command_ready(kind, req.row, bank, chan, timing, now):
+        raise RuntimeError(f"command not ready at cycle {now}: {kind.value} "
+                           f"for request {req.request_id}")
+    if kind is CommandKind.ACT:
+        bank.open_row = req.row
+        bank.earliest_rd = max(bank.earliest_rd, now + timing.trcd)
+        bank.earliest_wr = max(bank.earliest_wr, now + timing.trcd)
+        bank.earliest_pre = max(bank.earliest_pre, now + timing.tras)
+        chan.act_history.append(now)
+        if len(chan.act_history) > 4:
+            chan.act_history.pop(0)
+        return None
+    if kind is CommandKind.PRE:
+        bank.open_row = None
+        bank.earliest_act = max(bank.earliest_act, now + timing.trp)
+        return None
+    if kind is CommandKind.RD:
+        bank.earliest_pre = max(bank.earliest_pre, now + timing.trtp)
+        burst = DataBurst(now + timing.cl, now + timing.cl + timing.tburst,
+                          req.request_id)
+        chan.earliest_rd_cas = max(chan.earliest_rd_cas, now + timing.tccd)
+        chan.earliest_wr_cas = max(chan.earliest_wr_cas, now + timing.rd_wr_gap)
+    else:
+        bank.earliest_pre = max(
+            bank.earliest_pre, now + timing.wl + timing.tburst + timing.twr
+        )
+        burst = DataBurst(now + timing.wl, now + timing.wl + timing.tburst,
+                          req.request_id)
+        chan.earliest_wr_cas = max(chan.earliest_wr_cas, now + timing.tccd)
+        chan.earliest_rd_cas = max(
+            chan.earliest_rd_cas, now + timing.wl + timing.tburst + timing.twtr
+        )
+    chan.data_bus_free = burst.end
+    return burst
+
+
+@st.composite
+def wide_tccd_timings(draw):
+    """Timing sets whose tCCD exceeds tBURST, so that the column gap, and
+    not only the data bus, can be the latest read or write gate."""
+    tburst = draw(st.integers(1, 6))
+    raw = {key: draw(st.integers(1, 12))
+           for key in ("trp", "trcd", "cl", "wl", "twtr", "trrd", "trtp")}
+    raw.update(tburst=tburst, tccd=draw(st.integers(tburst + 1, 14)),
+               tfaw=draw(st.integers(raw["trrd"], 30)),
+               trc=draw(st.integers(raw["trp"] + 1, 40)))
+    for key in ("twr", "rd_wr_gap"):
+        if draw(st.booleans()):
+            raw[key] = draw(st.integers(1, 12))
+    return make_timing(raw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=wide_tccd_timings(), seed=st.integers(0, 10**6))
+def test_apply_command_matches_the_max_reference(t, seed):
+    # Random legal command sequences on two copies of the state, one driven
+    # by apply_command and one by the reference; every bank and channel
+    # register must agree after each command.
+    rng = random.Random(seed)
+    banks = [BankState() for _ in range(3)]
+    chan = ChannelState()
+    ref_banks = [BankState() for _ in banks]
+    ref_chan = ChannelState()
+    for now in range(150):
+        options = []
+        for i, bank in enumerate(banks):
+            if bank.open_row is None:
+                options.append((CommandKind.ACT, req(rng.randrange(3), bank=i)))
+            else:
+                target = req(bank.open_row, bank=i, rid=now)
+                options += [(kind, target) for kind in
+                            (CommandKind.PRE, CommandKind.RD, CommandKind.WR)]
+        ready = [(kind, r) for kind, r in options
+                 if command_ready(kind, r.row, banks[r.bank], chan, t, now)]
+        if not ready or rng.random() < 0.3:
+            continue
+        kind, pick = rng.choice(ready)
+        burst = apply_command(kind, pick, banks[pick.bank], chan, t, now)
+        ref_burst = apply_reference(kind, pick, ref_banks[pick.bank], ref_chan, t, now)
+        assert (burst, banks, chan) == (ref_burst, ref_banks, ref_chan), (now, kind)
 
 
 def _legal_driver(seed, cycles=260, num_banks=4):

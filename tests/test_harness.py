@@ -1,4 +1,6 @@
 import hashlib
+import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -99,6 +101,39 @@ class TestSimulateFiles:
         monkeypatch.setattr(Path, "mkdir", counted)
         sweep("bandwidth_write", 3, [0, 1], tmp_path, staged=True)
         assert made == [tmp_path / "seed_0", tmp_path / "seed_1", tmp_path]
+
+    def test_a_shorter_rerun_leaves_no_stale_tail(self, tmp_path):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        names = ("trace.csv", "stats.txt", "scenario.txt")
+        harness.main(["preset", "fig5", "--out", str(out)])
+        longer = {name: (out / name).read_bytes() for name in names}
+        harness.main(["preset", "fig2", "--out", str(out)])
+        harness.main(["preset", "fig2", "--out", str(fresh)])
+        for name in names:
+            shorter = (fresh / name).read_bytes()
+            assert len(shorter) < len(longer[name]), name
+            assert (out / name).read_bytes() == shorter, name
+
+    def test_partial_writes_are_resumed(self, tmp_path, monkeypatch):
+        write, calls = os.write, []
+
+        def short(fd, data):  # as a full disk or a signal may cut a write
+            calls.append(len(data))
+            return write(fd, bytes(data[:5]))
+
+        monkeypatch.setattr(os, "write", short)
+        harness._write(tmp_path, {"a.txt": "λ" * 9})
+        monkeypatch.undo()
+        assert (tmp_path / "a.txt").read_bytes() == "λ".encode() * 9
+        assert calls == [18, 13, 8, 3]
+
+    def test_a_non_ascii_label_is_written_as_utf8(self, tmp_path):
+        spec = replace(preset("fig2"), label="fig2-über-λ")
+        simulate(spec, tmp_path)
+        assert ((tmp_path / "scenario.txt").read_bytes()
+                == scenario_to_text(spec).encode("utf-8"))
+        assert scenario_from_text(
+            (tmp_path / "scenario.txt").read_text(encoding="utf-8")).label == spec.label
 
     def test_reruns_are_byte_identical(self, tmp_path):
         simulate(preset("fig5"), tmp_path / "a")
@@ -399,9 +434,10 @@ class TestCli:
                           "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
         captured = capsys.readouterr()
+        header = text.splitlines().index("[generator]") + 1  # the probe's
         assert captured.err.splitlines()[-1] == (
-            "dramwc: error: analyzed core 0 has a generator with budget 0, "
-            "so the run would end before any request is served")
+            f"dramwc: error: line {header}: analyzed core 0 has a generator with "
+            "budget 0, so the run would end before any request is served")
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert not (tmp_path / "out").exists()

@@ -1,11 +1,14 @@
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from dramwc import checks
 from dramwc.device import CommandKind, make_timing
 from dramwc.scheduler import (
     Controller,
+    IssueRecord,
     MemRequest,
     Mode,
+    ScheduleTrace,
     SchedulerConfig,
     SchedulerError,
     SimulationStalled,
@@ -18,8 +21,10 @@ from dramwc.workload import (
     ScenarioSpec,
     StagedRequest,
     Workload,
+    build_adversarial,
     run_scenario,
 )
+from test_time_advance import live_specs
 
 
 TIMING = make_timing()
@@ -302,3 +307,65 @@ class TestTraceOutput:
         for key in ("total_cycles", "mode_switches", "core0_completions",
                     "core0_max_delay", "core0_mean_delay"):
             assert key in stats
+
+
+def csv_reference(trace):
+    """to_csv as it was written with one tuple per row and a sort, before it
+    merged its two logs."""
+    rows = []
+    for rec in trace.issues:
+        rows.append((rec.cycle, 0, rec.request_id,
+                     f"{rec.cycle},issue,{rec.kind.value},{rec.bank},"
+                     f"{rec.row},{rec.core},{rec.request_id}"))
+    for rec in trace.completions:
+        rows.append((rec.completion_cycle, 1, rec.request_id,
+                     f"{rec.completion_cycle},complete,,{rec.bank},,"
+                     f"{rec.core},{rec.request_id}"))
+    rows.sort(key=lambda r: r[:3])
+    return "\n".join([trace.CSV_HEADER] + [r[3] for r in rows]) + "\n"
+
+
+class TestCsvMatchesTheSortedReference:
+    def test_a_cycle_with_an_issue_and_two_completions(self):
+        trace = ScheduleTrace(TIMING, SchedulerConfig(), Mode.READ)
+        done = [MemRequest(rid, rid, False, rid, 1) for rid in (4, 6, 2)]
+        for req, cycle in zip(done, (9, 9, 12)):
+            req.completion_cycle = cycle
+        trace.completions = done  # in (cycle, id) order, as _retire logs them
+        trace.issues = [IssueRecord(cycle, CommandKind.RD, 3, 1, 3, 7)
+                        for cycle in (2, 9, 10, 14)]
+        assert trace.to_csv() == csv_reference(trace)
+        assert trace.to_csv().splitlines()[1:] == [
+            "2,issue,RD,3,1,3,7",
+            "9,issue,RD,3,1,3,7",
+            "9,complete,,4,,4,4",
+            "9,complete,,6,,6,6",
+            "10,issue,RD,3,1,3,7",
+            "12,complete,,2,,2,2",
+            "14,issue,RD,3,1,3,7",
+        ]
+
+    def test_empty_trace(self):
+        trace = ScheduleTrace(TIMING, SchedulerConfig(), Mode.READ)
+        assert trace.to_csv() == csv_reference(trace) == trace.CSV_HEADER + "\n"
+
+    @pytest.mark.parametrize("kind", list(GeneratorKind), ids=lambda k: k.value)
+    def test_staged_worst_cases(self, kind):
+        for seed in range(20):
+            trace, _ = run_scenario(build_adversarial(interferer_kind=kind, seed=seed))
+            assert trace.to_csv() == csv_reference(trace), seed
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(spec=live_specs())
+    def test_live_runs(self, spec):
+        try:
+            workload = Workload(spec)
+        except ValueError:  # ScenarioError: over-full staging, for one
+            return
+        try:
+            workload.controller.run(workload)
+        except SimulationStalled:  # a short stall window; the log so far
+            pass
+        trace = workload.controller.trace
+        assert trace.to_csv() == csv_reference(trace)

@@ -578,6 +578,9 @@ FAULTS = {
     "zero cores": (STAGED, {"num_cores 4": "num_cores 0"}, "line"),
     "analyzed core out of range": (STAGED, {"analyzed_core 0": "analyzed_core 9"}, "line"),
     "over-reserved mshr": (LIVE, {"reserve_per_core 0": "reserve_per_core 17"}, "header"),
+    "bank shared by two cores": (STAGED, {"read 2 2 25": "read 2 1 25"}, "line"),
+    "two generators on one core": (LIVE, {"core 1": "core 0"}, "header"),
+    "zero analyzed budget": (LIVE, {"budget 5": "budget 0"}, "header"),
 }
 
 
