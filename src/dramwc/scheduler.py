@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import heapq
 from dataclasses import dataclass
 
 from . import device
@@ -61,7 +60,7 @@ class SchedulerConfig:
                 f"({self.write_cap})", ("drain_batch", "write_cap"))
 
 
-@dataclass
+@dataclass(eq=False)  # a mutable record, compared by identity
 class MemRequest:
     request_id: int
     core: int
@@ -113,10 +112,10 @@ class ScheduleTrace:
 
     def to_csv(self) -> str:
         """One row per issue and per completion, by cycle, an issue before
-        the completions of its cycle and completions by request id.
+        the completion of its cycle.
 
         ``step`` logs at most one issue a cycle, in cycle order, and
-        ``_retire`` pops completions off its heap in (cycle, id) order, so
+        ``_retire`` at most one completion a cycle, in cycle order, so
         merging the two logs puts the rows in that order without a sort."""
         issues = self.issues
         issue_rows = [f"{rec.cycle},issue,{rec.kind._value_},{rec.bank},"
@@ -208,9 +207,7 @@ class Controller:
         self.mode = initial_mode
         self.drained_in_batch = 0
         self.now = 0
-        self._next_order = 0
         self._first_ready = device.NEVER  # the oracle's, set by step when idle
-        self._inflight: list[tuple[int, int, MemRequest]] = []  # (end, id, req)
         self.trace = ScheduleTrace(timing, self.config, initial_mode)
 
     # -- queue admission ----------------------------------------------------
@@ -226,8 +223,10 @@ class Controller:
             return False
         if not 0 <= req.bank < self.config.num_banks:
             raise SchedulerError(f"request {req.request_id} targets unknown bank {req.bank}")
-        req.arrival_order = self._next_order
-        self._next_order += 1
+        requests = self.trace.requests
+        if req.request_id in requests:
+            raise SchedulerError(f"request {req.request_id} is already accepted")
+        req.arrival_order = len(requests)
         req.target = (req.bank, req.row, req.is_write)
         queue.append(req)
         groups = self.write_groups if req.is_write else self.read_groups
@@ -235,7 +234,7 @@ class Controller:
         open_row = self.banks[req.bank].open_row
         req.hit_class = ("hit" if open_row == req.row else
                          "closed" if open_row is None else "conflict")
-        self.trace.requests[req.request_id] = req
+        requests[req.request_id] = req
         return True
 
     # -- scheduling ---------------------------------------------------------
@@ -302,9 +301,9 @@ class Controller:
                 best, best_key = (kind, req), key
         return best
 
-    def step(self) -> tuple[IssueRecord | None, list[MemRequest]]:
+    def step(self) -> tuple[IssueRecord | None, MemRequest | None]:
         """Advance one cycle: update mode, issue at most one command, and
-        complete the requests whose data burst ends this cycle.
+        complete the request whose data burst ends this cycle, if one does.
 
         This is the full per-cycle primitive, with the oracle check. On an
         idle cycle it keeps the oracle's first-ready cycle, the end of the
@@ -326,7 +325,6 @@ class Controller:
             if burst is not None:
                 self.trace.bursts.append(burst)
                 self._dequeue(req)
-                heapq.heappush(self._inflight, (burst.end, req.request_id, req))
                 if kind is WR:
                     self.drained_in_batch += 1
         return issued, self._retire()
@@ -347,30 +345,34 @@ class Controller:
         else:
             del group[0]
 
-    def _retire(self) -> list[MemRequest]:
-        """End the cycle: complete the requests whose data burst ends now."""
-        completed = []
-        while self._inflight and self._inflight[0][0] == self.now:
-            req = heapq.heappop(self._inflight)[2]
-            req.completion_cycle = self.now
-            completed.append(req)
-        self.trace.completions += completed
-        self.now += 1
-        return completed
+    def _retire(self) -> MemRequest | None:
+        """End the cycle: complete the request whose burst ends now, if any.
+        Each CAS waits for the data bus (``earliest_ready``), so bursts end in
+        issue order, one a cycle at most: the next is the first not completed."""
+        trace, now = self.trace, self.now
+        self.now = now + 1
+        done = len(trace.completions)
+        if done == len(trace.bursts) or trace.bursts[done].end != now:
+            return None
+        req = trace.requests[trace.bursts[done].request_id]
+        req.completion_cycle = now
+        trace.completions.append(req)
+        return req
 
     def idle(self) -> bool:
-        return not self.read_queue and not self.write_queue and not self._inflight
+        retired = len(self.trace.completions) == len(self.trace.bursts)
+        return retired and not self.read_queue and not self.write_queue
 
     def run(self, workload) -> ScheduleTrace:
         """Run the workload that owns this controller until its horizon, or
         until it says the run has ended (see :meth:`Workload.finished`).
 
         Every cycle is visited: the workload polls, the cycle is stepped or
-        quiet, and the workload is notified of its completions. A cycle is
-        quiet when the last stepped cycle issued nothing and left no mode
-        switch due, no request has arrived since, and the cycle comes before
-        the first-ready cycle that the oracle's idle check of that step
-        returned. A quiet cycle only retires the bursts that end on it.
+        quiet, and the workload is notified of its completion, if any. A
+        cycle is quiet when the last stepped cycle issued nothing and left no
+        mode switch due, no request has been accepted since, and the cycle
+        comes before the first-ready cycle that the oracle's idle check of
+        that step returned. A quiet cycle only retires the burst ending on it.
         Selection reads the queues, which only an arrival or an issue
         changes, the bank and channel state, which only an issue changes,
         and the mode, whose inputs are the queues and the drain count, so on
@@ -381,16 +383,17 @@ class Controller:
         stall_window = self.config.stall_window
         poll, notify, finished = workload.poll, workload.notify, workload.finished
         step, retire, mode_due, idle = self.step, self._retire, self._mode_due, self.idle
+        requests = self.trace.requests
         last_progress = 0
         quiet_order, quiet_until = -1, 0  # arrival count and end of the quiet span
         while self.now < horizon:
             cycle = self.now
             poll(cycle)
-            if cycle < quiet_until and self._next_order == quiet_order:
+            if cycle < quiet_until and len(requests) == quiet_order:
                 issued, completed = None, retire()
             else:
                 issued, completed = step()
-                quiet_order = self._next_order
+                quiet_order = len(requests)
                 quiet_until = (self._first_ready
                                if issued is None and mode_due() is None else 0)
             notify(cycle, completed)

@@ -432,29 +432,29 @@ class Workload:
         self.controller = Controller(spec.timing, spec.scheduler, open_rows=spec.open_rows,
                                      initial_mode=spec.initial_mode)
         self.now = 0
-        self._next_id = 0
         self._refused = self._queue_refused = False  # by a submit since reset
         # The staged requests arrive at cycle 0 in listed order, so they
         # hold the first ids.
         for staged in spec.prestage:
-            if not self._submit(staged.core, staged.bank, staged.row,
-                                staged.is_write):
-                raise ScenarioError(
-                    f"pre-staged request for core {staged.core} exceeds queue or "
-                    f"MSHR capacity"
-                )
+            self.stage(staged)
+
+    def stage(self, staged: StagedRequest) -> None:
+        """Submit a pre-staged request at cycle 0, through the run's own
+        admission; one that the MSHRs or the queues refuse is a ScenarioError."""
+        if not self._submit(staged.core, staged.bank, staged.row, staged.is_write):
+            raise ScenarioError(f"pre-staged request for core {staged.core} exceeds "
+                                f"queue or MSHR capacity")
 
     def _submit(self, core: int, bank: int, row: int, is_write: bool) -> bool:
         if not self.mshr.acquire(core, is_write):
             self._refused = True
             return False
-        req = MemRequest(self._next_id, core, is_write, bank, row,
-                         arrival_cycle=self.now)
+        req = MemRequest(len(self.controller.trace.requests), core, is_write, bank,
+                         row, arrival_cycle=self.now)
         if not self.controller.enqueue(req):
             self.mshr.release(core, is_write)
             self._refused = self._queue_refused = True
             return False
-        self._next_id += 1
         return True
 
     def poll(self, now: int) -> None:
@@ -485,17 +485,17 @@ class Workload:
                 gen.parked_on_queue = self._queue_refused
                 gen.parked = freed if self._queue_refused else released
 
-    def notify(self, now: int, completed: list[MemRequest]) -> None:
-        # Every id past the staged ones is a generator's, on its own core.
+    def notify(self, now: int, req: MemRequest | None) -> None:
         self.now = now
-        staged = len(self.spec.prestage)
-        for req in completed:
-            self.mshr.release(req.core, req.is_write)
-            if req.request_id < staged:
-                continue
-            if req.core == self.spec.analyzed_core and self.analyzed_left:
-                self.analyzed_left -= 1
-            self.gen_by_core[req.core].on_completion(now, req.is_write)
+        if req is None:
+            return
+        self.mshr.release(req.core, req.is_write)
+        # Every id past the staged ones is a generator's, on its own core.
+        if req.request_id < len(self.spec.prestage):
+            return
+        if req.core == self.spec.analyzed_core and self.analyzed_left:
+            self.analyzed_left -= 1
+        self.gen_by_core[req.core].on_completion(now, req.is_write)
 
     def exhausted(self) -> bool:
         return all(g.done() for g in self.generators) and self.mshr.idle()
@@ -522,8 +522,8 @@ def run_scenario(spec: ScenarioSpec):
 # Staged worst-case scenarios
 # ---------------------------------------------------------------------------
 
-def interferer_cores(n_interferers: int, analyzed_core: int = 0) -> list[int]:
-    """The cores other than the analyzed one in a scenario of
+def interferer_cores(n_interferers: int) -> list[int]:
+    """The cores other than the analyzed core 0 in a scenario of
     ``n_interferers + 1`` cores, at least 2 and at most one per bank of the
     default scheduler, since each core has a private bank."""
     if n_interferers < 1:
@@ -533,10 +533,7 @@ def interferer_cores(n_interferers: int, analyzed_core: int = 0) -> list[int]:
             f"n_interferers ({n_interferers}) must be at most "
             f"{SchedulerConfig.num_banks - 1}: each core needs a private bank, "
             f"and there are {SchedulerConfig.num_banks}")
-    if not 0 <= analyzed_core <= n_interferers:
-        raise ScenarioError(f"analyzed_core ({analyzed_core}) must be one of the "
-                            f"{n_interferers + 1} cores 0-{n_interferers}")
-    return [c for c in range(n_interferers + 1) if c != analyzed_core]
+    return list(range(1, n_interferers + 1))
 
 
 @functools.cache  # a staged sweep builds hundreds of scenarios of one set of caps
@@ -550,8 +547,7 @@ def _interferer_room(mshr: MshrConfig, num_cores: int) -> int:
     return room
 
 
-def build_adversarial(analyzed_core: int = 0,
-                      interferer_kind: GeneratorKind = GeneratorKind.BANDWIDTH_WRITE,
+def build_adversarial(interferer_kind: GeneratorKind = GeneratorKind.BANDWIDTH_WRITE,
                       seed: int = 0,
                       n_interferers: int = 3,
                       timing: TimingParams | dict | None = None,
@@ -572,20 +568,20 @@ def build_adversarial(analyzed_core: int = 0,
     write cap below the drain batch for a kind that stages writes, are a
     ScenarioError, not a scenario its run refuses.
 
-    The scenario has ``n_interferers + 1`` cores, at least 2, and the
-    analyzed core is one of them, so every other core interferes and the
-    bounds charge no idle core.
+    The scenario has ``n_interferers + 1`` cores, at least 2. The analyzed
+    core is core 0, and every other core interferes, so the bounds charge no
+    idle core.
     """
-    cores = interferer_cores(n_interferers, analyzed_core)
+    cores = interferer_cores(n_interferers)
     kind = GeneratorKind(interferer_kind)
     rng = random.Random(seed)
-    open_rows = {core: 100 + core for core in [analyzed_core, *cores]}  # bank == core
+    open_rows = {core: 100 + core for core in [0, *cores]}  # bank == core
     spec = ScenarioSpec(
         label=f"adversarial-{kind.value}-{seed}",
         mshr=mshr or MshrConfig(),
         timing=timing or DEFAULT_TIMING,
         open_rows=open_rows,
-        horizon=4000, analyzed_core=analyzed_core,
+        horizon=4000, analyzed_core=0,
         num_cores=n_interferers + 1,
         seed=seed,
     )
@@ -650,9 +646,7 @@ def build_adversarial(analyzed_core: int = 0,
         rng.shuffle(prestage)
 
     # The analyzed core's dependent read arrives right after everything else.
-    prestage.append(
-        StagedRequest(False, analyzed_core, analyzed_core, open_rows[analyzed_core])
-    )
+    prestage.append(StagedRequest(False, 0, 0, open_rows[0]))
     spec.prestage = prestage
     spec.initial_mode = Mode.WRITE_DRAIN if n_writes else Mode.READ
     return spec
@@ -702,8 +696,8 @@ def scenario_from_text(text: str) -> ScenarioSpec:
     ``[timing]`` section: a section's own range checks name its header, and
     the top-level scalars' the line that :func:`keyvalue.build` names. A
     placement rule of ``Workload`` names the ``[generator]`` header or the
-    ``[prestage]`` line of the item that breaks it; whether the pre-staged
-    requests fit the queues and MSHRs is left to ``Workload``.
+    ``[prestage]`` line of the item that breaks it, and so does a pre-staged
+    request that a ``Workload`` of the scenario read so far refuses.
     """
     top: list = []
     sections = {name: (0, []) for name in _SECTIONS}
@@ -750,6 +744,7 @@ def scenario_from_text(text: str) -> ScenarioSpec:
         with _blame(at):
             placement.add_generator(gen)
         spec.generators.append(gen)
+    workload = Workload(spec)
     for lineno, tokens in sections["prestage"][1]:
         with _blame(lineno):
             word, core, bank, row = tokens
@@ -757,5 +752,6 @@ def scenario_from_text(text: str) -> ScenarioSpec:
                 raise ScenarioError(f"{word!r} is neither read nor write")
             staged = StagedRequest(word == "write", int(core), int(bank), int(row))
             placement.claim(staged.core, staged.bank)
+            workload.stage(staged)
         spec.prestage.append(staged)
     return spec

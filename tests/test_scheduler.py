@@ -1,7 +1,10 @@
+import dataclasses
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from dramwc import checks
+from dramwc import checks, device, harness
+from dramwc.checks import TraceInvariantError
 from dramwc.device import CommandKind, make_timing
 from dramwc.scheduler import (
     Controller,
@@ -63,6 +66,16 @@ class TestEnqueue:
         ctrl.enqueue(read(1))
         orders = [r.arrival_order for r in ctrl.write_queue + ctrl.read_queue]
         assert orders == [0, 1]
+
+    def test_an_id_is_accepted_once(self):
+        # A second request under an accepted id would replace the first in
+        # the trace's record of accepted requests.
+        ctrl = Controller(TIMING)
+        assert ctrl.enqueue(read(0))
+        with pytest.raises(SchedulerError, match="request 0 is already accepted"):
+            ctrl.enqueue(write(0, core=1, bank=1))
+        assert [r.request_id for r in ctrl.read_queue] == [0]
+        assert not ctrl.write_queue
 
     def test_bad_config_is_a_keyed_scenario_error(self):
         with pytest.raises(ScenarioError, match=r"read_cap \(0\)") as exc:
@@ -172,7 +185,7 @@ class TestStepAndRun:
     def test_idle_step_advances_clock(self):
         ctrl = Controller(TIMING)
         issued, completed = ctrl.step()
-        assert issued is None and completed == [] and ctrl.now == 1
+        assert issued is None and completed is None and ctrl.now == 1
 
     def test_staged_scenario_reaches_quiescence_early(self):
         spec = ScenarioSpec(
@@ -231,6 +244,25 @@ class TestStepAndRun:
             ctrl.step()
         # row hit: RD at 0, data burst [cl, cl + tburst)
         assert ctrl.trace.requests[0].completion_cycle == TIMING.cl + TIMING.tburst
+
+    def test_overlapping_bursts_fail_validation(self, monkeypatch):
+        # The controller retires bursts in issue order because every CAS
+        # waits for the data bus. With that gate gone from RD, fig2's reads at
+        # tCCD 2 overlap on the bus, and the run fails its offline check
+        # instead of returning a trace.
+        ready = device.earliest_ready
+
+        def rd_ignores_the_bus(kind, row, bank, chan, timing):
+            if kind is CommandKind.RD:
+                chan = dataclasses.replace(chan, data_bus_free=0)
+            return ready(kind, row, bank, chan, timing)
+
+        monkeypatch.setattr(device, "earliest_ready", rd_ignores_the_bus)
+        spec = harness.preset("fig2")
+        spec.timing = make_timing({"tccd": 2})
+        with pytest.raises(TraceInvariantError,
+                           match=r"data bursts overlap: \[7,11\) and \[9,13\)"):
+            run_scenario(spec)
 
     def test_write_drain_services_batch_before_reads(self):
         spec = ScenarioSpec(
@@ -331,7 +363,7 @@ class TestCsvMatchesTheSortedReference:
         done = [MemRequest(rid, rid, False, rid, 1) for rid in (4, 6, 2)]
         for req, cycle in zip(done, (9, 9, 12)):
             req.completion_cycle = cycle
-        trace.completions = done  # in (cycle, id) order, as _retire logs them
+        trace.completions = done  # in cycle order, as to_csv expects
         trace.issues = [IssueRecord(cycle, CommandKind.RD, 3, 1, 3, 7)
                         for cycle in (2, 9, 10, 14)]
         assert trace.to_csv() == csv_reference(trace)

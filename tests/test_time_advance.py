@@ -246,6 +246,45 @@ def test_run_matches_the_per_cycle_loop(spec):
         outcome(lambda: reference(spec))
 
 
+# Row-hit reads at tCCD 2 < tBURST 4: each RD waits for the data bus, not
+# for tCCD, so that gate alone keeps the bursts apart.
+BUS_BINDS = ScenarioSpec(
+    label="bus-binds", timing={"tccd": 2}, open_rows={0: 1, 1: 1},
+    generators=[GeneratorSpec(GeneratorKind.BANDWIDTH_READ, core, core, budget=8)
+                for core in (0, 1)],
+    horizon=400, num_cores=2)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(spec=live_specs() | staged_specs())
+@example(spec=BUS_BINDS)
+@example(spec=build_adversarial(interferer_kind=GeneratorKind.STREAM, seed=4,
+                                timing={"tccd": 1, "tburst": 6}))
+def test_requests_complete_in_burst_order_one_a_cycle(spec):
+    # The controller keeps no record of the requests in flight beyond the
+    # trace: the next to complete is the first burst not yet completed.
+    try:
+        workload = Workload(spec)
+    except ValueError:  # ScenarioError: over-full staging, for one
+        return
+    ctrl = workload.controller
+    try:
+        ctrl.run(workload)
+    except SimulationStalled:
+        pass
+    trace = ctrl.trace
+    ends = [b.end for b in trace.bursts]
+    assert ends == sorted(set(ends))  # one burst ends a cycle at most
+    done = [r.completion_cycle for r in trace.completions]
+    assert done == sorted(set(done))  # one request completes a cycle at most
+    assert [r.request_id for r in trace.completions] == \
+        [b.request_id for b in trace.bursts[:len(done)]]
+    assert done == ends[:len(done)]
+    # and no burst that ended in the run is left unretired
+    assert all(end >= ctrl.now for end in ends[len(done):])
+
+
 # A closed-bank read (ACT at 0, RD ready at tRCD = 7) whose stall guard
 # would trip at cycle 7 as well: that visit must be stepped, not retired as
 # quiet, or the run stalls.

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dramwc import harness, workload
-from dramwc.analysis import AnalysisInputs, bounds
 from dramwc.device import TimingError, make_timing
 from dramwc.keyvalue import InputError
 from dramwc.scheduler import SchedulerConfig, SchedulerError
@@ -464,25 +463,11 @@ class TestAdversarial:
     @pytest.mark.parametrize("kwargs, match", [
         ({"n_interferers": 0}, r"n_interferers \(0\) must be at least 1"),
         ({"n_interferers": -1}, r"n_interferers \(-1\) must be at least 1"),
-        ({"analyzed_core": 5}, r"analyzed_core \(5\) must be one of the 4 cores 0-3"),
-        ({"analyzed_core": -1}, r"analyzed_core \(-1\) must be one of the 4 cores"),
-        ({"analyzed_core": 2, "n_interferers": 1},
-         r"analyzed_core \(2\) must be one of the 2 cores 0-1"),
     ])
     def test_core_outside_the_scenario_rejected(self, kwargs, match):
-        # No bare IndexError for zero interferers, and no idle cores for an
-        # analyzed core past the interferers: the bounds would charge them.
+        # No bare IndexError for zero interferers.
         with pytest.raises(ScenarioError, match=match):
             build_adversarial(**kwargs)
-
-    @pytest.mark.parametrize("analyzed_core", [1, 3])
-    def test_every_other_core_interferes(self, analyzed_core):
-        spec = build_adversarial(analyzed_core=analyzed_core)
-        assert spec.num_cores == 4
-        assert {r.core for r in spec.prestage} == {0, 1, 2, 3}
-        assert spec.prestage[-1].core == analyzed_core
-        assert bounds(AnalysisInputs.for_scenario(spec)) == \
-            bounds(AnalysisInputs.for_scenario(build_adversarial()))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -547,7 +532,8 @@ WRITER = scenario_to_text(live_spec(GeneratorKind.BANDWIDTH_WRITE, budget=16))
 STAGED = scenario_to_text(harness.preset("fig5"))
 
 # (base text, {line: replacement} applied to the first equal lines, and
-# whether the error names that line or its section header)
+# whether the error names that line, its section header, or the line of the
+# given text)
 FAULTS = {
     "misspelled key": (LIVE, {"drain_batch 4": "drain_bach 8"}, "line"),
     "negative budget": (LIVE, {"budget 5": "budget -5"}, "header"),
@@ -581,6 +567,11 @@ FAULTS = {
     "bank shared by two cores": (STAGED, {"read 2 2 25": "read 2 1 25"}, "line"),
     "two generators on one core": (LIVE, {"core 1": "core 0"}, "header"),
     "zero analyzed budget": (LIVE, {"budget 5": "budget 0"}, "header"),
+    # the second staged write, and the third staged read, are refused
+    "staged writes over the mshr cap": (
+        STAGED, {"global_write_cap 16": "global_write_cap 1"}, "write 3 3 37"),
+    "staged reads over the read queue": (
+        STAGED, {"read_cap 32": "read_cap 2"}, "read 0 0 5"),
 }
 
 
@@ -607,6 +598,8 @@ def _apply_fault(text, edits, blame):
         first = i if first is None else first
     if blame == "header":
         first = max(j for j in range(first) if lines[j].startswith("["))
+    elif blame != "line":
+        first = lines.index(blame)
     return "\n".join(lines) + "\n", first + 1
 
 
