@@ -72,7 +72,7 @@ def verify_selection(controller, chosen) -> int | None:
         kind, at = head
         if at > now:
             continue
-        key = priority_key(kind, req.bank, req.arrival_order, prio)
+        key = priority_key(kind, req.bank, req.request_id, prio)
         if best_key is None or key < best_key:
             best_key, best = key, (kind, req)
             if key[:2] == (0, 0):
@@ -87,7 +87,7 @@ def verify_selection(controller, chosen) -> int | None:
             f"cycle {controller.now}: issued {_command(kind, req)} but no "
             f"candidate is ready"
         )
-    if best_key < priority_key(kind, req.bank, req.arrival_order, prio):
+    if best_key < priority_key(kind, req.bank, req.request_id, prio):
         raise TraceInvariantError(
             f"cycle {controller.now}: issued {_command(kind, req)} over "
             f"higher-priority {_command(*best)}"
@@ -137,9 +137,9 @@ def check_burst_overlap(trace: ScheduleTrace) -> None:
 
 def check_burst_timing(trace: ScheduleTrace) -> None:
     """Every CAS issue must have a burst at the CAS latency, and every
-    completion must coincide with its burst end."""
+    completion must coincide with its burst end, found by its request."""
     timing = trace.timing
-    bursts = {b.request_id: b for b in trace.bursts}
+    bursts = {b.request: b for b in trace.bursts}
     for rec in trace.issues:
         if rec.kind is RD:
             expected = (rec.cycle + timing.cl, rec.cycle + timing.cl + timing.tburst)
@@ -147,13 +147,13 @@ def check_burst_timing(trace: ScheduleTrace) -> None:
             expected = (rec.cycle + timing.wl, rec.cycle + timing.wl + timing.tburst)
         else:
             continue
-        burst = bursts.get(rec.request_id)
+        burst = bursts.get(rec.request)
         if burst is None or (burst.start, burst.end) != expected:
             raise TraceInvariantError(
-                f"request {rec.request_id}: burst does not match its CAS issue"
+                f"request {rec.request.request_id}: burst does not match its CAS issue"
             )
     for rec in trace.completions:
-        burst = bursts.get(rec.request_id)
+        burst = bursts.get(rec)
         if burst is None or rec.completion_cycle != burst.end:
             raise TraceInvariantError(
                 f"request {rec.request_id}: completion is not at burst end"
@@ -196,7 +196,7 @@ def check_drain_batching(trace: ScheduleTrace) -> None:
             queued = trace.mode_switches[i - 1].write_queue_len
         else:
             queued = sum(
-                1 for r in trace.requests.values()
+                1 for r in trace.requests
                 if r.is_write and r.arrival_cycle == 0
             )
         if drained[i] < min(batch, queued):
@@ -207,7 +207,9 @@ def check_drain_batching(trace: ScheduleTrace) -> None:
 
 
 def check_conservation(trace: ScheduleTrace) -> None:
-    completed = {rec.request_id for rec in trace.completions}
+    if any(req.request_id != i for i, req in enumerate(trace.requests)):
+        raise TraceInvariantError("a request's id is not its index in the trace")
+    completed = set(trace.completions)
     enqueued = set(trace.requests)
     if len(completed) != len(trace.completions):
         raise TraceInvariantError("a request completed twice")

@@ -127,7 +127,7 @@ DEFAULT_TIMING = make_timing()
 class DataBurst:
     start: int
     end: int  # exclusive
-    request_id: int
+    request: object  # the scheduler's MemRequest that the burst serves
 
 
 @dataclass
@@ -284,7 +284,7 @@ def apply_command(
         if at > bank.earliest_pre:
             bank.earliest_pre = at
         start = now + timing.cl
-        burst = DataBurst(start, start + timing.tburst, req.request_id)
+        burst = DataBurst(start, start + timing.tburst, req)
         at = now + timing.tccd
         if at > chan.earliest_rd_cas:
             chan.earliest_rd_cas = at
@@ -297,7 +297,7 @@ def apply_command(
         at = end + timing.twr
         if at > bank.earliest_pre:
             bank.earliest_pre = at
-        burst = DataBurst(start, end, req.request_id)
+        burst = DataBurst(start, end, req)
         at = now + timing.tccd
         if at > chan.earliest_wr_cas:
             chan.earliest_wr_cas = at

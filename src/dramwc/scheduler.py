@@ -60,17 +60,18 @@ class SchedulerConfig:
                 f"({self.write_cap})", ("drain_batch", "write_cap"))
 
 
-@dataclass(eq=False)  # a mutable record, compared by identity
+@dataclass(eq=False)  # a mutable record, compared and hashed by identity
 class MemRequest:
-    request_id: int
+    """The one record of a request: issue and burst records point at it."""
+
     core: int
     is_write: bool
     bank: int
     row: int
     arrival_cycle: int = 0
-    arrival_order: int = -1  # assigned by the controller on accept, as are
-    hit_class: str = ""      # the own-bank state then (hit, closed, conflict)
-    target: tuple = ()       # and (bank, row, is_write), the oracle's scan key
+    request_id: int = -1  # assigned by the controller on accept, as are
+    hit_class: str = ""   # the own-bank state then (hit, closed, conflict)
+    target: tuple = ()    # and (bank, row, is_write), the oracle's scan key
     completion_cycle: int | None = None  # set when its data burst ends
 
 
@@ -78,10 +79,7 @@ class MemRequest:
 class IssueRecord:
     cycle: int
     kind: CommandKind
-    bank: int
-    row: int
-    core: int
-    request_id: int
+    request: MemRequest
 
 
 @dataclass(frozen=True)
@@ -93,7 +91,7 @@ class ModeSwitch:
 
 class ScheduleTrace:
     """Cycle-stamped log of issued commands and bursts, every accepted
-    request by id, and the completed requests in completion order."""
+    request at the index of its id, and the completed ones in completion order."""
 
     CSV_HEADER = "cycle,event,kind,bank,row,core,request_id"
 
@@ -106,20 +104,21 @@ class ScheduleTrace:
         self.completions: list[MemRequest] = []
         self.bursts: list[DataBurst] = []
         self.mode_switches: list[ModeSwitch] = []
-        self.requests: dict[int, MemRequest] = {}
+        self.requests: list[MemRequest] = []
         self.total_cycles = 0
         self.quiescent = False
 
     def to_csv(self) -> str:
-        """One row per issue and per completion, by cycle, an issue before
-        the completion of its cycle.
+        """One row per issue and per completion, with the fields of the
+        request it serves, by cycle, an issue before the completion of its cycle.
 
         ``step`` logs at most one issue a cycle, in cycle order, and
         ``_retire`` at most one completion a cycle, in cycle order, so
         merging the two logs puts the rows in that order without a sort."""
         issues = self.issues
-        issue_rows = [f"{rec.cycle},issue,{rec.kind._value_},{rec.bank},"
-                      f"{rec.row},{rec.core},{rec.request_id}" for rec in issues]
+        issue_rows = [f"{rec.cycle},issue,{rec.kind._value_},{req.bank},"
+                      f"{req.row},{req.core},{req.request_id}"
+                      for rec in issues for req in [rec.request]]
         rows = [self.CSV_HEADER]
         i, n = 0, len(issues)
         for rec in self.completions:
@@ -134,7 +133,7 @@ class ScheduleTrace:
     def per_request_delay(self, request_id: int) -> int:
         """Interference delay: contended latency minus the solo service time
         against the same own-bank state."""
-        req = self.requests.get(request_id)
+        req = self.requests[request_id] if 0 <= request_id < len(self.requests) else None
         if req is None or req.completion_cycle is None:
             raise KeyError(f"request {request_id} has no completion in trace")
         return (req.completion_cycle - req.arrival_cycle
@@ -147,7 +146,7 @@ class ScheduleTrace:
             f"requests_enqueued {len(self.requests)}",
             f"requests_completed {len(self.completions)}",
         ]
-        cores = sorted({req.core for req in self.requests.values()})
+        cores = sorted({req.core for req in self.requests})
         by_core: dict[int, list[int]] = {c: [] for c in cores}
         # per_request_delay's formula, with each solo service time looked up
         # once per call: a cached lookup hashes the whole TimingParams.
@@ -168,13 +167,13 @@ class ScheduleTrace:
         return "\n".join(lines) + "\n"
 
 
-def priority_key(kind: CommandKind, bank: int, arrival_order: int,
+def priority_key(kind: CommandKind, bank: int, request_id: int,
                  prioritized_bank: int | None) -> tuple:
     """FR-FCFS ordering key; smaller wins. The oracle ranks by it;
     select_command builds the same key in its own loop."""
     cas_rank = 0 if kind in CAS_KINDS else 1
     bank_rank = 0 if prioritized_bank is None or bank == prioritized_bank else 1
-    return (cas_rank, bank_rank, arrival_order, bank)
+    return (cas_rank, bank_rank, request_id, bank)
 
 
 class Controller:
@@ -213,7 +212,11 @@ class Controller:
     # -- queue admission ----------------------------------------------------
 
     def enqueue(self, req: MemRequest) -> bool:
-        """Accept a request, or return False as back-pressure when full."""
+        """Accept a request and number it by its index in ``trace.requests``,
+        or return False as back-pressure when full. A numbered request has
+        been accepted already: enqueueing it again is a SchedulerError."""
+        if req.request_id != -1:
+            raise SchedulerError(f"request {req.request_id} is already accepted")
         queue, cap = (
             (self.write_queue, self.config.write_cap)
             if req.is_write
@@ -222,11 +225,9 @@ class Controller:
         if len(queue) >= cap:
             return False
         if not 0 <= req.bank < self.config.num_banks:
-            raise SchedulerError(f"request {req.request_id} targets unknown bank {req.bank}")
+            raise SchedulerError(f"a request targets unknown bank {req.bank}")
         requests = self.trace.requests
-        if req.request_id in requests:
-            raise SchedulerError(f"request {req.request_id} is already accepted")
-        req.arrival_order = len(requests)
+        req.request_id = len(requests)
         req.target = (req.bank, req.row, req.is_write)
         queue.append(req)
         groups = self.write_groups if req.is_write else self.read_groups
@@ -234,7 +235,7 @@ class Controller:
         open_row = self.banks[req.bank].open_row
         req.hit_class = ("hit" if open_row == req.row else
                          "closed" if open_row is None else "conflict")
-        requests[req.request_id] = req
+        requests.append(req)
         return True
 
     # -- scheduling ---------------------------------------------------------
@@ -296,7 +297,7 @@ class Controller:
             if earliest_ready(kind, row, state, chan, timing) > now:
                 continue
             key = (cas_rank, 0 if prio is None or bank == prio else 1,
-                   req.arrival_order, bank)
+                   req.request_id, bank)
             if best_key is None or key < best_key:
                 best, best_key = (kind, req), key
         return best
@@ -319,8 +320,7 @@ class Controller:
             burst = device.apply_command(
                 kind, req, self.banks[req.bank], self.chan, self.timing, self.now
             )
-            issued = IssueRecord(self.now, kind, req.bank, req.row,
-                                 req.core, req.request_id)
+            issued = IssueRecord(self.now, kind, req)
             self.trace.issues.append(issued)
             if burst is not None:
                 self.trace.bursts.append(burst)
@@ -346,15 +346,15 @@ class Controller:
             del group[0]
 
     def _retire(self) -> MemRequest | None:
-        """End the cycle: complete the request whose burst ends now, if any.
-        Each CAS waits for the data bus (``earliest_ready``), so bursts end in
-        issue order, one a cycle at most: the next is the first not completed."""
+        """End the cycle: complete the request that the burst ending now points
+        at, if any. Each CAS waits for the data bus (``earliest_ready``), so bursts
+        end in issue order, one a cycle at most: the next is the first not completed."""
         trace, now = self.trace, self.now
         self.now = now + 1
         done = len(trace.completions)
         if done == len(trace.bursts) or trace.bursts[done].end != now:
             return None
-        req = trace.requests[trace.bursts[done].request_id]
+        req = trace.bursts[done].request
         req.completion_cycle = now
         trace.completions.append(req)
         return req
@@ -423,7 +423,7 @@ def solo_service(timing: TimingParams, is_write: bool, hit_class: str) -> int:
     open_rows = {"hit": {0: row}, "closed": {}, "conflict": {0: row + 1}}[hit_class]
     cfg = SchedulerConfig(num_banks=1)
     ctrl = Controller(timing, cfg, open_rows=open_rows)
-    req = MemRequest(0, 0, is_write, 0, row, 0)
+    req = MemRequest(0, is_write, 0, row)
     if not ctrl.enqueue(req):
         raise SchedulerError("solo request rejected")
     guard = 10_000

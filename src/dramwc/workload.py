@@ -356,9 +356,9 @@ class _Placement:
     """Where a scenario's generators and staged requests run: each core on
     one private bank that no other core uses, with at most one generator,
     and no zero budget for the analyzed core's generator, which would end
-    the run before any request is served. ``Workload.__init__`` and
-    :func:`scenario_from_text` add each item through here, so the latter's
-    error can name the item's line."""
+    the run before any request is served. ``Workload.__init__`` adds each
+    generator, :meth:`Workload.stage` each staged request, and
+    :func:`scenario_from_text` each generator again, to name its line."""
 
     def __init__(self, spec: ScenarioSpec):
         self.spec = spec
@@ -408,7 +408,7 @@ class Workload:
     """
 
     def __init__(self, spec: ScenarioSpec):
-        placement = _Placement(spec)
+        self._placement = placement = _Placement(spec)
         self.spec = spec
         self.generators: list[_Generator] = []
         self.gen_by_core: dict[int, _Generator] = {}
@@ -421,8 +421,6 @@ class Workload:
                                                  rng, submit)
             self.generators.append(gen)
             self.gen_by_core[gspec.core] = gen
-        for staged in spec.prestage:
-            placement.claim(staged.core, staged.bank)
         analyzed = self.gen_by_core.get(spec.analyzed_core)
         # Generator completions on the analyzed core still owed before the
         # run ends; None when that core has no budgeted generator.
@@ -439,8 +437,9 @@ class Workload:
             self.stage(staged)
 
     def stage(self, staged: StagedRequest) -> None:
-        """Submit a pre-staged request at cycle 0, through the run's own
-        admission; one that the MSHRs or the queues refuse is a ScenarioError."""
+        """Place a pre-staged request and submit it at cycle 0, through the run's
+        own admission; one that these refuse is a ScenarioError."""
+        self._placement.claim(staged.core, staged.bank)
         if not self._submit(staged.core, staged.bank, staged.row, staged.is_write):
             raise ScenarioError(f"pre-staged request for core {staged.core} exceeds "
                                 f"queue or MSHR capacity")
@@ -449,8 +448,7 @@ class Workload:
         if not self.mshr.acquire(core, is_write):
             self._refused = True
             return False
-        req = MemRequest(len(self.controller.trace.requests), core, is_write, bank,
-                         row, arrival_cycle=self.now)
+        req = MemRequest(core, is_write, bank, row, arrival_cycle=self.now)
         if not self.controller.enqueue(req):
             self.mshr.release(core, is_write)
             self._refused = self._queue_refused = True
@@ -751,7 +749,6 @@ def scenario_from_text(text: str) -> ScenarioSpec:
             if word not in ("read", "write"):
                 raise ScenarioError(f"{word!r} is neither read nor write")
             staged = StagedRequest(word == "write", int(core), int(bank), int(row))
-            placement.claim(staged.core, staged.bank)
             workload.stage(staged)
         spec.prestage.append(staged)
     return spec

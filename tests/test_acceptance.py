@@ -51,7 +51,7 @@ def replay(spec):
 def issue_cycles(trace, kind, request_id=None):
     return [
         rec.cycle for rec in trace.issues
-        if rec.kind is kind and (request_id is None or rec.request_id == request_id)
+        if rec.kind is kind and (request_id is None or rec.request.request_id == request_id)
     ]
 
 
@@ -59,7 +59,7 @@ def test_c1_figure_replays():
     with criterion(1, "figure replays are cycle-exact"):
         fig2 = replay(harness.preset("fig2"))
         assert issue_cycles(fig2, CommandKind.RD) == [0, 4, 8, 12]
-        assert [r.request_id for r in fig2.issues] == [0, 1, 2, 3]
+        assert [r.request.request_id for r in fig2.issues] == [0, 1, 2, 3]
 
         fig3 = replay(harness.preset("fig3"))
         assert issue_cycles(fig3, CommandKind.ACT) == [0, 4]
@@ -207,7 +207,7 @@ def occupancy_from(trace, cycle):
     occupancy at the end of ``cycle`` and after every later change. A read
     holds its entry from its arrival cycle until its completion cycle
     releases it."""
-    reads = [r for r in trace.requests.values() if not r.is_write]
+    reads = [r for r in trace.requests if not r.is_write]
     changes = {r.arrival_cycle for r in reads} | {r.completion_cycle for r in reads}
     return [tuple(sum(r.core == core and r.arrival_cycle <= at
                       and (r.completion_cycle is None or at < r.completion_cycle)

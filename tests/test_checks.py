@@ -29,7 +29,8 @@ def test_validators_pass_on_clean_traces(drain_trace, adversarial_trace):
 def test_duplicate_issue_cycle_rejected(drain_trace):
     trace = copy.deepcopy(drain_trace)
     first = trace.issues[0]
-    trace.issues.append(IssueRecord(first.cycle, CommandKind.ACT, 5, 0, 0, 99))
+    trace.issues.append(IssueRecord(first.cycle, CommandKind.ACT,
+                                    MemRequest(0, False, 5, 0)))
     with pytest.raises(TraceInvariantError, match="same cycle"):
         checks.check_command_bus(trace)
 
@@ -37,7 +38,8 @@ def test_duplicate_issue_cycle_rejected(drain_trace):
 def test_overlapping_bursts_rejected(drain_trace):
     trace = copy.deepcopy(drain_trace)
     burst = trace.bursts[0]
-    trace.bursts.append(DataBurst(burst.start + 1, burst.end + 1, 99))
+    trace.bursts.append(DataBurst(burst.start + 1, burst.end + 1,
+                                 MemRequest(0, False, 0, 0)))
     with pytest.raises(TraceInvariantError, match="overlap"):
         checks.check_burst_overlap(trace)
 
@@ -52,7 +54,7 @@ def test_shifted_completion_rejected(drain_trace):
 def test_five_acts_in_window_rejected(drain_trace):
     trace = copy.deepcopy(drain_trace)
     trace.issues = [
-        IssueRecord(cycle, CommandKind.ACT, bank, 0, 0, bank)
+        IssueRecord(cycle, CommandKind.ACT, MemRequest(0, False, bank, 0))
         for bank, cycle in enumerate((200, 204, 208, 212, 216))
     ]
     with pytest.raises(TraceInvariantError, match="activates"):
@@ -64,14 +66,14 @@ def test_write_cas_outside_drain_rejected(drain_trace):
     read_mode_start = next(s.cycle for s in trace.mode_switches
                            if s.mode is Mode.READ)
     trace.issues.append(IssueRecord(read_mode_start + 1, CommandKind.WR,
-                                    3, 36, 3, 0))
+                                    MemRequest(3, True, 3, 36)))
     with pytest.raises(TraceInvariantError, match="WR issued"):
         checks.check_mode_exclusion(trace)
 
 
 def test_read_cas_inside_drain_rejected(drain_trace):
     trace = copy.deepcopy(drain_trace)
-    trace.issues.append(IssueRecord(1, CommandKind.RD, 0, 5, 0, 4))
+    trace.issues.append(IssueRecord(1, CommandKind.RD, MemRequest(0, False, 0, 5)))
     with pytest.raises(TraceInvariantError, match="RD issued"):
         checks.check_mode_exclusion(trace)
 
@@ -82,10 +84,10 @@ def test_issue_at_a_switch_cycle_belongs_to_the_new_mode(drain_trace):
     switch = next(s.cycle for s in drain_trace.mode_switches
                   if s.mode is Mode.READ)
     trace = copy.deepcopy(drain_trace)
-    trace.issues.append(IssueRecord(switch, CommandKind.RD, 0, 5, 0, 4))
+    trace.issues.append(IssueRecord(switch, CommandKind.RD, MemRequest(0, False, 0, 5)))
     checks.check_mode_exclusion(trace)
     trace = copy.deepcopy(drain_trace)
-    trace.issues.append(IssueRecord(switch, CommandKind.WR, 3, 36, 3, 0))
+    trace.issues.append(IssueRecord(switch, CommandKind.WR, MemRequest(3, True, 3, 36)))
     with pytest.raises(TraceInvariantError,
                        match=f"WR issued outside a drain at {switch}"):
         checks.check_mode_exclusion(trace)
@@ -117,10 +119,21 @@ def test_lost_completion_rejected(drain_trace):
 
 
 def test_foreign_completion_rejected(drain_trace):
+    # A completion is matched to its request by identity, so a stranger is
+    # caught whether or not its id is one that the controller gave out.
+    for rid in (777, 0):
+        trace = copy.deepcopy(drain_trace)
+        trace.quiescent = False
+        trace.completions.append(MemRequest(0, False, 0, 0, request_id=rid,
+                                            completion_cycle=50))
+        with pytest.raises(TraceInvariantError, match="never enqueued"):
+            checks.check_conservation(trace)
+
+
+def test_misnumbered_request_rejected(drain_trace):
     trace = copy.deepcopy(drain_trace)
-    trace.quiescent = False
-    trace.completions.append(MemRequest(777, 0, False, 0, 0, completion_cycle=50))
-    with pytest.raises(TraceInvariantError, match="never enqueued"):
+    trace.requests[1].request_id = 0
+    with pytest.raises(TraceInvariantError, match="id is not its index"):
         checks.check_conservation(trace)
 
 
@@ -129,8 +142,8 @@ def test_selection_verifier_catches_priority_inversion():
     from dramwc.scheduler import Controller, MemRequest
 
     ctrl = Controller(make_timing(), open_rows={1: 1, 2: 1})
-    ctrl.enqueue(MemRequest(0, 2, False, 2, 1, 0))
-    ctrl.enqueue(MemRequest(1, 1, False, 1, 1, 0))
+    ctrl.enqueue(MemRequest(2, False, 2, 1))
+    ctrl.enqueue(MemRequest(1, False, 1, 1))
     chosen = ctrl.select_command()
     assert chosen[1].bank == 2  # the older request's command
     younger = next(req for req in ctrl.read_queue if req.bank == 1)
@@ -145,7 +158,7 @@ def test_selection_verifier_catches_missed_work():
     from dramwc.scheduler import Controller, MemRequest
 
     ctrl = Controller(make_timing(), open_rows={0: 1})
-    ctrl.enqueue(MemRequest(0, 0, False, 0, 1, 0))
+    ctrl.enqueue(MemRequest(0, False, 0, 1))
     with pytest.raises(TraceInvariantError, match=r"cycle 0: idle although RD for "
                        r"request 0 \(core 0, bank 0, row 1\) is ready"):
         checks.verify_selection(ctrl, None)
@@ -156,7 +169,7 @@ def test_selection_verifier_catches_issue_with_nothing_ready():
     from dramwc.scheduler import Controller, MemRequest
 
     ctrl = Controller(make_timing())  # bank 0 closed: the head is an ACT
-    req = MemRequest(0, 0, False, 0, 1, 0)
+    req = MemRequest(0, False, 0, 1)
     ctrl.enqueue(req)
     ctrl.banks[0].earliest_act = 5
     assert ctrl.select_command() is None

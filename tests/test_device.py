@@ -19,9 +19,10 @@ from dramwc.device import (
 from dramwc.scheduler import MemRequest
 
 
-def req(row=1, bank=0, rid=0):
-    """The request a command serves; apply_command reads its row and id."""
-    return MemRequest(rid, 0, False, bank, row)
+def req(row=1, bank=0, rid=-1):
+    """The request a command serves; apply_command reads its row, names its
+    id in an error, and points its burst at it."""
+    return MemRequest(0, False, bank, row, request_id=rid)
 
 
 class TestMakeTiming:
@@ -80,7 +81,7 @@ class TestMakeTiming:
 
 class TestDecompose:
     def read(self, row):
-        return MemRequest(0, 0, False, 0, row, 0, 0)
+        return MemRequest(0, False, 0, row)
 
     def test_row_hit(self):
         kinds = decompose_request(self.read(5), BankState(open_row=5))
@@ -95,7 +96,7 @@ class TestDecompose:
         assert kinds == (CommandKind.PRE, CommandKind.ACT, CommandKind.RD)
 
     def test_write_uses_wr(self):
-        req = MemRequest(0, 0, True, 0, 5, 0, 0)
+        req = MemRequest(0, True, 0, 5)
         kinds = decompose_request(req, BankState(open_row=5))
         assert kinds == (CommandKind.WR,)
 
@@ -142,6 +143,8 @@ class TestCommandReady:
             now += self.t.trrd
         # four activates at 0,4,8,12; a fifth is legal only from 0 + tfaw
         assert not command_ready(CommandKind.ACT, 1, banks[4], chan, self.t, 16)
+        assert not command_ready(CommandKind.ACT, 1, banks[4], chan, self.t,
+                                 self.t.tfaw - 1)
         assert command_ready(CommandKind.ACT, 1, banks[4], chan, self.t, 20)
 
     def test_write_to_read_turnaround(self):
@@ -228,10 +231,10 @@ class TestApplyCommand:
 
     def test_rd_burst_window(self):
         bank, chan = BankState(open_row=9), ChannelState()
-        burst = apply_command(CommandKind.RD, req(row=9, rid=3),
-                              bank, chan, self.t, 7)
+        served = req(row=9)
+        burst = apply_command(CommandKind.RD, served, bank, chan, self.t, 7)
         assert (burst.start, burst.end) == (7 + 7, 7 + 7 + 4)  # cl, cl + tburst
-        assert burst.request_id == 3
+        assert burst.request is served
 
     def test_pre_closes_and_sets_trp(self):
         bank, chan = BankState(open_row=9), ChannelState()
@@ -271,16 +274,14 @@ def apply_reference(kind, req, bank, chan, timing, now):
         return None
     if kind is CommandKind.RD:
         bank.earliest_pre = max(bank.earliest_pre, now + timing.trtp)
-        burst = DataBurst(now + timing.cl, now + timing.cl + timing.tburst,
-                          req.request_id)
+        burst = DataBurst(now + timing.cl, now + timing.cl + timing.tburst, req)
         chan.earliest_rd_cas = max(chan.earliest_rd_cas, now + timing.tccd)
         chan.earliest_wr_cas = max(chan.earliest_wr_cas, now + timing.rd_wr_gap)
     else:
         bank.earliest_pre = max(
             bank.earliest_pre, now + timing.wl + timing.tburst + timing.twr
         )
-        burst = DataBurst(now + timing.wl, now + timing.wl + timing.tburst,
-                          req.request_id)
+        burst = DataBurst(now + timing.wl, now + timing.wl + timing.tburst, req)
         chan.earliest_wr_cas = max(chan.earliest_wr_cas, now + timing.tccd)
         chan.earliest_rd_cas = max(
             chan.earliest_rd_cas, now + timing.wl + timing.tburst + timing.twtr
@@ -322,7 +323,7 @@ def test_apply_command_matches_the_max_reference(t, seed):
             if bank.open_row is None:
                 options.append((CommandKind.ACT, req(rng.randrange(3), bank=i)))
             else:
-                target = req(bank.open_row, bank=i, rid=now)
+                target = req(bank.open_row, bank=i)
                 options += [(kind, target) for kind in
                             (CommandKind.PRE, CommandKind.RD, CommandKind.WR)]
         ready = [(kind, r) for kind, r in options

@@ -77,7 +77,7 @@ class TestPresets:
 
         spec = build_adversarial(interferer_kind="bandwidth_read", seed=0)
         trace, _ = run_scenario(spec)
-        analyzed = next(info.request_id for info in trace.requests.values()
+        analyzed = next(info.request_id for info in trace.requests
                         if info.core == spec.analyzed_core)
         bound = read_queue_delay(AnalysisInputs(timing=make_timing()))
         assert trace.per_request_delay(analyzed) == bound == 120
@@ -816,8 +816,8 @@ def test_prioritized_bank_changes_schedule(tmp_path):
     boosted_spec = replace(
         spec, scheduler=replace(spec.scheduler, prioritized_bank=1))
     boosted, _ = run_scenario(boosted_spec)
-    plain_first = next(r for r in plain.issues if r.bank == 1)
-    boosted_first = next(r for r in boosted.issues if r.bank == 1)
+    plain_first = next(r for r in plain.issues if r.request.bank == 1)
+    boosted_first = next(r for r in boosted.issues if r.request.bank == 1)
     assert plain_first.cycle == 12
     assert boosted_first.cycle == 0
 

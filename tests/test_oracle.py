@@ -49,7 +49,7 @@ def full_scan_verify_selection(controller, chosen) -> None:
         if not device.command_ready(kind, req.row, bank, controller.chan,
                                     controller.timing, controller.now):
             continue
-        key = priority_key(kind, req.bank, req.arrival_order, prio)
+        key = priority_key(kind, req.bank, req.request_id, prio)
         if best_key is None or key < best_key:
             best_key, best = key, (kind, req)
     if chosen is None:
@@ -65,7 +65,7 @@ def full_scan_verify_selection(controller, chosen) -> None:
             f"cycle {controller.now}: issued {checks._command(kind, req)} but no "
             f"candidate is ready"
         )
-    if best_key < priority_key(kind, req.bank, req.arrival_order, prio):
+    if best_key < priority_key(kind, req.bank, req.request_id, prio):
         raise TraceInvariantError(
             f"cycle {controller.now}: issued {checks._command(kind, req)} over "
             f"higher-priority {checks._command(*best)}"
@@ -105,7 +105,7 @@ def controller_states(draw):
     for i, (in_active, bank, row) in enumerate(draw(st.lists(
             st.tuples(active, banks, rows), min_size=size, max_size=size))):
         is_write = in_active == (mode is Mode.WRITE_DRAIN)
-        ctrl.enqueue(MemRequest(i, bank % 4, is_write, bank, row))
+        ctrl.enqueue(MemRequest(bank % 4, is_write, bank, row))
     ctrl.now = draw(st.integers(0, 40))
     cycles = st.integers(-20, 5).map(lambda delta: max(0, ctrl.now + delta))
     for bank in ctrl.banks:
@@ -166,7 +166,7 @@ def reference_selection(ctrl):
         if device.earliest_ready(kind, req.row, bank, ctrl.chan,
                                  ctrl.timing) > ctrl.now:
             continue
-        key = priority_key(kind, req.bank, req.arrival_order,
+        key = priority_key(kind, req.bank, req.request_id,
                            ctrl.config.prioritized_bank)
         if best_key is None or key < best_key:
             best, best_key = (kind, req.request_id), key
@@ -188,8 +188,8 @@ def test_the_scan_stops_only_at_a_cas_on_a_top_rank_bank():
     # the prioritized bank outranks it.
     ctrl = Controller(make_timing(), SchedulerConfig(prioritized_bank=1),
                       open_rows={1: 1, 2: 1})
-    older = MemRequest(0, 2, False, 2, 1)
-    younger = MemRequest(1, 1, False, 1, 1)
+    older = MemRequest(2, False, 2, 1)
+    younger = MemRequest(1, False, 1, 1)
     ctrl.enqueue(older)
     ctrl.enqueue(younger)
     assert ctrl.select_command() == (CommandKind.RD, younger)
@@ -216,7 +216,7 @@ def test_an_idle_cycle_with_ready_targets_names_the_best_request(prioritized_ban
                       SchedulerConfig(prioritized_bank=prioritized_bank),
                       open_rows={1: 1, 2: 1})
     for i, bank in enumerate([3, 1, 2, 1]):
-        assert ctrl.enqueue(MemRequest(i, bank, False, bank, 1))
+        assert ctrl.enqueue(MemRequest(bank, False, bank, 1))
     message = failure(checks.verify_selection, ctrl, None)
     assert message == failure(full_scan_verify_selection, ctrl, None)
     assert message.startswith(f"cycle 0: idle although {named}")
@@ -273,7 +273,7 @@ def _one_bank_two_rows(mode, prioritized_bank, order):
                       open_rows={0: 0}, initial_mode=mode)
     is_write = mode is Mode.WRITE_DRAIN
     for i, (bank, row) in enumerate(order):
-        assert ctrl.enqueue(MemRequest(i, i % 4, is_write, bank, row))
+        assert ctrl.enqueue(MemRequest(i % 4, is_write, bank, row))
     return ctrl
 
 
@@ -322,7 +322,7 @@ def _selector(rank):
 
 
 def _faithful(kind, req, prio):
-    return priority_key(kind, req.bank, req.arrival_order, prio)
+    return priority_key(kind, req.bank, req.request_id, prio)
 
 
 def _youngest_first(kind, req, prio):

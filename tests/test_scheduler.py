@@ -27,55 +27,61 @@ from dramwc.workload import (
     build_adversarial,
     run_scenario,
 )
-from test_time_advance import live_specs
+from test_time_advance import live_specs, staged_specs
 
 
 TIMING = make_timing()
 
 
-def read(rid, core=0, bank=0, row=1, arrival=0):
-    return MemRequest(rid, core, False, bank, row, arrival)
+def read(core=0, bank=0, row=1, arrival=0):
+    return MemRequest(core, False, bank, row, arrival)
 
 
-def write(rid, core=0, bank=0, row=1, arrival=0):
-    return MemRequest(rid, core, True, bank, row, arrival)
+def write(core=0, bank=0, row=1, arrival=0):
+    return MemRequest(core, True, bank, row, arrival)
 
 
 class TestEnqueue:
     def test_read_accepted(self):
         ctrl = Controller(TIMING)
-        assert ctrl.enqueue(read(0))
+        assert ctrl.enqueue(read())
         assert len(ctrl.read_queue) == 1
 
     def test_write_backpressure_at_capacity(self):
         ctrl = Controller(TIMING, SchedulerConfig(write_cap=2, drain_batch=2))
-        assert ctrl.enqueue(write(0))
-        assert ctrl.enqueue(write(1))
-        assert not ctrl.enqueue(write(2))
+        assert ctrl.enqueue(write())
+        assert ctrl.enqueue(write())
+        refused = write()
+        assert not ctrl.enqueue(refused)
         assert len(ctrl.write_queue) == 2
+        # A refused request is not numbered, so it can be offered again.
+        assert refused.request_id == -1
+        assert ctrl.trace.requests == ctrl.write_queue
 
     def test_thirty_reads_from_three_cores(self):
         ctrl = Controller(TIMING)
         for i in range(30):
-            assert ctrl.enqueue(read(i, core=1 + i % 3, bank=1 + i % 3))
+            assert ctrl.enqueue(read(core=1 + i % 3, bank=1 + i % 3))
         assert len(ctrl.read_queue) == 30
 
     def test_arrival_order_monotone(self):
         ctrl = Controller(TIMING)
-        ctrl.enqueue(write(0))
-        ctrl.enqueue(read(1))
-        orders = [r.arrival_order for r in ctrl.write_queue + ctrl.read_queue]
-        assert orders == [0, 1]
+        ctrl.enqueue(write())
+        ctrl.enqueue(read())
+        ids = [r.request_id for r in ctrl.write_queue + ctrl.read_queue]
+        assert ids == [0, 1]
+        assert ctrl.trace.requests == ctrl.write_queue + ctrl.read_queue
 
-    def test_an_id_is_accepted_once(self):
-        # A second request under an accepted id would replace the first in
-        # the trace's record of accepted requests.
+    def test_a_request_is_accepted_once(self):
+        # The controller numbers each request it accepts; the same request
+        # offered again would sit in the queues and the trace twice.
         ctrl = Controller(TIMING)
-        assert ctrl.enqueue(read(0))
+        req = read()
+        assert ctrl.enqueue(req)
         with pytest.raises(SchedulerError, match="request 0 is already accepted"):
-            ctrl.enqueue(write(0, core=1, bank=1))
-        assert [r.request_id for r in ctrl.read_queue] == [0]
-        assert not ctrl.write_queue
+            ctrl.enqueue(req)
+        assert ctrl.read_queue == ctrl.trace.requests == [req]
+        assert req.request_id == 0
 
     def test_bad_config_is_a_keyed_scenario_error(self):
         with pytest.raises(ScenarioError, match=r"read_cap \(0\)") as exc:
@@ -90,37 +96,45 @@ class TestEnqueue:
 class TestUpdateMode:
     def test_reads_win_while_write_queue_not_full(self):
         ctrl = Controller(TIMING)
-        ctrl.enqueue(read(0))
-        ctrl.enqueue(write(1))
+        ctrl.enqueue(read())
+        ctrl.enqueue(write())
+        ctrl.update_mode()
+        assert ctrl.mode is Mode.READ
+
+    def test_one_write_short_of_write_cap_keeps_serving_reads(self):
+        # write_cap - 1 queued writes with a read waiting: no drain yet.
+        ctrl = Controller(TIMING, SchedulerConfig(write_cap=2, drain_batch=2))
+        ctrl.enqueue(read())
+        ctrl.enqueue(write())
         ctrl.update_mode()
         assert ctrl.mode is Mode.READ
 
     def test_full_write_queue_forces_drain(self):
         ctrl = Controller(TIMING, SchedulerConfig(write_cap=2, drain_batch=2))
-        ctrl.enqueue(read(0))
-        ctrl.enqueue(write(1))
-        ctrl.enqueue(write(2))
+        ctrl.enqueue(read())
+        ctrl.enqueue(write())
+        ctrl.enqueue(write())
         ctrl.update_mode()
         assert ctrl.mode is Mode.WRITE_DRAIN
         assert ctrl.drained_in_batch == 0
 
     def test_idle_reads_lets_writes_run(self):
         ctrl = Controller(TIMING)
-        ctrl.enqueue(write(0))
+        ctrl.enqueue(write())
         ctrl.update_mode()
         assert ctrl.mode is Mode.WRITE_DRAIN
 
     def test_drain_exits_after_batch_with_read_pending(self):
         ctrl = Controller(TIMING, initial_mode=Mode.WRITE_DRAIN)
-        ctrl.enqueue(read(0))
-        ctrl.enqueue(write(1))
+        ctrl.enqueue(read())
+        ctrl.enqueue(write())
         ctrl.drained_in_batch = 4
         ctrl.update_mode()
         assert ctrl.mode is Mode.READ
 
     def test_drain_continues_without_pending_read(self):
         ctrl = Controller(TIMING, initial_mode=Mode.WRITE_DRAIN)
-        ctrl.enqueue(write(0))
+        ctrl.enqueue(write())
         ctrl.drained_in_batch = 4
         ctrl.update_mode()
         assert ctrl.mode is Mode.WRITE_DRAIN
@@ -134,29 +148,29 @@ class TestUpdateMode:
 class TestSelectCommand:
     def test_single_ready_command(self):
         ctrl = Controller(TIMING, open_rows={0: 1})
-        ctrl.enqueue(read(0))
+        ctrl.enqueue(read())
         kind, req = ctrl.select_command()
         assert kind is CommandKind.RD and req.request_id == 0
 
     def test_older_read_wins_among_ready_cas(self):
         ctrl = Controller(TIMING, open_rows={1: 1, 2: 1})
-        ctrl.enqueue(read(0, bank=2))
-        ctrl.enqueue(read(1, bank=1))
+        ctrl.enqueue(read(bank=2))
+        ctrl.enqueue(read(bank=1))
         _, req = ctrl.select_command()
         assert req.bank == 2
 
     def test_row_hit_cas_beats_older_ras(self):
         ctrl = Controller(TIMING, open_rows={1: 1, 2: 9})
-        ctrl.enqueue(read(0, bank=2, row=5))  # conflict: next command is PRE
-        ctrl.enqueue(read(1, bank=1, row=1))  # hit: ready RD
+        ctrl.enqueue(read(bank=2, row=5))  # conflict: next command is PRE
+        ctrl.enqueue(read(bank=1, row=1))  # hit: ready RD
         kind, req = ctrl.select_command()
         assert kind is CommandKind.RD and req.bank == 1
 
     def test_prioritized_bank_outranks_age(self):
         cfg = SchedulerConfig(prioritized_bank=1)
         ctrl = Controller(TIMING, cfg, open_rows={1: 1, 2: 1})
-        ctrl.enqueue(read(0, bank=2))
-        ctrl.enqueue(read(1, bank=1))
+        ctrl.enqueue(read(bank=2))
+        ctrl.enqueue(read(bank=1))
         _, req = ctrl.select_command()
         assert req.bank == 1
 
@@ -169,7 +183,7 @@ class TestSelectCommand:
         # a younger request of the group is a simulator fault, raised at the
         # issue rather than covered up by dropping the head.
         ctrl = Controller(TIMING, open_rows={0: 1})
-        older, younger = read(0), read(1)
+        older, younger = read(), read()
         ctrl.enqueue(older)
         ctrl.enqueue(younger)
         assert ctrl.select_command() == (CommandKind.RD, older)
@@ -239,7 +253,7 @@ class TestStepAndRun:
 
     def test_completion_is_burst_end(self):
         ctrl = Controller(TIMING, open_rows={0: 1})
-        ctrl.enqueue(read(0))
+        ctrl.enqueue(read())
         while not ctrl.idle():
             ctrl.step()
         # row hit: RD at 0, data burst [cl, cl + tburst)
@@ -300,7 +314,7 @@ class TestDelays:
 
     def test_uncompleted_request_raises(self):
         ctrl = Controller(TIMING, open_rows={0: 1})
-        ctrl.enqueue(read(0))
+        ctrl.enqueue(read())
         with pytest.raises(KeyError, match="no completion"):
             ctrl.trace.per_request_delay(0)
 
@@ -346,9 +360,10 @@ def csv_reference(trace):
     merged its two logs."""
     rows = []
     for rec in trace.issues:
-        rows.append((rec.cycle, 0, rec.request_id,
-                     f"{rec.cycle},issue,{rec.kind.value},{rec.bank},"
-                     f"{rec.row},{rec.core},{rec.request_id}"))
+        req = rec.request
+        rows.append((rec.cycle, 0, req.request_id,
+                     f"{rec.cycle},issue,{rec.kind.value},{req.bank},"
+                     f"{req.row},{req.core},{req.request_id}"))
     for rec in trace.completions:
         rows.append((rec.completion_cycle, 1, rec.request_id,
                      f"{rec.completion_cycle},complete,,{rec.bank},,"
@@ -360,11 +375,12 @@ def csv_reference(trace):
 class TestCsvMatchesTheSortedReference:
     def test_a_cycle_with_an_issue_and_two_completions(self):
         trace = ScheduleTrace(TIMING, SchedulerConfig(), Mode.READ)
-        done = [MemRequest(rid, rid, False, rid, 1) for rid in (4, 6, 2)]
+        done = [MemRequest(rid, False, rid, 1, request_id=rid) for rid in (4, 6, 2)]
         for req, cycle in zip(done, (9, 9, 12)):
             req.completion_cycle = cycle
         trace.completions = done  # in cycle order, as to_csv expects
-        trace.issues = [IssueRecord(cycle, CommandKind.RD, 3, 1, 3, 7)
+        issued = MemRequest(3, False, 3, 1, request_id=7)
+        trace.issues = [IssueRecord(cycle, CommandKind.RD, issued)
                         for cycle in (2, 9, 10, 14)]
         assert trace.to_csv() == csv_reference(trace)
         assert trace.to_csv().splitlines()[1:] == [
@@ -387,17 +403,28 @@ class TestCsvMatchesTheSortedReference:
             trace, _ = run_scenario(build_adversarial(interferer_kind=kind, seed=seed))
             assert trace.to_csv() == csv_reference(trace), seed
 
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(spec=live_specs())
-    def test_live_runs(self, spec):
-        try:
-            workload = Workload(spec)
-        except ValueError:  # ScenarioError: over-full staging, for one
-            return
-        try:
-            workload.controller.run(workload)
-        except SimulationStalled:  # a short stall window; the log so far
-            pass
-        trace = workload.controller.trace
-        assert trace.to_csv() == csv_reference(trace)
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(spec=live_specs() | staged_specs())
+def test_every_record_points_at_the_request_it_numbers(spec):
+    # MemRequest is the one record of a request: enqueue numbers each by its
+    # place in trace.requests, and the issue and burst records and the
+    # completions point at it instead of copying its fields. to_csv, which
+    # reads the fields through those pointers, matches the sorted reference.
+    try:
+        workload = Workload(spec)
+    except ValueError:  # ScenarioError: over-full staging, for one
+        return
+    try:
+        workload.controller.run(workload)
+    except SimulationStalled:  # a short stall window; the log so far
+        pass
+    trace = workload.controller.trace
+    requests = trace.requests
+    assert [r.request_id for r in requests] == list(range(len(requests)))
+    for rec in trace.issues + trace.bursts:
+        assert rec.request is requests[rec.request.request_id]
+    for req in trace.completions:
+        assert req is requests[req.request_id]
+    assert trace.to_csv() == csv_reference(trace)

@@ -83,7 +83,7 @@ def outcome(run):
     except SimulationStalled as exc:
         return f"stalled: {exc}"
     requests = [(r.request_id, r.core, r.is_write, r.arrival_cycle, r.completion_cycle)
-                for r in trace.requests.values()]
+                for r in trace.requests]
     return (trace.to_csv(), trace.stats_text(), trace.mode_switches,
             trace.total_cycles, trace.quiescent, requests)
 
@@ -278,8 +278,7 @@ def test_requests_complete_in_burst_order_one_a_cycle(spec):
     assert ends == sorted(set(ends))  # one burst ends a cycle at most
     done = [r.completion_cycle for r in trace.completions]
     assert done == sorted(set(done))  # one request completes a cycle at most
-    assert [r.request_id for r in trace.completions] == \
-        [b.request_id for b in trace.bursts[:len(done)]]
+    assert trace.completions == [b.request for b in trace.bursts[:len(done)]]
     assert done == ends[:len(done)]
     # and no burst that ended in the run is left unretired
     assert all(end >= ctrl.now for end in ends[len(done):])
@@ -414,7 +413,7 @@ def test_every_accepted_request_carries_its_target(spec):
         workload.controller.run(workload)
     except SimulationStalled:
         pass
-    for req in workload.controller.trace.requests.values():
+    for req in workload.controller.trace.requests:
         assert req.target == (req.bank, req.row, req.is_write)
 
 

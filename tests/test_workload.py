@@ -28,7 +28,7 @@ def read_occupancy(trace, num_cores):
     """Per-core read MSHR occupancy at the end of each cycle that changes
     it, as ``(cycle, reads)`` pairs: a read holds its entry from its arrival
     cycle until its completion cycle releases it."""
-    reads = [r for r in trace.requests.values() if not r.is_write]
+    reads = [r for r in trace.requests if not r.is_write]
     steps = sorted([(r.arrival_cycle, r.core, 1) for r in reads]
                    + [(r.completion_cycle, r.core, -1) for r in reads
                       if r.completion_cycle is not None])
@@ -222,7 +222,7 @@ class TestGenerators:
             num_cores=1,
         )
         trace, _ = run_scenario(spec)
-        writes = sum(r.is_write for r in trace.requests.values())
+        writes = sum(r.is_write for r in trace.requests)
         assert (len(trace.requests), writes) == (16, 8)
         assert trace.quiescent
 
@@ -271,13 +271,13 @@ class TestGenerators:
     def test_sequential_policy_stays_on_open_row(self):
         spec = live_spec(GeneratorKind.BANDWIDTH_READ, budget=12)
         trace, _ = run_scenario(spec)
-        assert {info.row for info in trace.requests.values()} == {5}
+        assert {info.row for info in trace.requests} == {5}
 
     def test_random_policy_spreads_rows(self):
         spec = live_spec(GeneratorKind.BANDWIDTH_READ, budget=12,
                          row_policy="random", horizon=2000)
         trace, _ = run_scenario(spec)
-        assert len({info.row for info in trace.requests.values()}) > 1
+        assert len({info.row for info in trace.requests}) > 1
 
     @pytest.mark.parametrize("kind,draws", [(GeneratorKind.BANDWIDTH_READ, 40),
                                             (GeneratorKind.BANDWIDTH_WRITE, 20),
@@ -298,7 +298,7 @@ class TestGenerators:
         trace, _ = run_scenario(spec)
         assert len(trace.requests) == 40
         assert len(drawn) == draws
-        rows = [trace.requests[rid].row for rid in sorted(trace.requests)]
+        rows = [req.row for req in trace.requests]
         if kind is GeneratorKind.BANDWIDTH_WRITE:
             assert sorted(rows) == sorted(drawn * 2)
         else:
@@ -419,7 +419,7 @@ class TestEndOfRun:
         # On a core that is not analyzed, a zero budget just idles the core.
         trace, _ = run_scenario(self.spec(budget=0, analyzed_core=None))
         assert trace.total_cycles == 2000
-        assert not [r for r in trace.requests.values() if r.core == 0]
+        assert not [r for r in trace.requests if r.core == 0]
 
 
 class TestAdversarial:
