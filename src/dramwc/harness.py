@@ -218,14 +218,37 @@ def evaluate(trace, spec: ScenarioSpec, slowdown: float | None = None) -> Experi
 # File emission
 # ---------------------------------------------------------------------------
 
-def _write(out: Path, files: dict[str, str]) -> None:
-    """Write each named file's UTF-8 bytes under ``out``, creating ``out``
-    once. The bytes go straight to the file descriptor, past the text and
-    buffer layers that ``Path.write_text`` stacks on it."""
-    out.mkdir(parents=True, exist_ok=True)
+def _make_dir(out_dir) -> str:
+    """Make the output directory ``out_dir``, reusing one that exists, and
+    return its path as a string. One ``os.mkdir`` makes it, and
+    ``os.makedirs`` runs only when a parent is missing. A path that cannot
+    be made into a directory, the empty one included, is a ScenarioError
+    naming it."""
+    path = os.fspath(out_dir)
+    try:
+        try:
+            os.mkdir(path)
+        except FileNotFoundError:  # a parent is missing
+            os.makedirs(path)
+    except OSError as exc:
+        if not (isinstance(exc, FileExistsError) and os.path.isdir(path)):
+            raise ScenarioError(f"cannot write {path}: {exc.strerror}") from None
+    return path
+
+
+def _write(out: str, files: dict[str, str]) -> None:
+    """Write each named file's UTF-8 bytes into the directory ``out``, which
+    the caller has made. Each file is one open, one write (resumed if the
+    write is partial) and one close by string path, past the text and
+    buffer layers that ``Path.write_text`` stacks on the descriptor. A file
+    that cannot be opened is a ScenarioError naming it."""
     for name, content in files.items():
         data = memoryview(content.encode("utf-8"))
-        fd = os.open(out / name, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        path = os.path.join(out, name)
+        try:
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        except OSError as exc:
+            raise ScenarioError(f"cannot write {path}: {exc.strerror}") from None
         try:
             while data:
                 data = data[os.write(fd, data):]
@@ -233,13 +256,14 @@ def _write(out: Path, files: dict[str, str]) -> None:
             os.close(fd)
 
 
-def _emit(out: Path, trace, spec: ScenarioSpec) -> None:
-    """Write one run's trace.csv, stats.txt and scenario.txt under ``out``."""
+def _emit(out: str, trace, spec: ScenarioSpec) -> None:
+    """Write one run's trace.csv, stats.txt and scenario.txt into the
+    directory ``out``, which the caller has made."""
     _write(out, {"trace.csv": trace.to_csv(), "stats.txt": trace.stats_text(),
                  "scenario.txt": scenario_to_text(spec)})
 
 
-def _write_report(out: Path, inputs: analysis.AnalysisInputs,
+def _write_report(out: str, inputs: analysis.AnalysisInputs,
                   report: ExperimentReport | None = None) -> None:
     """report.csv: the bounds, then the measurements when there are any."""
     rows = ["quantity,cycles,ns"]
@@ -257,9 +281,11 @@ def _write_report(out: Path, inputs: analysis.AnalysisInputs,
 
 
 def simulate(spec: ScenarioSpec, out_dir) -> "tuple":
-    """Run a scenario and emit its trace/stats/scenario files."""
+    """Run a scenario and emit its trace/stats/scenario files into
+    ``out_dir``, which is made before the run."""
+    out = _make_dir(out_dir)
     trace, workload = run_scenario(spec)
-    _emit(Path(out_dir), trace, spec)
+    _emit(out, trace, spec)
     return trace, workload
 
 
@@ -268,12 +294,12 @@ def compare(spec: ScenarioSpec, out_dir=None) -> ExperimentReport:
     # Fail before the run, not after it.
     _analyzed_core(spec)
     analysis.AnalysisInputs.for_scenario(spec)
+    out = None if out_dir is None else _make_dir(out_dir)
     trace, _ = run_scenario(spec)
     report = evaluate(trace, spec)
-    if out_dir is not None:
-        _emit(Path(out_dir), trace, spec)
-        _write_report(Path(out_dir), analysis.AnalysisInputs.for_scenario(spec, trace),
-                      report)
+    if out is not None:
+        _emit(out, trace, spec)
+        _write_report(out, analysis.AnalysisInputs.for_scenario(spec, trace), report)
     return report
 
 
@@ -286,8 +312,14 @@ def sweep(kind, n_interferers: int, seeds, out_dir=None,
     response time against a solo run; staged mode replays the pre-loaded
     worst-case initial conditions instead. ``mshr`` is the MSHR
     configuration of either.
+
+    With ``out_dir``, the directory is made before the first run, each
+    seed's files go into ``seed_N`` inside it, made when that seed's run
+    ends, and ``summary.csv`` comes last: into a missing ``out_dir`` that is
+    one ``os.mkdir`` per directory and one open, write and close per file.
     """
     kind = GeneratorKind(kind)
+    out = None if out_dir is None else _make_dir(out_dir)
     reports = []
     for seed in seeds:
         if staged:
@@ -303,12 +335,12 @@ def sweep(kind, n_interferers: int, seeds, out_dir=None,
             slowdown = (core_span(trace, spec.analyzed_core)
                         / core_span(solo_trace, spec.analyzed_core))
         reports.append(evaluate(trace, spec, slowdown=slowdown))
-        if out_dir is not None:
-            _emit(Path(out_dir) / f"seed_{seed}", trace, spec)
-    if out_dir is not None:
+        if out is not None:
+            _emit(_make_dir(os.path.join(out, f"seed_{seed}")), trace, spec)
+    if out is not None:
         lines = [ExperimentReport.CSV_HEADER]
         lines += [r.csv_row() for r in sorted(reports, key=lambda r: r.seed)]
-        _write(Path(out_dir), {"summary.csv": "\n".join(lines) + "\n"})
+        _write(out, {"summary.csv": "\n".join(lines) + "\n"})
     return reports
 
 
@@ -427,9 +459,10 @@ def _run_command(args) -> int:
 
     if args.command == "analyze":
         inputs = load_analysis(args.config)
+        out = None if args.out is None else _make_dir(args.out)
         print(analysis.format_bound_table(inputs), end="")
-        if args.out:
-            _write_report(Path(args.out), inputs)
+        if out is not None:
+            _write_report(out, inputs)
         return 0
 
     if args.command == "compare":

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import os
 from dataclasses import replace
@@ -91,16 +92,55 @@ class TestSimulateFiles:
         csv = (tmp_path / "trace.csv").read_text()
         assert csv.startswith("cycle,event,kind,bank,row,core,request_id")
 
-    def test_each_directory_is_created_once(self, tmp_path, monkeypatch):
-        made, mkdir = [], Path.mkdir
+    def test_a_sweep_makes_each_directory_with_one_call(self, tmp_path, monkeypatch):
+        out, calls, failed = tmp_path / "out", [], []
 
-        def counted(path, *args, **kwargs):
-            made.append(path)
-            return mkdir(path, *args, **kwargs)
+        def counted(name, call):
+            def wrapper(path, *args, **kwargs):
+                calls.append((name, os.fspath(path)))
+                try:
+                    return call(path, *args, **kwargs)
+                except OSError as exc:
+                    failed.append((name, path, exc))
+                    raise
+            return wrapper
 
-        monkeypatch.setattr(Path, "mkdir", counted)
-        sweep("bandwidth_write", 3, [0, 1], tmp_path, staged=True)
-        assert made == [tmp_path / "seed_0", tmp_path / "seed_1", tmp_path]
+        for name in ("mkdir", "makedirs", "stat", "open"):
+            monkeypatch.setattr(os, name, counted(name, getattr(os, name)))
+        sweep("bandwidth_write", 3, [0, 1], out, staged=True)
+        monkeypatch.undo()
+        assert failed == []
+        seeds = [str(out / f"seed_{seed}") for seed in (0, 1)]
+        assert [call for call in calls if call[0] != "open"] == [
+            ("mkdir", str(out)), ("mkdir", seeds[0]), ("mkdir", seeds[1])]
+        assert [path for name, path in calls if name == "open"] == [
+            os.path.join(seed, file) for seed in seeds
+            for file in ("trace.csv", "stats.txt", "scenario.txt")
+        ] + [str(out / "summary.csv")]
+
+    def test_a_second_sweep_rewrites_identical_files(self, tmp_path):
+        sweep("stream", 3, [0, 1], tmp_path, staged=True)
+        files = sorted(path for path in tmp_path.rglob("*") if path.is_file())
+        first = {path: path.read_bytes() for path in files}
+        for path in files:
+            path.write_bytes(b"stale " * 10_000)
+        sweep("stream", 3, [0, 1], tmp_path, staged=True)
+        assert sorted(path for path in tmp_path.rglob("*") if path.is_file()) == files
+        assert {path: path.read_bytes() for path in files} == first
+
+    def test_a_missing_nested_parent_is_made(self, tmp_path):
+        simulate(preset("fig2"), tmp_path / "a" / "b")
+        for name in ("trace.csv", "stats.txt", "scenario.txt"):
+            assert (tmp_path / "a" / "b" / name).is_file()
+
+    def test_a_failed_write_propagates(self, tmp_path, monkeypatch):
+        def full(fd, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "write", full)
+        with pytest.raises(OSError) as exc:
+            harness._write(tmp_path, {"a.txt": "x"})
+        assert exc.value.errno == errno.ENOSPC
 
     def test_a_shorter_rerun_leaves_no_stale_tail(self, tmp_path):
         out, fresh = tmp_path / "out", tmp_path / "fresh"
@@ -401,6 +441,45 @@ class TestCli:
         assert missing in err.splitlines()[-1]
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [
+        ["preset", "fig2"],
+        ["simulate", "--scenario", "{scenario}"],
+        ["compare", "--preset", "fig2"],
+        ["sweep", "--kind", "stream", "--staged", "--seeds", "0"],
+        ["analyze", "--config", "{config}"],
+    ], ids=lambda command: command[0])
+    @pytest.mark.parametrize("out, strerror", [
+        ("file", "File exists"),
+        ("file/sub", "Not a directory"),
+        ("", "No such file or directory"),
+    ], ids=["a-file", "under-a-file", "empty"])
+    def test_an_unusable_out_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
+                                              command, out, strerror):
+        monkeypatch.chdir(tmp_path)
+        Path("scenario.txt").write_text(scenario_to_text(preset("fig2")))
+        Path("config.txt").write_text("")
+        Path("file").write_text("keep")
+        argv = [arg.format(scenario="scenario.txt", config="config.txt")
+                for arg in command]
+        with pytest.raises(SystemExit) as exc:
+            harness.main(argv + ["--out", out])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1] == (
+            f"dramwc: error: cannot write {out}: {strerror}")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert Path("file").read_text() == "keep"
+        assert sorted(os.listdir()) == ["config.txt", "file", "scenario.txt"]
+
+    def test_a_file_that_cannot_be_opened_is_a_usage_error(self, tmp_path, capsys):
+        (tmp_path / "trace.csv").mkdir()
+        with pytest.raises(SystemExit) as exc:
+            harness.main(["preset", "fig2", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"dramwc: error: cannot write {tmp_path / 'trace.csv'}: Is a directory")
 
     def test_compare_without_analyzed_core_is_a_usage_error(self, tmp_path,
                                                             capsys, monkeypatch):

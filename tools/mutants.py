@@ -31,6 +31,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 DEVICE, SCHEDULER = "src/dramwc/device.py", "src/dramwc/scheduler.py"
 WORKLOAD, ANALYSIS = "src/dramwc/workload.py", "src/dramwc/analysis.py"
+HARNESS = "src/dramwc/harness.py"
 
 
 class Mutant(NamedTuple):
@@ -93,6 +94,13 @@ MUTANTS = (
            "return min(self.scheduler.read_cap - 1,",
            "return min(self.scheduler.read_cap,",
            "at most read_cap - 1 reads sit ahead of the analyzed read"),
+    # File output.
+    Mutant("write-without-resume", HARNESS,
+           "while data:\n                data = data[os.write(fd, data):]",
+           "os.write(fd, data)",
+           "a partial write is resumed until every byte is written"),
+    Mutant("mkdir-without-parents", HARNESS, "os.makedirs(path)", "os.mkdir(path)",
+           "an output directory's missing parents are made"),
 )
 
 # Tests whose expected values pin the outputs of the current code, and this
