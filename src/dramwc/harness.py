@@ -415,9 +415,9 @@ def main(argv=None) -> int:
     src = p_cmp.add_mutually_exclusive_group()
     src.add_argument("--preset", choices=sorted(_PRESETS))
     src.add_argument("--scenario")
-    p_cmp.add_argument("--kind", default="bandwidth_write",
-                       choices=[k.value for k in GeneratorKind])
-    p_cmp.add_argument("--seed", type=int, default=0)
+    p_cmp.add_argument("--kind", choices=[k.value for k in GeneratorKind],
+                       help="staged interferer kind (default bandwidth_write)")
+    p_cmp.add_argument("--seed", type=int, help="staged seed (default 0)")
 
     p_sweep = sub.add_parser("sweep", help="seeded interference experiments")
     p_sweep.add_argument("--kind", required=True,
@@ -466,12 +466,17 @@ def _run_command(args) -> int:
         return 0
 
     if args.command == "compare":
+        for flag, value in (("--kind", args.kind), ("--seed", args.seed)):
+            if value is not None and (args.preset or args.scenario):
+                raise ScenarioError(f"{flag} applies only to the staged worst case, "
+                                    f"not to --preset or --scenario")
         if args.preset:
             spec = preset(args.preset)
         elif args.scenario:
             spec = scenario_from_text(_read(args.scenario))
         else:  # staged through an MSHR file of the reservation it runs with
-            spec = build_adversarial(interferer_kind=args.kind, seed=args.seed,
+            spec = build_adversarial(interferer_kind=args.kind or "bandwidth_write",
+                                     seed=args.seed or 0,
                                      mshr=_apply_overrides(ScenarioSpec(), args).mshr)
         spec = _apply_overrides(spec, args)
         report = compare(spec, args.out)

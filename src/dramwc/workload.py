@@ -341,7 +341,8 @@ class ScenarioSpec:
 def _check_placement(spec: ScenarioSpec, core: int | None = None,
                      bank: int | None = None, keys: tuple[str, ...] = ()) -> None:
     """A core and a bank named by a scenario must exist in it. The error
-    names the ones given, and is keyed by ``keys``."""
+    names the ones given, and is keyed by ``keys``. ``Workload`` checks it
+    for each item it places, before its partitioning rules."""
     named = [(what, index, count) for what, index, count in (
         ("core", core, spec.num_cores), ("bank", bank, spec.scheduler.num_banks))
         if index is not None]
@@ -352,51 +353,13 @@ def _check_placement(spec: ScenarioSpec, core: int | None = None,
                             keys)
 
 
-class _Placement:
-    """Where a scenario's generators and staged requests run: each core on
-    one private bank that no other core uses, with at most one generator,
-    and no zero budget for the analyzed core's generator, which would end
-    the run before any request is served. ``Workload.__init__`` adds each
-    generator, :meth:`Workload.stage` each staged request, and
-    :func:`scenario_from_text` each generator again, to name its line."""
-
-    def __init__(self, spec: ScenarioSpec):
-        self.spec = spec
-        self.core_bank: dict[int, int] = {}
-        self.bank_core: dict[int, int] = {}
-        self.generator_cores: set[int] = set()
-
-    def claim(self, core: int, bank: int) -> None:
-        _check_placement(self.spec, core, bank)
-        owned = self.core_bank.setdefault(core, bank)
-        owner = self.bank_core.setdefault(bank, core)
-        if owned != bank:
-            raise ScenarioError(
-                f"core {core} uses banks {owned} and {bank} but partitioning "
-                f"assigns one private bank per core"
-            )
-        if owner != core:
-            raise ScenarioError(
-                f"cores {owner} and {core} share bank {bank} but partitioning "
-                f"assigns one private bank per core"
-            )
-
-    def add_generator(self, gspec: GeneratorSpec) -> None:
-        if gspec.core in self.generator_cores:
-            raise ScenarioError(f"core {gspec.core} has two generators")
-        self.generator_cores.add(gspec.core)
-        self.claim(gspec.core, gspec.bank)
-        if gspec.core == self.spec.analyzed_core and gspec.budget == 0:
-            raise ScenarioError(
-                f"analyzed core {gspec.core} has a generator with budget 0, "
-                f"so the run would end before any request is served"
-            )
-
-
 class Workload:
     """One run of a scenario: its MSHR file, its controller (``controller``,
-    with the pre-staged requests already enqueued) and its generators, each
-    bound at construction to its core's private bank.
+    with the pre-staged requests already enqueued) and its generators
+    (``gen_by_core``), each bound at construction to its core's private bank.
+    It owns the placement rules: each core runs on one bank that no other
+    core uses, with at most one generator, and the analyzed core's generator
+    has no zero budget, which would end the run before any request is served.
 
     Completions are handed back to the owning generator in the same cycle, so
     a saturating core re-acquires its freed MSHR entry before any other core
@@ -408,38 +371,59 @@ class Workload:
     """
 
     def __init__(self, spec: ScenarioSpec):
-        self._placement = placement = _Placement(spec)
         self.spec = spec
-        self.generators: list[_Generator] = []
-        self.gen_by_core: dict[int, _Generator] = {}
-        for gspec in sorted(spec.generators, key=lambda g: g.core):
-            placement.add_generator(gspec)
-            base_row = spec.open_rows.get(gspec.bank, 0)
-            rng = random.Random((spec.seed << 8) ^ (gspec.core + 1))
-            submit = functools.partial(self._submit, gspec.core, gspec.bank)
-            gen = _GENERATOR_CLASSES[gspec.kind](gspec, base_row, spec.num_rows,
-                                                 rng, submit)
-            self.generators.append(gen)
-            self.gen_by_core[gspec.core] = gen
-        analyzed = self.gen_by_core.get(spec.analyzed_core)
-        # Generator completions on the analyzed core still owed before the
-        # run ends; None when that core has no budgeted generator.
-        self.analyzed_left = None if analyzed is None else analyzed.spec.budget
-        self.has_sources = bool(spec.generators or spec.prestage)
         self.mshr = MshrFile(spec.mshr, num_cores=spec.num_cores)
         self.controller = Controller(spec.timing, spec.scheduler, open_rows=spec.open_rows,
                                      initial_mode=spec.initial_mode)
         self.now = 0
         self._refused = self._queue_refused = False  # by a submit since reset
+        self._core_bank, self._bank_core = {}, {}  # the placed cores and banks
+        self.generators: list[_Generator] = []
+        self.gen_by_core: dict[int, _Generator] = {}
+        # Generator completions on the analyzed core still owed before the
+        # run ends; None when that core has no budgeted generator.
+        self.analyzed_left: int | None = None
+        self.has_sources = bool(spec.generators or spec.prestage)
+        for gspec in sorted(spec.generators, key=lambda g: g.core):
+            self._add_generator(gspec)
         # The staged requests arrive at cycle 0 in listed order, so they
-        # hold the first ids.
+        # hold the first ids: adding a generator submits nothing.
         for staged in spec.prestage:
             self.stage(staged)
+
+    def _claim(self, core: int, bank: int) -> None:
+        _check_placement(self.spec, core, bank)
+        owned = self._core_bank.setdefault(core, bank)
+        owner = self._bank_core.setdefault(bank, core)
+        if owned != bank:
+            raise ScenarioError(f"core {core} uses banks {owned} and {bank} but "
+                                f"partitioning assigns one private bank per core")
+        if owner != core:
+            raise ScenarioError(f"cores {owner} and {core} share bank {bank} but "
+                                f"partitioning assigns one private bank per core")
+
+    def _add_generator(self, gspec: GeneratorSpec) -> None:
+        """Place a generator on its core's bank and bind it to the run."""
+        spec, core = self.spec, gspec.core
+        if core in self.gen_by_core:
+            raise ScenarioError(f"core {core} has two generators")
+        self._claim(core, gspec.bank)
+        if core == spec.analyzed_core:
+            if gspec.budget == 0:
+                raise ScenarioError(f"analyzed core {core} has a generator with budget 0, "
+                                    f"so the run would end before any request is served")
+            self.analyzed_left = gspec.budget
+        rng = random.Random((spec.seed << 8) ^ (core + 1))
+        gen = _GENERATOR_CLASSES[gspec.kind](
+            gspec, spec.open_rows.get(gspec.bank, 0), spec.num_rows, rng,
+            functools.partial(self._submit, core, gspec.bank))
+        self.generators.append(gen)
+        self.gen_by_core[core] = gen
 
     def stage(self, staged: StagedRequest) -> None:
         """Place a pre-staged request and submit it at cycle 0, through the run's
         own admission; one that these refuse is a ScenarioError."""
-        self._placement.claim(staged.core, staged.bank)
+        self._claim(staged.core, staged.bank)
         if not self._submit(staged.core, staged.bank, staged.row, staged.is_write):
             raise ScenarioError(f"pre-staged request for core {staged.core} exceeds "
                                 f"queue or MSHR capacity")
@@ -692,10 +676,11 @@ def scenario_from_text(text: str) -> ScenarioSpec:
     Every key is optional and keeps its dataclass default. Anything else
     malformed raises ScenarioError naming its line, or TimingError for the
     ``[timing]`` section: a section's own range checks name its header, and
-    the top-level scalars' the line that :func:`keyvalue.build` names. A
-    placement rule of ``Workload`` names the ``[generator]`` header or the
-    ``[prestage]`` line of the item that breaks it, and so does a pre-staged
-    request that a ``Workload`` of the scenario read so far refuses.
+    the top-level scalars' the line that :func:`keyvalue.build` names. After
+    ``[banks]``, one ``Workload`` of the scenario read so far is built under
+    the ``[mshr]`` header, which names reservations over the read capacity,
+    and each generator and ``[prestage]`` line is replayed into it under its
+    header or line, which a broken placement rule or admission names.
     """
     top: list = []
     sections = {name: (0, []) for name in _SECTIONS}
@@ -727,8 +712,6 @@ def scenario_from_text(text: str) -> ScenarioSpec:
         spec.timing = make_timing(timing)
     spec.scheduler = keyed(SchedulerConfig, *sections["scheduler"])
     spec.mshr = keyed(MshrConfig, *sections["mshr"])
-    with _blame(sections["mshr"][0]):
-        MshrFile(spec.mshr, spec.num_cores)  # the reservations fit
     for lineno, tokens in sections["banks"][1]:
         with _blame(lineno):
             bank, row = map(int, tokens)
@@ -736,13 +719,13 @@ def scenario_from_text(text: str) -> ScenarioSpec:
                 raise ScenarioError(f"repeated bank {bank}")
             _check_placement(spec, bank=bank)
         spec.open_rows[bank] = row
-    placement = _Placement(spec)
+    with _blame(sections["mshr"][0]):  # reservations over the read capacity
+        workload = Workload(spec)
     for at, body in generators:
         gen = keyed(GeneratorSpec, at, body)
         with _blame(at):
-            placement.add_generator(gen)
+            workload._add_generator(gen)
         spec.generators.append(gen)
-    workload = Workload(spec)
     for lineno, tokens in sections["prestage"][1]:
         with _blame(lineno):
             word, core, bank, row = tokens

@@ -527,6 +527,28 @@ class TestCli:
         out = capsys.readouterr().out
         assert "bound(full) 232" in out
 
+    @pytest.mark.parametrize("flag", [["--kind", "stream"], ["--seed", "7"]],
+                             ids=lambda flag: flag[0])
+    @pytest.mark.parametrize("source", [["--preset", "fig5"], ["--scenario", "{scenario}"]],
+                             ids=lambda source: source[0])
+    def test_staged_flags_with_a_named_scenario_are_a_usage_error(
+            self, tmp_path, capsys, flag, source):
+        # --kind and --seed pick the staged worst case; a named scenario
+        # would run without them, as if they had not been given.
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(scenario_to_text(preset("fig5")))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            harness.main(["compare", *(arg.format(scenario=scenario) for arg in source),
+                          *flag, "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1] == (
+            f"dramwc: error: {flag[0]} applies only to the staged worst case, "
+            "not to --preset or --scenario")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_mshr_reserve_flag_recorded(self, tmp_path):
         harness.main(["compare", "--kind", "latency", "--out", str(tmp_path),
                       "--mshr-reserve", "8"])

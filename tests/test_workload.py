@@ -313,6 +313,13 @@ class TestGenerators:
         with pytest.raises(ScenarioError, match="private bank"):
             Workload(spec)
 
+    def test_two_generators_on_one_core_rejected(self):
+        # Even on the core's own bank, which breaks no bank rule.
+        spec = ScenarioSpec(generators=[GeneratorSpec(GeneratorKind.LATENCY, 1, 1),
+                                        GeneratorSpec(GeneratorKind.STREAM, 1, 1)])
+        with pytest.raises(ScenarioError, match="^core 1 has two generators$"):
+            Workload(spec)
+
     def test_bank_shared_by_two_cores_rejected(self):
         spec = ScenarioSpec(
             prestage=[StagedRequest(False, 1, 1, 5), StagedRequest(False, 2, 1, 6),
@@ -530,6 +537,14 @@ EMITTED = (
 LIVE = scenario_to_text(harness.live_scenario("stream", 1, latency_budget=5))
 WRITER = scenario_to_text(live_spec(GeneratorKind.BANDWIDTH_WRITE, budget=16))
 STAGED = scenario_to_text(harness.preset("fig5"))
+# Generators on cores 0 and 1, and staged reads of core 2 and of core 1.
+MIXED = scenario_to_text(ScenarioSpec(
+    label="mixed",
+    open_rows={0: 5, 1: 6, 2: 7},
+    generators=[GeneratorSpec(GeneratorKind.LATENCY, 0, 0, budget=5),
+                GeneratorSpec(GeneratorKind.STREAM, 1, 1)],
+    prestage=[StagedRequest(False, 2, 2, 7), StagedRequest(False, 1, 1, 6)],
+    analyzed_core=0, num_cores=3))
 
 # (base text, {line: replacement} applied to the first equal lines, and
 # whether the error names that line, its section header, or the line of the
@@ -567,6 +582,12 @@ FAULTS = {
     "bank shared by two cores": (STAGED, {"read 2 2 25": "read 2 1 25"}, "line"),
     "two generators on one core": (LIVE, {"core 1": "core 0"}, "header"),
     "zero analyzed budget": (LIVE, {"budget 5": "budget 0"}, "header"),
+    # the second generator takes the first one's bank
+    "generator on another core's generator bank": (LIVE, {"bank 1": "bank 0"}, "header"),
+    "staged request on another core's generator bank": (
+        MIXED, {"read 2 2 7": "read 2 1 7"}, "line"),
+    "staged request moves a generator's core to a second bank": (
+        MIXED, {"read 1 1 6": "read 1 3 6"}, "line"),
     # the second staged write, and the third staged read, are refused
     "staged writes over the mshr cap": (
         STAGED, {"global_write_cap 16": "global_write_cap 1"}, "write 3 3 37"),

@@ -85,6 +85,15 @@ MUTANTS = (
            "self.ready_at = now + self.spec.gap",
            "a dependent read leaves no earlier than the cycle after its data "
            "plus the compute gap"),
+    # Bank partitioning, in Workload's placement rules.
+    Mutant("two-generators-on-one-core", WORKLOAD, "if core in self.gen_by_core:",
+           "if False:", "a core has at most one generator"),
+    Mutant("bank-shared-by-two-cores", WORKLOAD, "if owner != core:", "if False:",
+           "no bank is used by two cores"),
+    Mutant("core-on-two-banks", WORKLOAD, "if owned != bank:", "if False:",
+           "each core uses one bank"),
+    Mutant("zero-analyzed-budget", WORKLOAD, "if gspec.budget == 0:", "if False:",
+           "the analyzed core's generator has a budget above 0"),
     # The analysis.
     Mutant("write-term-without-twtr", ANALYSIS,
            "return inputs.drain_batch * inputs.timing.trc + inputs.timing.twtr",
