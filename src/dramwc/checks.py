@@ -56,10 +56,11 @@ def verify_selection(controller, chosen) -> int | None:
     heads = {}
     if chosen is None:
         first_ready = device.NEVER
-        for target, req in {r.target: r for r in queue}.items():
-            heads[target] = head = _head(controller, req)
-            if head[1] < first_ready:
-                first_ready = head[1]
+        for req in queue:
+            if req.target not in heads:
+                heads[req.target] = head = _head(controller, req)
+                if head[1] < first_ready:
+                    first_ready = head[1]
         if first_ready > now:
             return first_ready
     prio = controller.config.prioritized_bank

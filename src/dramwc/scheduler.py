@@ -3,7 +3,7 @@ batched write draining, one command per cycle on the shared command bus.
 
 Priority among ready commands: column (CAS) commands beat row (PRE/ACT)
 commands, then the prioritized bank if one is configured, then older
-arrival order, then lower bank index.
+arrival order.
 """
 
 from __future__ import annotations
@@ -170,10 +170,11 @@ class ScheduleTrace:
 def priority_key(kind: CommandKind, bank: int, request_id: int,
                  prioritized_bank: int | None) -> tuple:
     """FR-FCFS ordering key; smaller wins. The oracle ranks by it;
-    select_command builds the same key in its own loop."""
+    select_command builds the same key in its own loop. Request ids are
+    unique, so no two keys tie."""
     cas_rank = 0 if kind in CAS_KINDS else 1
     bank_rank = 0 if prioritized_bank is None or bank == prioritized_bank else 1
-    return (cas_rank, bank_rank, request_id, bank)
+    return (cas_rank, bank_rank, request_id)
 
 
 class Controller:
@@ -296,8 +297,7 @@ class Controller:
                 kind, cas_rank = ACT if open_row is None else PRE, 1
             if earliest_ready(kind, row, state, chan, timing) > now:
                 continue
-            key = (cas_rank, 0 if prio is None or bank == prio else 1,
-                   req.request_id, bank)
+            key = (cas_rank, 0 if prio is None or bank == prio else 1, req.request_id)
             if best_key is None or key < best_key:
                 best, best_key = (kind, req), key
         return best
@@ -359,6 +359,12 @@ class Controller:
         trace.completions.append(req)
         return req
 
+    def _next_end(self) -> int:
+        """The cycle at which the first burst not yet retired ends, or NEVER."""
+        trace = self.trace
+        done = len(trace.completions)
+        return trace.bursts[done].end if done < len(trace.bursts) else device.NEVER
+
     def idle(self) -> bool:
         retired = len(self.trace.completions) == len(self.trace.bursts)
         return retired and not self.read_queue and not self.write_queue
@@ -367,49 +373,67 @@ class Controller:
         """Run the workload that owns this controller until its horizon, or
         until it says the run has ended (see :meth:`Workload.finished`).
 
-        Every cycle is visited: the workload polls, the cycle is stepped or
-        quiet, and the workload is notified of its completion, if any. A
-        cycle is quiet when the last stepped cycle issued nothing and left no
-        mode switch due, no request has been accepted since, and the cycle
-        comes before the first-ready cycle that the oracle's idle check of
-        that step returned. A quiet cycle only retires the burst ending on it.
-        Selection reads the queues, which only an arrival or an issue
-        changes, the bank and channel state, which only an issue changes,
-        and the mode, whose inputs are the queues and the drain count, so on
-        a quiet cycle it would issue nothing, and the oracle's check in the
-        same state has already certified that.
+        Every cycle is visited: the cycle is stepped or quiet, and the stall
+        guard runs. A cycle is quiet when the last stepped cycle issued
+        nothing and left no mode switch due, no request has been accepted
+        since, and the cycle comes before the first-ready cycle that the
+        oracle's idle check of that step returned. A quiet cycle only
+        retires the burst ending on it, if one does, and else only advances
+        the clock. Selection reads the queues, which only an arrival or an
+        issue changes, the bank and channel state, which only an issue
+        changes, and the mode, whose inputs are the queues and the drain
+        count, so on a quiet cycle it would issue nothing, and the oracle's
+        check in the same state has already certified that.
+
+        Each workload hook runs only on a visit where its inputs can have
+        changed. The workload polls on the wake that its last poll returned,
+        or sooner when the trace's completion and burst counts, the stamps
+        of its parked generators, have moved since. It is notified of a
+        completion, and asked whether the run has ended on cycle 0 and on a
+        completion's cycle.
         """
         horizon = workload.spec.horizon
         stall_window = self.config.stall_window
         poll, notify, finished = workload.poll, workload.notify, workload.finished
         step, retire, mode_due, idle = self.step, self._retire, self._mode_due, self.idle
-        requests = self.trace.requests
+        trace = self.trace
+        requests, completions, bursts = trace.requests, trace.completions, trace.bursts
         last_progress = 0
+        wake, polled = 0, -1  # the next poll's cycle, and the counts at the last
         quiet_order, quiet_until = -1, 0  # arrival count and end of the quiet span
+        next_end = device.NEVER  # the end of the first burst not retired, when quiet
         while self.now < horizon:
             cycle = self.now
-            poll(cycle)
-            if cycle < quiet_until and len(requests) == quiet_order:
-                issued, completed = None, retire()
-            else:
+            room = len(completions) + len(bursts)
+            if cycle >= wake or room != polled:
+                polled, wake = room, poll(cycle)
+            issued = completed = None
+            if cycle >= quiet_until or len(requests) != quiet_order:
                 issued, completed = step()
                 quiet_order = len(requests)
-                quiet_until = (self._first_ready
-                               if issued is None and mode_due() is None else 0)
-            notify(cycle, completed)
+                if issued is None and mode_due() is None:
+                    quiet_until, next_end = self._first_ready, self._next_end()
+                else:
+                    quiet_until = 0
+            elif cycle == next_end:
+                completed, next_end = retire(), self._next_end()
+            else:
+                self.now = cycle + 1
+            if completed is not None:
+                notify(cycle, completed)
             if issued is not None:
                 last_progress = cycle
-            elif not idle() and cycle - last_progress > stall_window:
+            elif cycle - last_progress > stall_window and not idle():
                 raise SimulationStalled(
                     f"no command issued since cycle {last_progress} "
                     f"(reads={len(self.read_queue)}, writes={len(self.write_queue)}, "
                     f"mode={self.mode.value})"
                 )
-            if finished():
+            if (completed is not None or cycle == 0) and finished():
                 break
-        self.trace.total_cycles = self.now
-        self.trace.quiescent = self.idle() and workload.exhausted()
-        return self.trace
+        trace.total_cycles = self.now
+        trace.quiescent = idle() and workload.exhausted()
+        return trace
 
 
 @functools.lru_cache(maxsize=None)

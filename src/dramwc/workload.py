@@ -439,9 +439,11 @@ class Workload:
             return False
         return True
 
-    def poll(self, now: int) -> None:
+    def poll(self, now: int) -> int:
         """Let every unfinished generator whose ``ready_at`` has come emit,
-        except the parked ones.
+        except the parked ones, and return the wake: the first cycle at
+        which a poll can change a generator while the trace's completion
+        and burst counts stand still.
 
         After an emit with a refused submit, the generator is parked on a
         stamp: the completion count, plus the CAS-issue (burst) count if a
@@ -452,20 +454,33 @@ class Workload:
         only take room; and a refused submit changes nothing but the held
         row, which is kept. A completion on the generator's own core, which
         reaches its ``on_completion``, moves the stamp too.
+
+        The wake is the smallest ``ready_at`` above ``now`` among the
+        unfinished generators, or ``now + 1`` if one that is ready emitted
+        with no submit refused; a parked generator wakes only when a count
+        moves. ``Controller.run`` polls again at the wake, or sooner when a
+        count moves: only a poll or a completion changes a generator.
         """
         self.now = now
         trace = self.controller.trace
         released = len(trace.completions)
         freed = released + len(trace.bursts)
+        wake = NEVER
         for gen in self.generators:
-            if (now < gen.ready_at or gen.done()
-                    or gen.parked == (freed if gen.parked_on_queue else released)):
-                continue
-            self._refused = self._queue_refused = False
-            gen.emit(now)
-            if self._refused:
-                gen.parked_on_queue = self._queue_refused
-                gen.parked = freed if self._queue_refused else released
+            ready_at = gen.ready_at
+            if now >= ready_at:
+                if gen.done() or gen.parked == (freed if gen.parked_on_queue else released):
+                    continue
+                self._refused = self._queue_refused = False
+                gen.emit(now)
+                if self._refused:
+                    gen.parked_on_queue = self._queue_refused
+                    gen.parked = freed if self._queue_refused else released
+                    continue
+                ready_at = gen.ready_at if gen.ready_at > now else now + 1
+            if ready_at < wake and not gen.done():
+                wake = ready_at
+        return wake
 
     def notify(self, now: int, req: MemRequest | None) -> None:
         self.now = now
@@ -486,7 +501,16 @@ class Workload:
         """Whether the run ends after this cycle: the analyzed core's budget
         is served (the co-runners are still running, as the measured delay
         assumes), or there were sources of work, all are exhausted and the
-        controller is idle."""
+        controller is idle.
+
+        ``Controller.run`` asks only on cycle 0 and on a completion's cycle,
+        since no other cycle can turn the answer true. ``analyzed_left``
+        falls only at a completion. The controller turns idle only when its
+        last burst completes: a queue empties only at a CAS issue, whose
+        burst is then in flight. A generator turns done only when one of its
+        submits is accepted, and that request keeps the controller busy
+        until it completes. The MSHR file frees its last entry only at a
+        completion."""
         return self.analyzed_left == 0 or (
             self.controller.idle() and self.has_sources and self.exhausted())
 

@@ -58,8 +58,12 @@ def test_the_guard_sees_body_reads_only():
 PER_CYCLE = {
     device: ("earliest_ready", "command_ready", "apply_command", "decompose_request"),
     scheduler: tuple(f"Controller.{name}" for name in (
-        "select_command", "step", "_retire", "_dequeue", "enqueue", "run")),
-    workload: ("Workload.poll", "Workload.notify"),
+        "select_command", "step", "_retire", "_next_end", "_dequeue", "enqueue",
+        "update_mode", "_mode_due", "idle", "run")),
+    checks: ("verify_selection", "_head"),
+    workload: ("Workload.poll", "Workload.notify", "Workload.finished",
+               "Workload.exhausted", "MshrFile.admits", "MshrFile.acquire",
+               "MshrFile.release"),
 }
 
 

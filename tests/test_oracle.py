@@ -326,8 +326,8 @@ def _faithful(kind, req, prio):
 
 
 def _youngest_first(kind, req, prio):
-    cas, bank, order, index = _faithful(kind, req, prio)
-    return cas, bank, -order, index
+    cas, bank, order = _faithful(kind, req, prio)
+    return cas, bank, -order
 
 
 def _ignores_prioritized_bank(kind, req, prio):

@@ -4,13 +4,17 @@ per-cycle loop.
 ``run`` visits every cycle but steps only those at which the selection
 state may have changed; a quiet cycle (no arrival since an idle, mode-stable
 step, and before the first-ready cycle of that step's oracle check) only
-retires the bursts that end on it. ``Workload.poll`` skips a generator
-before its ``ready_at`` (a latency probe's is NEVER while its read is in
-flight) and one parked after a refused submit. ``run_per_cycle`` below
-steps every cycle, letting every started, unfinished generator emit, then
-stepping, notifying and checking for stalls and the end of the run each
-time, and is kept here as the reference that every quiet cycle and every
-skipped generator must agree with. The oracle-coverage test checks that
+retires the burst that ends on it, if one does. ``run`` polls the workload
+on the wake that its last poll returned or after the completion or burst
+count moved, notifies it of completions only, and asks whether the run has
+ended on cycle 0 and on completion cycles only. ``Workload.poll`` skips a
+generator before its ``ready_at`` (a latency probe's is NEVER while its
+read is in flight) and one parked after a refused submit.
+``run_per_cycle`` below steps every cycle, letting every started,
+unfinished generator emit, then stepping, notifying and checking for
+stalls and the end of the run each time, and is kept here as the
+reference that every quiet cycle and every skipped generator must agree
+with. The oracle-coverage test checks that
 each cycle the oracle does not check is certified idle by an oracle check
 in the same state.
 """
@@ -23,6 +27,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dramwc import checks
 from dramwc.device import DDR3_1066, make_timing
+from dramwc.harness import live_scenario
 from dramwc.scheduler import (
     Controller,
     Mode,
@@ -527,3 +532,41 @@ def test_probe_gates_are_pinned(monkeypatch):
     assert digests == [
         "04c652b18e6797853b96401ba513b7107c323797bc1afecf1930914626f8621c",
         "86e0368dc0dd37c93394d8d4c72a04050f4eeab6f6f2fd4c666f8d33fb526d7b"]
+
+
+@pytest.mark.parametrize("spec", [
+    PROBE_GATES, live_scenario("bandwidth_write", 3, 0, latency_budget=10)],
+    ids=["probe-gates", "live-bandwidth_write"])
+def test_each_hook_runs_only_when_its_inputs_can_have_changed(spec):
+    # poll on cycle 0, on a visit after the completion or burst count moved,
+    # or when a generator's ready_at comes; notify on each completion; the
+    # end check on cycle 0 and on completion cycles only.
+    workload = Workload(spec)
+    ctrl, trace = workload.controller, workload.controller.trace
+    polls, notified, asked = [], [], []
+    poll, notify, finished = workload.poll, workload.notify, workload.finished
+
+    def recorded_poll(now):
+        polls.append((now, len(trace.completions) + len(trace.bursts),
+                      {gen.ready_at for gen in workload.generators}))
+        return poll(now)
+
+    def recorded_notify(now, req):
+        notified.append((now, req))
+        notify(now, req)
+
+    def recorded_finished():
+        asked.append(ctrl.now - 1)  # the visit has advanced the clock
+        return finished()
+
+    with mock.patch.object(workload, "poll", recorded_poll), \
+            mock.patch.object(workload, "notify", recorded_notify), \
+            mock.patch.object(workload, "finished", recorded_finished):
+        ctrl.run(workload)
+    assert notified == [(req.completion_cycle, req) for req in trace.completions]
+    completion_cycles = {req.completion_cycle for req in trace.completions}
+    assert set(asked) <= {0} | completion_cycles
+    assert asked[-1] == trace.total_cycles - 1
+    assert polls[0][0] == 0
+    for (_, before, _), (cycle, room, ready) in zip(polls, polls[1:]):
+        assert room != before or cycle in ready, f"cycle {cycle}: polled in vain"

@@ -74,8 +74,8 @@ MUTANTS = (
            "self.drained_in_batch >= self.config.drain_batch",
            "self.drained_in_batch >= self.config.drain_batch + 1",
            "a drain returns to a waiting read after drain_batch writes"),
-    Mutant("fcfs-youngest-first", SCHEDULER, "req.request_id, bank)",
-           "-req.request_id, bank)",
+    Mutant("fcfs-youngest-first", SCHEDULER, "else 1, req.request_id)",
+           "else 1, -req.request_id)",
            "among commands of equal rank, the older request's goes first"),
     Mutant("drain-entry-write_cap-1", SCHEDULER,
            "len(self.write_queue) >= self.config.write_cap",
