@@ -45,14 +45,9 @@ class AnalysisInputs:
         """The inputs of the bounds on ``spec``'s analyzed read, with
         ``miss_count`` the analyzed core's completed reads in ``trace``.
 
-        The bounds model plain FR-FCFS, so a prioritized bank other than the
-        analyzed core's own, which can starve its read, is an AnalysisError.
+        The bounds model the scenario's own controller: FR-FCFS with reads
+        ahead of writes and no bank priority, on private banks.
         """
-        core, bank = spec.analyzed_core, spec.scheduler.prioritized_bank
-        own = {r.bank for r in [*spec.generators, *spec.prestage] if r.core == core}
-        if bank is not None and bank not in own:
-            raise AnalysisError(f"prioritized_bank ({bank}) is not the analyzed core's "
-                                "bank; the bounds model plain FR-FCFS", ("prioritized_bank",))
         miss_count = 0 if trace is None else sum(
             r.core == spec.analyzed_core and not r.is_write for r in trace.completions)
         return cls(timing=spec.timing, max_prior_reads=spec.max_prior_reads(),

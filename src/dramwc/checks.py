@@ -44,8 +44,8 @@ def verify_selection(controller, chosen) -> int | None:
     A pick, or an idle cycle with a ready target, is checked by ranking
     every ready request by its own FR-FCFS key; unlike select_command, the
     oracle does not assume that only the oldest request of a target can win.
-    The queue is in arrival order, so the first ready candidate that is a
-    CAS on a top-rank bank has the smallest possible key and ends the scan.
+    The queue is in arrival order, so the first ready CAS has the smallest
+    possible key and ends the scan.
     """
     if len(controller.read_queue) > controller.config.read_cap:
         raise TraceInvariantError("read queue exceeds its capacity")
@@ -63,7 +63,6 @@ def verify_selection(controller, chosen) -> int | None:
                     first_ready = head[1]
         if first_ready > now:
             return first_ready
-    prio = controller.config.prioritized_bank
     best_key = None
     best = None
     for req in queue:
@@ -73,11 +72,11 @@ def verify_selection(controller, chosen) -> int | None:
         kind, at = head
         if at > now:
             continue
-        key = priority_key(kind, req.bank, req.request_id, prio)
+        key = priority_key(kind, req.request_id)
         if best_key is None or key < best_key:
             best_key, best = key, (kind, req)
-            if key[:2] == (0, 0):
-                break  # every later candidate arrived later
+            if key[0] == 0:
+                break  # a CAS, and every later candidate arrived later
     if chosen is None:
         raise TraceInvariantError(
             f"cycle {controller.now}: idle although {_command(*best)} is ready"
@@ -88,7 +87,7 @@ def verify_selection(controller, chosen) -> int | None:
             f"cycle {controller.now}: issued {_command(kind, req)} but no "
             f"candidate is ready"
         )
-    if best_key < priority_key(kind, req.bank, req.request_id, prio):
+    if best_key < priority_key(kind, req.request_id):
         raise TraceInvariantError(
             f"cycle {controller.now}: issued {_command(kind, req)} over "
             f"higher-priority {_command(*best)}"

@@ -291,9 +291,7 @@ def simulate(spec: ScenarioSpec, out_dir) -> "tuple":
 
 def compare(spec: ScenarioSpec, out_dir=None) -> ExperimentReport:
     """Single run with all three bounds and the measured delays side by side."""
-    # Fail before the run, not after it.
-    _analyzed_core(spec)
-    analysis.AnalysisInputs.for_scenario(spec)
+    _analyzed_core(spec)  # fail before the run, not after it
     out = None if out_dir is None else _make_dir(out_dir)
     trace, _ = run_scenario(spec)
     report = evaluate(trace, spec)
@@ -385,9 +383,6 @@ def load_analysis(path) -> analysis.AnalysisInputs:
 
 
 def _apply_overrides(spec: ScenarioSpec, args) -> ScenarioSpec:
-    if getattr(args, "prioritized_bank", None) is not None:
-        spec = replace(spec, scheduler=replace(
-            spec.scheduler, prioritized_bank=args.prioritized_bank))
     if getattr(args, "mshr_reserve", None) is not None:
         spec = replace(spec, mshr=replace(
             spec.mshr, reserve_per_core=args.mshr_reserve))
@@ -428,8 +423,6 @@ def main(argv=None) -> int:
                          help="replay staged worst cases instead of live runs")
     for p in (p_preset, p_sim, p_cmp, p_sweep):
         p.add_argument("--out", required=True)
-    for p in (p_sim, p_cmp):
-        p.add_argument("--prioritized-bank", type=int)
     for p in (p_sim, p_cmp, p_sweep):
         p.add_argument("--mshr-reserve", type=int)
 

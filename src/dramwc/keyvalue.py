@@ -3,8 +3,8 @@ line reader, the range check their ``__post_init__`` methods share, and the
 one error type of bad input.
 
 A field's text form follows its type: ``int``, ``float`` and ``str`` as
-written, ``bool`` as 0/1, an enum by its value, and ``int | None`` with -1,
-and only -1, standing for None.
+written, an enum by its value, and ``int | None`` with -1, and only -1,
+standing for None.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import typing
 from dataclasses import fields
 
 NONE = -1
-_BOOLS = {"0": False, "1": True}
 
 
 class InputError(ValueError):
@@ -32,8 +31,6 @@ class ScenarioError(InputError):
 
 def _codec(tp) -> tuple:
     """(encode, decode) for one field type."""
-    if tp is bool:
-        return (lambda v: str(int(v))), _BOOLS.__getitem__
     if tp == (int | None):
         return ((lambda v: str(NONE if v is None else v)),
                 (lambda text: None if int(text) == NONE else int(text)))

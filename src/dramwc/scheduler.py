@@ -2,8 +2,7 @@
 batched write draining, one command per cycle on the shared command bus.
 
 Priority among ready commands: column (CAS) commands beat row (PRE/ACT)
-commands, then the prioritized bank if one is configured, then older
-arrival order.
+commands, then older arrival order. There is no bank priority.
 """
 
 from __future__ import annotations
@@ -39,21 +38,12 @@ class SchedulerConfig:
     read_cap: int = 32
     write_cap: int = 16
     drain_batch: int = 4
-    prioritized_bank: int | None = None
-    partitioning: bool = True  # must stay on; a key of the scenario file
     num_banks: int = 16
     stall_window: int = 10_000
 
     def __post_init__(self):
         check_min(self, 1, "read_cap", "write_cap", "drain_batch", "num_banks",
                   "stall_window")
-        if not 0 <= (self.prioritized_bank or 0) < self.num_banks:
-            raise ScenarioError(f"prioritized_bank ({self.prioritized_bank}) is not "
-                                f"one of the {self.num_banks} banks",
-                                ("prioritized_bank", "num_banks"))
-        if not self.partitioning:
-            raise ScenarioError("partitioning must be on: every core has one "
-                                "private bank", ("partitioning",))
         if self.drain_batch > self.write_cap:
             raise ScenarioError(
                 f"drain_batch ({self.drain_batch}) cannot exceed write_cap "
@@ -167,14 +157,11 @@ class ScheduleTrace:
         return "\n".join(lines) + "\n"
 
 
-def priority_key(kind: CommandKind, bank: int, request_id: int,
-                 prioritized_bank: int | None) -> tuple:
+def priority_key(kind: CommandKind, request_id: int) -> tuple:
     """FR-FCFS ordering key; smaller wins. The oracle ranks by it;
     select_command builds the same key in its own loop. Request ids are
     unique, so no two keys tie."""
-    cas_rank = 0 if kind in CAS_KINDS else 1
-    bank_rank = 0 if prioritized_bank is None or bank == prioritized_bank else 1
-    return (cas_rank, bank_rank, request_id)
+    return (0 if kind in CAS_KINDS else 1, request_id)
 
 
 class Controller:
@@ -280,14 +267,13 @@ class Controller:
         """
         best = None
         best_key = None
-        prio = self.config.prioritized_bank
         groups = self.read_groups if self.mode is READ else self.write_groups
         banks, chan, timing, now = self.banks, self.chan, self.timing, self.now
         earliest_ready = device.earliest_ready
         for group in groups.values():
             req = group[0]
-            bank, row = req.bank, req.row
-            state = banks[bank]
+            row = req.row
+            state = banks[req.bank]
             # The head's kind and FR-FCFS key, in line; the oracle derives
             # its own, from decompose_request and priority_key.
             open_row = state.open_row
@@ -297,7 +283,7 @@ class Controller:
                 kind, cas_rank = ACT if open_row is None else PRE, 1
             if earliest_ready(kind, row, state, chan, timing) > now:
                 continue
-            key = (cas_rank, 0 if prio is None or bank == prio else 1, req.request_id)
+            key = (cas_rank, req.request_id)
             if best_key is None or key < best_key:
                 best, best_key = (kind, req), key
         return best

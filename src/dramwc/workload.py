@@ -338,14 +338,14 @@ class ScenarioSpec:
                    (self.num_cores - 1) * cap + max(0, min(own_reads, cap) - 1))
 
 
-def _check_placement(spec: ScenarioSpec, core: int | None = None,
-                     bank: int | None = None, keys: tuple[str, ...] = ()) -> None:
-    """A core and a bank named by a scenario must exist in it. The error
-    names the ones given, and is keyed by ``keys``. ``Workload`` checks it
-    for each item it places, before its partitioning rules."""
+def _check_placement(spec: ScenarioSpec, core: int | None = None, bank: int | None = None,
+                     row: int | None = None, keys: tuple[str, ...] = ()) -> None:
+    """A core, a bank and a row named by a scenario must exist in it. The
+    error names the ones given, and is keyed by ``keys``. ``Workload`` checks
+    it for each item it places, before its partitioning rules, and each row."""
     named = [(what, index, count) for what, index, count in (
-        ("core", core, spec.num_cores), ("bank", bank, spec.scheduler.num_banks))
-        if index is not None]
+        ("core", core, spec.num_cores), ("bank", bank, spec.scheduler.num_banks),
+        ("row", row, spec.num_rows)) if index is not None]
     if any(not 0 <= index < count for _, index, count in named):
         raise ScenarioError(", ".join(f"{what} {index}" for what, index, _ in named)
                             + " is outside the scenario's "
@@ -372,6 +372,8 @@ class Workload:
 
     def __init__(self, spec: ScenarioSpec):
         self.spec = spec
+        for row in spec.open_rows.values():
+            _check_placement(spec, row=row)
         self.mshr = MshrFile(spec.mshr, num_cores=spec.num_cores)
         self.controller = Controller(spec.timing, spec.scheduler, open_rows=spec.open_rows,
                                      initial_mode=spec.initial_mode)
@@ -424,6 +426,8 @@ class Workload:
         """Place a pre-staged request and submit it at cycle 0, through the run's
         own admission; one that these refuse is a ScenarioError."""
         self._claim(staged.core, staged.bank)
+        if not 0 <= staged.row < self.spec.num_rows:  # tested in line: called per request
+            _check_placement(self.spec, row=staged.row)
         if not self._submit(staged.core, staged.bank, staged.row, staged.is_write):
             raise ScenarioError(f"pre-staged request for core {staged.core} exceeds "
                                 f"queue or MSHR capacity")
@@ -666,13 +670,23 @@ def build_adversarial(interferer_kind: GeneratorKind = GeneratorKind.BANDWIDTH_W
 _SCALARS = ("label", "seed", "horizon", "initial_mode", "analyzed_core",
             "num_cores", "num_rows")
 _SECTIONS = ("timing", "scheduler", "mshr", "banks", "generator", "prestage")
+#: The ``[scheduler]`` lines, after ``drain_batch``, of two options that the modelled
+#: controller does not have, and the error for any other value. Each appears once.
+_FIXED_LINES = ("prioritized_bank -1", "partitioning 1")
+_FIXED_ERRORS = {
+    "prioritized_bank": "prioritized_bank must be -1: the modelled FR-FCFS "
+                        "controller has no bank priority",
+    "partitioning": "partitioning must be on: every core has one private bank",
+}
 
 
 def scenario_to_text(spec: ScenarioSpec) -> str:
     """Serialize a scenario to the sectioned text format."""
+    scheduler = to_lines(spec.scheduler)
+    at = list(codecs(SchedulerConfig)).index("drain_batch") + 1
     lines = ["# dramwc scenario", *to_lines(spec, _SCALARS),
              "", "[timing]", *to_lines(spec.timing, TIMING_KEYS),
-             "", "[scheduler]", *to_lines(spec.scheduler),
+             "", "[scheduler]", *scheduler[:at], *_FIXED_LINES, *scheduler[at:],
              "", "[mshr]", *to_lines(spec.mshr),
              "", "[banks]"]
     lines += [f"{bank} {row}" for bank, row in sorted(spec.open_rows.items())]
@@ -697,9 +711,10 @@ def _blame(lineno: int, error=ScenarioError):
 def scenario_from_text(text: str) -> ScenarioSpec:
     """Parse the sectioned text format back into a ScenarioSpec.
 
-    Every key is optional and keeps its dataclass default. Anything else
-    malformed raises ScenarioError naming its line, or TimingError for the
-    ``[timing]`` section: a section's own range checks name its header, and
+    Every key is optional and keeps its dataclass default; a fixed line
+    takes only its value (``_FIXED_LINES``). Anything else malformed raises
+    ScenarioError naming its line, or TimingError for the ``[timing]``
+    section: a section's own range checks name its header, and
     the top-level scalars' the line that :func:`keyvalue.build` names. After
     ``[banks]``, one ``Workload`` of the scenario read so far is built under
     the ``[mshr]`` header, which names reservations over the read capacity,
@@ -734,7 +749,13 @@ def scenario_from_text(text: str) -> ScenarioSpec:
     timing = read_pairs(body, codecs(TimingParams, TIMING_KEYS), TimingError)
     with _blame(at, TimingError):
         spec.timing = make_timing(timing)
-    spec.scheduler = keyed(SchedulerConfig, *sections["scheduler"])
+    at, body = sections["scheduler"]
+    fixed = [line for line in body if line[1][0] in _FIXED_ERRORS]
+    read_pairs(fixed, dict.fromkeys(_FIXED_ERRORS, (str, str)), ScenarioError)  # once each
+    for lineno, tokens in fixed:
+        if " ".join(tokens) not in _FIXED_LINES:
+            raise ScenarioError(f"line {lineno}: {_FIXED_ERRORS[tokens[0]]}")
+    spec.scheduler = keyed(SchedulerConfig, at, [line for line in body if line not in fixed])
     spec.mshr = keyed(MshrConfig, *sections["mshr"])
     for lineno, tokens in sections["banks"][1]:
         with _blame(lineno):
@@ -742,6 +763,7 @@ def scenario_from_text(text: str) -> ScenarioSpec:
             if bank in spec.open_rows:
                 raise ScenarioError(f"repeated bank {bank}")
             _check_placement(spec, bank=bank)
+            _check_placement(spec, row=row)
         spec.open_rows[bank] = row
     with _blame(sections["mshr"][0]):  # reservations over the read capacity
         workload = Workload(spec)

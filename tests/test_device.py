@@ -134,6 +134,16 @@ class TestCommandReady:
         assert not command_ready(CommandKind.RD, 1, bank1, chan, t, 7)
         assert command_ready(CommandKind.RD, 1, bank1, chan, t, 8)
 
+    def test_rd_waits_for_the_data_bus(self):
+        # With tBURST above tCCD the data bus, not the column gap, gates the
+        # next read: its burst starts only when the last one has ended.
+        t = make_timing({"tburst": 8})
+        bank0, bank1 = BankState(open_row=1), BankState(open_row=1)
+        chan = ChannelState()
+        apply_command(CommandKind.RD, req(bank=0), bank0, chan, t, 0)
+        assert not command_ready(CommandKind.RD, 1, bank1, chan, t, 7)
+        assert command_ready(CommandKind.RD, 1, bank1, chan, t, 8)
+
     def test_fifth_act_waits_for_tfaw(self):
         chan = ChannelState()
         banks = [BankState() for _ in range(5)]

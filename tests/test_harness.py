@@ -29,6 +29,60 @@ from dramwc.workload import (
     scenario_from_text,
     scenario_to_text,
 )
+from dramwc.scheduler import SchedulerConfig
+
+# The fig4 scenario file as written while bank priority and partitioning
+# were options of the scheduler.
+FIG4_SCENARIO = """\
+# dramwc scenario
+label fig4
+seed 0
+horizon 200
+initial_mode read
+analyzed_core 1
+num_cores 3
+num_rows 4096
+
+[timing]
+tck_ns 1.87
+trp 7
+trcd 7
+cl 7
+wl 6
+tburst 4
+tccd 4
+twtr 4
+trrd 4
+trtp 4
+tfaw 20
+trc 27
+twr 3
+rd_wr_gap 7
+
+[scheduler]
+read_cap 32
+write_cap 16
+drain_batch 4
+prioritized_bank -1
+partitioning 1
+num_banks 16
+stall_window 10000
+
+[mshr]
+global_read_cap 32
+global_write_cap 16
+per_core_read_cap 10
+reserve_per_core 0
+
+[banks]
+1 20
+2 10
+
+[prestage]
+read 2 2 10
+read 2 2 11
+read 1 1 20
+"""
 
 
 class TestPresets:
@@ -652,45 +706,60 @@ class TestCli:
                           "--out", str(tmp_path / "b")])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "line 26: partitioning must be on" in err  # [scheduler]
+        assert "line 31: partitioning must be on" in err  # the key's own line
         assert "Traceback" not in err
         assert not (tmp_path / "b").exists()
 
     def test_bad_override_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             harness.main(["compare", "--preset", "fig2", "--out", str(tmp_path),
-                          "--prioritized-bank", "16"])
+                          "--mshr-reserve", "-1"])
         assert exc.value.code == 2
-        assert "prioritized_bank (16)" in capsys.readouterr().err
+        assert "reserve_per_core (-1) must be at least 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("source, bank", [("preset", 2), ("scenario", 1)])
-    def test_prioritized_bank_the_bounds_do_not_model_is_a_usage_error(
-            self, tmp_path, capsys, monkeypatch, source, bank):
-        # The bounds model plain FR-FCFS; a prioritized bank of another core
-        # can starve the analyzed read, so compare refuses it before running.
-        if source == "preset":
-            args = ["--preset", "fig2"]  # analyzed core 1, on bank 1
-        else:
-            path = tmp_path / "scenario.txt"
-            path.write_text(scenario_to_text(live_scenario("bandwidth_read", 3, 0)))
-            args = ["--scenario", str(path)]  # analyzed core 0, on bank 0
-        ran = []
-        monkeypatch.setattr(harness, "run_scenario", lambda spec: ran.append(spec))
+    def test_a_fig4_scenario_file_keeps_its_bytes(self, tmp_path):
+        # The file format keeps the lines of the deleted bank-priority and
+        # partitioning options as fixed values, so a file written while they
+        # were options reads back, and every scenario file stays as it was.
+        assert not {"prioritized_bank", "partitioning"} & set(vars(SchedulerConfig()))
+        assert scenario_to_text(scenario_from_text(FIG4_SCENARIO)) == FIG4_SCENARIO
+        path = tmp_path / "scenario.txt"
+        path.write_text(FIG4_SCENARIO)
+        assert harness.main(["simulate", "--scenario", str(path),
+                             "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "b" / "scenario.txt").read_text() == FIG4_SCENARIO
+        harness.main(["preset", "fig4", "--out", str(tmp_path / "a")])
+        assert (tmp_path / "a" / "scenario.txt").read_text() == FIG4_SCENARIO
+
+    def test_a_prioritized_bank_in_a_file_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "scenario.txt"
+        path.write_text(FIG4_SCENARIO.replace("prioritized_bank -1", "prioritized_bank 1"))
         with pytest.raises(SystemExit) as exc:
-            harness.main(["compare", *args, "--prioritized-bank", str(bank),
-                          "--out", str(tmp_path / "out")])
+            harness.main(["simulate", "--scenario", str(path),
+                          "--out", str(tmp_path / "b")])
         assert exc.value.code == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 2  # the usage line and the error
-        assert err[1].startswith(f"dramwc: error: prioritized_bank ({bank}) ")
-        assert ran == []
-        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert ("line 30: prioritized_bank must be -1: the modelled FR-FCFS "
+                "controller has no bank priority") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "b").exists()
 
-    def test_prioritized_analyzed_bank_keeps_its_bounds(self, tmp_path, capsys):
-        assert harness.main(["compare", "--preset", "fig2", "--prioritized-bank", "1",
-                             "--out", str(tmp_path)]) == 0
-        assert capsys.readouterr().out == (
-            "fig2: measured max 0, bound(full) 192, bound(nowq) 80, baseline 38\n")
+    def test_the_prioritized_bank_flag_is_gone(self, tmp_path, capsys):
+        path = tmp_path / "scenario.txt"
+        path.write_text(FIG4_SCENARIO)
+        for command in ("simulate", "compare"):
+            with pytest.raises(SystemExit) as exc:
+                harness.main([command, "--scenario", str(path), "--out",
+                              str(tmp_path / "b"), "--prioritized-bank", "1"])
+            assert exc.value.code == 2
+            assert ("unrecognized arguments: --prioritized-bank 1"
+                    in capsys.readouterr().err)
+        assert not (tmp_path / "b").exists()
+        for name in ("preset", "simulate", "analyze", "compare", "sweep"):
+            with pytest.raises(SystemExit) as exc:
+                harness.main([name, "--help"])
+            assert exc.value.code == 0
+            assert "--prioritized-bank" not in capsys.readouterr().out
 
     def test_simulator_faults_propagate(self, tmp_path, monkeypatch):
         from dramwc import checks
@@ -702,17 +771,6 @@ class TestCli:
         monkeypatch.setattr(checks, "validate_trace", broken)
         with pytest.raises(TraceInvariantError, match="injected"):
             harness.main(["preset", "fig2", "--out", str(tmp_path)])
-
-    def test_prioritized_bank_flag_recorded(self, tmp_path):
-        harness.main(["preset", "fig2", "--out", str(tmp_path / "a")])
-        harness.main([
-            "simulate",
-            "--scenario", str(tmp_path / "a" / "scenario.txt"),
-            "--out", str(tmp_path / "b"),
-            "--prioritized-bank", "1",
-        ])
-        scenario = (tmp_path / "b" / "scenario.txt").read_text()
-        assert "prioritized_bank 1" in scenario
 
     def test_sweep_command(self, tmp_path, capsys):
         code = harness.main([
@@ -905,22 +963,6 @@ class TestPinnedLiveTraces:
         assert [_sha256(tmp_path / f) for f in ("trace.csv", "stats.txt")] == [
             "c9c9832440d4a8eabdf2306b77eb7ba75c2a6ba7e2405cb1be5fb038a64d3759",
             "71509e6d50ec778ab19a23d819a1f850be8a1a2a810c3401135d7b94107f9b1b"]
-
-
-def test_prioritized_bank_changes_schedule(tmp_path):
-    # With bank 1 prioritized, the younger read on bank 1 overtakes the
-    # three older reads queued on bank 2.
-    spec = preset("fig2")
-    plain, _ = run_scenario(spec)
-    from dataclasses import replace
-
-    boosted_spec = replace(
-        spec, scheduler=replace(spec.scheduler, prioritized_bank=1))
-    boosted, _ = run_scenario(boosted_spec)
-    plain_first = next(r for r in plain.issues if r.request.bank == 1)
-    boosted_first = next(r for r in boosted.issues if r.request.bank == 1)
-    assert plain_first.cycle == 12
-    assert boosted_first.cycle == 0
 
 
 def test_bad_input_is_an_input_error():

@@ -10,7 +10,6 @@ controller that breaks FR-FCFS must still be caught.
 """
 
 import collections
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,7 +39,6 @@ def full_scan_verify_selection(controller, chosen) -> None:
         raise TraceInvariantError("read queue exceeds its capacity")
     if len(controller.write_queue) > controller.config.write_cap:
         raise TraceInvariantError("write queue exceeds its capacity")
-    prio = controller.config.prioritized_bank
     best_key = None
     best = None
     for req in controller.candidate_queue():
@@ -49,7 +47,7 @@ def full_scan_verify_selection(controller, chosen) -> None:
         if not device.command_ready(kind, req.row, bank, controller.chan,
                                     controller.timing, controller.now):
             continue
-        key = priority_key(kind, req.bank, req.request_id, prio)
+        key = priority_key(kind, req.request_id)
         if best_key is None or key < best_key:
             best_key, best = key, (kind, req)
     if chosen is None:
@@ -65,7 +63,7 @@ def full_scan_verify_selection(controller, chosen) -> None:
             f"cycle {controller.now}: issued {checks._command(kind, req)} but no "
             f"candidate is ready"
         )
-    if best_key < priority_key(kind, req.bank, req.request_id, prio):
+    if best_key < priority_key(kind, req.request_id):
         raise TraceInvariantError(
             f"cycle {controller.now}: issued {checks._command(kind, req)} over "
             f"higher-priority {checks._command(*best)}"
@@ -92,8 +90,7 @@ def controller_states(draw):
         "tfaw": trrd + draw(st.integers(0, 16))})
     config = SchedulerConfig(
         read_cap=draw(st.integers(1, 16)), write_cap=draw(st.integers(1, 16)),
-        drain_batch=1, num_banks=num_banks,
-        prioritized_bank=draw(st.none() | st.integers(0, num_banks - 1)))
+        drain_batch=1, num_banks=num_banks)
     banks = st.integers(0, num_banks - 1)
     rows = st.sampled_from([0, 0, 0, 1])
     mode = draw(st.sampled_from(list(Mode)))
@@ -166,8 +163,7 @@ def reference_selection(ctrl):
         if device.earliest_ready(kind, req.row, bank, ctrl.chan,
                                  ctrl.timing) > ctrl.now:
             continue
-        key = priority_key(kind, req.bank, req.request_id,
-                           ctrl.config.prioritized_bank)
+        key = priority_key(kind, req.request_id)
         if best_key is None or key < best_key:
             best, best_key = (kind, req.request_id), key
     return best
@@ -184,39 +180,40 @@ def test_selection_matches_the_reference_over_group_heads(ctrl):
 
 
 def test_the_scan_stops_only_at_a_cas_on_a_top_rank_bank():
-    # The older RD on bank 2 comes first in the queue, but the younger RD on
-    # the prioritized bank outranks it.
-    ctrl = Controller(make_timing(), SchedulerConfig(prioritized_bank=1),
-                      open_rows={1: 1, 2: 1})
-    older = MemRequest(2, False, 2, 1)
-    younger = MemRequest(1, False, 1, 1)
-    ctrl.enqueue(older)
-    ctrl.enqueue(younger)
-    assert ctrl.select_command() == (CommandKind.RD, younger)
-    checks.verify_selection(ctrl, (CommandKind.RD, younger))
-    with pytest.raises(TraceInvariantError, match=r"issued RD for request 0 .* "
-                       r"over higher-priority RD for request 1 "):
-        checks.verify_selection(ctrl, (CommandKind.RD, older))
+    # With no bank priority every bank has the top rank. The ACT on closed
+    # bank 2 comes first in the queue and is ready, but the scan passes it
+    # and stops at the first ready CAS, the RD on bank 1, which outranks
+    # both the older ACT and the younger RD on bank 3.
+    ctrl = Controller(make_timing(), open_rows={1: 1, 3: 1})
+    act, first, younger = (MemRequest(bank, False, bank, 1) for bank in (2, 1, 3))
+    for req in (act, first, younger):
+        ctrl.enqueue(req)
+    assert ctrl.select_command() == (CommandKind.RD, first)
+    checks.verify_selection(ctrl, (CommandKind.RD, first))
+    for chosen in ((CommandKind.ACT, act), (CommandKind.RD, younger)):
+        with pytest.raises(TraceInvariantError, match=r"over higher-priority "
+                           r"RD for request 1 "):
+            checks.verify_selection(ctrl, chosen)
     with pytest.raises(TraceInvariantError,
                        match="idle although RD for request 1 "):
         checks.verify_selection(ctrl, None)
 
 
-@pytest.mark.parametrize("prioritized_bank, named", [
-    (None, "RD for request 1 "), (2, "RD for request 2 "), (3, "RD for request 1 ")])
-def test_an_idle_cycle_with_ready_targets_names_the_best_request(prioritized_bank,
-                                                                 named):
-    # Ready targets: an ACT on closed bank 3 (request 0) and row hits on
-    # banks 1 (requests 1 and 3) and 2 (request 2). The idle check fails on
-    # its per-target pass and names, as the full scan does, the request the
-    # FR-FCFS order ranks first: a CAS beats the older ACT, the prioritized
-    # bank beats arrival order, and a prioritized bank with only an ACT does
-    # not beat a CAS.
-    ctrl = Controller(make_timing(),
-                      SchedulerConfig(prioritized_bank=prioritized_bank),
-                      open_rows={1: 1, 2: 1})
+@pytest.mark.parametrize("held_bank, named", [
+    (None, "RD for request 1 "), (1, "RD for request 2 "), (3, "RD for request 1 ")])
+def test_an_idle_cycle_with_ready_targets_names_the_best_request(held_bank, named):
+    # Targets: an ACT on closed bank 3 (request 0) and row hits on banks 1
+    # (requests 1 and 3) and 2 (request 2); all are ready but the held
+    # bank's. The idle check fails on its per-target pass and names, as the
+    # full scan does, the request the FR-FCFS order ranks first: a CAS beats
+    # the older ACT, so holding bank 1 passes the win to the next CAS, and
+    # holding the ACT changes nothing.
+    ctrl = Controller(make_timing(), open_rows={1: 1, 2: 1})
     for i, bank in enumerate([3, 1, 2, 1]):
         assert ctrl.enqueue(MemRequest(bank, False, bank, 1))
+    if held_bank is not None:
+        held = ctrl.banks[held_bank]
+        held.earliest_act = held.earliest_pre = held.earliest_rd = 10
     message = failure(checks.verify_selection, ctrl, None)
     assert message == failure(full_scan_verify_selection, ctrl, None)
     assert message.startswith(f"cycle 0: idle although {named}")
@@ -264,13 +261,14 @@ def test_heads_are_derived_once_per_target(monkeypatch):
     assert full_scan_starts_to_fail_at(ctrl, first_ready)
 
 
-def _one_bank_two_rows(mode, prioritized_bank, order):
-    """Bank 0 has row 0 open and bank 1 is closed. The queue holds a row hit
-    and a row conflict on bank 0, a repeat of one of them, and a request to
-    bank 1 for row 0, in the given order of (bank, row) targets."""
-    ctrl = Controller(make_timing(),
-                      SchedulerConfig(prioritized_bank=prioritized_bank),
-                      open_rows={0: 0}, initial_mode=mode)
+def _one_bank_two_rows(mode, bank1_row, order):
+    """Bank 0 has row 0 open, and bank 1 has ``bank1_row`` open, or is
+    closed for None. The queue holds a row hit and a row conflict on bank 0,
+    a repeat of one of them, and a request to bank 1 for row 0, in the given
+    order of (bank, row) targets. The order ids call bank 1's target closed,
+    as it is for None."""
+    open_rows = {0: 0} if bank1_row is None else {0: 0, 1: bank1_row}
+    ctrl = Controller(make_timing(), open_rows=open_rows, initial_mode=mode)
     is_write = mode is Mode.WRITE_DRAIN
     for i, (bank, row) in enumerate(order):
         assert ctrl.enqueue(MemRequest(i % 4, is_write, bank, row))
@@ -283,14 +281,15 @@ def _one_bank_two_rows(mode, prioritized_bank, order):
     [(1, 0), (0, 0), (0, 1), (1, 0)],
     [(1, 0), (0, 1), (0, 0), (0, 1)],
 ], ids=["conflict-first", "hit-first", "closed-first", "closed-then-conflict"])
-@pytest.mark.parametrize("prioritized_bank", [None, 0, 1])
+@pytest.mark.parametrize("bank1_row", [None, 0, 1])
 @pytest.mark.parametrize("mode", list(Mode))
-def test_oracle_agrees_on_one_bank_with_two_rows(mode, prioritized_bank, order):
+def test_oracle_agrees_on_one_bank_with_two_rows(mode, bank1_row, order):
     # Each (bank, row) target has its own head: a per-bank or per-row memo
-    # would hand one target's head to another. At cycle 0 the clock states
+    # would hand one target's head to another. Bank 1's open row makes the
+    # head of its target an ACT, a CAS or a PRE. At cycle 0 the clock states
     # leave every command ready, only PREs, only ACTs, or none.
     for cas, pre, act in [(0, 0, 0), (5, 0, 5), (5, 5, 0), (30, 10, 20)]:
-        ctrl = _one_bank_two_rows(mode, prioritized_bank, order)
+        ctrl = _one_bank_two_rows(mode, bank1_row, order)
         ctrl.chan.earliest_rd_cas = ctrl.chan.earliest_wr_cas = cas
         for bank in ctrl.banks:
             bank.earliest_pre, bank.earliest_act = pre, act
@@ -308,62 +307,51 @@ def test_oracle_agrees_on_one_bank_with_two_rows(mode, prioritized_bank, order):
 
 def _selector(rank):
     """A select_command that picks the ready head with the smallest
-    ``rank(kind, req, prioritized_bank)``."""
+    ``rank(kind, req)``."""
     def select_command(self):
         ready = []
         for req in self.candidate_queue():
             kind = device.decompose_request(req, self.banks[req.bank])[0]
             if device.command_ready(kind, req.row, self.banks[req.bank],
                                     self.chan, self.timing, self.now):
-                ready.append((rank(kind, req, self.config.prioritized_bank),
-                              kind, req))
+                ready.append((rank(kind, req), kind, req))
         return min(ready, key=lambda r: r[0])[1:] if ready else None
     return select_command
 
 
-def _faithful(kind, req, prio):
-    return priority_key(kind, req.bank, req.request_id, prio)
+def _faithful(kind, req):
+    return priority_key(kind, req.request_id)
 
 
-def _youngest_first(kind, req, prio):
-    cas, bank, order = _faithful(kind, req, prio)
-    return cas, bank, -order
+def _youngest_first(kind, req):
+    cas, order = _faithful(kind, req)
+    return cas, -order
 
 
-def _ignores_prioritized_bank(kind, req, prio):
-    return _faithful(kind, req, None)
+def _rows_over_cas(kind, req):
+    cas, order = _faithful(kind, req)
+    return 1 - cas, order
 
 
-def _rows_over_cas(kind, req, prio):
-    cas, *rest = _faithful(kind, req, prio)
-    return (1 - cas, *rest)
-
-
-def _scenarios(prioritized_bank=None):
-    specs = [harness.preset(name) for name in ("fig2", "fig3", "fig4", "fig5")]
-    specs += [build_adversarial(interferer_kind=kind, seed=seed)
-              for kind in GeneratorKind for seed in (0, 1)]
-    if prioritized_bank is not None:
-        specs = [replace(spec, scheduler=replace(
-            spec.scheduler, prioritized_bank=prioritized_bank)) for spec in specs]
-    return specs
+def _scenarios():
+    return ([harness.preset(name) for name in ("fig2", "fig3", "fig4", "fig5")]
+            + [build_adversarial(interferer_kind=kind, seed=seed)
+               for kind in GeneratorKind for seed in (0, 1)])
 
 
 def test_mutant_frame_with_the_true_order_matches_the_controller(monkeypatch):
-    specs = _scenarios() + _scenarios(prioritized_bank=1)
+    specs = _scenarios()
     expected = [run_scenario(spec)[0].to_csv() for spec in specs]
     monkeypatch.setattr(Controller, "select_command", _selector(_faithful))
     assert [run_scenario(spec)[0].to_csv() for spec in specs] == expected
 
 
-@pytest.mark.parametrize("select_command, prioritized_bank, message", [
-    (_selector(_youngest_first), None, "over higher-priority"),
-    (_selector(_ignores_prioritized_bank), 1, "over higher-priority"),
-    (_selector(_rows_over_cas), None, "over higher-priority"),
-], ids=["youngest-first", "ignores-prioritized-bank", "rows-over-cas"])
-def test_mutant_controllers_are_caught(monkeypatch, select_command,
-                                       prioritized_bank, message):
-    specs = _scenarios(prioritized_bank)
+@pytest.mark.parametrize("select_command, message", [
+    (_selector(_youngest_first), "over higher-priority"),
+    (_selector(_rows_over_cas), "over higher-priority"),
+], ids=["youngest-first", "rows-over-cas"])
+def test_mutant_controllers_are_caught(monkeypatch, select_command, message):
+    specs = _scenarios()
     monkeypatch.setattr(Controller, "select_command", select_command)
     caught = []
     for spec in specs:

@@ -166,14 +166,6 @@ class TestSelectCommand:
         kind, req = ctrl.select_command()
         assert kind is CommandKind.RD and req.bank == 1
 
-    def test_prioritized_bank_outranks_age(self):
-        cfg = SchedulerConfig(prioritized_bank=1)
-        ctrl = Controller(TIMING, cfg, open_rows={1: 1, 2: 1})
-        ctrl.enqueue(read(bank=2))
-        ctrl.enqueue(read(bank=1))
-        _, req = ctrl.select_command()
-        assert req.bank == 1
-
     def test_nothing_ready_returns_none(self):
         ctrl = Controller(TIMING)
         assert ctrl.select_command() is None

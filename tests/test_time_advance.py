@@ -120,7 +120,6 @@ def schedulers(draw, num_banks=16):
         read_cap=draw(st.integers(1, 32)),
         write_cap=write_cap,
         drain_batch=draw(st.integers(1, write_cap)),
-        prioritized_bank=draw(st.none() | st.integers(0, num_banks - 1)),
         stall_window=draw(st.sampled_from([5, 6, 8, 20, 100, 10_000])),
         num_banks=num_banks,
     )
@@ -129,7 +128,8 @@ def schedulers(draw, num_banks=16):
 @st.composite
 def live_specs(draw):
     num_cores = draw(st.integers(1, 4))
-    rows = st.integers(0, 5)
+    num_rows = draw(st.sampled_from([2, 8, 4096]))
+    rows = st.integers(0, min(5, num_rows - 1))  # a row must be one of the scenario's
     generators = []
     for core in range(num_cores):
         if draw(st.integers(0, 4)) == 0:
@@ -167,7 +167,7 @@ def live_specs(draw):
         horizon=draw(st.integers(1, 1500)),
         analyzed_core=draw(st.none() | st.just(0)),
         num_cores=num_cores,
-        num_rows=draw(st.sampled_from([2, 8, 4096])),
+        num_rows=num_rows,
         seed=draw(st.integers(0, 1000)),
     )
 
@@ -179,7 +179,6 @@ def staged_specs(draw):
         seed=draw(st.integers(0, 300)),
         timing=draw(st.none() | timings()),
     )
-    spec.scheduler.prioritized_bank = draw(st.none() | st.integers(0, 3))
     spec.scheduler.stall_window = draw(st.sampled_from([5, 8, 30, 10_000]))
     return spec
 

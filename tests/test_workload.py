@@ -341,7 +341,7 @@ class TestGenerators:
             Workload(spec)
 
     # Each spec is built inside pytest.raises: ScenarioSpec checks its own
-    # scalars, and Controller the open rows' banks.
+    # scalars, Controller the open rows' banks, and Workload every row.
     @pytest.mark.parametrize("spec, match", [
         (partial(ScenarioSpec, generators=[GeneratorSpec(GeneratorKind.LATENCY, 4, 1)]),
          "core 4, bank 1 is outside"),
@@ -350,6 +350,10 @@ class TestGenerators:
         (partial(ScenarioSpec, open_rows={-1: 3}), "bank -1 is outside"),
         (partial(ScenarioSpec, analyzed_core=4), "core 4 is outside the scenario's 4 cores"),
         (partial(ScenarioSpec, horizon=0), "horizon"),
+        (partial(ScenarioSpec, num_rows=8, open_rows={0: 99999}),
+         "row 99999 is outside the scenario's 8 rows"),
+        (partial(ScenarioSpec, num_rows=8, prestage=[StagedRequest(False, 0, 0, -3)]),
+         "row -3 is outside the scenario's 8 rows"),
     ])
     def test_out_of_range_scenario_rejected_before_running(self, spec, match):
         with pytest.raises(ScenarioError, match=match):
@@ -562,6 +566,7 @@ FAULTS = {
                                     "stream_writes 1": "stream_writes 0"}, "header"),
     "generator core out of range": (LIVE, {"core 1": "core 2"}, "header"),
     "bool out of range": (LIVE, {"partitioning 1": "partitioning 2"}, "line"),
+    "repeated fixed line": (LIVE, {"partitioning 1": "prioritized_bank -1"}, "line"),
     "unknown timing key": (LIVE, {"trp 7": "trq 7"}, "line"),
     "inconsistent timing": (LIVE, {"trc 27": "trc 5"}, "header"),
     "infinite tck": (LIVE, {"tck_ns 1.87": "tck_ns inf"}, "header"),
@@ -572,6 +577,9 @@ FAULTS = {
     "zero mshr cap": (LIVE, {"per_core_read_cap 10": "per_core_read_cap 0"}, "header"),
     "short prestage line": (STAGED, {"read 1 1 15": "read 1 1"}, "line"),
     "short bank line": (STAGED, {"1 15": "1"}, "line"),
+    "open row out of range": (STAGED, {"1 15": "1 4096"}, "line"),
+    "staged row out of range": (STAGED, {"read 1 1 15": "read 1 1 4096"}, "line"),
+    "negative staged row": (STAGED, {"read 1 1 15": "read 1 1 -3"}, "line"),
     "unknown section": (STAGED, {"[mshr]": "[msrh]"}, "line"),
     "repeated section": (STAGED, {"[banks]": "[mshr]"}, "line"),
     "zero horizon": (STAGED, {"horizon 300": "horizon 0"}, "line"),
