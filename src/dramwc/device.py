@@ -93,12 +93,13 @@ def make_timing(raw: dict | None = None) -> TimingParams:
         merged[key] = value
 
     tck = merged.pop("tck_ns")
-    if not (isinstance(tck, numbers.Real) and tck > 0 and math.isfinite(tck)):
+    if not (isinstance(tck, numbers.Real) and not isinstance(tck, bool)
+            and tck > 0 and math.isfinite(tck)):
         raise TimingError(f"tCK ({tck}) must be positive and finite", ("tck_ns",))
     cycles = {}
     for key, value in merged.items():
-        if not (isinstance(value, numbers.Real) and math.isfinite(value)
-                and value == int(value)):  # not 7.9, "7" or None
+        if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value) and value == int(value)):  # not 7.9, "7", True or None
             raise TimingError(f"{key} ({value!r}) must be a whole number", (key,))
         value, least = int(value), 0 if key == "rd_wr_gap" else 1
         if value < least:

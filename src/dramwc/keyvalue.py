@@ -1,6 +1,6 @@
 """Flat ``key value`` text for the config dataclasses: the field codec, the
-line reader, the range check their ``__post_init__`` methods share, and the
-one error type of bad input.
+line reader, the range check their ``__post_init__`` methods share, the base
+of the enums that a value names, and the one error type of bad input.
 
 A field's text form follows its type: ``int``, ``float`` and ``str`` as
 written, an enum by its value, and ``int | None`` with -1, and only -1,
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import re
 import typing
 from dataclasses import fields
 
@@ -27,6 +28,17 @@ class InputError(ValueError):
 
 class ScenarioError(InputError):
     """Malformed or cap-violating scenario."""
+
+
+class Choice(enum.Enum):
+    """An enum of named choices: ``Kind(value)`` accepts a member or its
+    value, and anything else is a ScenarioError naming the choices."""
+
+    @classmethod
+    def _missing_(cls, value):
+        what = re.sub(r"(?<=.)(?=[A-Z])", " ", cls.__name__).lower()
+        raise ScenarioError(f"unknown {what} {value!r}; choose from "
+                            + ", ".join(member.value for member in cls))
 
 
 def _codec(tp) -> tuple:
@@ -111,8 +123,11 @@ def build(lines: list, table: dict[str, tuple], make, error):
 
 
 def check_min(obj, minimum: int, *names: str, error=ScenarioError) -> None:
-    """Raise ``error`` keyed by the first of the fields below ``minimum``."""
+    """Raise ``error`` keyed by the first of the fields that is not an
+    ``int`` (a ``bool`` is not one) or is below ``minimum``."""
     for name in names:
-        if getattr(obj, name) < minimum:
-            raise error(f"{name} ({getattr(obj, name)}) must be at least {minimum}",
-                        (name,))
+        value = getattr(obj, name)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise error(f"{name} ({value!r}) must be an integer", (name,))
+        if value < minimum:
+            raise error(f"{name} ({value}) must be at least {minimum}", (name,))

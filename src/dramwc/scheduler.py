@@ -7,13 +7,12 @@ commands, then older arrival order. There is no bank priority.
 
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass
 
 from . import device
 from .device import ACT, CAS_KINDS, PRE, RD, WR, CommandKind, DataBurst, TimingParams
-from .keyvalue import ScenarioError, check_min
+from .keyvalue import Choice, ScenarioError, check_min
 
 
 class SchedulerError(RuntimeError):
@@ -24,7 +23,7 @@ class SimulationStalled(SchedulerError):
     """No command issued for a whole stall window despite pending work."""
 
 
-class Mode(enum.Enum):
+class Mode(Choice):
     READ = "read"
     WRITE_DRAIN = "write_drain"
 
@@ -373,26 +372,25 @@ class Controller:
 
         Each workload hook runs only on a visit where its inputs can have
         changed. The workload polls on the wake that its last poll returned,
-        or sooner when the trace's completion and burst counts, the stamps
-        of its parked generators, have moved since. It is notified of a
-        completion, and asked whether the run has ended on cycle 0 and on a
-        completion's cycle.
+        or on the visit after a completion, the one event that frees an MSHR
+        entry for a generator that the MSHR file refused. It is notified of
+        a completion, and asked whether the run has ended on cycle 0 and on
+        a completion's cycle.
         """
         horizon = workload.spec.horizon
         stall_window = self.config.stall_window
         poll, notify, finished = workload.poll, workload.notify, workload.finished
         step, retire, mode_due, idle = self.step, self._retire, self._mode_due, self.idle
         trace = self.trace
-        requests, completions, bursts = trace.requests, trace.completions, trace.bursts
+        requests = trace.requests
         last_progress = 0
-        wake, polled = 0, -1  # the next poll's cycle, and the counts at the last
+        wake = 0  # the next poll's cycle
         quiet_order, quiet_until = -1, 0  # arrival count and end of the quiet span
         next_end = device.NEVER  # the end of the first burst not retired, when quiet
         while self.now < horizon:
             cycle = self.now
-            room = len(completions) + len(bursts)
-            if cycle >= wake or room != polled:
-                polled, wake = room, poll(cycle)
+            if cycle >= wake:
+                wake = poll(cycle)
             issued = completed = None
             if cycle >= quiet_until or len(requests) != quiet_order:
                 issued, completed = step()
@@ -407,6 +405,7 @@ class Controller:
                 self.now = cycle + 1
             if completed is not None:
                 notify(cycle, completed)
+                wake = cycle + 1
             if issued is not None:
                 last_progress = cycle
             elif cycle - last_progress > stall_window and not idle():

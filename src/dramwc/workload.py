@@ -5,14 +5,14 @@ construction (including staged worst-case initial conditions).
 from __future__ import annotations
 
 import contextlib
-import enum
 import functools
 import random
 from dataclasses import dataclass, field
 
 from . import checks
 from .device import DEFAULT_TIMING, NEVER, TIMING_KEYS, TimingError, TimingParams, make_timing
-from .keyvalue import ScenarioError, build, check_min, codecs, read_lines, read_pairs, to_lines
+from .keyvalue import (Choice, ScenarioError, build, check_min, codecs, read_lines, read_pairs,
+                       to_lines)
 from .scheduler import Controller, MemRequest, Mode, SchedulerConfig, SchedulerError
 
 
@@ -98,19 +98,13 @@ class MshrFile:
 # Generators
 # ---------------------------------------------------------------------------
 
-class GeneratorKind(enum.Enum):
-    """A generator's behaviour. ``GeneratorKind(value)`` accepts a member or
-    its value; anything else is a ScenarioError naming the choices."""
+class GeneratorKind(Choice):
+    """A generator's behaviour."""
 
     LATENCY = "latency"
     BANDWIDTH_READ = "bandwidth_read"
     BANDWIDTH_WRITE = "bandwidth_write"
     STREAM = "stream"
-
-    @classmethod
-    def _missing_(cls, value):
-        raise ScenarioError(f"unknown generator kind {value!r}; choose from "
-                            + ", ".join(kind.value for kind in cls))
 
 
 @dataclass
@@ -129,8 +123,8 @@ class GeneratorSpec:
         self.kind = GeneratorKind(self.kind)
         if self.row_policy not in ("sequential", "random"):
             raise ScenarioError(f"unknown row_policy {self.row_policy!r}")
-        if (self.budget or 0) < 0:
-            raise ScenarioError(f"budget ({self.budget}) must be at least 0")
+        if self.budget is not None:
+            check_min(self, 0, "budget")
         if self.kind is GeneratorKind.BANDWIDTH_WRITE and (self.budget or 0) % 2:
             raise ScenarioError(f"a bandwidth_write budget ({self.budget}) must be "
                                 "even: its requests come in read/write-back pairs")
@@ -150,12 +144,9 @@ class _Generator:
         self.emitted = 0
         self.held_row: int | None = None
         # The first cycle at which a poll can change this generator; after
-        # it only freed room can, since a refused submit keeps its held row.
+        # it only freed room can (an MSHR entry at a completion, queue room at
+        # a CAS issue), since a refused submit keeps its held row.
         self.ready_at = spec.start
-        # The room stamp of the last polled emit that had a submit refused,
-        # and whether it counts CAS issues (see Workload.poll).
-        self.parked = -1
-        self.parked_on_queue = False
 
     def _row(self) -> int:
         """Row of the next new request. A random row is drawn once and held
@@ -316,11 +307,14 @@ class ScenarioSpec:
     def __post_init__(self):
         if not isinstance(self.timing, TimingParams):
             self.timing = make_timing(self.timing)
+        self.initial_mode = Mode(self.initial_mode)
         # The label is one token of a ``key value`` line.
         if "#" in self.label or self.label.split() != [self.label]:
             raise ScenarioError(f"label {self.label!r} must be one word "
                                 f"without whitespace or '#'", ("label",))
         check_min(self, 1, "horizon", "num_cores", "num_rows")
+        if self.analyzed_core is not None:
+            check_min(self, 0, "analyzed_core")
         _check_placement(self, core=self.analyzed_core,
                          keys=("analyzed_core", "num_cores"))
 
@@ -366,8 +360,8 @@ class Workload:
     can poll it (out-of-order cores re-issue immediately). A new request
     arrives at ``now``, the cycle being polled or notified.
 
-    A generator whose polled emit had a submit refused is parked until room
-    can have grown (see :meth:`poll`).
+    A generator whose polled emit only the MSHR file refused is parked until
+    a completion frees an entry (see :meth:`poll`).
     """
 
     def __init__(self, spec: ScenarioSpec):
@@ -445,42 +439,29 @@ class Workload:
 
     def poll(self, now: int) -> int:
         """Let every unfinished generator whose ``ready_at`` has come emit,
-        except the parked ones, and return the wake: the first cycle at
-        which a poll can change a generator while the trace's completion
-        and burst counts stand still.
-
-        After an emit with a refused submit, the generator is parked on a
-        stamp: the completion count, plus the CAS-issue (burst) count if a
-        controller queue refused. It is skipped while the stamp holds, since
-        its emit would be refused again and change nothing. This is exact:
-        MSHR room grows only at a release, once per completion; queue room
-        grows only at a CAS issue, one burst each; other cores' submits
-        only take room; and a refused submit changes nothing but the held
-        row, which is kept. A completion on the generator's own core, which
-        reaches its ``on_completion``, moves the stamp too.
+        and return the wake: the first cycle at which a poll can change a
+        generator unless a completion comes first.
 
         The wake is the smallest ``ready_at`` above ``now`` among the
         unfinished generators, or ``now + 1`` if one that is ready emitted
-        with no submit refused; a parked generator wakes only when a count
-        moves. ``Controller.run`` polls again at the wake, or sooner when a
-        count moves: only a poll or a completion changes a generator.
+        with no submit refused or with one refused by a controller queue,
+        whose room grows at any CAS issue. A generator whose emit only the
+        MSHR file refused adds nothing: MSHR room grows only at a release,
+        once per completion, after which ``Controller.run`` polls on the
+        next visit. Polling it sooner is harmless, since a refused submit
+        changes nothing but the held row, which is kept.
         """
         self.now = now
-        trace = self.controller.trace
-        released = len(trace.completions)
-        freed = released + len(trace.bursts)
         wake = NEVER
         for gen in self.generators:
             ready_at = gen.ready_at
             if now >= ready_at:
-                if gen.done() or gen.parked == (freed if gen.parked_on_queue else released):
+                if gen.done():
                     continue
                 self._refused = self._queue_refused = False
                 gen.emit(now)
-                if self._refused:
-                    gen.parked_on_queue = self._queue_refused
-                    gen.parked = freed if self._queue_refused else released
-                    continue
+                if self._refused and not self._queue_refused:
+                    continue  # parked until a completion
                 ready_at = gen.ready_at if gen.ready_at > now else now + 1
             if ready_at < wake and not gen.done():
                 wake = ready_at

@@ -13,7 +13,7 @@ from dramwc.analysis import (
     write_drain_delay,
 )
 from dramwc.device import make_timing
-from dramwc.scheduler import SchedulerConfig
+from dramwc.scheduler import SchedulerConfig, solo_service
 from dramwc.workload import (
     GeneratorKind,
     GeneratorSpec,
@@ -376,6 +376,31 @@ class TestBoundCheck:
 
     def test_no_reads_for_core_raises(self):
         trace, _ = run_scenario(self.SOLO)
+        with pytest.raises(analysis.AnalysisError, match="no reads"):
+            read_delays(trace, 3)
+
+    def test_a_read_pending_at_the_end_is_a_censored_delay(self):
+        # The run stops at its horizon with one of the probe's reads still
+        # pending (at the default timing, its tenth, since cycle 2839): it
+        # counts, after the completed ones, with the latency it had reached
+        # by the end of the run.
+        spec = replace(harness.live_scenario("bandwidth_write", 3, 0), horizon=3000)
+        trace, _ = run_scenario(spec)
+        [pending] = [req for req in trace.requests
+                     if req.core == 0 and not req.is_write and req.completion_cycle is None]
+        completed = [trace.per_request_delay(req.request_id) for req in trace.completions
+                     if req.core == 0 and not req.is_write]
+        censored = (trace.total_cycles - pending.arrival_cycle
+                    - solo_service(trace.timing, False, pending.hit_class))
+        assert read_delays(trace, 0) == completed + [censored]
+
+    def test_a_staged_read_cut_by_the_horizon_is_measured(self):
+        # Cut before its burst ends, the lone read's delay is censored at
+        # the horizon, and a core with no read at all still raises.
+        spec = replace(self.SOLO, horizon=5)
+        trace, _ = run_scenario(spec)
+        assert not trace.completions
+        assert read_delays(trace, 0) == [5 - solo_service(trace.timing, False, "hit")]
         with pytest.raises(analysis.AnalysisError, match="no reads"):
             read_delays(trace, 3)
 

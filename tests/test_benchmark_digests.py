@@ -51,9 +51,9 @@ def test_one_pass_writes_the_reference_outputs(checkout, workload):
 
 
 def test_no_live_call_ends_with_an_analyzed_read_pending(monkeypatch):
-    # read_delays counts only completed reads, so a read still pending when
-    # a run ends would leave the measurement unseen. No live call of the
-    # benchmark's grids has one, so counting pending reads moves no digest.
+    # read_delays counts a read still pending when a run ends as a delay
+    # censored at the end of the run. No live call of the benchmark's grids
+    # has one, so counting pending reads moves no digest.
     spec = importlib.util.spec_from_file_location("perfbench_plans",
                                                   ROOT / "perfbench" / "plans.py")
     plans = importlib.util.module_from_spec(spec)

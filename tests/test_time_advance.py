@@ -5,12 +5,13 @@ per-cycle loop.
 state may have changed; a quiet cycle (no arrival since an idle, mode-stable
 step, and before the first-ready cycle of that step's oracle check) only
 retires the burst that ends on it, if one does. ``run`` polls the workload
-on the wake that its last poll returned or after the completion or burst
-count moved, notifies it of completions only, and asks whether the run has
+on the wake that its last poll returned or on the visit after a
+completion, notifies it of completions only, and asks whether the run has
 ended on cycle 0 and on completion cycles only. ``Workload.poll`` skips a
 generator before its ``ready_at`` (a latency probe's is NEVER while its
-read is in flight) and one parked after a refused submit.
-``run_per_cycle`` below steps every cycle, letting every started,
+read is in flight); one that only the MSHR file refused is parked until a
+completion, and one that a controller queue refused retries on the next
+visit. ``run_per_cycle`` below steps every cycle, letting every started,
 unfinished generator emit, then stepping, notifying and checking for
 stalls and the end of the run each time, and is kept here as the
 reference that every quiet cycle and every skipped generator must agree
@@ -26,7 +27,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dramwc import checks
-from dramwc.device import DDR3_1066, make_timing
+from dramwc.device import CAS_KINDS, DDR3_1066, make_timing
 from dramwc.harness import live_scenario
 from dramwc.scheduler import (
     Controller,
@@ -48,8 +49,8 @@ from dramwc.workload import (
 
 
 def poll_every_generator(workload, cycle):
-    """Reference poll: every started, unfinished generator emits, parked or
-    not."""
+    """Reference poll: every started, unfinished generator emits, refused
+    at its last emit or not."""
     workload.now = cycle
     for gen in workload.generators:
         if cycle >= gen.spec.start and not gen.done():
@@ -201,9 +202,9 @@ NEXT_CYCLE_READY = ScenarioSpec(
     generators=[GeneratorSpec(GeneratorKind.LATENCY, 0, 0, budget=3, gap=1)],
     horizon=100, num_cores=1)
 
-# Generators parked by each kind of refusal: the read queue fills before the
+# One example of each kind of refusal: the read queue fills before the
 # MSHR file does; the write queue refuses the write-backs; the reservations'
-# shared pool runs out before any core reaches its own cap.
+# shared pool runs out before any core reaches its own cap, which parks.
 READ_QUEUE_REFUSES = ScenarioSpec(
     label="read-queue-refuses", open_rows={0: 1, 1: 1},
     generators=[GeneratorSpec(GeneratorKind.BANDWIDTH_READ, core, core, budget=12)
@@ -221,7 +222,7 @@ SHARED_POOL_BINDS = ScenarioSpec(
     horizon=600, num_cores=3)
 # Every gate of the latency probe at once: a late start, a compute gap after
 # each completion, and a two-entry read queue that a saturating reader keeps
-# full, so the probe's reads are refused and parked; a stream starts late.
+# full, so the probe's reads are refused and retried; a stream starts late.
 PROBE_GATES = ScenarioSpec(
     label="probe-gates", open_rows={0: 1, 1: 1, 2: 1},
     generators=[GeneratorSpec(GeneratorKind.LATENCY, 0, 0, budget=20, gap=3, start=7),
@@ -492,28 +493,36 @@ def test_a_generator_refused_by_its_core_cap_waits_for_a_completion(monkeypatch)
     assert len(stamps) < trace.total_cycles // 4
 
 
-def test_a_generator_refused_by_a_full_queue_waits_for_a_cas_issue(monkeypatch):
-    # A two-entry read queue refuses before the MSHR file does. Each CAS
-    # issue frees an entry and wakes the generator, mostly before the
-    # served read completes; a completion wakes it too.
+def test_a_generator_refused_by_a_full_queue_retries_on_the_next_visit(monkeypatch):
+    # A two-entry read queue refuses before the MSHR file does. Queue room
+    # grows at a CAS issue, which the workload does not watch, so a
+    # queue-refused generator emits again on the very next visit, and the
+    # run still matches the loop that polls every generator every cycle.
     spec = ScenarioSpec(
         label="full-queue", open_rows={0: 1},
         generators=[GeneratorSpec(GeneratorKind.BANDWIDTH_READ, 0, 0, budget=10)],
         scheduler=SchedulerConfig(read_cap=2), horizon=600, num_cores=1)
+    assert outcome(lambda: run_scenario(spec)) == outcome(lambda: reference(spec))
     refused = refusals(monkeypatch)
     workload = Workload(spec)
-    stamps = emit_stamps(monkeypatch, workload)
+    gen, emits = workload.generators[0], []
+
+    def recorded(now, emit=gen.emit):
+        before = refused["queue"]
+        emit(now)
+        emits.append((now, refused["queue"] > before))
+    monkeypatch.setattr(gen, "emit", recorded)
     workload.controller.run(workload)
     assert refused["queue"] > 0 and refused["mshr"] == 0
-    pairs = list(zip(stamps, stamps[1:]))
-    assert all(sum(later) > sum(earlier) for earlier, later in pairs)
-    assert any(later[0] == earlier[0] for earlier, later in pairs)
+    retries = [(now, later) for (now, queue_refused), (later, _) in zip(emits, emits[1:])
+               if queue_refused]
+    assert retries and all(later == now + 1 for now, later in retries)
 
 
 def test_probe_gates_are_pinned(monkeypatch):
     # The latency probe's start, its gap after each completion and its
-    # parking on a full queue, pinned by the run's files: 20 probe reads
-    # among 119 completions, with 39 of the probe's submits refused.
+    # retries on a full queue, pinned by the run's files: 20 probe reads
+    # among 119 completions, with 40 of the probe's submits refused.
     refused = []
     enqueue = Controller.enqueue
 
@@ -525,7 +534,7 @@ def test_probe_gates_are_pinned(monkeypatch):
     monkeypatch.setattr(Controller, "enqueue", counted)
     trace, _ = run_scenario(PROBE_GATES)
     assert (trace.total_cycles, len(trace.completions)) == (484, 119)
-    assert refused.count(0) == 39
+    assert refused.count(0) == 40
     digests = [hashlib.sha256(text.encode()).hexdigest()
                for text in (trace.to_csv(), trace.stats_text())]
     assert digests == [
@@ -537,18 +546,26 @@ def test_probe_gates_are_pinned(monkeypatch):
     PROBE_GATES, live_scenario("bandwidth_write", 3, 0, latency_budget=10)],
     ids=["probe-gates", "live-bandwidth_write"])
 def test_each_hook_runs_only_when_its_inputs_can_have_changed(spec):
-    # poll on cycle 0, on a visit after the completion or burst count moved,
-    # or when a generator's ready_at comes; notify on each completion; the
-    # end check on cycle 0 and on completion cycles only.
+    # poll on cycle 0, on the visit after a completion, when a generator's
+    # ready_at comes, or on the visit after a poll in which a controller
+    # queue refused a submit, and never for a CAS issue alone; notify on
+    # each completion; the end check on cycle 0 and on completion cycles only.
     workload = Workload(spec)
     ctrl, trace = workload.controller, workload.controller.trace
     polls, notified, asked = [], [], []
     poll, notify, finished = workload.poll, workload.notify, workload.finished
+    enqueue = ctrl.enqueue
 
     def recorded_poll(now):
-        polls.append((now, len(trace.completions) + len(trace.bursts),
-                      {gen.ready_at for gen in workload.generators}))
+        ready = {gen.ready_at for gen in workload.generators}
+        polls.append([now, ready, False])
         return poll(now)
+
+    def recorded_enqueue(req):
+        accepted = enqueue(req)
+        if not accepted and polls and polls[-1][0] == ctrl.now:
+            polls[-1][2] = True  # refused within this cycle's poll
+        return accepted
 
     def recorded_notify(now, req):
         notified.append((now, req))
@@ -560,12 +577,25 @@ def test_each_hook_runs_only_when_its_inputs_can_have_changed(spec):
 
     with mock.patch.object(workload, "poll", recorded_poll), \
             mock.patch.object(workload, "notify", recorded_notify), \
-            mock.patch.object(workload, "finished", recorded_finished):
+            mock.patch.object(workload, "finished", recorded_finished), \
+            mock.patch.object(ctrl, "enqueue", recorded_enqueue):
         ctrl.run(workload)
     assert notified == [(req.completion_cycle, req) for req in trace.completions]
     completion_cycles = {req.completion_cycle for req in trace.completions}
     assert set(asked) <= {0} | completion_cycles
     assert asked[-1] == trace.total_cycles - 1
     assert polls[0][0] == 0
-    for (_, before, _), (cycle, room, ready) in zip(polls, polls[1:]):
-        assert room != before or cycle in ready, f"cycle {cycle}: polled in vain"
+    after_completion = {cycle + 1 for cycle in completion_cycles}
+    retried = {cycle + 1 for cycle, _, queue_refused in polls if queue_refused}
+    for cycle, ready, _ in polls[1:]:
+        assert cycle in after_completion or cycle in ready or cycle in retried, \
+            f"cycle {cycle}: polled in vain"
+    # Visits after a CAS issue with no completion: none is polled for the
+    # issue alone.
+    cas_only = {rec.cycle + 1 for rec in trace.issues
+                if rec.kind in CAS_KINDS} - after_completion - {0}
+    assert cas_only
+    assert all(cycle in ready or cycle in retried
+               for cycle, ready, _ in polls if cycle in cas_only)
+    if spec is PROBE_GATES:  # the probe's reads meet a full read queue
+        assert retried

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from dramwc import harness, workload
 from dramwc.device import TimingError, make_timing
 from dramwc.keyvalue import InputError
-from dramwc.scheduler import SchedulerConfig, SchedulerError
+from dramwc.analysis import AnalysisInputs
+from dramwc.scheduler import Mode, SchedulerConfig, SchedulerError
 from dramwc.workload import (
     GeneratorKind,
     GeneratorSpec,
@@ -616,6 +618,50 @@ def test_timing_overrides_are_resolved_when_the_spec_is_built():
     assert ScenarioSpec().timing == make_timing()
     with pytest.raises(TimingError, match="tRC"):
         ScenarioSpec(timing={"trc": 5})
+
+
+@pytest.mark.parametrize("value", ["read", Mode.READ, "write_drain"])
+def test_initial_mode_given_by_its_value_is_converted(value):
+    # A mode given by its value runs the member's schedule: no switch is
+    # logged at cycle 0, and the scenario file writes the value back.
+    spec = ScenarioSpec(label="mode-value", open_rows={0: 1},
+                        prestage=[StagedRequest(w, 0, 0, 1) for w in (False, True)],
+                        initial_mode=value, horizon=200, num_cores=1)
+    member = Mode(value)
+    assert spec.initial_mode is member
+    trace, _ = run_scenario(spec)
+    reference, _ = run_scenario(replace(spec, initial_mode=member))
+    assert trace.to_csv() == reference.to_csv()
+    assert trace.mode_switches == reference.mode_switches
+    assert f"\ninitial_mode {member.value}\n" in scenario_to_text(spec)
+
+
+def test_unknown_initial_mode_names_the_choices():
+    with pytest.raises(ScenarioError,
+                       match="unknown mode 'drain'; choose from read, write_drain"):
+        ScenarioSpec(initial_mode="drain")
+
+
+@pytest.mark.parametrize("make, key", [
+    (lambda: SchedulerConfig(read_cap="4"), "read_cap"),
+    (lambda: SchedulerConfig(drain_batch=2.0), "drain_batch"),
+    (lambda: MshrConfig(per_core_read_cap=True), "per_core_read_cap"),
+    (lambda: ScenarioSpec(horizon=1e3), "horizon"),
+    (lambda: ScenarioSpec(analyzed_core="0"), "analyzed_core"),
+    (lambda: ScenarioSpec(analyzed_core=False), "analyzed_core"),
+    (lambda: GeneratorSpec(GeneratorKind.STREAM, 0, 0, budget=True), "budget"),
+    (lambda: GeneratorSpec(GeneratorKind.STREAM, 0, 0, budget=4.0), "budget"),
+    (lambda: GeneratorSpec(GeneratorKind.STREAM, 0, 0, gap="1"), "gap"),
+    (lambda: make_timing({"trp": True}), "trp"),
+    (lambda: make_timing({"tck_ns": True}), "tck_ns"),
+    (lambda: AnalysisInputs(make_timing(), miss_count=1.5), "miss_count"),
+], ids=["str-cap", "float-batch", "bool-cap", "float-horizon", "str-core", "bool-core",
+        "bool-budget", "float-budget", "str-gap", "bool-timing", "bool-tck",
+        "float-miss-count"])
+def test_a_count_that_is_not_an_int_is_a_keyed_input_error(make, key):
+    with pytest.raises(InputError) as exc:
+        make()
+    assert exc.value.keys == (key,)
 
 
 def _apply_fault(text, edits, blame):

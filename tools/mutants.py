@@ -85,6 +85,14 @@ MUTANTS = (
            "self.ready_at = now + self.spec.gap",
            "a dependent read leaves no earlier than the cycle after its data "
            "plus the compute gap"),
+    # The poll schedule of Controller.run and Workload.poll.
+    Mutant("no-wake-after-completion", SCHEDULER,
+           "notify(cycle, completed)\n                wake = cycle + 1",
+           "notify(cycle, completed)",
+           "a completion frees an MSHR entry, so the workload polls on the next visit"),
+    Mutant("queue-refusal-parks", WORKLOAD,
+           "if self._refused and not self._queue_refused:", "if self._refused:",
+           "a generator that a controller queue refused retries on the next visit"),
     # Bank partitioning, in Workload's placement rules.
     Mutant("two-generators-on-one-core", WORKLOAD, "if core in self.gen_by_core:",
            "if False:", "a core has at most one generator"),
