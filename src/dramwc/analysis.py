@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .device import TimingParams
 from .keyvalue import InputError, check_min
-from .scheduler import ScheduleTrace, solo_service
+from .scheduler import ScheduleTrace
 from .workload import ScenarioSpec
 
 
@@ -89,20 +89,10 @@ def bounds(inputs: AnalysisInputs) -> dict[str, int]:
 
 
 def read_delays(trace: ScheduleTrace, analyzed_core: int) -> list[int]:
-    """Delay of every read of the analyzed core: the contended latency minus
-    the request's solo service time against the same own-bank state. The
-    completed reads come first, in completion order, then each read still
-    pending at the end of the run, in arrival order, censored at the run's
-    end: its latency so far, ``total_cycles - arrival_cycle``, stands in
-    for the latency it was still accruing."""
-    delays = [trace.per_request_delay(rec.request_id)
-              for rec in trace.completions
-              if rec.core == analyzed_core and not rec.is_write]
-    delays += [trace.total_cycles - req.arrival_cycle
-               - solo_service(trace.timing, False, req.hit_class)
-               for req in trace.requests
-               if req.core == analyzed_core and not req.is_write
-               and req.completion_cycle is None]
+    """``trace.delay`` of every read of the analyzed core, in arrival order,
+    a read still pending at the end of the run censored there."""
+    delays = [trace.delay(req) for req in trace.requests
+              if req.core == analyzed_core and not req.is_write]
     if not delays:
         raise AnalysisError(f"core {analyzed_core} has no reads in this trace")
     return delays

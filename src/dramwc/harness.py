@@ -191,7 +191,7 @@ def evaluate(trace, spec: ScenarioSpec, slowdown: float | None = None) -> Experi
     """Bound-vs-measurement report for the analyzed core of one trace, with
     the bounds of the scenario's own inputs."""
     delays = analysis.read_delays(trace, _analyzed_core(spec))
-    per_request = analysis.bounds(analysis.AnalysisInputs.for_scenario(spec, trace))
+    per_request = analysis.bounds(analysis.AnalysisInputs.for_scenario(spec))
     worst = max(delays)
     margin = {name: bound / worst if worst > 0 else math.inf
               for name, bound in per_request.items()}

@@ -119,14 +119,25 @@ class ScheduleTrace:
         rows += issue_rows[i:]
         return "\n".join(rows) + "\n"
 
-    def per_request_delay(self, request_id: int) -> int:
-        """Interference delay: contended latency minus the solo service time
-        against the same own-bank state."""
-        req = self.requests[request_id] if 0 <= request_id < len(self.requests) else None
-        if req is None or req.completion_cycle is None:
-            raise KeyError(f"request {request_id} has no completion in trace")
-        return (req.completion_cycle - req.arrival_cycle
-                - solo_service(self.timing, req.is_write, req.hit_class))
+    @functools.cached_property
+    def _solo(self) -> dict[tuple[bool, str], int]:
+        """Each ``(is_write, hit_class)`` pair's solo service time, looked up
+        once per trace: a cached lookup hashes the whole TimingParams. Filled
+        on first use, since ``solo_service``'s own controller builds a trace."""
+        return {(is_write, hit_class): solo_service(self.timing, is_write, hit_class)
+                for is_write in (False, True)
+                for hit_class in ("hit", "closed", "conflict")}
+
+    def delay(self, req: MemRequest) -> int:
+        """A request's interference delay: its latency, ``completion_cycle -
+        arrival_cycle``, minus its solo service time against the same
+        own-bank state. A request still pending at the end of the run is
+        censored there: its latency so far, ``total_cycles - arrival_cycle``,
+        stands in for the latency it was still accruing."""
+        end = req.completion_cycle
+        if end is None:
+            end = self.total_cycles
+        return end - req.arrival_cycle - self._solo[req.is_write, req.hit_class]
 
     def stats_text(self) -> str:
         lines = [
@@ -137,15 +148,8 @@ class ScheduleTrace:
         ]
         cores = sorted({req.core for req in self.requests})
         by_core: dict[int, list[int]] = {c: [] for c in cores}
-        # per_request_delay's formula, with each solo service time looked up
-        # once per call: a cached lookup hashes the whole TimingParams.
-        solo: dict[tuple[bool, str], int] = {}
         for rec in self.completions:
-            key = (rec.is_write, rec.hit_class)
-            base = solo.get(key)
-            if base is None:
-                base = solo[key] = solo_service(self.timing, *key)
-            by_core[rec.core].append(rec.completion_cycle - rec.arrival_cycle - base)
+            by_core[rec.core].append(self.delay(rec))
         for core in cores:
             delays = by_core[core]
             lines.append(f"core{core}_completions {len(delays)}")
@@ -371,11 +375,11 @@ class Controller:
         check in the same state has already certified that.
 
         Each workload hook runs only on a visit where its inputs can have
-        changed. The workload polls on the wake that its last poll returned,
-        or on the visit after a completion, the one event that frees an MSHR
-        entry for a generator that the MSHR file refused. It is notified of
-        a completion, and asked whether the run has ended on cycle 0 and on
-        a completion's cycle.
+        changed. The workload polls on cycle 0 and then on the wake that its
+        last poll or notify returned. It is notified of each completion, the
+        one event that frees an MSHR entry for a generator that the MSHR file
+        refused, and asked whether the run has ended on cycle 0 and on a
+        completion's cycle.
         """
         horizon = workload.spec.horizon
         stall_window = self.config.stall_window
@@ -404,8 +408,7 @@ class Controller:
             else:
                 self.now = cycle + 1
             if completed is not None:
-                notify(cycle, completed)
-                wake = cycle + 1
+                wake = notify(cycle, completed)
             if issued is not None:
                 last_progress = cycle
             elif cycle - last_progress > stall_window and not idle():

@@ -313,6 +313,7 @@ class ScenarioSpec:
             raise ScenarioError(f"label {self.label!r} must be one word "
                                 f"without whitespace or '#'", ("label",))
         check_min(self, 1, "horizon", "num_cores", "num_rows")
+        check_min(self, None, "seed")  # any int: ``--seeds`` takes negative ones
         if self.analyzed_core is not None:
             check_min(self, 0, "analyzed_core")
         _check_placement(self, core=self.analyzed_core,
@@ -336,10 +337,15 @@ def _check_placement(spec: ScenarioSpec, core: int | None = None, bank: int | No
                      row: int | None = None, keys: tuple[str, ...] = ()) -> None:
     """A core, a bank and a row named by a scenario must exist in it. The
     error names the ones given, and is keyed by ``keys``. ``Workload`` checks
-    it for each item it places, before its partitioning rules, and each row."""
+    it for each item it places, before its partitioning rules, and each row.
+    An index that is not an ``int`` (a ``bool`` is not one) is an error keyed
+    by its name."""
     named = [(what, index, count) for what, index, count in (
         ("core", core, spec.num_cores), ("bank", bank, spec.scheduler.num_banks),
         ("row", row, spec.num_rows)) if index is not None]
+    for what, index, _ in named:
+        if not isinstance(index, int) or isinstance(index, bool):
+            raise ScenarioError(f"{what} ({index!r}) must be an integer", (what,))
     if any(not 0 <= index < count for _, index, count in named):
         raise ScenarioError(", ".join(f"{what} {index}" for what, index, _ in named)
                             + " is outside the scenario's "
@@ -366,7 +372,8 @@ class Workload:
 
     def __init__(self, spec: ScenarioSpec):
         self.spec = spec
-        for row in spec.open_rows.values():
+        for bank, row in spec.open_rows.items():
+            _check_placement(spec, bank=bank)
             _check_placement(spec, row=row)
         self.mshr = MshrFile(spec.mshr, num_cores=spec.num_cores)
         self.controller = Controller(spec.timing, spec.scheduler, open_rows=spec.open_rows,
@@ -420,8 +427,9 @@ class Workload:
         """Place a pre-staged request and submit it at cycle 0, through the run's
         own admission; one that these refuse is a ScenarioError."""
         self._claim(staged.core, staged.bank)
-        if not 0 <= staged.row < self.spec.num_rows:  # tested in line: called per request
-            _check_placement(self.spec, row=staged.row)
+        row = staged.row  # tested in line: called per request
+        if type(row) is not int or not 0 <= row < self.spec.num_rows:
+            _check_placement(self.spec, row=row)
         if not self._submit(staged.core, staged.bank, staged.row, staged.is_write):
             raise ScenarioError(f"pre-staged request for core {staged.core} exceeds "
                                 f"queue or MSHR capacity")
@@ -447,9 +455,9 @@ class Workload:
         with no submit refused or with one refused by a controller queue,
         whose room grows at any CAS issue. A generator whose emit only the
         MSHR file refused adds nothing: MSHR room grows only at a release,
-        once per completion, after which ``Controller.run`` polls on the
-        next visit. Polling it sooner is harmless, since a refused submit
-        changes nothing but the held row, which is kept.
+        once per completion, whose :meth:`notify` wakes the next visit.
+        Polling it sooner is harmless, since a refused submit changes
+        nothing but the held row, which is kept.
         """
         self.now = now
         wake = NEVER
@@ -467,17 +475,19 @@ class Workload:
                 wake = ready_at
         return wake
 
-    def notify(self, now: int, req: MemRequest | None) -> None:
+    def notify(self, now: int, req: MemRequest) -> int:
+        """Hand back the request that completed at ``now``: free its MSHR
+        entry and tell its generator, if it has one. Return the wake: the next
+        cycle, since the freed entry may admit an emit that the MSHR file
+        refused, or NEVER for a workload without generators."""
         self.now = now
-        if req is None:
-            return
         self.mshr.release(req.core, req.is_write)
         # Every id past the staged ones is a generator's, on its own core.
-        if req.request_id < len(self.spec.prestage):
-            return
-        if req.core == self.spec.analyzed_core and self.analyzed_left:
-            self.analyzed_left -= 1
-        self.gen_by_core[req.core].on_completion(now, req.is_write)
+        if req.request_id >= len(self.spec.prestage):
+            if req.core == self.spec.analyzed_core and self.analyzed_left:
+                self.analyzed_left -= 1
+            self.gen_by_core[req.core].on_completion(now, req.is_write)
+        return now + 1 if self.generators else NEVER
 
     def exhausted(self) -> bool:
         return all(g.done() for g in self.generators) and self.mshr.idle()

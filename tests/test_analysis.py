@@ -25,6 +25,7 @@ from dramwc.workload import (
     build_adversarial,
     run_scenario,
 )
+from test_scheduler import solo_delay
 
 
 TIMING = make_timing()
@@ -388,7 +389,7 @@ class TestBoundCheck:
         trace, _ = run_scenario(spec)
         [pending] = [req for req in trace.requests
                      if req.core == 0 and not req.is_write and req.completion_cycle is None]
-        completed = [trace.per_request_delay(req.request_id) for req in trace.completions
+        completed = [solo_delay(trace, req) for req in trace.completions
                      if req.core == 0 and not req.is_write]
         censored = (trace.total_cycles - pending.arrival_cycle
                     - solo_service(trace.timing, False, pending.hit_class))
@@ -403,6 +404,17 @@ class TestBoundCheck:
         assert read_delays(trace, 0) == [5 - solo_service(trace.timing, False, "hit")]
         with pytest.raises(analysis.AnalysisError, match="no reads"):
             read_delays(trace, 3)
+
+    def test_delays_are_in_arrival_order(self):
+        # The analyzed core's row-hit read, staged second, completes first:
+        # FR-FCFS serves its CAS ahead of the older row-conflict read's PRE.
+        spec = ScenarioSpec(open_rows={0: 1},
+                            prestage=[StagedRequest(False, 0, 0, 2),
+                                      StagedRequest(False, 0, 0, 1)],
+                            horizon=300, analyzed_core=0, num_cores=1)
+        trace, _ = run_scenario(spec)
+        assert [req.request_id for req in trace.completions] == [1, 0]
+        assert read_delays(trace, 0) == [solo_delay(trace, req) for req in trace.requests]
 
     def test_violations_detected_against_tiny_bound(self):
         # A read queue of 4 admits the 3 prior reads, so the no-write-queue

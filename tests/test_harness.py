@@ -30,6 +30,7 @@ from dramwc.workload import (
     scenario_to_text,
 )
 from dramwc.scheduler import SchedulerConfig
+from test_scheduler import solo_delay
 
 # The fig4 scenario file as written while bank priority and partitioning
 # were options of the scheduler.
@@ -114,7 +115,7 @@ class TestPresets:
 
     def test_fig2_youngest_read_slips_by_three_bursts(self):
         trace, _ = run_scenario(preset("fig2"))
-        assert trace.per_request_delay(3) == 12
+        assert solo_delay(trace, trace.requests[3]) == 12
 
     def test_fig5_analyzed_delay_decomposes(self):
         # delay = residue until reads may flow again + two prior bursts
@@ -124,7 +125,7 @@ class TestPresets:
         first_read = min(r.cycle for r in trace.issues
                          if r.kind is CommandKind.RD)
         assert first_read == 55
-        assert trace.per_request_delay(4) == first_read + 2 * 4 == 63
+        assert solo_delay(trace, trace.requests[4]) == first_read + 2 * 4 == 63
 
     def test_pure_read_staging_meets_read_queue_bound_exactly(self):
         from dramwc.analysis import AnalysisInputs, read_queue_delay
@@ -132,10 +133,10 @@ class TestPresets:
 
         spec = build_adversarial(interferer_kind="bandwidth_read", seed=0)
         trace, _ = run_scenario(spec)
-        analyzed = next(info.request_id for info in trace.requests
+        analyzed = next(info for info in trace.requests
                         if info.core == spec.analyzed_core)
         bound = read_queue_delay(AnalysisInputs(timing=make_timing()))
-        assert trace.per_request_delay(analyzed) == bound == 120
+        assert solo_delay(trace, analyzed) == bound == 120
 
 
 class TestSimulateFiles:

@@ -285,6 +285,13 @@ class TestStepAndRun:
         assert last_wr < first_rd
 
 
+def solo_delay(trace, req):
+    """The interference delay of a completed request, computed apart from
+    ``ScheduleTrace.delay``."""
+    return (req.completion_cycle - req.arrival_cycle
+            - solo_service(trace.timing, req.is_write, req.hit_class))
+
+
 class TestDelays:
     def test_solo_row_hit_read_has_zero_delay(self):
         spec = ScenarioSpec(
@@ -294,21 +301,31 @@ class TestDelays:
             num_cores=1,
         )
         trace, _ = run_scenario(spec)
-        assert trace.per_request_delay(0) == 0
+        [req] = trace.requests
+        assert solo_delay(trace, req) == trace.delay(req) == 0
 
-    def test_unknown_request_raises(self):
-        spec = ScenarioSpec(open_rows={0: 1},
-                            prestage=[StagedRequest(False, 0, 0, 1)],
+    @pytest.mark.parametrize("is_write", [False, True], ids=["read", "write"])
+    @pytest.mark.parametrize("hit_class", ["hit", "closed", "conflict"])
+    def test_a_lone_request_has_zero_delay(self, is_write, hit_class):
+        open_rows = {"hit": {0: 1}, "closed": {}, "conflict": {0: 2}}[hit_class]
+        spec = ScenarioSpec(open_rows=open_rows,
+                            prestage=[StagedRequest(is_write, 0, 0, 1)],
                             horizon=200, num_cores=1)
         trace, _ = run_scenario(spec)
-        with pytest.raises(KeyError):
-            trace.per_request_delay(99)
+        [req] = trace.requests
+        assert (req.is_write, req.hit_class) == (is_write, hit_class)
+        assert trace.delay(req) == 0
 
-    def test_uncompleted_request_raises(self):
-        ctrl = Controller(TIMING, open_rows={0: 1})
-        ctrl.enqueue(read())
-        with pytest.raises(KeyError, match="no completion"):
-            ctrl.trace.per_request_delay(0)
+    def test_a_pending_request_is_censored_at_the_end_of_the_run(self):
+        # Cut at cycle 8, before its burst ends at 11, the lone row-hit read
+        # has the latency it reached by then, 8 cycles, less its solo 11.
+        spec = ScenarioSpec(open_rows={0: 1},
+                            prestage=[StagedRequest(False, 0, 0, 1)],
+                            horizon=8, num_cores=1)
+        trace, _ = run_scenario(spec)
+        [req] = trace.requests
+        assert req.completion_cycle is None and trace.total_cycles == 8
+        assert trace.delay(req) == 8 - solo_service(TIMING, False, "hit") == -3
 
     def test_solo_service_reference_latencies(self):
         # hit: cl + tburst; closed: + trcd; conflict: + trp + trcd
@@ -345,6 +362,21 @@ class TestTraceOutput:
         for key in ("total_cycles", "mode_switches", "core0_completions",
                     "core0_max_delay", "core0_mean_delay"):
             assert key in stats
+
+    def test_stats_delays_are_the_traces_delays(self):
+        # stats.txt's per-core max and mean are those of trace.delay over
+        # the core's completions, reads and writes alike.
+        trace, _ = run_scenario(harness.live_scenario("stream", 3, 1, latency_budget=10))
+        stats = dict(line.split() for line in trace.stats_text().splitlines())
+        cores = sorted({req.core for req in trace.completions})
+        assert len(cores) == 4
+        for core in cores:
+            completed = [req for req in trace.completions if req.core == core]
+            delays = [trace.delay(req) for req in completed]
+            assert delays == [solo_delay(trace, req) for req in completed]
+            assert stats[f"core{core}_completions"] == str(len(delays))
+            assert stats[f"core{core}_max_delay"] == str(max(delays))
+            assert stats[f"core{core}_mean_delay"] == f"{sum(delays) / len(delays):.3f}"
 
 
 def csv_reference(trace):

@@ -5,9 +5,10 @@ per-cycle loop.
 state may have changed; a quiet cycle (no arrival since an idle, mode-stable
 step, and before the first-ready cycle of that step's oracle check) only
 retires the burst that ends on it, if one does. ``run`` polls the workload
-on the wake that its last poll returned or on the visit after a
-completion, notifies it of completions only, and asks whether the run has
-ended on cycle 0 and on completion cycles only. ``Workload.poll`` skips a
+on cycle 0 and then on the wake that its last poll or notify returned
+(notify's is the visit after the completion, or never for a workload with
+no generator), notifies it of completions only, and asks whether the run
+has ended on cycle 0 and on completion cycles only. ``Workload.poll`` skips a
 generator before its ``ready_at`` (a latency probe's is NEVER while its
 read is in flight); one that only the MSHR file refused is parked until a
 completion, and one that a controller queue refused retries on the next
@@ -64,7 +65,8 @@ def run_per_cycle(ctrl, workload, horizon):
         cycle = ctrl.now
         poll_every_generator(workload, cycle)
         issued, completed = ctrl.step()
-        workload.notify(cycle, completed)
+        if completed is not None:
+            workload.notify(cycle, completed)
         if issued is not None:
             last_progress = cycle
         elif not ctrl.idle() and cycle - last_progress > ctrl.config.stall_window:
@@ -543,13 +545,15 @@ def test_probe_gates_are_pinned(monkeypatch):
 
 
 @pytest.mark.parametrize("spec", [
-    PROBE_GATES, live_scenario("bandwidth_write", 3, 0, latency_budget=10)],
-    ids=["probe-gates", "live-bandwidth_write"])
+    PROBE_GATES, live_scenario("bandwidth_write", 3, 0, latency_budget=10),
+    build_adversarial(GeneratorKind.BANDWIDTH_WRITE)],
+    ids=["probe-gates", "live-bandwidth_write", "staged"])
 def test_each_hook_runs_only_when_its_inputs_can_have_changed(spec):
     # poll on cycle 0, on the visit after a completion, when a generator's
     # ready_at comes, or on the visit after a poll in which a controller
-    # queue refused a submit, and never for a CAS issue alone; notify on
-    # each completion; the end check on cycle 0 and on completion cycles only.
+    # queue refused a submit, and never for a CAS issue alone; a workload
+    # with no generator only on cycle 0. notify on each completion; the end
+    # check on cycle 0 and on completion cycles only.
     workload = Workload(spec)
     ctrl, trace = workload.controller, workload.controller.trace
     polls, notified, asked = [], [], []
@@ -569,7 +573,7 @@ def test_each_hook_runs_only_when_its_inputs_can_have_changed(spec):
 
     def recorded_notify(now, req):
         notified.append((now, req))
-        notify(now, req)
+        return notify(now, req)
 
     def recorded_finished():
         asked.append(ctrl.now - 1)  # the visit has advanced the clock
@@ -599,3 +603,5 @@ def test_each_hook_runs_only_when_its_inputs_can_have_changed(spec):
                for cycle, ready, _ in polls if cycle in cas_only)
     if spec is PROBE_GATES:  # the probe's reads meet a full read queue
         assert retried
+    if not spec.generators:
+        assert trace.completions and [cycle for cycle, _, _ in polls] == [0]

@@ -664,6 +664,31 @@ def test_a_count_that_is_not_an_int_is_a_keyed_input_error(make, key):
     assert exc.value.keys == (key,)
 
 
+# Each spec is built inside pytest.raises: ScenarioSpec checks its seed, and
+# Workload each placed core, bank and row.
+@pytest.mark.parametrize("make, key", [
+    (lambda: ScenarioSpec(generators=[GeneratorSpec("latency", "0", 0)]), "core"),
+    (lambda: ScenarioSpec(generators=[GeneratorSpec("latency", 0, 0.0)]), "bank"),
+    (lambda: ScenarioSpec(prestage=[StagedRequest(False, 0, 0, "1")]), "row"),
+    (lambda: ScenarioSpec(prestage=[StagedRequest(False, 0, "0", 1)]), "bank"),
+    (lambda: ScenarioSpec(prestage=[StagedRequest(False, True, 0, 1)]), "core"),
+    (lambda: ScenarioSpec(open_rows={"0": 1}), "bank"),
+    (lambda: ScenarioSpec(open_rows={0: True}), "row"),
+    (lambda: ScenarioSpec(seed=1.5, generators=[GeneratorSpec("latency", 0, 0)]), "seed"),
+    (lambda: ScenarioSpec(seed=False), "seed"),
+], ids=["str-generator-core", "float-generator-bank", "str-staged-row", "str-staged-bank",
+        "bool-staged-core", "str-open-bank", "bool-open-row", "float-seed", "bool-seed"])
+def test_a_placement_that_is_not_an_int_is_a_keyed_scenario_error(make, key):
+    with pytest.raises(ScenarioError, match=f"{key} .* must be an integer") as exc:
+        Workload(make())
+    assert exc.value.keys == (key,)
+
+
+def test_a_negative_seed_is_valid():  # ``--seeds`` takes one
+    workload = Workload(ScenarioSpec(seed=-1, generators=[GeneratorSpec("latency", 0, 0)]))
+    assert workload.spec.seed == -1
+
+
 def _apply_fault(text, edits, blame):
     lines = text.splitlines()
     first = None

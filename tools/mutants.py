@@ -86,9 +86,8 @@ MUTANTS = (
            "a dependent read leaves no earlier than the cycle after its data "
            "plus the compute gap"),
     # The poll schedule of Controller.run and Workload.poll.
-    Mutant("no-wake-after-completion", SCHEDULER,
-           "notify(cycle, completed)\n                wake = cycle + 1",
-           "notify(cycle, completed)",
+    Mutant("no-wake-after-completion", WORKLOAD,
+           "return now + 1 if self.generators else NEVER", "return NEVER",
            "a completion frees an MSHR entry, so the workload polls on the next visit"),
     Mutant("queue-refusal-parks", WORKLOAD,
            "if self._refused and not self._queue_refused:", "if self._refused:",
@@ -111,6 +110,13 @@ MUTANTS = (
            "return min(self.scheduler.read_cap - 1,",
            "return min(self.scheduler.read_cap,",
            "at most read_cap - 1 reads sit ahead of the analyzed read"),
+    # The measured delay, in ScheduleTrace.delay.
+    Mutant("censored-a-cycle-early", SCHEDULER, "end = self.total_cycles",
+           "end = self.total_cycles - 1",
+           "a request pending at the end of the run is censored at total_cycles"),
+    Mutant("write-solo-as-read", SCHEDULER, "self._solo[req.is_write, req.hit_class]",
+           "self._solo[False, req.hit_class]",
+           "a write's delay subtracts a lone write's service time"),
     # File output.
     Mutant("write-without-resume", HARNESS,
            "while data:\n                data = data[os.write(fd, data):]",
