@@ -25,19 +25,19 @@ class AnalysisError(InputError):
 
 @dataclass
 class AnalysisInputs:
+    """The inputs of the bounds. :meth:`for_scenario` is where they come
+    from: a scenario's controller, MSHR file and cores, and its run."""
+
     timing: TimingParams
-    max_prior_reads: int = 30   # read-queue entries that can sit ahead
-    drain_batch: int = 4        # writes serviced per drain batch
-    num_cores: int = 4
-    miss_count: int = 0         # reads issued by the analyzed task
-    solo_cycles: int | None = None  # solo execution time, for response estimates
+    max_prior_reads: int  # read-queue entries that can sit ahead
+    drain_batch: int      # writes serviced per drain batch
+    num_cores: int
+    miss_count: int       # reads completed by the analyzed task
 
     def __post_init__(self):
         check_min(self, 0, "max_prior_reads", "drain_batch", "miss_count",
                   error=AnalysisError)
         check_min(self, 1, "num_cores", error=AnalysisError)
-        if self.solo_cycles is not None:
-            check_min(self, 1, "solo_cycles", error=AnalysisError)
 
     @classmethod
     def for_scenario(cls, spec: ScenarioSpec,
@@ -46,7 +46,10 @@ class AnalysisInputs:
         ``miss_count`` the analyzed core's completed reads in ``trace``.
 
         The bounds model the scenario's own controller: FR-FCFS with reads
-        ahead of writes and no bank priority, on private banks.
+        ahead of writes and no bank priority, on private banks. The write
+        term does not read the scenario's sources: one with no generators
+        and no staged requests still pays a full drain batch, since its
+        unknown interferers may all be writers.
         """
         miss_count = 0 if trace is None else sum(
             r.core == spec.analyzed_core and not r.is_write for r in trace.completions)
@@ -109,19 +112,3 @@ def bound_rows(inputs: AnalysisInputs) -> list[tuple[str, int, float]]:
                  for name, cycles in per_request.items()]
     return [(name, cycles, inputs.timing.ns(cycles)) for name, cycles in rows]
 
-
-def format_bound_table(inputs: AnalysisInputs) -> str:
-    """Aligned text table of per-request and task-level bounds."""
-    lines = [f"{'bound':<22}{'per-request':>12}{'ns':>12}{'total':>12}{'normalized':>12}"]
-    for name, per_request in bounds(inputs).items():
-        total = inputs.miss_count * per_request
-        if inputs.solo_cycles:
-            slowdown = f"{(inputs.solo_cycles + total) / inputs.solo_cycles:.2f}"
-        else:
-            slowdown = "-"
-        label = "one_request_baseline" if name == "baseline" else name
-        lines.append(
-            f"{label:<22}{per_request:>12}{inputs.timing.ns(per_request):>12.2f}"
-            f"{total:>12}{slowdown:>12}"
-        )
-    return "\n".join(lines) + "\n"

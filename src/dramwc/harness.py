@@ -12,8 +12,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import analysis
-from .device import TIMING_KEYS, TimingParams, make_timing
-from .keyvalue import InputError, build, codecs, read_lines
+from .keyvalue import InputError
 from .scheduler import Mode
 from .workload import (
     GeneratorKind,
@@ -263,8 +262,8 @@ def _emit(out: str, trace, spec: ScenarioSpec) -> None:
                  "scenario.txt": scenario_to_text(spec)})
 
 
-def _write_report(out: str, inputs: analysis.AnalysisInputs,
-                  report: ExperimentReport | None = None) -> None:
+def _report_csv(inputs: analysis.AnalysisInputs,
+                report: ExperimentReport | None = None) -> str:
     """report.csv: the bounds, then the measurements when there are any."""
     rows = ["quantity,cycles,ns"]
     for name, cycles, ns in analysis.bound_rows(inputs):
@@ -277,7 +276,7 @@ def _write_report(out: str, inputs: analysis.AnalysisInputs,
             rows.append(f"{name}_ratio,{report.text(name)},")
         for name in ("violations_full", "violations_nowq", "violations_baseline"):
             rows.append(f"{name},{report.text(name)},")
-    _write(out, {"report.csv": "\n".join(rows) + "\n"})
+    return "\n".join(rows) + "\n"
 
 
 def simulate(spec: ScenarioSpec, out_dir) -> "tuple":
@@ -297,7 +296,8 @@ def compare(spec: ScenarioSpec, out_dir=None) -> ExperimentReport:
     report = evaluate(trace, spec)
     if out is not None:
         _emit(out, trace, spec)
-        _write_report(out, analysis.AnalysisInputs.for_scenario(spec, trace), report)
+        inputs = analysis.AnalysisInputs.for_scenario(spec, trace)
+        _write(out, {"report.csv": _report_csv(inputs, report)})
     return report
 
 
@@ -360,26 +360,12 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _read(path) -> str:
-    """Text of a ``--scenario`` or ``--config`` file; one that cannot be
-    read is a ScenarioError naming it."""
+    """Text of a ``--scenario`` file; one that cannot be read is a
+    ScenarioError naming it."""
     try:
         return Path(path).read_text()
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc.strerror}") from None
-
-
-def _analysis_inputs(**values) -> analysis.AnalysisInputs:
-    timing = make_timing({k: values.pop(k) for k in TIMING_KEYS if k in values})
-    return analysis.AnalysisInputs(timing, **values)
-
-
-def load_analysis(path) -> analysis.AnalysisInputs:
-    """Read an ``analyze --config`` file: optional ``key value`` lines whose
-    keys are the timing keys plus every AnalysisInputs field but ``timing``.
-    A range error names its line as :func:`keyvalue.build` does."""
-    names = tuple(f.name for f in fields(analysis.AnalysisInputs) if f.name != "timing")
-    table = {**codecs(TimingParams, TIMING_KEYS), **codecs(analysis.AnalysisInputs, names)}
-    return build(list(read_lines(_read(path))), table, _analysis_inputs, ScenarioError)
 
 
 def _apply_overrides(spec: ScenarioSpec, args) -> ScenarioSpec:
@@ -387,6 +373,27 @@ def _apply_overrides(spec: ScenarioSpec, args) -> ScenarioSpec:
         spec = replace(spec, mshr=replace(
             spec.mshr, reserve_per_core=args.mshr_reserve))
     return spec
+
+
+def _source(args) -> ScenarioSpec:
+    """The scenario of ``analyze`` and ``compare``: the one ``--preset`` or
+    ``--scenario`` names, else the staged worst case of ``--kind`` and
+    ``--seed``, which ``analyze`` does not take (c2's canonical case by
+    default), with the overrides applied."""
+    kind, seed = getattr(args, "kind", None), getattr(args, "seed", None)
+    for flag, value in (("--kind", kind), ("--seed", seed)):
+        if value is not None and (args.preset or args.scenario):
+            raise ScenarioError(f"{flag} applies only to the staged worst case, "
+                                f"not to --preset or --scenario")
+    if args.preset:
+        spec = preset(args.preset)
+    elif args.scenario:
+        spec = scenario_from_text(_read(args.scenario))
+    else:  # staged through an MSHR file of the reservation it runs with
+        spec = build_adversarial(interferer_kind=kind or "bandwidth_write",
+                                 seed=seed or 0,
+                                 mshr=_apply_overrides(ScenarioSpec(), args).mshr)
+    return _apply_overrides(spec, args)
 
 
 def main(argv=None) -> int:
@@ -402,14 +409,14 @@ def main(argv=None) -> int:
     p_sim = sub.add_parser("simulate", help="run a scenario file")
     p_sim.add_argument("--scenario", required=True)
 
-    p_an = sub.add_parser("analyze", help="compute bounds from a config file")
-    p_an.add_argument("--config", required=True)
+    p_an = sub.add_parser("analyze", help="bounds of a scenario, without a run")
     p_an.add_argument("--out")
 
     p_cmp = sub.add_parser("compare", help="bounds vs. one simulated scenario")
-    src = p_cmp.add_mutually_exclusive_group()
-    src.add_argument("--preset", choices=sorted(_PRESETS))
-    src.add_argument("--scenario")
+    for p in (p_an, p_cmp):
+        src = p.add_mutually_exclusive_group()
+        src.add_argument("--preset", choices=sorted(_PRESETS))
+        src.add_argument("--scenario")
     p_cmp.add_argument("--kind", choices=[k.value for k in GeneratorKind],
                        help="staged interferer kind (default bandwidth_write)")
     p_cmp.add_argument("--seed", type=int, help="staged seed (default 0)")
@@ -451,28 +458,17 @@ def _run_command(args) -> int:
         return 0
 
     if args.command == "analyze":
-        inputs = load_analysis(args.config)
+        spec = _source(args)
+        _analyzed_core(spec)  # fail before --out is made
+        csv = _report_csv(analysis.AnalysisInputs.for_scenario(spec))
         out = None if args.out is None else _make_dir(args.out)
-        print(analysis.format_bound_table(inputs), end="")
+        print(csv, end="")
         if out is not None:
-            _write_report(out, inputs)
+            _write(out, {"report.csv": csv})
         return 0
 
     if args.command == "compare":
-        for flag, value in (("--kind", args.kind), ("--seed", args.seed)):
-            if value is not None and (args.preset or args.scenario):
-                raise ScenarioError(f"{flag} applies only to the staged worst case, "
-                                    f"not to --preset or --scenario")
-        if args.preset:
-            spec = preset(args.preset)
-        elif args.scenario:
-            spec = scenario_from_text(_read(args.scenario))
-        else:  # staged through an MSHR file of the reservation it runs with
-            spec = build_adversarial(interferer_kind=args.kind or "bandwidth_write",
-                                     seed=args.seed or 0,
-                                     mshr=_apply_overrides(ScenarioSpec(), args).mshr)
-        spec = _apply_overrides(spec, args)
-        report = compare(spec, args.out)
+        report = compare(_source(args), args.out)
         print(f"{report.scenario}: measured max {report.measured_max}, "
               f"bound(full) {report.bound_full}, "
               f"bound(nowq) {report.bound_nowq}, "

@@ -1,7 +1,8 @@
 """The statistics of ``tools/ab.py`` on fixed inputs: quartiles, wins out
-of the pairs and the verdict rule."""
+of the pairs and the verdict rule; and its report of a run that fails."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -97,3 +98,47 @@ def test_a_gain_needs_no_larger_share_of_failed_operations(change_failed, expect
     summary = ab.summarize(runs, [{"name": "wall_s", "unit": "s", "better": "lower",
                                    "bound": 0.25}])
     assert summary["metrics"]["wall_s"]["verdict"] == expected
+
+
+def _stub_tree(tree: Path, body: str) -> Path:
+    """A tree whose ``perfbench/run.py`` is ``body``."""
+    (tree / "perfbench").mkdir(parents=True)
+    (tree / "perfbench" / "run.py").write_text(body)
+    return tree
+
+
+EXITS_2 = ("import sys\n"
+           "for i in range(25):\n"
+           "    print(f'stderr line {i}', file=sys.stderr)\n"
+           "print('record {}')\n"
+           "sys.exit(2)\n")
+SILENT = "import sys\nprint('no record here', file=sys.stderr)\n"
+NOT_JSON = "print('record {\"loadavg_start\": [0, 0, 0]}')\nprint('done')\n"
+
+
+@pytest.mark.parametrize("body, reason, tail", [
+    (EXITS_2, "exit status 2", [f"stderr line {i}" for i in range(5, 25)]),
+    (SILENT, "no record line", ["no record here"]),
+    (NOT_JSON, "Expecting value", []),
+], ids=["exits-2", "prints-nothing", "ends-without-json"])
+def test_a_failed_run_names_its_side_workload_and_seed(tmp_path, body, reason, tail):
+    tree = _stub_tree(tmp_path, body)
+    with pytest.raises(ab.RunFailed) as exc:
+        ab.run_bench("base", tree, "live_read", 13, 0)
+    first, *rest = str(exc.value).splitlines()
+    assert first.startswith("base run of live_read at seed 13 failed: ")
+    assert reason in first
+    assert rest == tail  # the last 20 lines of its stderr
+
+
+def test_a_failed_run_exits_1_before_writing_the_record(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(ab, "git", lambda *args: "")
+    monkeypatch.setattr(ab, "extract_base", lambda rev, dest: _stub_tree(dest, SILENT))
+    monkeypatch.setattr(ab, "copy_worktree", lambda dest: _stub_tree(dest, SILENT))
+    out = tmp_path / "ab.json"
+    assert ab.main(["--base", "HEAD", "--out", str(out)]) == 1
+    first = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"][0]["name"]
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"base run of {first} at seed 11 failed: no record line",
+                   "no record here"]
+    assert not out.exists()

@@ -86,7 +86,9 @@ def test_c1_figure_replays():
 
 def test_c2_analytic_values():
     with criterion(2, "bound values match the platform constants exactly"):
-        inputs = AnalysisInputs(timing=TIMING)
+        # The inputs of c2's staged canonical case, as `dramwc analyze` prints.
+        inputs = AnalysisInputs.for_scenario(build_adversarial())
+        assert inputs.timing == TIMING
         full = bounds(inputs)["full"]
         assert read_queue_delay(inputs) == 120
         assert write_drain_delay(inputs) == 112
@@ -119,9 +121,9 @@ def test_c4_baseline_underestimates():
         spec = build_adversarial(
             interferer_kind=GeneratorKind.BANDWIDTH_WRITE, seed=0)
         trace = replay(spec)
-        baseline = bounds(AnalysisInputs(timing=TIMING))["baseline"]
+        baseline = bounds(AnalysisInputs.for_scenario(spec))["baseline"]
         report = harness.evaluate(trace, spec)
-        assert report.bound_baseline == baseline
+        assert report.bound_baseline == baseline == 57
         assert report.measured_max > baseline
         assert report.violations_baseline >= 1
         ratio = report.measured_max / baseline
@@ -134,9 +136,9 @@ def test_c5_full_bound_is_tight():
         spec = build_adversarial(
             interferer_kind=GeneratorKind.BANDWIDTH_WRITE, seed=0)
         trace = replay(spec)
-        full = bounds(AnalysisInputs(timing=TIMING))["full"]
+        full = bounds(AnalysisInputs.for_scenario(spec))["full"]
         report = harness.evaluate(trace, spec)
-        assert report.bound_full == full
+        assert report.bound_full == full == 232
         assert full >= report.measured_max
         assert report.violations_full == 0
         ratio = full / report.measured_max

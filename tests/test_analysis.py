@@ -29,11 +29,13 @@ from test_scheduler import solo_delay
 
 
 TIMING = make_timing()
+# The inputs of the default platform: an analyzed core 0 at the default
+# timing, controller and MSHR file, with no sources.
+PLATFORM = AnalysisInputs.for_scenario(ScenarioSpec(analyzed_core=0))
 
 
 def inputs(**kwargs):
-    kwargs.setdefault("timing", TIMING)
-    return AnalysisInputs(**kwargs)
+    return replace(PLATFORM, **kwargs)
 
 
 class TestReadQueueDelay:
@@ -77,11 +79,27 @@ class TestPerRequestBound:
             inputs(max_prior_reads=-1)
         with pytest.raises(analysis.AnalysisError):
             inputs(num_cores=0)
-        # None (written -1) means no solo time; any other value is a count
-        for solo_cycles in (-5, 0):
-            with pytest.raises(analysis.AnalysisError,
-                               match=rf"solo_cycles \({solo_cycles}\) must be at least 1"):
-                inputs(solo_cycles=solo_cycles)
+        with pytest.raises(analysis.AnalysisError,
+                           match=r"miss_count \(-1\) must be at least 0"):
+            inputs(miss_count=-1)
+
+    def test_every_input_is_given(self):
+        with pytest.raises(TypeError):
+            AnalysisInputs(TIMING)
+        assert (PLATFORM.timing, PLATFORM.max_prior_reads, PLATFORM.drain_batch,
+                PLATFORM.num_cores, PLATFORM.miss_count) == (TIMING, 30, 4, 4, 0)
+
+    def test_a_scenario_without_sources_pays_the_full_write_term(self):
+        # Nothing says which cores write back, so every interferer is
+        # charged as a writer: a full drain batch of row misses plus the
+        # turnaround, as with write-heavy interferers.
+        bare = ScenarioSpec(analyzed_core=0)
+        assert not bare.generators and not bare.prestage
+        writers = harness.live_scenario("bandwidth_write")
+        for spec in (bare, writers):
+            per_request = bounds(AnalysisInputs.for_scenario(spec))
+            assert per_request["full"] - per_request["no_write_queue"] == 4 * 27 + 4
+        assert bounds(AnalysisInputs.for_scenario(bare))["full"] == 232
 
 
 class TestTotalDelay:
@@ -89,10 +107,7 @@ class TestTotalDelay:
         i = inputs()
         assert i.miss_count * bounds(i)["full"] == 0
         assert i.miss_count * bounds(i)["baseline"] == 0
-        # the task totals are printed as zeros in the table and left out
-        # of the report rows
-        rows = analysis.format_bound_table(i).splitlines()
-        assert [row.split()[3] for row in rows[1:]] == ["0", "0", "0"]
+        # the task totals are left out of the report rows
         assert not [name for name, _, _ in analysis.bound_rows(i)
                     if name.startswith("total_")]
 
@@ -102,20 +117,6 @@ class TestTotalDelay:
         assert i.miss_count * bounds(i)["no_write_queue"] == 120_000
         totals = {name: cycles for name, cycles, _ in analysis.bound_rows(i)}
         assert (totals["total_full"], totals["total_no_write_queue"]) == (232_000, 120_000)
-
-    def test_normalized_slowdown(self):
-        # every miss pays the per-request bound once: 232,000 solo cycles
-        # plus 1000 x 232 cycles of delay
-        i = inputs(miss_count=1000, solo_cycles=232_000)
-        rows = analysis.format_bound_table(i).splitlines()
-        name, per_request, ns, total, normalized = rows[1].split()
-        assert (name, per_request, total) == ("full", "232", "232000")
-        assert normalized == "2.00"
-        assert rows[3].split()[3:] == ["57000", "1.25"]  # one_request_baseline
-
-    def test_no_solo_time_leaves_normalized_empty(self):
-        rows = analysis.format_bound_table(inputs(miss_count=10)).splitlines()
-        assert [row.split()[-1] for row in rows[1:]] == ["-", "-", "-"]
 
 
 class TestBaselineBound:
@@ -212,7 +213,7 @@ class TestForScenario:
         i = AnalysisInputs.for_scenario(spec)
         assert i.timing == make_timing({"trc": 30})
         assert (i.max_prior_reads, i.drain_batch, i.num_cores) == (12, 3, 3)
-        assert (i.miss_count, i.solo_cycles) == (0, None)
+        assert i.miss_count == 0
 
     def test_miss_count_is_the_analyzed_cores_completed_reads(self):
         spec = harness.live_scenario("bandwidth_write", latency_budget=7)
@@ -466,8 +467,3 @@ class TestReporting:
         assert as_dict["per_request_full"] == 232
         assert as_dict["per_request_no_write_queue"] == 120
         assert as_dict["per_request_baseline"] == 57
-
-    def test_format_table_contains_slowdown(self):
-        table = analysis.format_bound_table(
-            inputs(miss_count=1000, solo_cycles=232_000))
-        assert "2.00" in table and "one_request_baseline" in table

@@ -1,6 +1,7 @@
 import errno
 import hashlib
 import os
+import shlex
 from dataclasses import replace
 from pathlib import Path
 
@@ -129,13 +130,12 @@ class TestPresets:
 
     def test_pure_read_staging_meets_read_queue_bound_exactly(self):
         from dramwc.analysis import AnalysisInputs, read_queue_delay
-        from dramwc.device import make_timing
 
         spec = build_adversarial(interferer_kind="bandwidth_read", seed=0)
         trace, _ = run_scenario(spec)
         analyzed = next(info for info in trace.requests
                         if info.core == spec.analyzed_core)
-        bound = read_queue_delay(AnalysisInputs(timing=make_timing()))
+        bound = read_queue_delay(AnalysisInputs.for_scenario(spec))
         assert solo_delay(trace, analyzed) == bound == 120
 
 
@@ -424,67 +424,53 @@ class TestCli:
                 == (tmp_path / "b" / "trace.csv").read_bytes())
 
     def test_analyze_command(self, tmp_path, capsys):
-        config = tmp_path / "analysis.txt"
-        config.write_text(
-            "max_prior_reads 30\ndrain_batch 4\nnum_cores 4\n"
-            "miss_count 1000\nsolo_cycles 232000\n"
-        )
-        code = harness.main(["analyze", "--config", str(config),
-                             "--out", str(tmp_path)])
+        # The bounds of a preset without its run: compare's bound rows.
+        code = harness.main(["analyze", "--preset", "fig5",
+                             "--out", str(tmp_path / "an")])
         assert code == 0
         out = capsys.readouterr().out
-        assert "one_request_baseline" in out
-        report = (tmp_path / "report.csv").read_text()
-        assert "per_request_full,232,433.84" in report
+        assert out == (tmp_path / "an" / "report.csv").read_text()
+        harness.main(["compare", "--preset", "fig5", "--out", str(tmp_path / "cmp")])
+        report = (tmp_path / "cmp" / "report.csv").read_text()
+        assert report.startswith(out)
+        assert "total_" not in out  # task totals come from a run
 
-    @pytest.mark.parametrize("solo_cycles", ["-5", "0"])
-    def test_analyze_rejects_solo_cycles_below_one(self, tmp_path, capsys,
-                                                   solo_cycles):
-        config = tmp_path / "analysis.txt"
-        config.write_text(f"miss_count 1000\nsolo_cycles {solo_cycles}\n")
+    def test_analyze_without_analyzed_core_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "scenario.txt"
+        path.write_text(scenario_to_text(replace(preset("fig2"), analyzed_core=None)))
         with pytest.raises(SystemExit) as exc:
-            harness.main(["analyze", "--config", str(config),
-                          "--out", str(tmp_path / "out")])
+            harness.main(["analyze", "--scenario", str(path),
+                          "--out", str(tmp_path / "b")])
         assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert f"solo_cycles ({solo_cycles}) must be at least 1" in captured.err
-        assert "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1] == (
+            "dramwc: error: scenario fig2 has no analyzed core")
         assert captured.out == ""
-        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "b").exists()
 
-    @pytest.mark.parametrize("lines, message", [
-        ("miss_count 1\ndrain_batch -2\n",
-         "line 2: drain_batch (-2) must be at least 0"),
-        ("trc 5\n", "line 1: tRC (5) must exceed tRP (7)"),
-        # trp 30 is already invalid against the default trc of 27
-        ("trp 30\ntrc 27\n", "line 1: tRC (27) must exceed tRP (30)"),
-        ("trrd 30\ntfaw 40\ntrc 5\n", "line 3: tRC (5) must exceed tRP (7)"),
-        # line 1 alone already fails on tRC, but it is line 2 that breaks tFAW
-        ("trp 30\ntrrd 30\ntrc 40\n",
-         "line 2: tFAW (20) cannot be shorter than tRRD (30)"),
-        # an infinite clock period would print inf in every ns column
-        ("miss_count 3\ntck_ns inf\n", "line 2: tCK (inf) must be positive and finite"),
-        ("tck_ns 1e400\n", "line 1: tCK (inf) must be positive and finite"),
-    ])
-    def test_analyze_range_error_names_its_line(self, tmp_path, capsys, lines,
-                                                message):
-        config = tmp_path / "analysis.txt"
-        config.write_text(lines)
+    def test_analyze_accepts_keys_valid_only_together(self, tmp_path, capsys):
+        # trp 30 is invalid against the default trc of 27, valid with trc 40;
+        # the bounds then read the scenario's trc.
+        path = tmp_path / "s.txt"
+        text = scenario_to_text(preset("fig2"))
+        path.write_text(text.replace("\ntrp 7\n", "\ntrp 30\n")
+                        .replace("\ntrc 27\n", "\ntrc 40\n"))
+        assert harness.main(["analyze", "--scenario", str(path)]) == 0
+        assert "\nwrite_drain_delay,164,306.68\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", [["--config", "analysis.txt"], ["--kind", "stream"],
+                                      ["--seed", "1"], ["--mshr-reserve", "2"]])
+    def test_analyze_takes_only_the_source_flags(self, tmp_path, capsys, flag):
         with pytest.raises(SystemExit) as exc:
-            harness.main(["analyze", "--config", str(config)])
+            harness.main(["analyze", *flag, "--out", str(tmp_path / "b")])
         assert exc.value.code == 2
-        assert capsys.readouterr().err.splitlines()[-1] == f"dramwc: error: {message}"
-
-    def test_analyze_accepts_keys_valid_only_together(self, tmp_path):
-        config = tmp_path / "analysis.txt"
-        config.write_text("trp 30\ntrc 40\n")
-        timing = harness.load_analysis(config).timing
-        assert (timing.trp, timing.trc) == (30, 40)
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
 
     @pytest.mark.parametrize("args", [
         ["simulate", "--scenario"],
         ["compare", "--scenario"],
-        ["analyze", "--config"],
+        ["analyze", "--scenario"],
     ])
     def test_missing_input_file_is_a_usage_error(self, tmp_path, capsys, args):
         missing = str(tmp_path / "nope.txt")
@@ -502,7 +488,7 @@ class TestCli:
         ["simulate", "--scenario", "{scenario}"],
         ["compare", "--preset", "fig2"],
         ["sweep", "--kind", "stream", "--staged", "--seeds", "0"],
-        ["analyze", "--config", "{config}"],
+        ["analyze", "--scenario", "{scenario}"],
     ], ids=lambda command: command[0])
     @pytest.mark.parametrize("out, strerror", [
         ("file", "File exists"),
@@ -513,10 +499,8 @@ class TestCli:
                                               command, out, strerror):
         monkeypatch.chdir(tmp_path)
         Path("scenario.txt").write_text(scenario_to_text(preset("fig2")))
-        Path("config.txt").write_text("")
         Path("file").write_text("keep")
-        argv = [arg.format(scenario="scenario.txt", config="config.txt")
-                for arg in command]
+        argv = [arg.format(scenario="scenario.txt") for arg in command]
         with pytest.raises(SystemExit) as exc:
             harness.main(argv + ["--out", out])
         assert exc.value.code == 2
@@ -526,7 +510,7 @@ class TestCli:
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert Path("file").read_text() == "keep"
-        assert sorted(os.listdir()) == ["config.txt", "file", "scenario.txt"]
+        assert sorted(os.listdir()) == ["file", "scenario.txt"]
 
     def test_a_file_that_cannot_be_opened_is_a_usage_error(self, tmp_path, capsys):
         (tmp_path / "trace.csv").mkdir()
@@ -762,6 +746,19 @@ class TestCli:
             assert exc.value.code == 0
             assert "--prioritized-bank" not in capsys.readouterr().out
 
+    def test_the_readme_command_block_runs(self, tmp_path, monkeypatch):
+        # Every `dramwc` line of README's "## Command line" block, with the
+        # `s.txt` it names written from a preset.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1]
+        lines = [line for line in block.split("```", 1)[0].splitlines()
+                 if line.startswith("dramwc ")]
+        assert len(lines) >= 8
+        monkeypatch.chdir(tmp_path)
+        Path("s.txt").write_text(scenario_to_text(preset("fig2")))
+        for line in lines:
+            assert harness.main(shlex.split(line, comments=True)[1:]) == 0, line
+
     def test_simulator_faults_propagate(self, tmp_path, monkeypatch):
         from dramwc import checks
         from dramwc.checks import TraceInvariantError
@@ -829,7 +826,7 @@ total_baseline,57,106.59
 
 
 class TestPinnedOutput:
-    """report.csv and the analyze table, byte for byte."""
+    """report.csv and the analyze output, byte for byte."""
 
     def test_compare_default_report(self, tmp_path, capsys):
         assert harness.main(["compare", "--out", str(tmp_path)]) == 0
@@ -871,48 +868,41 @@ violations_baseline,1,
         assert capsys.readouterr().out == (
             f"{name}: measured max {measured}, bound(full) 192, bound(nowq) 80, "
             "baseline 38\n")
+        # analyze gives the same bounds without the run
+        assert harness.main(["analyze", "--preset", name]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[3:] == ["per_request_full,192,359.04",
+                            "per_request_no_write_queue,80,149.60",
+                            "per_request_baseline,38,71.06"]
 
     def test_analyze_table_and_report(self, tmp_path, capsys):
-        config = tmp_path / "analysis.txt"
-        config.write_text("miss_count 1000\nsolo_cycles 232000\n")
-        assert harness.main(["analyze", "--config", str(config),
-                             "--out", str(tmp_path)]) == 0
-        assert capsys.readouterr().out == (
-            "bound                  per-request          ns       total  normalized\n"
-            "full                           232      433.84      232000        2.00\n"
-            "no_write_queue                 120      224.40      120000        1.52\n"
-            "one_request_baseline            57      106.59       57000        1.25\n")
-        assert (tmp_path / "report.csv").read_text() == BOUND_ROWS + """\
-total_full,232000,433840.00
-total_no_write_queue,120000,224400.00
-total_baseline,57000,106590.00
-"""
+        # c2's staged canonical case: the bound rows of `compare`'s report.
+        assert harness.main(["analyze", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == BOUND_ROWS
+        assert (tmp_path / "report.csv").read_text() == BOUND_ROWS
 
     def test_analyze_table_and_report_away_from_the_defaults(self, tmp_path, capsys):
         # Every input the bounds read moved off its default: six competing
-        # cores at 1 + 6 + 5 + 4 + 4 cycles each, five prior reads and a
-        # drain batch of two.
-        config = tmp_path / "analysis.txt"
-        config.write_text("num_cores 7\ntrrd 6\nwl 5\ndrain_batch 2\n"
-                          "max_prior_reads 5\nmiss_count 3\nsolo_cycles 100\n")
-        assert harness.main(["analyze", "--config", str(config),
+        # cores at 1 + 6 + 5 + 4 + 4 cycles each, five prior reads (a read
+        # queue of six) and a drain batch of two. The scenario has no
+        # sources, so its write term is a full batch.
+        spec = ScenarioSpec(label="moved", timing={"trrd": 6, "wl": 5},
+                            scheduler=SchedulerConfig(read_cap=6, drain_batch=2),
+                            analyzed_core=0, num_cores=7)
+        path = tmp_path / "s.txt"
+        path.write_text(scenario_to_text(spec))
+        assert harness.main(["analyze", "--scenario", str(path),
                              "--out", str(tmp_path)]) == 0
-        assert capsys.readouterr().out == (
-            "bound                  per-request          ns       total  normalized\n"
-            "full                            78      145.86         234        3.34\n"
-            "no_write_queue                  20       37.40          60        1.60\n"
-            "one_request_baseline           120      224.40         360        4.60\n")
-        assert (tmp_path / "report.csv").read_text() == """\
+        rows = """\
 quantity,cycles,ns
 read_queue_delay,20,37.40
 write_drain_delay,58,108.46
 per_request_full,78,145.86
 per_request_no_write_queue,20,37.40
 per_request_baseline,120,224.40
-total_full,234,437.58
-total_no_write_queue,60,112.20
-total_baseline,360,673.20
 """
+        assert capsys.readouterr().out == rows
+        assert (tmp_path / "report.csv").read_text() == rows
 
 
 def _sha256(path) -> str:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dramwc import harness, workload
-from dramwc.device import TimingError, make_timing
-from dramwc.keyvalue import InputError
+from dramwc.device import TIMING_KEYS, TimingError, TimingParams, make_timing
+from dramwc.keyvalue import InputError, build, codecs, read_lines
 from dramwc.analysis import AnalysisInputs
 from dramwc.scheduler import Mode, SchedulerConfig, SchedulerError
 from dramwc.workload import (
@@ -702,7 +702,7 @@ def test_unknown_initial_mode_names_the_choices():
     (lambda: GeneratorSpec(GeneratorKind.STREAM, 0, 0, gap="1"), "gap"),
     (lambda: make_timing({"trp": True}), "trp"),
     (lambda: make_timing({"tck_ns": True}), "tck_ns"),
-    (lambda: AnalysisInputs(make_timing(), miss_count=1.5), "miss_count"),
+    (lambda: AnalysisInputs(make_timing(), 30, 4, 4, miss_count=1.5), "miss_count"),
 ], ids=["str-cap", "float-batch", "bool-cap", "float-horizon", "str-core", "bool-core",
         "bool-budget", "float-budget", "str-gap", "bool-timing", "bool-tck",
         "float-miss-count"])
@@ -763,16 +763,38 @@ def _apply_fault(text, edits, blame):
 
 
 @pytest.mark.parametrize("name", [*FAULTS, "analyze config typo"])
-def test_input_fault_names_its_line(name, tmp_path):
-    if name == "analyze config typo":
-        config = tmp_path / "analysis.txt"
-        config.write_text("max_prior_reads 30\ndrain_bach 4\n")
-        with pytest.raises(ScenarioError, match=r"\bline 2\b"):
-            harness.load_analysis(config)
+def test_input_fault_names_its_line(name, tmp_path, capsys):
+    if name == "analyze config typo":  # the scenario that analyze reads
+        path = tmp_path / "s.txt"
+        path.write_text(STAGED.replace("\ndrain_batch ", "\ndrain_bach "))
+        with pytest.raises(SystemExit):
+            harness.main(["analyze", "--scenario", str(path)])
+        lineno = STAGED.splitlines().index("drain_batch 4") + 1
+        assert f"line {lineno}: unknown key 'drain_bach'" in capsys.readouterr().err
         return
     text, lineno = _apply_fault(*FAULTS[name])
     with pytest.raises((ScenarioError, TimingError), match=rf"\bline {lineno}\b"):
         scenario_from_text(text)
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("trc 5\n", "line 1: tRC (5) must exceed tRP (7)"),
+    # trp 30 is already invalid against the default trc of 27
+    ("trp 30\ntrc 27\n", "line 1: tRC (27) must exceed tRP (30)"),
+    ("trrd 30\ntfaw 40\ntrc 5\n", "line 3: tRC (5) must exceed tRP (7)"),
+    # line 1 alone already fails on tRC, but it is line 2 that breaks tFAW
+    ("trp 30\ntrrd 30\ntrc 40\n",
+     "line 2: tFAW (20) cannot be shorter than tRRD (30)"),
+    ("tck_ns 1e400\n", "line 1: tCK (inf) must be positive and finite"),
+])
+def test_build_names_the_line_from_which_the_values_stay_invalid(lines, message):
+    # keyvalue.build on the timing keys: a check that reads several keys
+    # names the line from which on the values read so far stay invalid.
+    table = codecs(TimingParams, TIMING_KEYS)
+    with pytest.raises(TimingError) as exc:
+        build(list(read_lines(lines)), table, lambda **values: make_timing(values),
+              ScenarioError)
+    assert str(exc.value) == message
 
 
 def _mutate(draw, text):

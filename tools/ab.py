@@ -17,10 +17,12 @@ median, Q1 and Q3, the change's wins out of the pairs (ties count for
 neither) and a verdict (:func:`verdict`). It also records whether
 ``sim_cycles`` was equal in every pair, each side's ``correct``,
 ``attempted`` and ``failed``, Python, ``nproc``, both SHAs and the load
-average. Per-layer self times are left out: ``perfbench/tracing.py`` still
-points at functions that were renamed or deleted (``harness.stop`` reads
-0), so its self times would mislead. Standard library only; one benchmark
-process at a time.
+average. A run that exits non-zero or does not end with its JSON record
+stops the tool with exit status 1 and one message naming its side,
+workload and seed, followed by the tail of its stderr. Per-layer self
+times are left out: ``perfbench/tracing.py`` still points at functions
+that were renamed or deleted (``harness.stop`` reads 0), so its self times
+would mislead. Standard library only; one benchmark process at a time.
 """
 
 from __future__ import annotations
@@ -42,6 +44,11 @@ ROOT = Path(__file__).resolve().parents[1]
 # One pair per seed; the change must win nine tenths of them for a gain.
 SEEDS = range(11, 21)
 WIN_SHARE = 0.9
+STDERR_TAIL = 20  # lines of a failed run's stderr in its message
+
+
+class RunFailed(Exception):
+    """A benchmark run that did not end with its JSON record."""
 
 
 def quartiles(values: list[float]) -> dict:
@@ -136,17 +143,28 @@ def copy_worktree(dest: Path) -> None:
             shutil.copy2(source, dest / name)
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_bench(side: str, tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py`` run in ``tree``: its final JSON line's
     ``correct``, ``attempted`` and ``failed``, the metric values, and the load
-    average of its ``record`` line."""
+    average of its ``record`` line. A run without them is :class:`RunFailed`,
+    whose message names ``side``, the workload and the seed and ends with
+    the last lines of the run's stderr."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, check=True)
+        cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
-    record = json.loads(next(line for line in lines if line.startswith("record "))[7:])
-    final = json.loads(lines[-1])
+    records = [line[7:] for line in lines if line.startswith("record ")]
+    try:
+        if proc.returncode != 0:
+            raise ValueError(f"exit status {proc.returncode}")
+        if not records:
+            raise ValueError("no record line")
+        record, final = json.loads(records[0]), json.loads(lines[-1])
+    except ValueError as exc:  # json.JSONDecodeError is one
+        tail = proc.stderr.splitlines()[-STDERR_TAIL:]
+        raise RunFailed("\n".join([f"{side} run of {workload} at seed {seed} failed: "
+                                    f"{exc}", *tail])) from None
     return {"correct": final["correct"], "attempted": final["attempted"],
             "failed": final["failed"],
             "metrics": {name: m["value"] for name, m in final["metrics"].items()},
@@ -179,7 +197,11 @@ def main(argv=None) -> int:
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 run = {"seed": seed, "first": order[0]}
                 for side in order:
-                    run[side] = run_bench(trees[side], workload, seed, seconds)
+                    try:
+                        run[side] = run_bench(side, trees[side], workload, seed, seconds)
+                    except RunFailed as exc:
+                        print(exc, file=sys.stderr)
+                        return 1
                     print(f"{workload} seed {seed} {side}: wall_s "
                           f"{run[side]['metrics']['wall_s']:.4f}", file=sys.stderr)
                 runs.append(run)

@@ -148,7 +148,8 @@ MUTANTS = (
 # tools, which no mutant of src/ reaches and which the copy does not hold.
 PINNED = ("TestPinnedLiveTraces", "test_probe_gates_are_pinned")
 IGNORED = ("tests/test_benchmark_digests.py", "tests/test_mutants.py", "tests/test_ab.py")
-COPIED = ("src", "tests", "perfbench", "pyproject.toml")
+# README.md is copied for the test that runs its command block.
+COPIED = ("src", "tests", "perfbench", "pyproject.toml", "README.md")
 TIMEOUT_S = 1800
 FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.M)
 
