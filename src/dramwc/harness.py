@@ -22,6 +22,7 @@ from .workload import (
     ScenarioSpec,
     StagedRequest,
     build_adversarial,
+    co_run_scenario,
     interferer_cores,
     run_scenario,
     scenario_from_text,
@@ -116,20 +117,13 @@ def preset(name: str) -> ScenarioSpec:
 def live_scenario(kind: GeneratorKind | str, n_interferers: int = 3,
                   seed: int = 0, latency_budget: int = 25,
                   mshr: MshrConfig | None = None) -> ScenarioSpec:
-    """Latency-style analyzed task on core 0 co-running with n interferers."""
+    """Latency-style analyzed task on core 0 co-running with n interferers,
+    in the :func:`co_run_scenario` layout."""
     kind = GeneratorKind(kind)
     generators = [GeneratorSpec(GeneratorKind.LATENCY, core=0, bank=0, budget=latency_budget)]
     generators += [GeneratorSpec(kind, core=c, bank=c) for c in interferer_cores(n_interferers)]
-    return ScenarioSpec(
-        label=f"live-{kind.value}-x{n_interferers}-{seed}",
-        open_rows={core: 100 + core for core in range(n_interferers + 1)},
-        generators=generators,
-        horizon=60_000,
-        analyzed_core=0,
-        num_cores=n_interferers + 1,
-        mshr=mshr or MshrConfig(),
-        seed=seed,
-    )
+    return co_run_scenario(n_interferers, mshr, generators=generators, horizon=60_000,
+                           label=f"live-{kind.value}-x{n_interferers}-{seed}", seed=seed)
 
 
 def solo_variant(spec: ScenarioSpec) -> ScenarioSpec:
@@ -368,32 +362,29 @@ def _read(path) -> str:
         raise ScenarioError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _apply_overrides(spec: ScenarioSpec, args) -> ScenarioSpec:
-    if getattr(args, "mshr_reserve", None) is not None:
-        spec = replace(spec, mshr=replace(
-            spec.mshr, reserve_per_core=args.mshr_reserve))
-    return spec
+def _mshr(reserve: int | None) -> MshrConfig | None:
+    """The MSHR configuration of ``--mshr-reserve``: the default caps with
+    ``reserve`` entries per core, or None when the flag is not given."""
+    return None if reserve is None else MshrConfig(reserve_per_core=reserve)
 
 
 def _source(args) -> ScenarioSpec:
-    """The scenario of ``analyze`` and ``compare``: the one ``--preset`` or
-    ``--scenario`` names, else the staged worst case of ``--kind`` and
-    ``--seed``, which ``analyze`` does not take (c2's canonical case by
-    default), with the overrides applied."""
-    kind, seed = getattr(args, "kind", None), getattr(args, "seed", None)
-    for flag, value in (("--kind", kind), ("--seed", seed)):
+    """The scenario of ``simulate``, ``analyze`` and ``compare``: the one
+    ``--preset`` or ``--scenario`` names, else the staged worst case of
+    ``--kind``, ``--seed`` and ``--mshr-reserve``, which only ``compare``
+    takes (c2's canonical case by default)."""
+    kind, seed, reserve = (getattr(args, name, None)
+                           for name in ("kind", "seed", "mshr_reserve"))
+    for flag, value in (("--kind", kind), ("--seed", seed), ("--mshr-reserve", reserve)):
         if value is not None and (args.preset or args.scenario):
             raise ScenarioError(f"{flag} applies only to the staged worst case, "
                                 f"not to --preset or --scenario")
     if args.preset:
-        spec = preset(args.preset)
-    elif args.scenario:
-        spec = scenario_from_text(_read(args.scenario))
-    else:  # staged through an MSHR file of the reservation it runs with
-        spec = build_adversarial(interferer_kind=kind or "bandwidth_write",
-                                 seed=seed or 0,
-                                 mshr=_apply_overrides(ScenarioSpec(), args).mshr)
-    return _apply_overrides(spec, args)
+        return preset(args.preset)
+    if args.scenario:
+        return scenario_from_text(_read(args.scenario))
+    return build_adversarial(interferer_kind=kind or "bandwidth_write", seed=seed or 0,
+                             mshr=_mshr(reserve))
 
 
 def main(argv=None) -> int:
@@ -403,17 +394,13 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_preset = sub.add_parser("preset", help="emit and run a named scenario")
-    p_preset.add_argument("name", choices=sorted(_PRESETS))
-
-    p_sim = sub.add_parser("simulate", help="run a scenario file")
-    p_sim.add_argument("--scenario", required=True)
+    p_sim = sub.add_parser("simulate", help="run a scenario")
 
     p_an = sub.add_parser("analyze", help="bounds of a scenario, without a run")
     p_an.add_argument("--out")
 
     p_cmp = sub.add_parser("compare", help="bounds vs. one simulated scenario")
-    for p in (p_an, p_cmp):
+    for p in (p_sim, p_an, p_cmp):
         src = p.add_mutually_exclusive_group()
         src.add_argument("--preset", choices=sorted(_PRESETS))
         src.add_argument("--scenario")
@@ -428,10 +415,11 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--seeds", default="0..4")
     p_sweep.add_argument("--staged", action="store_true",
                          help="replay staged worst cases instead of live runs")
-    for p in (p_preset, p_sim, p_cmp, p_sweep):
-        p.add_argument("--out", required=True)
     for p in (p_sim, p_cmp, p_sweep):
-        p.add_argument("--mshr-reserve", type=int)
+        p.add_argument("--out", required=True)
+    for p in (p_cmp, p_sweep):
+        p.add_argument("--mshr-reserve", type=int,
+                       help="read entries reserved per core (default 0)")
 
     args = parser.parse_args(argv)
     try:
@@ -441,17 +429,8 @@ def main(argv=None) -> int:
 
 
 def _run_command(args) -> int:
-    if args.command == "preset":
-        spec = preset(args.name)
-        trace, _ = simulate(spec, args.out)
-        print(f"{spec.label}: {len(trace.issues)} commands, "
-              f"{len(trace.completions)} completions, "
-              f"{trace.total_cycles} cycles")
-        return 0
-
     if args.command == "simulate":
-        spec = scenario_from_text(_read(args.scenario))
-        spec = _apply_overrides(spec, args)
+        spec = _source(args)
         trace, _ = simulate(spec, args.out)
         print(f"{spec.label}: {len(trace.completions)} completions in "
               f"{trace.total_cycles} cycles -> {args.out}")
@@ -476,9 +455,8 @@ def _run_command(args) -> int:
         return 0
 
     if args.command == "sweep":
-        mshr = _apply_overrides(ScenarioSpec(), args).mshr
-        reports = sweep(args.kind, args.n, _parse_seeds(args.seeds),
-                        out_dir=args.out, mshr=mshr, staged=args.staged)
+        reports = sweep(args.kind, args.n, _parse_seeds(args.seeds), out_dir=args.out,
+                        mshr=_mshr(args.mshr_reserve), staged=args.staged)
         for report in reports:
             slowdown = "-" if report.slowdown is None else f"{report.slowdown:.2f}"
             print(f"seed {report.seed}: max delay {report.measured_max}, "

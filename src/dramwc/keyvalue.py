@@ -96,30 +96,36 @@ def read_pairs(lines, table: dict[str, tuple], error) -> dict:
     return values
 
 
-def build(lines: list, table: dict[str, tuple], make, error):
+def build(lines: list, table: dict[str, tuple], make, error, at: int | None = None):
     """``make(**values)`` of the ``key value`` lines decoded against ``table``;
     a syntax error is ``error``, as in :func:`read_pairs`.
 
     An InputError from ``make`` names the line from which on the values read
-    so far for the keys that the failing check read, the defaults standing
-    in for all other keys, stay invalid. An error masked by an earlier one
-    then names its own line.
+    so far for the keys that the failing check read, with the other keys'
+    values, fail a check that reads one of those keys. An error masked by an
+    earlier one then names its own line. An error whose check read none of
+    the lines, or a ``TypeError`` from ``make`` (a key without a default is
+    missing), names ``at``, the line of the lines' section header.
     """
     values = read_pairs(lines, table, error)
     try:
         return make(**values)
+    except TypeError as exc:
+        raise error(f"line {at}: {exc}") from None
     except InputError as exc:
-        since, read = None, {}
+        since = None
+        read = {key: value for key, value in values.items() if key not in exc.keys}
         for lineno, (key, _) in lines:
             if key not in exc.keys:
                 continue
             read[key] = values[key]
             try:
                 make(**read)
-                since = None
-            except InputError:
-                since = since or lineno
-        raise type(exc)(f"line {since}: {exc}", exc.keys) from None
+                failed = False
+            except InputError as again:
+                failed = not set(again.keys).isdisjoint(exc.keys)
+            since = (since or lineno) if failed else None
+        raise type(exc)(f"line {since or at}: {exc}", exc.keys) from None
 
 
 def check_min(obj, minimum: int | None, *names: str, error=ScenarioError) -> None:

@@ -122,15 +122,17 @@ class GeneratorSpec:
     def __post_init__(self):
         self.kind = GeneratorKind(self.kind)
         if self.row_policy not in ("sequential", "random"):
-            raise ScenarioError(f"unknown row_policy {self.row_policy!r}")
+            raise ScenarioError(f"unknown row_policy {self.row_policy!r}", ("row_policy",))
         if self.budget is not None:
             check_min(self, 0, "budget")
         if self.kind is GeneratorKind.BANDWIDTH_WRITE and (self.budget or 0) % 2:
             raise ScenarioError(f"a bandwidth_write budget ({self.budget}) must be "
-                                "even: its requests come in read/write-back pairs")
+                                "even: its requests come in read/write-back pairs",
+                                ("budget",))
         check_min(self, 0, "gap", "start", "stream_reads", "stream_writes")
         if self.stream_reads + self.stream_writes < 1:
-            raise ScenarioError("a stream pattern needs at least one request")
+            raise ScenarioError("a stream pattern needs at least one request",
+                                ("stream_reads", "stream_writes"))
 
 
 class _Generator:
@@ -437,11 +439,15 @@ class Workload:
 
     def stage(self, staged: StagedRequest) -> None:
         """Place a pre-staged request and submit it at cycle 0, through the run's
-        own admission; one that these refuse is a ScenarioError."""
+        own admission; one that these refuse, or whose ``is_write`` is not a
+        ``bool``, is a ScenarioError."""
         self._claim(staged.core, staged.bank)
         row = staged.row  # tested in line: called per request
         if type(row) is not int or not 0 <= row < self.spec.num_rows:
             _check_placement(self.spec, row=row)
+        if type(staged.is_write) is not bool:
+            raise ScenarioError(f"is_write ({staged.is_write!r}) must be a bool",
+                                ("is_write",))
         if not self._submit(staged.core, staged.bank, staged.row, staged.is_write):
             raise ScenarioError(f"pre-staged request for core {staged.core} exceeds "
                                 f"queue or MSHR capacity")
@@ -555,6 +561,18 @@ def interferer_cores(n_interferers: int) -> list[int]:
     return list(range(1, n_interferers + 1))
 
 
+def co_run_scenario(n_interferers: int, mshr: MshrConfig | None = None,
+                    **fields) -> ScenarioSpec:
+    """The layout of a co-run experiment, live or staged, with ``fields``
+    the scenario's other fields: the analyzed core 0 and the
+    :func:`interferer_cores`, ``n_interferers + 1`` cores in all. Each core
+    runs on the bank of its own number (bank == core), whose row
+    ``100 + core`` is open."""
+    cores = [0, *interferer_cores(n_interferers)]
+    return ScenarioSpec(open_rows={core: 100 + core for core in cores}, analyzed_core=0,
+                        num_cores=len(cores), mshr=mshr or MshrConfig(), **fields)
+
+
 @functools.cache  # a staged sweep builds hundreds of scenarios of one set of caps
 def _interferer_room(mshr: MshrConfig, num_cores: int) -> int:
     """The reads a freshly filled MSHR file admits to every core but one;
@@ -587,23 +605,15 @@ def build_adversarial(interferer_kind: GeneratorKind = GeneratorKind.BANDWIDTH_W
     write cap below the drain batch for a kind that stages writes, are a
     ScenarioError, not a scenario its run refuses.
 
-    The scenario has ``n_interferers + 1`` cores, at least 2. The analyzed
-    core is core 0, and every other core interferes, so the bounds charge no
-    idle core.
+    The scenario has the :func:`co_run_scenario` layout, so every core but
+    the analyzed core 0 interferes, and the bounds charge no idle core.
     """
     cores = interferer_cores(n_interferers)
     kind = GeneratorKind(interferer_kind)
     rng = random.Random(seed)
-    open_rows = {core: 100 + core for core in [0, *cores]}  # bank == core
-    spec = ScenarioSpec(
-        label=f"adversarial-{kind.value}-{seed}",
-        mshr=mshr or MshrConfig(),
-        timing=timing or DEFAULT_TIMING,
-        open_rows=open_rows,
-        horizon=4000, analyzed_core=0,
-        num_cores=n_interferers + 1,
-        seed=seed,
-    )
+    spec = co_run_scenario(n_interferers, mshr, label=f"adversarial-{kind.value}-{seed}",
+                           timing=timing or DEFAULT_TIMING, horizon=4000, seed=seed)
+    open_rows = spec.open_rows
     max_prior_reads = spec.max_prior_reads()
     one_each = kind is GeneratorKind.LATENCY
     staged_reads = min(len(cores), max_prior_reads) if one_each else max_prior_reads
@@ -709,26 +719,28 @@ def scenario_to_text(spec: ScenarioSpec) -> str:
 
 
 @contextlib.contextmanager
-def _blame(lineno: int, error=ScenarioError):
-    """Re-raise a bad value or failed constructor as ``error`` naming a line."""
+def _blame(lineno: int):
+    """Re-raise a bad value or failed placement as a ScenarioError naming a line."""
     try:
         yield
     except (TypeError, ValueError) as exc:
-        raise error(f"line {lineno}: {exc}") from None
+        raise ScenarioError(f"line {lineno}: {exc}") from None
 
 
 def scenario_from_text(text: str) -> ScenarioSpec:
     """Parse the sectioned text format back into a ScenarioSpec.
 
-    Every key is optional and keeps its dataclass default; a fixed line
-    takes only its value (``_FIXED_LINES``). Anything else malformed raises
-    ScenarioError naming its line, or TimingError for the ``[timing]``
-    section: a section's own range checks name its header, and
-    the top-level scalars' the line that :func:`keyvalue.build` names. After
-    ``[banks]``, one ``Workload`` of the scenario read so far is built under
-    the ``[mshr]`` header, which names reservations over the read capacity,
-    and each generator and ``[prestage]`` line is replayed into it under its
-    header or line, which a broken placement rule or admission names.
+    Every key is optional and keeps its dataclass default (a generator's
+    ``kind``, ``core`` and ``bank`` have none); a fixed line takes only its
+    value (``_FIXED_LINES``). Anything else malformed raises ScenarioError
+    naming its line, or TimingError for the ``[timing]`` section. The
+    top-level scalars and the ``[timing]``, ``[scheduler]``, ``[mshr]`` and
+    ``[generator]`` sections are each read by :func:`keyvalue.build`, so a
+    range check names the line that it names. After ``[banks]``, one
+    ``Workload`` of the scenario read so far is built under the ``[mshr]``
+    header, which names reservations over the read capacity, and each
+    generator and ``[prestage]`` line is replayed into it under its header or
+    line, which a broken placement rule or admission names.
     """
     top: list = []
     sections = {name: (0, []) for name in _SECTIONS}
@@ -748,24 +760,20 @@ def scenario_from_text(text: str) -> ScenarioSpec:
         if name == "generator":
             generators.append((lineno, body))
 
-    def keyed(cls, at, body):
-        values = read_pairs(body, codecs(cls), ScenarioError)
-        with _blame(at):
-            return cls(**values)
-
     spec = build(top, codecs(ScenarioSpec, _SCALARS), ScenarioSpec, ScenarioError)
     at, body = sections["timing"]
-    timing = read_pairs(body, codecs(TimingParams, TIMING_KEYS), TimingError)
-    with _blame(at, TimingError):
-        spec.timing = make_timing(timing)
+    spec.timing = build(body, codecs(TimingParams, TIMING_KEYS),
+                        lambda **timing: make_timing(timing), TimingError, at)
     at, body = sections["scheduler"]
     fixed = [line for line in body if line[1][0] in _FIXED_ERRORS]
     read_pairs(fixed, dict.fromkeys(_FIXED_ERRORS, (str, str)), ScenarioError)  # once each
     for lineno, tokens in fixed:
         if " ".join(tokens) not in _FIXED_LINES:
             raise ScenarioError(f"line {lineno}: {_FIXED_ERRORS[tokens[0]]}")
-    spec.scheduler = keyed(SchedulerConfig, at, [line for line in body if line not in fixed])
-    spec.mshr = keyed(MshrConfig, *sections["mshr"])
+    spec.scheduler = build([line for line in body if line not in fixed],
+                           codecs(SchedulerConfig), SchedulerConfig, ScenarioError, at)
+    at, body = sections["mshr"]
+    spec.mshr = build(body, codecs(MshrConfig), MshrConfig, ScenarioError, at)
     for lineno, tokens in sections["banks"][1]:
         with _blame(lineno):
             bank, row = map(int, tokens)
@@ -777,7 +785,7 @@ def scenario_from_text(text: str) -> ScenarioSpec:
     with _blame(sections["mshr"][0]):  # reservations over the read capacity
         workload = Workload(spec)
     for at, body in generators:
-        gen = keyed(GeneratorSpec, at, body)
+        gen = build(body, codecs(GeneratorSpec), GeneratorSpec, ScenarioError, at)
         with _blame(at):
             workload._add_generator(gen)
         spec.generators.append(gen)

@@ -200,10 +200,10 @@ class TestSimulateFiles:
     def test_a_shorter_rerun_leaves_no_stale_tail(self, tmp_path):
         out, fresh = tmp_path / "out", tmp_path / "fresh"
         names = ("trace.csv", "stats.txt", "scenario.txt")
-        harness.main(["preset", "fig5", "--out", str(out)])
+        harness.main(["simulate", "--preset", "fig5", "--out", str(out)])
         longer = {name: (out / name).read_bytes() for name in names}
-        harness.main(["preset", "fig2", "--out", str(out)])
-        harness.main(["preset", "fig2", "--out", str(fresh)])
+        harness.main(["simulate", "--preset", "fig2", "--out", str(out)])
+        harness.main(["simulate", "--preset", "fig2", "--out", str(fresh)])
         for name in names:
             shorter = (fresh / name).read_bytes()
             assert len(shorter) < len(longer[name]), name
@@ -339,7 +339,7 @@ def _emitted_runs(tmp_path):
     and one live sweep per interferer kind (small budget, 1-2 interferers)."""
     runs = []
     for name in ("fig2", "fig3", "fig4", "fig5"):
-        harness.main(["preset", name, "--out", str(tmp_path / name)])
+        harness.main(["simulate", "--preset", name, "--out", str(tmp_path / name)])
         runs.append((name, tmp_path / name))
     harness.main(["sweep", "--kind", "stream", "--seeds", "3", "--staged",
                   "--out", str(tmp_path / "staged")])
@@ -407,13 +407,19 @@ class TestCli:
         assert "Traceback" not in err
         assert not (tmp_path / "summary.csv").exists()
 
-    def test_preset_command(self, tmp_path, capsys):
-        assert harness.main(["preset", "fig3", "--out", str(tmp_path)]) == 0
-        assert "fig3" in capsys.readouterr().out
-        assert (tmp_path / "trace.csv").exists()
+    def test_simulate_takes_a_preset(self, tmp_path, capsys):
+        # simulate --preset runs the named scenario and writes its three files
+        assert harness.main(["simulate", "--preset", "fig3", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith("fig3: ")
+        assert sorted(os.listdir(tmp_path)) == ["scenario.txt", "stats.txt", "trace.csv"]
+        assert (tmp_path / "scenario.txt").read_text() == scenario_to_text(preset("fig3"))
+        with pytest.raises(SystemExit) as exc:
+            harness.main(["preset", "fig3", "--out", str(tmp_path / "gone")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'preset'" in capsys.readouterr().err
 
     def test_simulate_command_roundtrip(self, tmp_path, capsys):
-        harness.main(["preset", "fig4", "--out", str(tmp_path / "a")])
+        harness.main(["simulate", "--preset", "fig4", "--out", str(tmp_path / "a")])
         code = harness.main([
             "simulate",
             "--scenario", str(tmp_path / "a" / "scenario.txt"),
@@ -422,6 +428,25 @@ class TestCli:
         assert code == 0
         assert ((tmp_path / "a" / "trace.csv").read_bytes()
                 == (tmp_path / "b" / "trace.csv").read_bytes())
+
+    def test_simulate_without_a_source_runs_the_staged_worst_case(self, tmp_path):
+        # c2's canonical case, as compare runs it by default
+        assert harness.main(["simulate", "--out", str(tmp_path / "sim")]) == 0
+        harness.main(["compare", "--out", str(tmp_path / "cmp")])
+        for name in ("trace.csv", "stats.txt", "scenario.txt"):
+            assert ((tmp_path / "sim" / name).read_bytes()
+                    == (tmp_path / "cmp" / name).read_bytes()), name
+
+    @pytest.mark.parametrize("flag", [["--kind", "stream"], ["--seed", "1"],
+                                      ["--mshr-reserve", "2"]])
+    def test_simulate_takes_only_the_source_flags(self, tmp_path, capsys, flag):
+        # a scenario file or preset carries its own reservation
+        with pytest.raises(SystemExit) as exc:
+            harness.main(["simulate", "--preset", "fig2", *flag,
+                          "--out", str(tmp_path / "b")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
 
     def test_analyze_command(self, tmp_path, capsys):
         # The bounds of a preset without its run: compare's bound rows.
@@ -484,12 +509,12 @@ class TestCli:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", [
-        ["preset", "fig2"],
+        ["simulate", "--preset", "fig2"],
         ["simulate", "--scenario", "{scenario}"],
         ["compare", "--preset", "fig2"],
         ["sweep", "--kind", "stream", "--staged", "--seeds", "0"],
         ["analyze", "--scenario", "{scenario}"],
-    ], ids=lambda command: command[0])
+    ], ids=["preset", "simulate", "compare", "sweep", "analyze"])
     @pytest.mark.parametrize("out, strerror", [
         ("file", "File exists"),
         ("file/sub", "Not a directory"),
@@ -515,14 +540,14 @@ class TestCli:
     def test_a_file_that_cannot_be_opened_is_a_usage_error(self, tmp_path, capsys):
         (tmp_path / "trace.csv").mkdir()
         with pytest.raises(SystemExit) as exc:
-            harness.main(["preset", "fig2", "--out", str(tmp_path)])
+            harness.main(["simulate", "--preset", "fig2", "--out", str(tmp_path)])
         assert exc.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
             f"dramwc: error: cannot write {tmp_path / 'trace.csv'}: Is a directory")
 
     def test_compare_without_analyzed_core_is_a_usage_error(self, tmp_path,
                                                             capsys, monkeypatch):
-        harness.main(["preset", "fig2", "--out", str(tmp_path / "a")])
+        harness.main(["simulate", "--preset", "fig2", "--out", str(tmp_path / "a")])
         path = tmp_path / "a" / "scenario.txt"
         path.write_text(path.read_text().replace("analyzed_core 1",
                                                  "analyzed_core -1"))
@@ -566,14 +591,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "bound(full) 232" in out
 
-    @pytest.mark.parametrize("flag", [["--kind", "stream"], ["--seed", "7"]],
-                             ids=lambda flag: flag[0])
+    @pytest.mark.parametrize("flag", [["--kind", "stream"], ["--seed", "7"],
+                                      ["--mshr-reserve", "2"]], ids=lambda flag: flag[0])
     @pytest.mark.parametrize("source", [["--preset", "fig5"], ["--scenario", "{scenario}"]],
                              ids=lambda source: source[0])
     def test_staged_flags_with_a_named_scenario_are_a_usage_error(
             self, tmp_path, capsys, flag, source):
-        # --kind and --seed pick the staged worst case; a named scenario
-        # would run without them, as if they had not been given.
+        # --kind, --seed and --mshr-reserve build the staged worst case; a
+        # named scenario carries its own, and would run as if they had not
+        # been given.
         scenario = tmp_path / "scenario.txt"
         scenario.write_text(scenario_to_text(preset("fig5")))
         out = tmp_path / "out"
@@ -667,7 +693,7 @@ class TestCli:
         assert "capacity" in capsys.readouterr().err
 
     def test_bad_scenario_file_is_a_usage_error(self, tmp_path, capsys):
-        harness.main(["preset", "fig4", "--out", str(tmp_path / "a")])
+        harness.main(["simulate", "--preset", "fig4", "--out", str(tmp_path / "a")])
         path = tmp_path / "a" / "scenario.txt"
         path.write_text(path.read_text().replace("drain_batch 4", "drain_bach 4"))
         with pytest.raises(SystemExit) as exc:
@@ -681,7 +707,7 @@ class TestCli:
     def test_partitioning_off_is_a_usage_error(self, tmp_path, capsys):
         # Every core has one private bank; a file that turns partitioning off
         # is rejected rather than run partitioned anyway.
-        harness.main(["preset", "fig4", "--out", str(tmp_path / "a")])
+        harness.main(["simulate", "--preset", "fig4", "--out", str(tmp_path / "a")])
         path = tmp_path / "a" / "scenario.txt"
         text = path.read_text()
         assert "partitioning 1\n" in text
@@ -697,8 +723,7 @@ class TestCli:
 
     def test_bad_override_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
-            harness.main(["compare", "--preset", "fig2", "--out", str(tmp_path),
-                          "--mshr-reserve", "-1"])
+            harness.main(["compare", "--out", str(tmp_path), "--mshr-reserve", "-1"])
         assert exc.value.code == 2
         assert "reserve_per_core (-1) must be at least 0" in capsys.readouterr().err
 
@@ -713,7 +738,7 @@ class TestCli:
         assert harness.main(["simulate", "--scenario", str(path),
                              "--out", str(tmp_path / "b")]) == 0
         assert (tmp_path / "b" / "scenario.txt").read_text() == FIG4_SCENARIO
-        harness.main(["preset", "fig4", "--out", str(tmp_path / "a")])
+        harness.main(["simulate", "--preset", "fig4", "--out", str(tmp_path / "a")])
         assert (tmp_path / "a" / "scenario.txt").read_text() == FIG4_SCENARIO
 
     def test_a_prioritized_bank_in_a_file_is_a_usage_error(self, tmp_path, capsys):
@@ -740,7 +765,7 @@ class TestCli:
             assert ("unrecognized arguments: --prioritized-bank 1"
                     in capsys.readouterr().err)
         assert not (tmp_path / "b").exists()
-        for name in ("preset", "simulate", "analyze", "compare", "sweep"):
+        for name in ("simulate", "analyze", "compare", "sweep"):
             with pytest.raises(SystemExit) as exc:
                 harness.main([name, "--help"])
             assert exc.value.code == 0
@@ -768,7 +793,7 @@ class TestCli:
 
         monkeypatch.setattr(checks, "validate_trace", broken)
         with pytest.raises(TraceInvariantError, match="injected"):
-            harness.main(["preset", "fig2", "--out", str(tmp_path)])
+            harness.main(["simulate", "--preset", "fig2", "--out", str(tmp_path)])
 
     def test_sweep_command(self, tmp_path, capsys):
         code = harness.main([

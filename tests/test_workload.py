@@ -605,26 +605,27 @@ MIXED = scenario_to_text(ScenarioSpec(
 # given text)
 FAULTS = {
     "misspelled key": (LIVE, {"drain_batch 4": "drain_bach 8"}, "line"),
-    "negative budget": (LIVE, {"budget 5": "budget -5"}, "header"),
+    "negative budget": (LIVE, {"budget 5": "budget -5"}, "line"),
     "misspelled row policy": (LIVE, {"row_policy sequential": "row_policy seqential"},
-                              "header"),
+                              "line"),
     "extra token": (LIVE, {"seed 0": "seed 0 extra"}, "line"),
     "unknown scalar": (LIVE, {"seed 0": "sead 3"}, "line"),
     "mshr typo": (LIVE, {"per_core_read_cap 10": "per_core_raed_cap 10"}, "line"),
     "key without value": (LIVE, {"horizon 60000": "horizon"}, "line"),
     "empty stream pattern": (LIVE, {"stream_reads 2": "stream_reads 0",
-                                    "stream_writes 1": "stream_writes 0"}, "header"),
+                                    "stream_writes 1": "stream_writes 0"},
+                             "stream_writes 0"),
     "generator core out of range": (LIVE, {"core 1": "core 2"}, "header"),
     "bool out of range": (LIVE, {"partitioning 1": "partitioning 2"}, "line"),
     "repeated fixed line": (LIVE, {"partitioning 1": "prioritized_bank -1"}, "line"),
     "unknown timing key": (LIVE, {"trp 7": "trq 7"}, "line"),
-    "inconsistent timing": (LIVE, {"trc 27": "trc 5"}, "header"),
-    "infinite tck": (LIVE, {"tck_ns 1.87": "tck_ns inf"}, "header"),
-    "odd bandwidth_write budget": (WRITER, {"budget 16": "budget 15"}, "header"),
+    "inconsistent timing": (LIVE, {"trc 27": "trc 5"}, "line"),
+    "infinite tck": (LIVE, {"tck_ns 1.87": "tck_ns inf"}, "line"),
+    "odd bandwidth_write budget": (WRITER, {"budget 16": "budget 15"}, "line"),
     "non-numeric value": (LIVE, {"horizon 60000": "horizon x"}, "line"),
     "repeated key": (LIVE, {"num_rows 4096": "num_cores 2"}, "line"),
-    "zero read cap": (LIVE, {"read_cap 32": "read_cap 0"}, "header"),
-    "zero mshr cap": (LIVE, {"per_core_read_cap 10": "per_core_read_cap 0"}, "header"),
+    "zero read cap": (LIVE, {"read_cap 32": "read_cap 0"}, "line"),
+    "zero mshr cap": (LIVE, {"per_core_read_cap 10": "per_core_read_cap 0"}, "line"),
     "short prestage line": (STAGED, {"read 1 1 15": "read 1 1"}, "line"),
     "short bank line": (STAGED, {"1 15": "1"}, "line"),
     "open row out of range": (STAGED, {"1 15": "1 4096"}, "line"),
@@ -640,6 +641,7 @@ FAULTS = {
     "bank shared by two cores": (STAGED, {"read 2 2 25": "read 2 1 25"}, "line"),
     "two generators on one core": (LIVE, {"core 1": "core 0"}, "header"),
     "zero analyzed budget": (LIVE, {"budget 5": "budget 0"}, "header"),
+    "generator without kind": (LIVE, {"kind latency": ""}, "header"),
     # the second generator takes the first one's bank
     "generator on another core's generator bank": (LIVE, {"bank 1": "bank 0"}, "header"),
     "staged request on another core's generator bank": (
@@ -733,12 +735,19 @@ def test_a_count_that_is_not_an_int_is_a_keyed_input_error(make, key):
     (lambda: ScenarioSpec(open_rows={0: True}), "row"),
     (lambda: ScenarioSpec(seed=1.5, generators=[GeneratorSpec("latency", 0, 0)]), "seed"),
     (lambda: ScenarioSpec(seed=False), "seed"),
+    # A staged request's kind is a bool: "yes" would run as a write and
+    # "no" too, and 1 == True.
+    (lambda: ScenarioSpec(prestage=[StagedRequest("yes", 0, 0, 1)]), "is_write"),
+    (lambda: ScenarioSpec(prestage=[StagedRequest("no", 0, 0, 1)]), "is_write"),
+    (lambda: ScenarioSpec(prestage=[StagedRequest(1, 0, 0, 1)]), "is_write"),
 ], ids=["str-generator-core", "float-generator-bank", "str-staged-row", "str-staged-bank",
         "bool-staged-core", "bool-core-after-its-pair", "bool-bank-after-its-pair",
         "float-core-after-its-pair", "float-bank-after-its-pair", "str-open-bank",
-        "bool-open-row", "float-seed", "bool-seed"])
+        "bool-open-row", "float-seed", "bool-seed", "yes-is-write", "no-is-write",
+        "int-is-write"])
 def test_a_placement_that_is_not_an_int_is_a_keyed_scenario_error(make, key):
-    with pytest.raises(ScenarioError, match=f"{key} .* must be an integer") as exc:
+    kind = "a bool" if key == "is_write" else "an integer"
+    with pytest.raises(ScenarioError, match=f"{key} .* must be {kind}") as exc:
         Workload(make())
     assert exc.value.keys == (key,)
 
@@ -786,6 +795,9 @@ def test_input_fault_names_its_line(name, tmp_path, capsys):
     ("trp 30\ntrrd 30\ntrc 40\n",
      "line 2: tFAW (20) cannot be shorter than tRRD (30)"),
     ("tck_ns 1e400\n", "line 1: tCK (inf) must be positive and finite"),
+    # tfaw 1 fails its own check whatever trp and trc read, so it does not
+    # make trp's line the one that breaks tRC
+    ("trp 7\ntfaw 1\ntrc 5\n", "line 3: tRC (5) must exceed tRP (7)"),
 ])
 def test_build_names_the_line_from_which_the_values_stay_invalid(lines, message):
     # keyvalue.build on the timing keys: a check that reads several keys

@@ -31,7 +31,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 DEVICE, SCHEDULER = "src/dramwc/device.py", "src/dramwc/scheduler.py"
 WORKLOAD, ANALYSIS = "src/dramwc/workload.py", "src/dramwc/analysis.py"
-HARNESS = "src/dramwc/harness.py"
+HARNESS, KEYVALUE = "src/dramwc/harness.py", "src/dramwc/keyvalue.py"
 
 
 class Mutant(NamedTuple):
@@ -118,6 +118,13 @@ MUTANTS = (
            "each core uses one bank"),
     Mutant("zero-analyzed-budget", WORKLOAD, "if gspec.budget == 0:", "if False:",
            "the analyzed core's generator has a budget above 0"),
+    # Bad input, as a keyed error naming its line.
+    Mutant("staged-is_write-untyped", WORKLOAD, "if type(staged.is_write) is not bool:",
+           "if False:", "a staged request's is_write is a bool"),
+    Mutant("section-error-at-header", KEYVALUE, 'f"line {since or at}: {exc}"',
+           'f"line {at or since}: {exc}"',
+           "a keyed error in a section names the line from which its keys stay "
+           "invalid, not the section header"),
     # The analysis.
     Mutant("write-term-without-twtr", ANALYSIS,
            "return inputs.drain_batch * inputs.timing.trc + inputs.timing.twtr",
@@ -151,7 +158,9 @@ IGNORED = ("tests/test_benchmark_digests.py", "tests/test_mutants.py", "tests/te
 # README.md is copied for the test that runs its command block.
 COPIED = ("src", "tests", "perfbench", "pyproject.toml", "README.md")
 TIMEOUT_S = 1800
-FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.M)
+# A node id may hold a space (a parameter's id); pytest follows it with " - "
+# and the message, if there is one.
+FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", re.M)
 
 
 def mutated(mutant: Mutant) -> str:
