@@ -18,28 +18,58 @@ def _command(kind, req) -> str:
             f"bank {req.bank}, row {req.row})")
 
 
+def first_ready(controller, since: int = 0) -> int:
+    """The first-ready cycle of the active queue from its request at index
+    ``since`` on: the earliest cycle at which one of their heads becomes
+    ready while the state stands still, NEVER if none can.
+
+    It reads the raw arrival-order queue, not the controller's (bank, row)
+    groups, and each head comes from decompose_request rather than the
+    controller's fast path. A head and its earliest_ready cycle depend only
+    on the request's target, the ``target`` that enqueue stamps on it, its
+    bank's open row and timing state and the channel, so each is derived
+    once per distinct target and shared by the requests to it.
+
+    The idle check of :func:`verify_selection` calls it over the whole
+    queue. ``Controller.run`` calls it on the visit after an issue, over the
+    whole queue, and on a visit with arrivals into the span that it
+    certified, over the requests that arrived since: an arrival only
+    appends to the queue, and only an issue changes the bank and channel
+    state.
+    """
+    queue = controller.candidate_queue()
+    if since:
+        queue = queue[since:]
+    # _head in line: run calls this on the visit after each issue.
+    banks, chan, timing = controller.banks, controller.chan, controller.timing
+    decompose, earliest_ready = device.decompose_request, device.earliest_ready
+    first = device.NEVER
+    seen = set()
+    for req in queue:
+        target = req.target
+        if target not in seen:
+            seen.add(target)
+            bank = banks[req.bank]
+            at = earliest_ready(decompose(req, bank)[0], req.row, bank, chan, timing)
+            if at < first:
+                first = at
+    return first
+
+
 def verify_selection(controller, chosen) -> int | None:
     """Re-derive the candidate set from the open-page decomposition and check
     the controller's pick, a (kind, request) pair, against the FR-FCFS order
     (and work conservation).
 
     Runs on every cycle that the controller stepped. It reads the raw
-    arrival-order queue, not the controller's (bank, row) groups, and each
-    queued request's head comes from decompose_request rather than the
-    controller's fast path. The head and its earliest_ready cycle are
-    derived once per distinct (bank, row, is_write) target, the ``target``
-    that enqueue stamps on each request, and shared by the requests to it:
-    both depend only on the target, the bank's open row
-    and timing state and the channel, none of which changes during the call,
-    so this is exact.
+    arrival-order queue, and each queued request's head comes from
+    decompose_request, once per distinct target, as in :func:`first_ready`.
 
-    An idle cycle is certified per target: if no target is ready, no
-    request is, and the call returns its first-ready cycle, the earliest
-    cycle at which one of them becomes ready while the state stands still
-    (NEVER if none can). ``Controller.run`` leaves the cycles before it
-    unstepped, as quiet cycles, until a request arrives. If some target is
-    ready, the idle cycle fails, and the per-request scan below names the
-    request.
+    An idle cycle is certified by :func:`first_ready`: if no target is
+    ready, no request is, and the call returns the first-ready cycle
+    (NEVER if none can become ready). ``Controller.run`` leaves the cycles
+    before it unstepped, as quiet cycles. If some target is ready, the idle
+    cycle fails, and the per-request scan below names the request.
 
     A pick, or an idle cycle with a ready target, is checked by ranking
     every ready request by its own FR-FCFS key; unlike select_command, the
@@ -51,21 +81,15 @@ def verify_selection(controller, chosen) -> int | None:
         raise TraceInvariantError("read queue exceeds its capacity")
     if len(controller.write_queue) > controller.config.write_cap:
         raise TraceInvariantError("write queue exceeds its capacity")
-    queue = controller.candidate_queue()
     now = controller.now
-    heads = {}
     if chosen is None:
-        first_ready = device.NEVER
-        for req in queue:
-            if req.target not in heads:
-                heads[req.target] = head = _head(controller, req)
-                if head[1] < first_ready:
-                    first_ready = head[1]
-        if first_ready > now:
-            return first_ready
+        first = first_ready(controller)
+        if first > now:
+            return first
+    heads = {}
     best_key = None
     best = None
-    for req in queue:
+    for req in controller.candidate_queue():
         head = heads.get(req.target)
         if head is None:
             heads[req.target] = head = _head(controller, req)

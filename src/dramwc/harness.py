@@ -340,8 +340,9 @@ def sweep(kind, n_interferers: int, seeds, out_dir=None,
 # CLI
 # ---------------------------------------------------------------------------
 
-def _parse_seeds(text: str) -> list[int]:
-    """``--seeds``: one seed ``N`` or the inclusive range ``LO..HI``."""
+def _parse_seeds(text: str) -> range:
+    """``--seeds``: one seed ``N`` or the inclusive range ``LO..HI``, as a
+    range, so that a huge range costs nothing before its first seed runs."""
     try:
         bounds = [int(part) for part in text.split("..")]
     except ValueError:
@@ -350,7 +351,7 @@ def _parse_seeds(text: str) -> list[int]:
         raise ScenarioError(f"--seeds {text!r}: expected N or LO..HI")
     if bounds[-1] < bounds[0]:
         raise ScenarioError(f"--seeds {text!r}: empty range")
-    return list(range(bounds[0], bounds[-1] + 1))
+    return range(bounds[0], bounds[-1] + 1)
 
 
 def _read(path) -> str:

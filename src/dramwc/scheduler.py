@@ -60,7 +60,7 @@ class MemRequest:
     arrival_cycle: int = 0
     request_id: int = -1  # assigned by the controller on accept, as are
     hit_class: str = ""   # the own-bank state then (hit, closed, conflict)
-    target: tuple = ()    # and (bank, row, is_write), the oracle's scan key
+    target: int = -1      # and the oracle's scan key, one int per (bank, row, is_write)
     completion_cycle: int | None = None  # set when its data burst ends
 
 
@@ -219,7 +219,7 @@ class Controller:
             raise SchedulerError(f"a request targets unknown bank {req.bank}")
         requests = self.trace.requests
         req.request_id = len(requests)
-        req.target = (req.bank, req.row, req.is_write)
+        req.target = (req.row * self.config.num_banks + req.bank) * 2 + req.is_write
         queue.append(req)
         groups = self.write_groups if req.is_write else self.read_groups
         groups.setdefault((req.bank, req.row), []).append(req)
@@ -295,10 +295,12 @@ class Controller:
         """Advance one cycle: update mode, issue at most one command, and
         complete the request whose data burst ends this cycle, if one does.
 
-        This is the full per-cycle primitive, with the oracle check. On an
-        idle cycle it keeps the oracle's first-ready cycle, the end of the
-        quiet span that :meth:`run` may follow it with; a quiet cycle does
-        only the last part of a step, :meth:`_retire`.
+        This is the full per-cycle primitive, with the oracle check.
+        :meth:`run` calls it only on a cycle at which a command is ready or
+        the mode switch is due. On an idle cycle it keeps the oracle's
+        first-ready cycle, the end of the quiet span that :meth:`run` may
+        follow it with; a quiet cycle does only the last part of a step,
+        :meth:`_retire`.
         """
         self.update_mode()
         chosen = self.select_command()
@@ -363,16 +365,26 @@ class Controller:
         until it says the run has ended (see :meth:`Workload.finished`).
 
         Every cycle is visited: the cycle is stepped or quiet, and the stall
-        guard runs. A cycle is quiet when the last stepped cycle issued
-        nothing and left no mode switch due, no request has been accepted
-        since, and the cycle comes before the first-ready cycle that the
-        oracle's idle check of that step returned. A quiet cycle only
-        retires the burst ending on it, if one does, and else only advances
-        the clock. Selection reads the queues, which only an arrival or an
-        issue changes, the bank and channel state, which only an issue
-        changes, and the mode, whose inputs are the queues and the drain
-        count, so on a quiet cycle it would issue nothing, and the oracle's
-        check in the same state has already certified that.
+        guard runs. A visit is stepped only when a mode switch is due or the
+        oracle has found a command ready on it; every other cycle is
+        certified idle by the oracle, without a select, and is quiet: it
+        only retires the burst ending on it, if one does, and else only
+        advances the clock.
+
+        Cycle 0 is stepped. The oracle certifies a span of quiet cycles
+        that ends at its first-ready cycle: in the idle check of a step that
+        leaves no mode switch due, or on the first visit after an issue,
+        once the workload has polled, by :func:`checks.first_ready` over the
+        active queue. A request that arrives in a span ends it at its own
+        head's first-ready cycle, if that is earlier, found by
+        :func:`checks.first_ready` over the arrivals alone; one that makes a
+        mode switch due ends it at once. This is exact: a head's kind and
+        ready cycle depend only on its target, its bank's state and the
+        channel's state, which only an issue changes; only a mode switch
+        changes the active queue, and its inputs, the queues and the drain
+        count, change only at an arrival or an issue; and an arrival only
+        appends a request. So a certification holds until the next issue or
+        mode switch, and an arrival can shorten it only by its own head.
 
         Each workload hook runs only on a visit where its inputs can have
         changed. The workload polls on cycle 0 and then on the wake that its
@@ -385,24 +397,41 @@ class Controller:
         stall_window = self.config.stall_window
         poll, notify, finished = workload.poll, workload.notify, workload.finished
         step, retire, mode_due, idle = self.step, self._retire, self._mode_due, self.idle
+        first_ready = checks.first_ready
         trace = self.trace
         requests = trace.requests
         last_progress = 0
         wake = 0  # the next poll's cycle
-        quiet_order, quiet_until = -1, 0  # arrival count and end of the quiet span
+        # The certified span: nothing is ready before quiet_until, with
+        # quiet_order requests accepted and quiet_len of them in the active
+        # queue; quiet_order is -1 after an issue or a due mode switch. The
+        # span is empty on cycle 0, which is stepped.
+        quiet_order, quiet_until, quiet_len = 0, 0, 0
         next_end = device.NEVER  # the end of the first burst not retired, when quiet
         while self.now < horizon:
             cycle = self.now
             if cycle >= wake:
                 wake = poll(cycle)
-            issued = completed = None
-            if cycle >= quiet_until or len(requests) != quiet_order:
-                issued, completed = step()
+            if len(requests) != quiet_order:
+                if mode_due() is not None:
+                    quiet_until = cycle
+                elif quiet_order < 0:
+                    quiet_until, next_end = first_ready(self), self._next_end()
+                    quiet_len = len(self.candidate_queue())
+                elif cycle < quiet_until:
+                    ready = first_ready(self, quiet_len)
+                    quiet_len = len(self.candidate_queue())
+                    if ready < quiet_until:
+                        quiet_until = ready
                 quiet_order = len(requests)
+            issued = completed = None
+            if cycle >= quiet_until:
+                issued, completed = step()
                 if issued is None and mode_due() is None:
-                    quiet_until, next_end = self._first_ready, self._next_end()
+                    quiet_order, quiet_until = len(requests), self._first_ready
+                    quiet_len, next_end = len(self.candidate_queue()), self._next_end()
                 else:
-                    quiet_until = 0
+                    quiet_order = -1
             elif cycle == next_end:
                 completed, next_end = retire(), self._next_end()
             else:

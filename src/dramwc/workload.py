@@ -409,6 +409,10 @@ class Workload:
             self.stage(staged)
 
     def _claim(self, core: int, bank: int) -> None:
+        # A pair already placed was checked then. A bool or a float equal
+        # to one of its ints (True == 1 == 1.0) is still checked, and fails.
+        if type(core) is int and type(bank) is int and self._core_bank.get(core) == bank:
+            return
         _check_placement(self.spec, core, bank)
         owned = self._core_bank.setdefault(core, bank)
         owner = self._bank_core.setdefault(bank, core)

@@ -60,7 +60,7 @@ PER_CYCLE = {
     scheduler: tuple(f"Controller.{name}" for name in (
         "select_command", "step", "_retire", "_next_end", "_dequeue", "enqueue",
         "update_mode", "_mode_due", "idle", "run")),
-    checks: ("verify_selection", "_head"),
+    checks: ("verify_selection", "first_ready", "_head"),
     workload: ("Workload.poll", "Workload.notify", "Workload.finished",
                "Workload.exhausted", "MshrFile.admits", "MshrFile.acquire",
                "MshrFile.release"),

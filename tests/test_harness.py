@@ -386,9 +386,12 @@ class TestLiveScenario:
 
 class TestCli:
     def test_parse_seeds(self):
-        assert _parse_seeds("3") == [3]
-        assert _parse_seeds("0..4") == [0, 1, 2, 3, 4]
-        assert _parse_seeds("2..2") == [2]
+        assert _parse_seeds("3") == range(3, 4)
+        assert list(_parse_seeds("0..4")) == [0, 1, 2, 3, 4]
+        assert _parse_seeds("2..2") == range(2, 3)
+        # The range itself, not a list of its seeds: a huge one costs
+        # nothing before its first seed runs.
+        assert len(_parse_seeds("-5..1000000000000")) == 1_000_000_000_006
 
     @pytest.mark.parametrize("seeds, message", [
         ("5..2", "empty range"),

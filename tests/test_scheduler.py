@@ -222,10 +222,14 @@ class TestStepAndRun:
         assert ctrl.now == 52
 
     def test_idle_controller_steps_nothing_until_a_late_generator(self, monkeypatch):
-        stepped = []
-        step = Controller.step
+        # Both oracle entry points: the check of each step, and run's own
+        # first-ready scan of the active queue on the visit after an issue.
+        stepped, scanned = [], []
+        step, first_ready = Controller.step, checks.first_ready
         monkeypatch.setattr(Controller, "step",
                             lambda self: stepped.append(self.now) or step(self))
+        monkeypatch.setattr(checks, "first_ready", lambda ctrl, since=0: (
+            scanned.append((ctrl.now, since)) or first_ready(ctrl, since)))
         spec = ScenarioSpec(
             open_rows={0: 1},
             generators=[GeneratorSpec(GeneratorKind.LATENCY, 0, 0, budget=1,
@@ -239,9 +243,13 @@ class TestStepAndRun:
         done = 50_000 + TIMING.cl + TIMING.tburst
         assert [r.cycle for r in trace.issues] == [50_000]
         assert trace.requests[0].completion_cycle == done
-        # idle at 0, the read at 50,000, idle after it; every other cycle,
-        # the completion at done among them, is quiet, retired without a step
-        assert stepped == [0, 50_000, 50_001]
+        # Idle at 0, whose check scans the empty queue. The read arrives at
+        # 50,000, where a scan of the arrivals finds it ready, and issues;
+        # the visit after it scans the emptied queue, never ready. Every
+        # other cycle, the completion at done among them, is quiet, retired
+        # without a step or a scan.
+        assert stepped == [0, 50_000]
+        assert scanned == [(0, 0), (50_000, 0), (50_001, 0)]
 
     def test_completion_is_burst_end(self):
         ctrl = Controller(TIMING, open_rows={0: 1})

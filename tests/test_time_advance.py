@@ -1,10 +1,11 @@
 """Quiet cycles and parked generators: ``Controller.run`` against a
 per-cycle loop.
 
-``run`` visits every cycle but steps only those at which the selection
-state may have changed; a quiet cycle (no arrival since an idle, mode-stable
-step, and before the first-ready cycle of that step's oracle check) only
-retires the burst that ends on it, if one does. ``run`` polls the workload
+``run`` visits every cycle but steps only cycle 0 and those at which a
+command is ready or a mode switch is due; a quiet cycle (before the end of
+a span that the oracle certified, by a step's idle check or a scan of the
+active queue, and cut short by a scan of each arrival since) only retires
+the burst that ends on it, if one does. ``run`` polls the workload
 on cycle 0 and then on the earliest wake that its last poll and the notifies
 since returned, notifies it of completions only, and asks whether the run
 has ended on cycle 0 and on completion cycles only. ``Workload.poll`` skips a
@@ -19,11 +20,13 @@ retries on the next visit. ``run_per_cycle`` below steps every cycle,
 letting every started, unfinished generator emit, then stepping, notifying
 and checking for stalls and the end of the run each time, and is kept here
 as the reference that every quiet cycle and every skipped generator must
-agree with. The oracle-coverage test checks that
-each cycle the oracle does not check is certified idle by an oracle check
-in the same state.
+agree with. The oracle-coverage tests check that each cycle that is not
+stepped is certified idle by the oracle's checks and scans in the same
+state, and passes the full-scan reference oracle of ``test_oracle``.
 """
 
+import bisect
+import contextlib
 import hashlib
 from unittest import mock
 
@@ -31,7 +34,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dramwc import checks
-from dramwc.device import CAS_KINDS, DDR3_1066, make_timing
+from dramwc.device import CAS_KINDS, DDR3_1066, NEVER, make_timing
 from dramwc.harness import live_scenario
 from dramwc.scheduler import (
     Controller,
@@ -50,6 +53,7 @@ from dramwc.workload import (
     build_adversarial,
     run_scenario,
 )
+from test_oracle import full_scan_verify_selection
 
 
 def poll_every_generator(workload, cycle):
@@ -337,6 +341,52 @@ STALL_AT_FIRST_READY = ScenarioSpec(
     scheduler=SchedulerConfig(stall_window=6), horizon=100, num_cores=1)
 
 
+@contextlib.contextmanager
+def recorded_oracle(ctrl):
+    """Record both oracle entry points for ``ctrl`` within the block, which
+    gets the records, filled in as the run goes: the first maps each
+    stepped cycle to the step's check, the second each cycle of one of
+    run's own first-ready scans to it, and the third holds, for each
+    accepted request in order, the first cycle whose selection sees it. A
+    record holds the oracle's result (the first-ready cycle, or None after
+    an issue), ``since``, and the requests accepted and the active queue's
+    length at the call."""
+    checks_, scans, arrivals = {}, {}, []
+    verify, first_ready, enqueue = checks.verify_selection, checks.first_ready, Controller.enqueue
+    in_check = []
+
+    def state(controller, result, since=0):
+        return result, since, len(controller.trace.requests), len(controller.candidate_queue())
+
+    def record_check(controller, chosen):
+        in_check.append(True)
+        try:
+            result = verify(controller, chosen)
+        finally:
+            in_check.pop()
+        if controller is ctrl:
+            checks_[controller.now] = state(controller, result)
+        return result
+
+    def record_scan(controller, since=0):
+        result = first_ready(controller, since)
+        if controller is ctrl and not in_check:
+            assert controller.now not in scans, "two scans on one visit"
+            scans[controller.now] = state(controller, result, since)
+        return result
+
+    def record_arrival(controller, req):
+        accepted = enqueue(controller, req)
+        if accepted and controller is ctrl:  # polled before this cycle's step,
+            arrivals.append(controller.now)  # or notified after it
+        return accepted
+
+    with mock.patch.object(checks, "verify_selection", record_check), \
+            mock.patch.object(checks, "first_ready", record_scan), \
+            mock.patch.object(Controller, "enqueue", record_arrival):
+        yield checks_, scans, arrivals
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(spec=live_specs() | staged_specs())
@@ -345,46 +395,95 @@ STALL_AT_FIRST_READY = ScenarioSpec(
 @example(spec=NEXT_CYCLE_READY)
 @example(spec=STALL_AT_FIRST_READY)
 def test_every_cycle_the_oracle_skips_is_certified_idle(spec):
+    # Every cycle that is not stepped lies before the end of a span that
+    # the oracle certified: by a step's idle check or a scan of the whole
+    # active queue, and then cut short by the scans of the arrivals since,
+    # each covering every request that arrived after the last. Its last
+    # certification was made after the last arrival that the cycle's
+    # selection would see.
     try:
         workload = Workload(spec)
     except ValueError:  # ScenarioError: over-full staging, for one
         return
     ctrl = workload.controller
-    checked = {}  # cycle -> the oracle's result there (first-ready or None)
-    arrivals = set()  # the first cycle whose selection sees each arrival
-    verify, enqueue = checks.verify_selection, Controller.enqueue
-
-    def record_check(controller, chosen):
-        result = verify(controller, chosen)
-        if controller is ctrl:
-            checked[controller.now] = result
-        return result
-
-    def record_arrival(controller, req):
-        accepted = enqueue(controller, req)
-        if accepted:  # polled before this cycle's step, or notified after it
-            arrivals.add(controller.now)
-        return accepted
-
-    with mock.patch.object(checks, "verify_selection", record_check), \
-            mock.patch.object(Controller, "enqueue", record_arrival):
+    staged = len(ctrl.trace.requests)
+    with recorded_oracle(ctrl) as (checked, scans, arrivals):
         try:
             ctrl.run(workload)
         except SimulationStalled:
             pass
         end = ctrl.now
-    last = None  # the oracle's last check before the cycle
+    span = None  # the end of the span in effect, or None
+    seen = covered = 0  # requests accepted, and the active queue's length, then
     for cycle in range(end):
+        if cycle in scans:
+            result, since, accepted, queued = scans[cycle]
+            if since:
+                assert span is not None and since <= covered, \
+                    f"cycle {cycle}: a scan of the arrivals from {since} on " \
+                    f"extends no span that covers the {covered} before them"
+                span = min(span, result)
+            else:
+                span = result
+            seen, covered = accepted, queued
         if cycle in checked:
-            last = cycle
+            span, _, seen, covered = checked[cycle]
             continue
-        assert last is not None and checked[last] is not None, \
-            f"cycle {cycle}: unchecked, and no idle check certifies it"
-        assert cycle < checked[last], \
-            f"cycle {cycle}: unchecked, at or past the first-ready cycle " \
-            f"{checked[last]} of the idle check at {last}"
-        assert cycle not in arrivals, \
-            f"cycle {cycle}: unchecked, although a request arrived"
+        assert span is not None, f"cycle {cycle}: unchecked, and nothing certifies it"
+        assert cycle < span, \
+            f"cycle {cycle}: unchecked, at or past the first-ready cycle {span}"
+        visible = staged + bisect.bisect_right(arrivals, cycle)
+        assert visible <= seen, \
+            f"cycle {cycle}: unchecked, although a request arrived after " \
+            f"the last certification"
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(spec=live_specs() | staged_specs())
+@example(spec=MODE_FLIP)
+@example(spec=NEXT_CYCLE_START)
+@example(spec=NEXT_CYCLE_READY)
+@example(spec=STALL_AT_FIRST_READY)
+@example(spec=WRITE_QUEUE_REFUSES)
+def test_every_unstepped_cycle_passes_the_full_scan(spec):
+    # On each cycle that run does not step, in the state in which a step
+    # would select (after the visit's poll, before its notify), no mode
+    # switch is due and the full-scan reference oracle finds nothing ready.
+    # run advances the clock of an unstepped cycle at that point, so the
+    # check sits in a setter of the controller's clock.
+    try:
+        workload = Workload(spec)
+    except ValueError:  # ScenarioError: over-full staging, for one
+        return
+    ctrl = workload.controller
+    step = Controller.step
+    stepped, unstepped = [], []
+
+    def recorded_step(self):
+        if self is ctrl:
+            stepped.append(self.now)
+        return step(self)
+
+    def get_now(self):
+        return vars(self)["now"]
+
+    def set_now(self, value):
+        now = vars(self).get("now")
+        if self is ctrl and (not stepped or stepped[-1] != now):
+            assert self._mode_due() is None, \
+                f"cycle {now}: unstepped although a mode switch is due"
+            full_scan_verify_selection(self, None)
+            unstepped.append(now)
+        vars(self)["now"] = value
+
+    with mock.patch.object(Controller, "step", recorded_step), \
+            mock.patch.object(Controller, "now", property(get_now, set_now), create=True):
+        try:
+            ctrl.run(workload)
+        except SimulationStalled:
+            pass
+    assert sorted(stepped + unstepped) == list(range(ctrl.now))
 
 
 # One read of row 1 staged on closed bank 0.
@@ -392,19 +491,20 @@ ONE_CLOSED_READ = ScenarioSpec(prestage=[StagedRequest(False, 0, 0, 1)],
                                horizon=100, num_cores=1)
 
 
-def test_oracle_checks_only_the_visited_cycles(monkeypatch):
-    seen = []
-    verify = checks.verify_selection
-    monkeypatch.setattr(checks, "verify_selection",
-                        lambda ctrl, chosen: seen.append(ctrl.now) or verify(ctrl, chosen))
+def test_oracle_checks_only_the_visited_cycles():
     workload = Workload(ONE_CLOSED_READ)
-    trace = workload.controller.run(workload)
-    # ACT at 0; cycle 1 idle, first ready 7: cycles 2-6 are quiet; RD at 7;
-    # cycle 8 idle, nothing waiting, so nothing is ever ready: cycles 9-18
-    # are quiet, and the one at the burst's end, 18, retires the read,
-    # whose completion ends the run.
+    ctrl = workload.controller
+    with recorded_oracle(ctrl) as (checked, scans, _):
+        trace = ctrl.run(workload)
+    # ACT at 0; the visit at 1 scans the queue, whose RD is first ready at
+    # 7, so cycles 1-6 are quiet; RD at 7; the visit at 8 scans the emptied
+    # queue, never ready, so cycles 8-18 are quiet, and the one at the
+    # burst's end, 18, retires the read, whose completion ends the run.
     assert [r.cycle for r in trace.issues] == [0, 7]
-    assert seen == [0, 1, 7, 8]
+    assert {cycle: result for cycle, (result, *_) in checked.items()} == \
+        {0: None, 7: None}
+    assert {cycle: result for cycle, (result, *_) in scans.items()} == \
+        {1: 7, 8: NEVER}
     assert trace.requests[0].completion_cycle == 18
 
 
@@ -448,8 +548,9 @@ def test_selection_groups_match_the_queues(spec):
           suppress_health_check=[HealthCheck.too_slow])
 @given(spec=live_specs() | staged_specs())
 def test_every_accepted_request_carries_its_target(spec):
-    # The oracle dedupes its scan on the (bank, row, is_write) target that
-    # enqueue stamps on each request it accepts.
+    # The oracle dedupes its scan on the target that enqueue stamps on each
+    # request it accepts: one int per (bank, row, is_write), and a
+    # different int for each.
     try:
         workload = Workload(spec)
     except ValueError:  # ScenarioError: over-full staging, for one
@@ -458,8 +559,13 @@ def test_every_accepted_request_carries_its_target(spec):
         workload.controller.run(workload)
     except SimulationStalled:
         pass
+    num_banks = spec.scheduler.num_banks
+    targets = {}
     for req in workload.controller.trace.requests:
-        assert req.target == (req.bank, req.row, req.is_write)
+        assert type(req.target) is int
+        assert req.target == (req.row * num_banks + req.bank) * 2 + req.is_write
+        assert targets.setdefault(req.target, (req.bank, req.row, req.is_write)) == \
+            (req.bank, req.row, req.is_write)
 
 
 def emit_stamps(monkeypatch, workload):

@@ -81,6 +81,21 @@ MUTANTS = (
            "len(self.write_queue) >= self.config.write_cap",
            "len(self.write_queue) >= self.config.write_cap - 1",
            "a drain starts while reads wait only once the write queue is full"),
+    # The certified spans of Controller.run, and the oracle's scan key.
+    Mutant("arrivals-do-not-shorten-the-span", SCHEDULER, "if ready < quiet_until:",
+           "if False:", "an arrival ends a certified span at its head's first-ready cycle"),
+    Mutant("certification-skips-mode-due", SCHEDULER,
+           "if mode_due() is not None:\n                    quiet_until = cycle",
+           "if False:\n                    quiet_until = cycle",
+           "a visit at which a mode switch is due is stepped"),
+    Mutant("span-ends-a-cycle-late", SCHEDULER,
+           "quiet_until, next_end = first_ready(self), self._next_end()",
+           "quiet_until, next_end = first_ready(self) + 1, self._next_end()",
+           "a span certified after an issue ends at the first-ready cycle"),
+    Mutant("target-ignores-the-bank", SCHEDULER,
+           "req.target = (req.row * self.config.num_banks + req.bank) * 2 + req.is_write",
+           "req.target = req.row * 2 + req.is_write",
+           "the oracle shares a head only among requests to one (bank, row, is_write)"),
     Mutant("probe-gap-1", WORKLOAD, "self.ready_at = now + 1 + self.spec.gap",
            "self.ready_at = now + self.spec.gap",
            "a dependent read leaves no earlier than the cycle after its data "
