@@ -39,7 +39,6 @@ from .workload import (
     scenario_to_text,
 )
 from .analysis import (
-    AnalysisInputs,
     bounds,
     read_queue_delay,
     write_drain_delay,

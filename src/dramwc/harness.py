@@ -182,9 +182,9 @@ def _analyzed_core(spec: ScenarioSpec) -> int:
 
 def evaluate(trace, spec: ScenarioSpec, slowdown: float | None = None) -> ExperimentReport:
     """Bound-vs-measurement report for the analyzed core of one trace, with
-    the bounds of the scenario's own inputs."""
+    the bounds of the scenario that it ran."""
     delays = analysis.read_delays(trace, _analyzed_core(spec))
-    per_request = analysis.bounds(analysis.AnalysisInputs.for_scenario(spec))
+    per_request = analysis.bounds(spec)
     worst = max(delays)
     margin = {name: bound / worst if worst > 0 else math.inf
               for name, bound in per_request.items()}
@@ -256,16 +256,16 @@ def _emit(out: str, trace, spec: ScenarioSpec) -> None:
                  "scenario.txt": scenario_to_text(spec)})
 
 
-def _report_csv(inputs: analysis.AnalysisInputs,
+def _report_csv(spec: ScenarioSpec, trace=None,
                 report: ExperimentReport | None = None) -> str:
     """report.csv: the bounds, then the measurements when there are any."""
     rows = ["quantity,cycles,ns"]
-    for name, cycles, ns in analysis.bound_rows(inputs):
+    for name, cycles, ns in analysis.bound_rows(spec, trace):
         rows.append(f"{name},{cycles},{ns:.2f}")
     if report is not None:
         for name in ("measured_max", "measured_mean"):
             rows.append(f"{name}_delay,{report.text(name)},"
-                        f"{inputs.timing.ns(getattr(report, name)):.2f}")
+                        f"{spec.timing.ns(getattr(report, name)):.2f}")
         for name in ("margin_full", "margin_nowq"):
             rows.append(f"{name}_ratio,{report.text(name)},")
         for name in ("violations_full", "violations_nowq", "violations_baseline"):
@@ -290,8 +290,7 @@ def compare(spec: ScenarioSpec, out_dir=None) -> ExperimentReport:
     report = evaluate(trace, spec)
     if out is not None:
         _emit(out, trace, spec)
-        inputs = analysis.AnalysisInputs.for_scenario(spec, trace)
-        _write(out, {"report.csv": _report_csv(inputs, report)})
+        _write(out, {"report.csv": _report_csv(spec, trace, report)})
     return report
 
 
@@ -440,7 +439,7 @@ def _run_command(args) -> int:
     if args.command == "analyze":
         spec = _source(args)
         _analyzed_core(spec)  # fail before --out is made
-        csv = _report_csv(analysis.AnalysisInputs.for_scenario(spec))
+        csv = _report_csv(spec)
         out = None if args.out is None else _make_dir(args.out)
         print(csv, end="")
         if out is not None:

@@ -128,12 +128,12 @@ def build(lines: list, table: dict[str, tuple], make, error, at: int | None = No
         raise type(exc)(f"line {since or at}: {exc}", exc.keys) from None
 
 
-def check_min(obj, minimum: int | None, *names: str, error=ScenarioError) -> None:
-    """Raise ``error`` keyed by the first of the fields that is not an
+def check_min(obj, minimum: int | None, *names: str) -> None:
+    """Raise a ScenarioError keyed by the first of the fields that is not an
     ``int`` (a ``bool`` is not one) or is below ``minimum``, if one is given."""
     for name in names:
         value = getattr(obj, name)
         if not isinstance(value, int) or isinstance(value, bool):
-            raise error(f"{name} ({value!r}) must be an integer", (name,))
+            raise ScenarioError(f"{name} ({value!r}) must be an integer", (name,))
         if minimum is not None and value < minimum:
-            raise error(f"{name} ({value}) must be at least {minimum}", (name,))
+            raise ScenarioError(f"{name} ({value}) must be at least {minimum}", (name,))

@@ -731,6 +731,13 @@ def _blame(lineno: int):
         raise ScenarioError(f"line {lineno}: {exc}") from None
 
 
+def _fields(tokens: list[str], form: str) -> list[str]:
+    """``tokens``, if there are as many as ``form`` names."""
+    if len(tokens) != len(form.split()):
+        raise ScenarioError(f"expected '{form}', got {' '.join(tokens)!r}")
+    return tokens
+
+
 def scenario_from_text(text: str) -> ScenarioSpec:
     """Parse the sectioned text format back into a ScenarioSpec.
 
@@ -780,7 +787,7 @@ def scenario_from_text(text: str) -> ScenarioSpec:
     spec.mshr = build(body, codecs(MshrConfig), MshrConfig, ScenarioError, at)
     for lineno, tokens in sections["banks"][1]:
         with _blame(lineno):
-            bank, row = map(int, tokens)
+            bank, row = map(int, _fields(tokens, "bank row"))
             if bank in spec.open_rows:
                 raise ScenarioError(f"repeated bank {bank}")
             _check_placement(spec, bank=bank)
@@ -795,7 +802,7 @@ def scenario_from_text(text: str) -> ScenarioSpec:
         spec.generators.append(gen)
     for lineno, tokens in sections["prestage"][1]:
         with _blame(lineno):
-            word, core, bank, row = tokens
+            word, core, bank, row = _fields(tokens, "read|write core bank row")
             if word not in ("read", "write"):
                 raise ScenarioError(f"{word!r} is neither read nor write")
             staged = StagedRequest(word == "write", int(core), int(bank), int(row))

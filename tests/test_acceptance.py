@@ -10,7 +10,6 @@ import pytest
 
 from dramwc import checks, harness, workload
 from dramwc.analysis import (
-    AnalysisInputs,
     bounds,
     read_queue_delay,
     write_drain_delay,
@@ -86,12 +85,12 @@ def test_c1_figure_replays():
 
 def test_c2_analytic_values():
     with criterion(2, "bound values match the platform constants exactly"):
-        # The inputs of c2's staged canonical case, as `dramwc analyze` prints.
-        inputs = AnalysisInputs.for_scenario(build_adversarial())
-        assert inputs.timing == TIMING
-        full = bounds(inputs)["full"]
-        assert read_queue_delay(inputs) == 120
-        assert write_drain_delay(inputs) == 112
+        # The bounds of c2's staged canonical case, as `dramwc analyze` prints.
+        spec = build_adversarial()
+        assert spec.timing == TIMING
+        full = bounds(spec)["full"]
+        assert read_queue_delay(spec) == 120
+        assert write_drain_delay(spec) == 112
         assert full == 232
         assert abs(TIMING.ns(full) - 433.84) <= 0.01
 
@@ -121,7 +120,7 @@ def test_c4_baseline_underestimates():
         spec = build_adversarial(
             interferer_kind=GeneratorKind.BANDWIDTH_WRITE, seed=0)
         trace = replay(spec)
-        baseline = bounds(AnalysisInputs.for_scenario(spec))["baseline"]
+        baseline = bounds(spec)["baseline"]
         report = harness.evaluate(trace, spec)
         assert report.bound_baseline == baseline == 57
         assert report.measured_max > baseline
@@ -136,7 +135,7 @@ def test_c5_full_bound_is_tight():
         spec = build_adversarial(
             interferer_kind=GeneratorKind.BANDWIDTH_WRITE, seed=0)
         trace = replay(spec)
-        full = bounds(AnalysisInputs.for_scenario(spec))["full"]
+        full = bounds(spec)["full"]
         report = harness.evaluate(trace, spec)
         assert report.bound_full == full == 232
         assert full >= report.measured_max

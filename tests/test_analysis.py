@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from dramwc import analysis, harness
 from dramwc.analysis import (
-    AnalysisInputs,
     bounds,
     read_delays,
     read_queue_delay,
@@ -29,196 +28,198 @@ from test_scheduler import solo_delay
 
 
 TIMING = make_timing()
-# The inputs of the default platform: an analyzed core 0 at the default
-# timing, controller and MSHR file, with no sources.
-PLATFORM = AnalysisInputs.for_scenario(ScenarioSpec(analyzed_core=0))
+# The default platform: an analyzed core 0 of four at the default timing,
+# controller and MSHR file, with no sources. Its 30 prior reads are what the
+# three other cores' MSHR caps admit.
+PLATFORM = ScenarioSpec(analyzed_core=0)
 
 
-def inputs(**kwargs):
-    return replace(PLATFORM, **kwargs)
+def platform(read_cap=32, drain_batch=4, **fields):
+    """PLATFORM with a read queue of ``read_cap``, which admits
+    ``read_cap - 1`` prior reads up to the MSHR file's 30, and a drain batch
+    of ``drain_batch``."""
+    return ScenarioSpec(scheduler=SchedulerConfig(read_cap=read_cap, drain_batch=drain_batch),
+                        analyzed_core=0, **fields)
+
+
+def task_totals(spec, trace):
+    return {name: cycles for name, cycles, _ in analysis.bound_rows(spec, trace)
+            if name.startswith("total_")}
+
+
+def probe(budget):
+    """PLATFORM whose analyzed core runs a lone latency probe of ``budget``
+    reads, its run's trace: the bounds stay PLATFORM's."""
+    spec = replace(PLATFORM, generators=[
+        GeneratorSpec(GeneratorKind.LATENCY, 0, 0, budget=budget)], horizon=100_000)
+    trace, _ = run_scenario(spec)
+    return spec, trace
 
 
 class TestReadQueueDelay:
     def test_platform_defaults(self):
-        assert read_queue_delay(inputs()) == 30 * 4  # = 120
+        assert read_queue_delay(PLATFORM) == 30 * 4  # = 120
 
     def test_zero_prior_reads(self):
-        assert read_queue_delay(inputs(max_prior_reads=0)) == 0
+        assert read_queue_delay(platform(read_cap=1)) == 0
+        assert read_queue_delay(platform(num_cores=1)) == 0
 
     def test_three_prior_reads_match_issue_slip(self):
         # three older pipelined reads push a fourth back by 3 bursts
-        assert read_queue_delay(inputs(max_prior_reads=3)) == 12
+        assert read_queue_delay(platform(read_cap=4)) == 12
 
 
 class TestWriteDrainDelay:
     def test_platform_defaults(self):
-        assert write_drain_delay(inputs()) == 4 * 27 + 4  # = 112
-
-    def test_zero_batch_still_pays_turnaround(self):
-        assert write_drain_delay(inputs(drain_batch=0)) == 4
+        assert write_drain_delay(PLATFORM) == 4 * 27 + 4  # = 112
 
     def test_single_write(self):
-        assert write_drain_delay(inputs(drain_batch=1)) == 31
+        assert write_drain_delay(platform(drain_batch=1)) == 31
 
 
 class TestPerRequestBound:
     def test_full_bound_cycles_and_ns(self):
-        full = bounds(inputs())["full"]
+        full = bounds(PLATFORM)["full"]
         assert full == 120 + 112 == 232
         assert abs(TIMING.ns(full) - 232 * 1.87) < 1e-9
         assert abs(TIMING.ns(full) - 433.84) <= 0.01
 
     def test_no_write_queue_variant(self):
-        assert bounds(inputs())["no_write_queue"] == read_queue_delay(inputs()) == 120
+        assert bounds(PLATFORM)["no_write_queue"] == read_queue_delay(PLATFORM) == 120
 
-    def test_zero_counts_leave_turnaround(self):
-        assert bounds(inputs(max_prior_reads=0, drain_batch=0))["full"] == 4
-
-    def test_invalid_inputs(self):
-        with pytest.raises(analysis.AnalysisError):
-            inputs(max_prior_reads=-1)
-        with pytest.raises(analysis.AnalysisError):
-            inputs(num_cores=0)
-        with pytest.raises(analysis.AnalysisError,
-                           match=r"miss_count \(-1\) must be at least 0"):
-            inputs(miss_count=-1)
-
-    def test_every_input_is_given(self):
-        with pytest.raises(TypeError):
-            AnalysisInputs(TIMING)
-        assert (PLATFORM.timing, PLATFORM.max_prior_reads, PLATFORM.drain_batch,
-                PLATFORM.num_cores, PLATFORM.miss_count) == (TIMING, 30, 4, 4, 0)
+    def test_no_prior_reads_leave_the_drain_term(self):
+        # a lone core has no prior reads and no competing core
+        assert bounds(platform(drain_batch=1, num_cores=1)) == {
+            "full": 27 + 4, "no_write_queue": 0, "baseline": 0}
 
     def test_a_scenario_without_sources_pays_the_full_write_term(self):
         # Nothing says which cores write back, so every interferer is
         # charged as a writer: a full drain batch of row misses plus the
         # turnaround, as with write-heavy interferers.
-        bare = ScenarioSpec(analyzed_core=0)
-        assert not bare.generators and not bare.prestage
+        assert not PLATFORM.generators and not PLATFORM.prestage
         writers = harness.live_scenario("bandwidth_write")
-        for spec in (bare, writers):
-            per_request = bounds(AnalysisInputs.for_scenario(spec))
+        for spec in (PLATFORM, writers):
+            per_request = bounds(spec)
             assert per_request["full"] - per_request["no_write_queue"] == 4 * 27 + 4
-        assert bounds(AnalysisInputs.for_scenario(bare))["full"] == 232
+        assert bounds(PLATFORM)["full"] == 232
 
 
 class TestTotalDelay:
     def test_no_misses(self):
-        i = inputs()
-        assert i.miss_count * bounds(i)["full"] == 0
-        assert i.miss_count * bounds(i)["baseline"] == 0
-        # the task totals are left out of the report rows
-        assert not [name for name, _, _ in analysis.bound_rows(i)
-                    if name.startswith("total_")]
+        # the task totals are left out of the report rows, without a run
+        # and with one whose analyzed read did not complete
+        assert task_totals(PLATFORM, None) == {}
+        spec = replace(TestBoundCheck.SOLO, horizon=5)
+        trace, _ = run_scenario(spec)
+        assert not trace.completions
+        assert task_totals(spec, trace) == {}
 
     def test_thousand_misses(self):
-        i = inputs(miss_count=1000)
-        assert i.miss_count * bounds(i)["full"] == 232_000
-        assert i.miss_count * bounds(i)["no_write_queue"] == 120_000
-        totals = {name: cycles for name, cycles, _ in analysis.bound_rows(i)}
+        spec, trace = probe(1000)
+        totals = task_totals(spec, trace)
         assert (totals["total_full"], totals["total_no_write_queue"]) == (232_000, 120_000)
 
 
 class TestBaselineBound:
     def test_single_core_has_no_interference(self):
-        assert bounds(inputs(num_cores=1))["baseline"] == 0
+        assert bounds(platform(num_cores=1))["baseline"] == 0
 
     def test_default_penalties(self):
         # PRE 1 + ACT tRRD 4 + RD/WR (WL 6 + tBURST 4 + tWTR 4) per competing core
-        assert bounds(inputs())["baseline"] == 3 * 19 == 57
+        assert bounds(PLATFORM)["baseline"] == 3 * 19 == 57
 
     def test_follows_trrd(self):
-        timing = make_timing({"trrd": 6})
-        assert bounds(inputs(timing=timing))["baseline"] == 63
+        assert bounds(platform(timing={"trrd": 6}))["baseline"] == 63
 
     def test_follows_write_latency(self):
-        timing = make_timing({"wl": 5})
-        assert bounds(inputs(timing=timing))["baseline"] == 54
+        assert bounds(platform(timing={"wl": 5}))["baseline"] == 54
 
     def test_linear_in_competing_cores(self):
-        four = bounds(inputs(num_cores=4))["baseline"]
-        seven = bounds(inputs(num_cores=7))["baseline"]
+        four = bounds(platform(num_cores=4))["baseline"]
+        seven = bounds(platform(num_cores=7))["baseline"]
         assert seven == 2 * four
 
     def test_independent_of_prior_read_count(self):
-        lo = bounds(inputs(max_prior_reads=0))["baseline"]
-        hi = bounds(inputs(max_prior_reads=30))["baseline"]
+        lo = bounds(platform(read_cap=1))["baseline"]
+        hi = bounds(platform(read_cap=31))["baseline"]
         assert lo == hi
 
     def test_total_scales_with_misses(self):
-        i = inputs(miss_count=10)
-        assert i.miss_count * bounds(i)["baseline"] == 570
-        totals = {name: cycles for name, cycles, _ in analysis.bound_rows(i)}
-        assert totals["total_baseline"] == 570
+        spec, trace = probe(10)
+        assert task_totals(spec, trace)["total_baseline"] == 570
 
 
-@st.composite
-def analysis_params(draw):
-    timing = make_timing({
-        "tburst": draw(st.integers(1, 16)),
-        "trc": draw(st.integers(10, 60)),
-        "twtr": draw(st.integers(1, 12)),
-        "tfaw": 64,
-    })
-    return inputs(
-        timing=timing,
-        max_prior_reads=draw(st.integers(0, 64)),
-        drain_batch=draw(st.integers(0, 16)),
-        miss_count=draw(st.integers(0, 1000)),
-    )
+# The scenario fields that the bounds read, each drawn from a valid range.
+INPUTS = {
+    "read_cap": st.integers(1, 64),
+    "global_read_cap": st.integers(1, 64),
+    "per_core_read_cap": st.integers(1, 16),
+    "num_cores": st.integers(1, 8),
+    "drain_batch": st.integers(1, 8),  # plus a bump of 8 at most fits write_cap
+    "tburst": st.integers(1, 16),
+    "trc": st.integers(10, 60),
+    "twtr": st.integers(1, 12),
+}
+
+
+def scenario(read_cap, global_read_cap, per_core_read_cap, num_cores, drain_batch,
+             tburst, trc, twtr):
+    return ScenarioSpec(
+        timing={"tburst": tburst, "trc": trc, "twtr": twtr},
+        scheduler=SchedulerConfig(read_cap=read_cap, drain_batch=drain_batch),
+        mshr=MshrConfig(global_read_cap=global_read_cap,
+                        per_core_read_cap=per_core_read_cap),
+        analyzed_core=0, num_cores=num_cores)
 
 
 @settings(max_examples=60, deadline=None)
-@given(analysis_params())
-def test_bound_decomposition_identity(i):
-    per_request = bounds(i)
+@given(st.fixed_dictionaries(INPUTS))
+def test_bound_decomposition_identity(values):
+    per_request = bounds(scenario(**values))
     assert (per_request["full"] - per_request["no_write_queue"]
-            == i.drain_batch * i.timing.trc + i.timing.twtr)
+            == values["drain_batch"] * values["trc"] + values["twtr"])
 
 
 @settings(max_examples=60, deadline=None)
-@given(analysis_params(), st.integers(1, 8))
-def test_bound_monotone_in_each_input(i, bump):
-    base = bounds(i)["full"]
-    grown = [
-        inputs(timing=i.timing, max_prior_reads=i.max_prior_reads + bump,
-               drain_batch=i.drain_batch, miss_count=i.miss_count),
-        inputs(timing=i.timing, max_prior_reads=i.max_prior_reads,
-               drain_batch=i.drain_batch + bump, miss_count=i.miss_count),
-    ]
-    for variant in grown:
-        assert bounds(variant)["full"] >= base
-    total = i.miss_count * base
-    more_misses = inputs(timing=i.timing, max_prior_reads=i.max_prior_reads,
-                         drain_batch=i.drain_batch,
-                         miss_count=i.miss_count + bump)
-    assert more_misses.miss_count * bounds(more_misses)["full"] >= total
+@given(st.fixed_dictionaries(INPUTS), st.sampled_from(list(INPUTS)), st.integers(1, 8))
+def test_bound_monotone_in_each_input(values, name, bump):
+    base = bounds(scenario(**values))
+    grown = bounds(scenario(**{**values, name: values[name] + bump}))
+    assert grown["full"] >= base["full"]
+    assert grown["baseline"] >= base["baseline"]
 
 
 @settings(max_examples=60, deadline=None)
-@given(analysis_params())
-def test_ns_conversion(i):
-    cycles = bounds(i)["full"]
-    assert abs(i.timing.ns(cycles) - cycles * i.timing.tck_ns) < 1e-9
+@given(st.fixed_dictionaries(INPUTS))
+def test_ns_conversion(values):
+    spec = scenario(**values)
+    cycles = bounds(spec)["full"]
+    assert abs(spec.timing.ns(cycles) - cycles * spec.timing.tck_ns) < 1e-9
 
 
 class TestForScenario:
-    """``AnalysisInputs.for_scenario``: every input from the scenario."""
+    """The bounds for a scenario: every input read from its fields."""
 
     def test_inputs_come_from_the_scenario(self):
+        # 12 prior reads (two interferers of 6), a burst of 4, a batch of
+        # three row cycles of 30, the turnaround of 4, two competing cores
         spec = replace(harness.live_scenario("stream", n_interferers=2),
                        timing={"trc": 30},
                        scheduler=SchedulerConfig(read_cap=20, drain_batch=3),
                        mshr=MshrConfig(per_core_read_cap=6))
-        i = AnalysisInputs.for_scenario(spec)
-        assert i.timing == make_timing({"trc": 30})
-        assert (i.max_prior_reads, i.drain_batch, i.num_cores) == (12, 3, 3)
-        assert i.miss_count == 0
+        assert spec.max_prior_reads() == 12
+        assert (read_queue_delay(spec), write_drain_delay(spec)) == (12 * 4, 3 * 30 + 4)
+        assert bounds(spec)["baseline"] == 2 * 19
 
-    def test_miss_count_is_the_analyzed_cores_completed_reads(self):
-        spec = harness.live_scenario("bandwidth_write", latency_budget=7)
-        trace, _ = run_scenario(spec)
-        assert AnalysisInputs.for_scenario(spec, trace).miss_count == 7
+    def test_miss_count_is_the_analyzed_cores_completed_reads(self, tmp_path):
+        # The task totals of report.csv count the probe's 7 reads, and none
+        # of the interferers'.
+        report = harness.compare(harness.live_scenario("bandwidth_write", latency_budget=7),
+                                 tmp_path)
+        assert report.bound_full == 232
+        rows = dict(line.split(",", 1)
+                    for line in (tmp_path / "report.csv").read_text().splitlines())
+        assert rows["total_full"] == "1624,3036.88"  # 7 * 232 cycles
 
     @pytest.mark.parametrize("kind, staged, own", [
         (None, 1, 0),                                 # one staged read
@@ -237,7 +238,7 @@ class TestForScenario:
             analyzed_core=0,
             num_cores=2,
         )
-        assert AnalysisInputs.for_scenario(spec).max_prior_reads == 10 + own
+        assert spec.max_prior_reads() == 10 + own
 
 
 @st.composite
@@ -286,7 +287,7 @@ def test_staged_prior_reads_are_what_the_caps_admit(mshr, n, kind, seed):
         return
     spec = build_adversarial(interferer_kind=kind, seed=seed, n_interferers=n,
                              mshr=mshr)
-    prior = AnalysisInputs.for_scenario(spec).max_prior_reads
+    prior = spec.max_prior_reads()
     assert prior == base.max_prior_reads()
     assert prior <= spec.scheduler.read_cap - 1
     assert prior <= mshr.global_read_cap - 1
@@ -334,9 +335,8 @@ class TestBenchmarkShape:
 
     @staticmethod
     def shape(spec):
-        i = AnalysisInputs.for_scenario(spec)
-        return ((i.max_prior_reads, i.drain_batch, i.num_cores),
-                tuple(bounds(i).values()))
+        return ((spec.max_prior_reads(), spec.scheduler.drain_batch, spec.num_cores),
+                tuple(bounds(spec).values()))
 
     @pytest.mark.parametrize("kind", ["bandwidth_write", "bandwidth_read"])
     def test_live_grid(self, kind):
@@ -449,18 +449,17 @@ class TestBoundCheck:
         spec = replace(harness.preset("fig5"),
                        scheduler=SchedulerConfig(drain_batch=2),
                        mshr=MshrConfig(global_read_cap=3))
-        reduced = AnalysisInputs.for_scenario(spec)
-        assert (reduced.max_prior_reads, reduced.drain_batch) == (2, 2)
+        assert (spec.max_prior_reads(), spec.scheduler.drain_batch) == (2, 2)
         trace, _ = run_scenario(spec)
         report = harness.evaluate(trace, spec)
-        assert report.bound_full == bounds(reduced)["full"] == 66
+        assert report.bound_full == bounds(spec)["full"] == 66
         assert report.violations_full == 0
         assert report.measured_max == 63
 
 
 class TestReporting:
     def test_bound_rows_quantities(self):
-        rows = analysis.bound_rows(inputs(miss_count=10))
+        rows = analysis.bound_rows(*probe(10))
         names = [name for name, _, _ in rows]
         assert "per_request_full" in names and "total_baseline" in names
         as_dict = {name: cycles for name, cycles, _ in rows}

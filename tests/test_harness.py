@@ -129,13 +129,13 @@ class TestPresets:
         assert solo_delay(trace, trace.requests[4]) == first_read + 2 * 4 == 63
 
     def test_pure_read_staging_meets_read_queue_bound_exactly(self):
-        from dramwc.analysis import AnalysisInputs, read_queue_delay
+        from dramwc.analysis import read_queue_delay
 
         spec = build_adversarial(interferer_kind="bandwidth_read", seed=0)
         trace, _ = run_scenario(spec)
         analyzed = next(info for info in trace.requests
                         if info.core == spec.analyzed_core)
-        bound = read_queue_delay(AnalysisInputs.for_scenario(spec))
+        bound = read_queue_delay(spec)
         assert solo_delay(trace, analyzed) == bound == 120
 
 

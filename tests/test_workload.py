@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from dramwc import harness, workload
 from dramwc.device import TIMING_KEYS, TimingError, TimingParams, make_timing
 from dramwc.keyvalue import InputError, build, codecs, read_lines
-from dramwc.analysis import AnalysisInputs
 from dramwc.scheduler import Mode, SchedulerConfig, SchedulerError
 from dramwc.workload import (
     GeneratorKind,
@@ -628,6 +627,8 @@ FAULTS = {
     "zero mshr cap": (LIVE, {"per_core_read_cap 10": "per_core_read_cap 0"}, "line"),
     "short prestage line": (STAGED, {"read 1 1 15": "read 1 1"}, "line"),
     "short bank line": (STAGED, {"1 15": "1"}, "line"),
+    "long prestage line": (STAGED, {"read 1 1 15": "read 1 1 15 9"}, "line"),
+    "long bank line": (STAGED, {"1 15": "1 15 3"}, "line"),
     "open row out of range": (STAGED, {"1 15": "1 4096"}, "line"),
     "staged row out of range": (STAGED, {"read 1 1 15": "read 1 1 4096"}, "line"),
     "negative staged row": (STAGED, {"read 1 1 15": "read 1 1 -3"}, "line"),
@@ -704,10 +705,8 @@ def test_unknown_initial_mode_names_the_choices():
     (lambda: GeneratorSpec(GeneratorKind.STREAM, 0, 0, gap="1"), "gap"),
     (lambda: make_timing({"trp": True}), "trp"),
     (lambda: make_timing({"tck_ns": True}), "tck_ns"),
-    (lambda: AnalysisInputs(make_timing(), 30, 4, 4, miss_count=1.5), "miss_count"),
 ], ids=["str-cap", "float-batch", "bool-cap", "float-horizon", "str-core", "bool-core",
-        "bool-budget", "float-budget", "str-gap", "bool-timing", "bool-tck",
-        "float-miss-count"])
+        "bool-budget", "float-budget", "str-gap", "bool-timing", "bool-tck"])
 def test_a_count_that_is_not_an_int_is_a_keyed_input_error(make, key):
     with pytest.raises(InputError) as exc:
         make()
@@ -784,6 +783,18 @@ def test_input_fault_names_its_line(name, tmp_path, capsys):
     text, lineno = _apply_fault(*FAULTS[name])
     with pytest.raises((ScenarioError, TimingError), match=rf"\bline {lineno}\b"):
         scenario_from_text(text)
+
+
+@pytest.mark.parametrize("name, form", [
+    ("short bank line", "bank row"), ("long bank line", "bank row"),
+    ("short prestage line", "read|write core bank row"),
+    ("long prestage line", "read|write core bank row"),
+])
+def test_a_line_of_the_wrong_length_names_its_form(name, form):
+    text, lineno = _apply_fault(*FAULTS[name])
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_text(text)
+    assert str(exc.value).startswith(f"line {lineno}: expected '{form}', got ")
 
 
 @pytest.mark.parametrize("lines, message", [

@@ -142,9 +142,13 @@ MUTANTS = (
            "invalid, not the section header"),
     # The analysis.
     Mutant("write-term-without-twtr", ANALYSIS,
-           "return inputs.drain_batch * inputs.timing.trc + inputs.timing.twtr",
-           "return inputs.drain_batch * inputs.timing.trc",
+           "return spec.scheduler.drain_batch * spec.timing.trc + spec.timing.twtr",
+           "return spec.scheduler.drain_batch * spec.timing.trc",
            "the write-drain term charges one write-to-read turnaround"),
+    Mutant("task-total-counts-every-core", ANALYSIS,
+           "r.core == spec.analyzed_core and not r.is_write for r in trace.completions",
+           "not r.is_write for r in trace.completions",
+           "a task total counts the analyzed core's completed reads alone"),
     Mutant("max-prior-reads-read_cap", WORKLOAD,
            "return min(self.scheduler.read_cap - 1,",
            "return min(self.scheduler.read_cap,",
