@@ -4,6 +4,8 @@ batching, data-bus exclusivity, activate-window limits, and conservation.
 
 from __future__ import annotations
 
+import itertools
+
 from . import device
 from .device import ACT, RD, WR
 from .scheduler import READ, WRITE_DRAIN, Mode, ScheduleTrace, priority_key
@@ -19,40 +21,45 @@ def _command(kind, req) -> str:
 
 
 def first_ready(controller, since: int = 0) -> int:
-    """The first-ready cycle of the active queue from its request at index
-    ``since`` on: the earliest cycle at which one of their heads becomes
-    ready while the state stands still, NEVER if none can.
+    """The first-ready cycle of the active queue's (bank, row) groups from
+    the group at index ``since`` on: the earliest cycle at which one of their
+    heads becomes ready while the state stands still, NEVER if none can.
 
-    It reads the raw arrival-order queue, not the controller's (bank, row)
-    groups, and each head comes from decompose_request rather than the
-    controller's fast path. A head and its earliest_ready cycle depend only
-    on the request's target, the ``target`` that enqueue stamps on it, its
-    bank's open row and timing state and the channel, so each is derived
-    once per distinct target and shared by the requests to it.
+    It reads one head per group, the group's oldest request, since every
+    request of a group shares its head's kind and ready cycle: each depends
+    only on the request's (bank, row), its bank's open row and timing state
+    and the channel. The head's kind comes from decompose_request, not the
+    controller's fast path, and its ready cycle from earliest_ready.
 
-    The idle check of :func:`verify_selection` calls it over the whole
-    queue. ``Controller.run`` calls it on the visit after an issue, over the
-    whole queue, and on a visit with arrivals into the span that it
-    certified, over the requests that arrived since: an arrival only
-    appends to the queue, and only an issue changes the bank and channel
-    state.
+    A full call, from the first group, first checks that the groups hold as
+    many requests as the active queue, so a groups/queue desync fails at the
+    next certification. The idle check of :func:`verify_selection` makes a
+    full call, and ``Controller.run`` one on the visit after an issue. On a
+    visit with arrivals into the span that it certified, ``run`` reads only
+    the groups that they opened: no group is deleted before a CAS issue,
+    which ends the span, so new groups are the tail of the dict.
     """
-    queue = controller.candidate_queue()
+    groups = controller.candidate_groups()
     if since:
-        queue = queue[since:]
+        heads = itertools.islice(groups.values(), since, None)
+    else:
+        queued = len(controller.candidate_queue())
+        grouped = sum(map(len, groups.values()))
+        if grouped != queued:
+            raise TraceInvariantError(
+                f"cycle {controller.now}: the (bank, row) groups hold {grouped} "
+                f"requests, the active queue {queued}")
+        heads = groups.values()
     # _head in line: run calls this on the visit after each issue.
     banks, chan, timing = controller.banks, controller.chan, controller.timing
     decompose, earliest_ready = device.decompose_request, device.earliest_ready
     first = device.NEVER
-    seen = set()
-    for req in queue:
-        target = req.target
-        if target not in seen:
-            seen.add(target)
-            bank = banks[req.bank]
-            at = earliest_ready(decompose(req, bank)[0], req.row, bank, chan, timing)
-            if at < first:
-                first = at
+    for group in heads:
+        req = group[0]
+        bank = banks[req.bank]
+        at = earliest_ready(decompose(req, bank)[0], req.row, bank, chan, timing)
+        if at < first:
+            first = at
     return first
 
 
@@ -61,21 +68,20 @@ def verify_selection(controller, chosen) -> int | None:
     the controller's pick, a (kind, request) pair, against the FR-FCFS order
     (and work conservation).
 
-    Runs on every cycle that the controller stepped. It reads the raw
-    arrival-order queue, and each queued request's head comes from
-    decompose_request, once per distinct target, as in :func:`first_ready`.
-
-    An idle cycle is certified by :func:`first_ready`: if no target is
-    ready, no request is, and the call returns the first-ready cycle
+    Runs on every cycle that the controller stepped. An idle cycle is
+    certified by :func:`first_ready` over the (bank, row) group heads: if no
+    head is ready, no request is, and the call returns the first-ready cycle
     (NEVER if none can become ready). ``Controller.run`` leaves the cycles
-    before it unstepped, as quiet cycles. If some target is ready, the idle
+    before it unstepped, as quiet cycles. If some head is ready, the idle
     cycle fails, and the per-request scan below names the request.
 
-    A pick, or an idle cycle with a ready target, is checked by ranking
-    every ready request by its own FR-FCFS key; unlike select_command, the
-    oracle does not assume that only the oldest request of a target can win.
-    The queue is in arrival order, so the first ready CAS has the smallest
-    possible key and ends the scan.
+    A pick, or an idle cycle with a ready head, is checked by walking the
+    raw arrival-order queue and ranking every ready request by its own
+    FR-FCFS key, from priority_key; each request's head comes from
+    decompose_request, once per distinct ``target`` stamp. Unlike
+    select_command, the oracle does not assume that only the oldest request
+    of a target can win. The queue is in arrival order, so the first ready
+    CAS has the smallest possible key and ends the scan.
     """
     if len(controller.read_queue) > controller.config.read_cap:
         raise TraceInvariantError("read queue exceeds its capacity")
@@ -133,24 +139,34 @@ def _mode_intervals(trace: ScheduleTrace) -> list[tuple[int, Mode]]:
 
 
 def _issues_by_interval(trace: ScheduleTrace, intervals):
-    """Yield (interval index, issue) in cycle order, in one walk merging the
-    issues with the intervals. An issue at a switch cycle belongs to the new
-    mode, since the controller switches before it selects a command."""
+    """Yield (interval index, issue) in log order, which
+    :func:`check_command_bus` requires to be cycle order, in one walk merging
+    the issues with the intervals. An issue at a switch cycle belongs to the
+    new mode, since the controller switches before it selects a command."""
     i = 0
-    for rec in sorted(trace.issues, key=lambda rec: rec.cycle):
+    for rec in trace.issues:
         while i + 1 < len(intervals) and intervals[i + 1][0] <= rec.cycle:
             i += 1
         yield i, rec
 
 
 def check_command_bus(trace: ScheduleTrace) -> None:
-    cycles = [rec.cycle for rec in trace.issues]
-    if len(cycles) != len(set(cycles)):
-        raise TraceInvariantError("two commands issued in the same cycle")
+    """One command a cycle, logged in cycle order: ``step`` appends at most
+    one issue a cycle, so the issue cycles strictly increase."""
+    issues = trace.issues
+    for prev, cur in zip(issues, issues[1:]):
+        if cur.cycle == prev.cycle:
+            raise TraceInvariantError("two commands issued in the same cycle")
+        if cur.cycle < prev.cycle:
+            raise TraceInvariantError(
+                f"issue at cycle {cur.cycle} logged after one at {prev.cycle}")
 
 
 def check_burst_overlap(trace: ScheduleTrace) -> None:
-    bursts = sorted(trace.bursts, key=lambda b: b.start)
+    """Bursts, in the order they were logged, each start once the one before
+    has ended: every CAS waits for the data bus, so bursts start in issue
+    order, and one logged out of that order overlaps its predecessor."""
+    bursts = trace.bursts
     for prev, cur in zip(bursts, bursts[1:]):
         if cur.start < prev.end:
             raise TraceInvariantError(
@@ -185,7 +201,7 @@ def check_burst_timing(trace: ScheduleTrace) -> None:
 
 
 def check_tfaw(trace: ScheduleTrace) -> None:
-    acts = sorted(rec.cycle for rec in trace.issues if rec.kind is ACT)
+    acts = [rec.cycle for rec in trace.issues if rec.kind is ACT]  # in cycle order, as logged
     window = trace.timing.tfaw
     for i in range(4, len(acts)):
         if acts[i] - acts[i - 4] < window:
@@ -247,7 +263,9 @@ def check_conservation(trace: ScheduleTrace) -> None:
 
 
 def validate_trace(trace: ScheduleTrace) -> None:
-    """Run every offline invariant check; raises TraceInvariantError."""
+    """Run every offline invariant check; raises TraceInvariantError. The
+    command-bus check runs first: the checks after it read the issue log in
+    the cycle order that it requires."""
     check_command_bus(trace)
     check_burst_overlap(trace)
     check_burst_timing(trace)

@@ -190,8 +190,9 @@ class Controller:
         self.read_queue: list[MemRequest] = []
         self.write_queue: list[MemRequest] = []
         # Each queue's requests grouped by (bank, row), each group in arrival
-        # order: the selection index. The queues stay the arrival-order
-        # record that the oracle scans.
+        # order: the index that selection and the oracle's first-ready scan
+        # read. The queues stay the arrival-order record that the oracle's
+        # pick check walks.
         self.read_groups: dict[tuple[int, int], list[MemRequest]] = {}
         self.write_groups: dict[tuple[int, int], list[MemRequest]] = {}
         self.mode = initial_mode
@@ -260,6 +261,10 @@ class Controller:
     def candidate_queue(self) -> list[MemRequest]:
         return self.read_queue if self.mode is READ else self.write_queue
 
+    def candidate_groups(self) -> dict[tuple[int, int], list[MemRequest]]:
+        """The active queue's (bank, row) groups."""
+        return self.read_groups if self.mode is READ else self.write_groups
+
     def select_command(self) -> tuple[CommandKind, MemRequest] | None:
         """Highest-priority ready command among the active queue, as the
         pair (kind, request served), or None.
@@ -270,7 +275,7 @@ class Controller:
         """
         best = None
         best_key = None
-        groups = self.read_groups if self.mode is READ else self.write_groups
+        groups = self.candidate_groups()
         banks, chan, timing, now = self.banks, self.chan, self.timing, self.now
         earliest_ready = device.earliest_ready
         for group in groups.values():
@@ -375,16 +380,20 @@ class Controller:
         that ends at its first-ready cycle: in the idle check of a step that
         leaves no mode switch due, or on the first visit after an issue,
         once the workload has polled, by :func:`checks.first_ready` over the
-        active queue. A request that arrives in a span ends it at its own
-        head's first-ready cycle, if that is earlier, found by
-        :func:`checks.first_ready` over the arrivals alone; one that makes a
-        mode switch due ends it at once. This is exact: a head's kind and
-        ready cycle depend only on its target, its bank's state and the
-        channel's state, which only an issue changes; only a mode switch
-        changes the active queue, and its inputs, the queues and the drain
-        count, change only at an arrival or an issue; and an arrival only
-        appends a request. So a certification holds until the next issue or
-        mode switch, and an arrival can shorten it only by its own head.
+        active queue's (bank, row) group heads. A request that arrives in a
+        span and joins a group costs nothing: it shares the group head's
+        kind and ready cycle. One that opens a group ends the span at the
+        new head's first-ready cycle, if that is earlier, found by
+        :func:`checks.first_ready` over the new groups alone, the tail of
+        the dict; one that makes a mode switch due ends the span at once.
+        This is exact: a head's kind and ready cycle depend only on its
+        (bank, row), its bank's state and the channel's state, which only an
+        issue changes; only a mode switch changes the active queue, and its
+        inputs, the queues and the drain count, change only at an arrival or
+        an issue; and an arrival only appends a request, to a group or as a
+        new one, while only a CAS issue removes a group. So a certification
+        holds until the next issue or mode switch, and an arrival can
+        shorten it only by the head of a group that it opens.
 
         Each workload hook runs only on a visit where its inputs can have
         changed. The workload polls on cycle 0 and then on the wake that its
@@ -397,15 +406,15 @@ class Controller:
         stall_window = self.config.stall_window
         poll, notify, finished = workload.poll, workload.notify, workload.finished
         step, retire, mode_due, idle = self.step, self._retire, self._mode_due, self.idle
-        first_ready = checks.first_ready
+        candidate_groups, first_ready = self.candidate_groups, checks.first_ready
         trace = self.trace
         requests = trace.requests
         last_progress = 0
         wake = 0  # the next poll's cycle
         # The certified span: nothing is ready before quiet_until, with
-        # quiet_order requests accepted and quiet_len of them in the active
-        # queue; quiet_order is -1 after an issue or a due mode switch. The
-        # span is empty on cycle 0, which is stepped.
+        # quiet_order requests accepted and quiet_len (bank, row) groups in
+        # the active queue; quiet_order is -1 after an issue or a due mode
+        # switch. The span is empty on cycle 0, which is stepped.
         quiet_order, quiet_until, quiet_len = 0, 0, 0
         next_end = device.NEVER  # the end of the first burst not retired, when quiet
         while self.now < horizon:
@@ -417,19 +426,21 @@ class Controller:
                     quiet_until = cycle
                 elif quiet_order < 0:
                     quiet_until, next_end = first_ready(self), self._next_end()
-                    quiet_len = len(self.candidate_queue())
+                    quiet_len = len(candidate_groups())
                 elif cycle < quiet_until:
-                    ready = first_ready(self, quiet_len)
-                    quiet_len = len(self.candidate_queue())
-                    if ready < quiet_until:
-                        quiet_until = ready
+                    heads = len(candidate_groups())
+                    if heads != quiet_len:
+                        ready = first_ready(self, quiet_len)
+                        quiet_len = heads
+                        if ready < quiet_until:
+                            quiet_until = ready
                 quiet_order = len(requests)
             issued = completed = None
             if cycle >= quiet_until:
                 issued, completed = step()
                 if issued is None and mode_due() is None:
                     quiet_order, quiet_until = len(requests), self._first_ready
-                    quiet_len, next_end = len(self.candidate_queue()), self._next_end()
+                    quiet_len, next_end = len(candidate_groups()), self._next_end()
                 else:
                     quiet_order = -1
             elif cycle == next_end:

@@ -728,14 +728,25 @@ def _blame(lineno: int):
     try:
         yield
     except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"line {lineno}: {exc}") from None
+        raise ScenarioError(f"line {lineno}: {exc}", getattr(exc, "keys", ())) from None
 
 
-def _fields(tokens: list[str], form: str) -> list[str]:
-    """``tokens``, if there are as many as ``form`` names."""
-    if len(tokens) != len(form.split()):
+def _fields(tokens: list[str], form: str) -> list:
+    """``tokens``, if there are as many as ``form`` names, each read as an
+    integer but a choice of words (``read|write``)."""
+    names = form.split()
+    if len(tokens) != len(names):
         raise ScenarioError(f"expected '{form}', got {' '.join(tokens)!r}")
-    return tokens
+    values = []
+    for name, token in zip(names, tokens):
+        if "|" not in name:
+            try:
+                token = int(token)
+            except ValueError:
+                raise ScenarioError(f"{name} must be an integer in '{form}', got "
+                                    f"{token!r}", (name,)) from None
+        values.append(token)
+    return values
 
 
 def scenario_from_text(text: str) -> ScenarioSpec:
@@ -787,7 +798,7 @@ def scenario_from_text(text: str) -> ScenarioSpec:
     spec.mshr = build(body, codecs(MshrConfig), MshrConfig, ScenarioError, at)
     for lineno, tokens in sections["banks"][1]:
         with _blame(lineno):
-            bank, row = map(int, _fields(tokens, "bank row"))
+            bank, row = _fields(tokens, "bank row")
             if bank in spec.open_rows:
                 raise ScenarioError(f"repeated bank {bank}")
             _check_placement(spec, bank=bank)
@@ -805,7 +816,7 @@ def scenario_from_text(text: str) -> ScenarioSpec:
             word, core, bank, row = _fields(tokens, "read|write core bank row")
             if word not in ("read", "write"):
                 raise ScenarioError(f"{word!r} is neither read nor write")
-            staged = StagedRequest(word == "write", int(core), int(bank), int(row))
+            staged = StagedRequest(word == "write", core, bank, row)
             workload.stage(staged)
         spec.prestage.append(staged)
     return spec

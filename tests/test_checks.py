@@ -1,3 +1,4 @@
+import bisect
 import copy
 
 import pytest
@@ -21,6 +22,12 @@ def adversarial_trace():
     return trace
 
 
+def log_issue(trace, rec):
+    """Put ``rec`` in the issue log at its cycle, after any issue already
+    logged at that cycle, so the log stays in cycle order."""
+    bisect.insort(trace.issues, rec, key=lambda r: r.cycle)
+
+
 def test_validators_pass_on_clean_traces(drain_trace, adversarial_trace):
     validate_trace(drain_trace)
     validate_trace(adversarial_trace)
@@ -29,10 +36,33 @@ def test_validators_pass_on_clean_traces(drain_trace, adversarial_trace):
 def test_duplicate_issue_cycle_rejected(drain_trace):
     trace = copy.deepcopy(drain_trace)
     first = trace.issues[0]
-    trace.issues.append(IssueRecord(first.cycle, CommandKind.ACT,
-                                    MemRequest(0, False, 5, 0)))
+    log_issue(trace, IssueRecord(first.cycle, CommandKind.ACT,
+                                 MemRequest(0, False, 5, 0)))
     with pytest.raises(TraceInvariantError, match="same cycle"):
         checks.check_command_bus(trace)
+
+
+def test_out_of_order_issue_log_rejected(drain_trace):
+    # step logs issues in cycle order, and the checks that follow read the
+    # log in that order instead of sorting it: an issue logged after a
+    # later one fails, though its cycle is free.
+    trace = copy.deepcopy(drain_trace)
+    cycles = {rec.cycle for rec in trace.issues}
+    free = next(c for c in range(trace.issues[-1].cycle) if c not in cycles)
+    trace.issues.append(IssueRecord(free, CommandKind.ACT, MemRequest(0, False, 5, 0)))
+    with pytest.raises(TraceInvariantError, match=f"^issue at cycle {free} logged "
+                       f"after one at {trace.issues[-2].cycle}$"):
+        checks.check_command_bus(trace)
+    with pytest.raises(TraceInvariantError, match="logged after"):
+        validate_trace(trace)
+
+
+def test_out_of_order_burst_rejected(drain_trace):
+    # Two bursts that do not overlap, logged in the wrong order.
+    trace = copy.deepcopy(drain_trace)
+    trace.bursts[-2:] = trace.bursts[:-3:-1]
+    with pytest.raises(TraceInvariantError, match="overlap"):
+        checks.check_burst_overlap(trace)
 
 
 def test_overlapping_bursts_rejected(drain_trace):
@@ -65,15 +95,15 @@ def test_write_cas_outside_drain_rejected(drain_trace):
     trace = copy.deepcopy(drain_trace)
     read_mode_start = next(s.cycle for s in trace.mode_switches
                            if s.mode is Mode.READ)
-    trace.issues.append(IssueRecord(read_mode_start + 1, CommandKind.WR,
-                                    MemRequest(3, True, 3, 36)))
+    log_issue(trace, IssueRecord(read_mode_start + 1, CommandKind.WR,
+                                 MemRequest(3, True, 3, 36)))
     with pytest.raises(TraceInvariantError, match="WR issued"):
         checks.check_mode_exclusion(trace)
 
 
 def test_read_cas_inside_drain_rejected(drain_trace):
     trace = copy.deepcopy(drain_trace)
-    trace.issues.append(IssueRecord(1, CommandKind.RD, MemRequest(0, False, 0, 5)))
+    log_issue(trace, IssueRecord(1, CommandKind.RD, MemRequest(0, False, 0, 5)))
     with pytest.raises(TraceInvariantError, match="RD issued"):
         checks.check_mode_exclusion(trace)
 
@@ -84,10 +114,10 @@ def test_issue_at_a_switch_cycle_belongs_to_the_new_mode(drain_trace):
     switch = next(s.cycle for s in drain_trace.mode_switches
                   if s.mode is Mode.READ)
     trace = copy.deepcopy(drain_trace)
-    trace.issues.append(IssueRecord(switch, CommandKind.RD, MemRequest(0, False, 0, 5)))
+    log_issue(trace, IssueRecord(switch, CommandKind.RD, MemRequest(0, False, 0, 5)))
     checks.check_mode_exclusion(trace)
     trace = copy.deepcopy(drain_trace)
-    trace.issues.append(IssueRecord(switch, CommandKind.WR, MemRequest(3, True, 3, 36)))
+    log_issue(trace, IssueRecord(switch, CommandKind.WR, MemRequest(3, True, 3, 36)))
     with pytest.raises(TraceInvariantError,
                        match=f"WR issued outside a drain at {switch}"):
         checks.check_mode_exclusion(trace)

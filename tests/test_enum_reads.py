@@ -59,7 +59,7 @@ PER_CYCLE = {
     device: ("earliest_ready", "command_ready", "apply_command", "decompose_request"),
     scheduler: tuple(f"Controller.{name}" for name in (
         "select_command", "step", "_retire", "_next_end", "_dequeue", "enqueue",
-        "update_mode", "_mode_due", "idle", "run")),
+        "update_mode", "_mode_due", "candidate_groups", "idle", "run")),
     checks: ("verify_selection", "first_ready", "_head"),
     workload: ("Workload.poll", "Workload.notify", "Workload.finished",
                "Workload.exhausted", "MshrFile.admits", "MshrFile.acquire",

@@ -228,10 +228,27 @@ def full_scan_starts_to_fail_at(ctrl, cycle):
     return passes and failure(full_scan_verify_selection, ctrl, None) is not None
 
 
+def test_a_group_out_of_step_with_its_queue_fails_the_next_certification():
+    # Two row-hit reads to one (bank, row) form one group; with one of them
+    # dropped from it, a full first-ready call, and so the idle check, fails
+    # on the count, while a call over the new groups alone does not count.
+    ctrl = Controller(make_timing(), open_rows={0: 1})
+    for _ in range(2):
+        assert ctrl.enqueue(MemRequest(0, False, 0, 1))
+    assert checks.first_ready(ctrl) == 0
+    ctrl.read_groups[0, 1].pop()
+    message = r"^cycle 0: the \(bank, row\) groups hold 1 requests, the active queue 2$"
+    with pytest.raises(TraceInvariantError, match=message):
+        checks.first_ready(ctrl)
+    with pytest.raises(TraceInvariantError, match=message):
+        checks.verify_selection(ctrl, None)
+    assert checks.first_ready(ctrl, 1) == NEVER
+
+
 def test_heads_are_derived_once_per_target(monkeypatch):
     # The staged worst case queues 31 reads to 4 (bank, row) targets. One
-    # cycle after the first RD nothing is ready (tCCD), so the oracle scans
-    # the whole queue.
+    # cycle after the first RD nothing is ready (tCCD), so the oracle reads
+    # one head per target.
     ctrl = Workload(build_adversarial(
         interferer_kind=GeneratorKind.BANDWIDTH_READ, seed=0)).controller
     ctrl.step()

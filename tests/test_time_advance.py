@@ -4,7 +4,8 @@ per-cycle loop.
 ``run`` visits every cycle but steps only cycle 0 and those at which a
 command is ready or a mode switch is due; a quiet cycle (before the end of
 a span that the oracle certified, by a step's idle check or a scan of the
-active queue, and cut short by a scan of each arrival since) only retires
+active queue's (bank, row) group heads, and cut short by a scan of each
+group opened since) only retires
 the burst that ends on it, if one does. ``run`` polls the workload
 on cycle 0 and then on the earliest wake that its last poll and the notifies
 since returned, notifies it of completions only, and asks whether the run
@@ -21,11 +22,10 @@ letting every started, unfinished generator emit, then stepping, notifying
 and checking for stalls and the end of the run each time, and is kept here
 as the reference that every quiet cycle and every skipped generator must
 agree with. The oracle-coverage tests check that each cycle that is not
-stepped is certified idle by the oracle's checks and scans in the same
-state, and passes the full-scan reference oracle of ``test_oracle``.
+stepped is idle by a from-scratch scan of every queued request, with no
+dedupe, and passes the full-scan reference oracle of ``test_oracle``.
 """
 
-import bisect
 import contextlib
 import hashlib
 from unittest import mock
@@ -33,7 +33,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from dramwc import checks
+from dramwc import checks, device
 from dramwc.device import CAS_KINDS, DDR3_1066, NEVER, make_timing
 from dramwc.harness import live_scenario
 from dramwc.scheduler import (
@@ -345,18 +345,12 @@ STALL_AT_FIRST_READY = ScenarioSpec(
 def recorded_oracle(ctrl):
     """Record both oracle entry points for ``ctrl`` within the block, which
     gets the records, filled in as the run goes: the first maps each
-    stepped cycle to the step's check, the second each cycle of one of
-    run's own first-ready scans to it, and the third holds, for each
-    accepted request in order, the first cycle whose selection sees it. A
-    record holds the oracle's result (the first-ready cycle, or None after
-    an issue), ``since``, and the requests accepted and the active queue's
-    length at the call."""
-    checks_, scans, arrivals = {}, {}, []
-    verify, first_ready, enqueue = checks.verify_selection, checks.first_ready, Controller.enqueue
+    stepped cycle to the result of the step's check (the first-ready cycle,
+    or None after an issue), the second each cycle of one of run's own
+    first-ready scans to its result."""
+    checks_, scans = {}, {}
+    verify, first_ready = checks.verify_selection, checks.first_ready
     in_check = []
-
-    def state(controller, result, since=0):
-        return result, since, len(controller.trace.requests), len(controller.candidate_queue())
 
     def record_check(controller, chosen):
         in_check.append(True)
@@ -365,97 +359,27 @@ def recorded_oracle(ctrl):
         finally:
             in_check.pop()
         if controller is ctrl:
-            checks_[controller.now] = state(controller, result)
+            checks_[controller.now] = result
         return result
 
     def record_scan(controller, since=0):
         result = first_ready(controller, since)
         if controller is ctrl and not in_check:
             assert controller.now not in scans, "two scans on one visit"
-            scans[controller.now] = state(controller, result, since)
+            scans[controller.now] = result
         return result
 
-    def record_arrival(controller, req):
-        accepted = enqueue(controller, req)
-        if accepted and controller is ctrl:  # polled before this cycle's step,
-            arrivals.append(controller.now)  # or notified after it
-        return accepted
-
     with mock.patch.object(checks, "verify_selection", record_check), \
-            mock.patch.object(checks, "first_ready", record_scan), \
-            mock.patch.object(Controller, "enqueue", record_arrival):
-        yield checks_, scans, arrivals
+            mock.patch.object(checks, "first_ready", record_scan):
+        yield checks_, scans
 
 
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(spec=live_specs() | staged_specs())
-@example(spec=MODE_FLIP)
-@example(spec=NEXT_CYCLE_START)
-@example(spec=NEXT_CYCLE_READY)
-@example(spec=STALL_AT_FIRST_READY)
-def test_every_cycle_the_oracle_skips_is_certified_idle(spec):
-    # Every cycle that is not stepped lies before the end of a span that
-    # the oracle certified: by a step's idle check or a scan of the whole
-    # active queue, and then cut short by the scans of the arrivals since,
-    # each covering every request that arrived after the last. Its last
-    # certification was made after the last arrival that the cycle's
-    # selection would see.
-    try:
-        workload = Workload(spec)
-    except ValueError:  # ScenarioError: over-full staging, for one
-        return
-    ctrl = workload.controller
-    staged = len(ctrl.trace.requests)
-    with recorded_oracle(ctrl) as (checked, scans, arrivals):
-        try:
-            ctrl.run(workload)
-        except SimulationStalled:
-            pass
-        end = ctrl.now
-    span = None  # the end of the span in effect, or None
-    seen = covered = 0  # requests accepted, and the active queue's length, then
-    for cycle in range(end):
-        if cycle in scans:
-            result, since, accepted, queued = scans[cycle]
-            if since:
-                assert span is not None and since <= covered, \
-                    f"cycle {cycle}: a scan of the arrivals from {since} on " \
-                    f"extends no span that covers the {covered} before them"
-                span = min(span, result)
-            else:
-                span = result
-            seen, covered = accepted, queued
-        if cycle in checked:
-            span, _, seen, covered = checked[cycle]
-            continue
-        assert span is not None, f"cycle {cycle}: unchecked, and nothing certifies it"
-        assert cycle < span, \
-            f"cycle {cycle}: unchecked, at or past the first-ready cycle {span}"
-        visible = staged + bisect.bisect_right(arrivals, cycle)
-        assert visible <= seen, \
-            f"cycle {cycle}: unchecked, although a request arrived after " \
-            f"the last certification"
-
-
-@settings(max_examples=100, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(spec=live_specs() | staged_specs())
-@example(spec=MODE_FLIP)
-@example(spec=NEXT_CYCLE_START)
-@example(spec=NEXT_CYCLE_READY)
-@example(spec=STALL_AT_FIRST_READY)
-@example(spec=WRITE_QUEUE_REFUSES)
-def test_every_unstepped_cycle_passes_the_full_scan(spec):
-    # On each cycle that run does not step, in the state in which a step
-    # would select (after the visit's poll, before its notify), no mode
-    # switch is due and the full-scan reference oracle finds nothing ready.
-    # run advances the clock of an unstepped cycle at that point, so the
-    # check sits in a setter of the controller's clock.
-    try:
-        workload = Workload(spec)
-    except ValueError:  # ScenarioError: over-full staging, for one
-        return
+def run_checking_unstepped_cycles(workload, check):
+    """Run ``workload`` and call ``check(controller)`` on each cycle that run
+    does not step, in the state in which a step would select (after the
+    visit's poll, before its notify). run advances the clock of an
+    unstepped cycle at that point, so the call sits in a setter of the
+    controller's clock. Every cycle of the run must be stepped or checked."""
     ctrl = workload.controller
     step = Controller.step
     stepped, unstepped = [], []
@@ -471,9 +395,7 @@ def test_every_unstepped_cycle_passes_the_full_scan(spec):
     def set_now(self, value):
         now = vars(self).get("now")
         if self is ctrl and (not stepped or stepped[-1] != now):
-            assert self._mode_due() is None, \
-                f"cycle {now}: unstepped although a mode switch is due"
-            full_scan_verify_selection(self, None)
+            check(self)
             unstepped.append(now)
         vars(self)["now"] = value
 
@@ -486,6 +408,77 @@ def test_every_unstepped_cycle_passes_the_full_scan(spec):
     assert sorted(stepped + unstepped) == list(range(ctrl.now))
 
 
+def nothing_queued_is_ready(ctrl):
+    """From-scratch reference of an idle cycle: every request of the raw
+    active queue, each with its own head from decompose_request and its own
+    earliest_ready, with no dedupe, becomes ready only after the clock."""
+    for req in ctrl.candidate_queue():
+        bank = ctrl.banks[req.bank]
+        kind = device.decompose_request(req, bank)[0]
+        at = device.earliest_ready(kind, req.row, bank, ctrl.chan, ctrl.timing)
+        assert at > ctrl.now, \
+            f"cycle {ctrl.now}: unstepped, although {checks._command(kind, req)} " \
+            f"is ready at {at}"
+
+
+# A read staged on closed bank 0 (ACT at 0, RD ready at tRCD = 7) and, in
+# the span that the visit after the ACT certifies, a probe read that arrives
+# at 3: to the open row of bank 1, which opens a new group whose RD is ready
+# at once, or to bank 0's row 0, the row that a probe of a closed bank
+# reads, which joins the staged read's group.
+NEW_GROUP_IN_SPAN = ScenarioSpec(
+    label="new-group-in-span", open_rows={1: 1}, prestage=[StagedRequest(False, 0, 0, 1)],
+    generators=[GeneratorSpec(GeneratorKind.LATENCY, 1, 1, budget=1, start=3)],
+    horizon=100, num_cores=2)
+JOIN_GROUP_IN_SPAN = ScenarioSpec(
+    label="join-group-in-span", prestage=[StagedRequest(False, 0, 0, 0)],
+    generators=[GeneratorSpec(GeneratorKind.LATENCY, 0, 0, budget=1, start=3)],
+    horizon=100, num_cores=1)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(spec=live_specs() | staged_specs())
+@example(spec=MODE_FLIP)
+@example(spec=NEXT_CYCLE_START)
+@example(spec=NEXT_CYCLE_READY)
+@example(spec=STALL_AT_FIRST_READY)
+@example(spec=NEW_GROUP_IN_SPAN)
+@example(spec=JOIN_GROUP_IN_SPAN)
+def test_every_cycle_the_oracle_skips_is_certified_idle(spec):
+    # Every cycle that is not stepped is idle by the from-scratch reference,
+    # in the state in which a step would select: the arrivals of the visit's
+    # poll are queued, whether they joined a group or opened one.
+    try:
+        workload = Workload(spec)
+    except ValueError:  # ScenarioError: over-full staging, for one
+        return
+    run_checking_unstepped_cycles(workload, nothing_queued_is_ready)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(spec=live_specs() | staged_specs())
+@example(spec=MODE_FLIP)
+@example(spec=NEXT_CYCLE_START)
+@example(spec=NEXT_CYCLE_READY)
+@example(spec=STALL_AT_FIRST_READY)
+@example(spec=WRITE_QUEUE_REFUSES)
+def test_every_unstepped_cycle_passes_the_full_scan(spec):
+    # On each cycle that run does not step, no mode switch is due and the
+    # full-scan reference oracle finds nothing ready.
+    try:
+        workload = Workload(spec)
+    except ValueError:  # ScenarioError: over-full staging, for one
+        return
+
+    def full_scan(ctrl):
+        assert ctrl._mode_due() is None, \
+            f"cycle {ctrl.now}: unstepped although a mode switch is due"
+        full_scan_verify_selection(ctrl, None)
+    run_checking_unstepped_cycles(workload, full_scan)
+
+
 # One read of row 1 staged on closed bank 0.
 ONE_CLOSED_READ = ScenarioSpec(prestage=[StagedRequest(False, 0, 0, 1)],
                                horizon=100, num_cores=1)
@@ -494,17 +487,15 @@ ONE_CLOSED_READ = ScenarioSpec(prestage=[StagedRequest(False, 0, 0, 1)],
 def test_oracle_checks_only_the_visited_cycles():
     workload = Workload(ONE_CLOSED_READ)
     ctrl = workload.controller
-    with recorded_oracle(ctrl) as (checked, scans, _):
+    with recorded_oracle(ctrl) as (checked, scans):
         trace = ctrl.run(workload)
     # ACT at 0; the visit at 1 scans the queue, whose RD is first ready at
     # 7, so cycles 1-6 are quiet; RD at 7; the visit at 8 scans the emptied
     # queue, never ready, so cycles 8-18 are quiet, and the one at the
     # burst's end, 18, retires the read, whose completion ends the run.
     assert [r.cycle for r in trace.issues] == [0, 7]
-    assert {cycle: result for cycle, (result, *_) in checked.items()} == \
-        {0: None, 7: None}
-    assert {cycle: result for cycle, (result, *_) in scans.items()} == \
-        {1: 7, 8: NEVER}
+    assert checked == {0: None, 7: None}
+    assert scans == {1: 7, 8: NEVER}
     assert trace.requests[0].completion_cycle == 18
 
 

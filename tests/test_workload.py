@@ -629,6 +629,9 @@ FAULTS = {
     "short bank line": (STAGED, {"1 15": "1"}, "line"),
     "long prestage line": (STAGED, {"read 1 1 15": "read 1 1 15 9"}, "line"),
     "long bank line": (STAGED, {"1 15": "1 15 3"}, "line"),
+    "bank row not an integer": (STAGED, {"1 15": "1 x"}, "line"),
+    "staged row not an integer": (STAGED, {"read 1 1 15": "read 1 1 1.5"}, "line"),
+    "staged core not an integer": (STAGED, {"read 1 1 15": "read one 1 15"}, "line"),
     "open row out of range": (STAGED, {"1 15": "1 4096"}, "line"),
     "staged row out of range": (STAGED, {"read 1 1 15": "read 1 1 4096"}, "line"),
     "negative staged row": (STAGED, {"read 1 1 15": "read 1 1 -3"}, "line"),
@@ -795,6 +798,21 @@ def test_a_line_of_the_wrong_length_names_its_form(name, form):
     with pytest.raises(ScenarioError) as exc:
         scenario_from_text(text)
     assert str(exc.value).startswith(f"line {lineno}: expected '{form}', got ")
+
+
+@pytest.mark.parametrize("name, message", [
+    ("bank row not an integer", "row must be an integer in 'bank row', got 'x'"),
+    ("staged row not an integer",
+     "row must be an integer in 'read|write core bank row', got '1.5'"),
+    ("staged core not an integer",
+     "core must be an integer in 'read|write core bank row', got 'one'"),
+])
+def test_a_token_that_is_not_an_integer_names_its_field(name, message):
+    text, lineno = _apply_fault(*FAULTS[name])
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_text(text)
+    assert str(exc.value) == f"line {lineno}: {message}"
+    assert exc.value.keys == (message.split()[0],)
 
 
 @pytest.mark.parametrize("lines, message", [

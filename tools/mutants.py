@@ -32,6 +32,7 @@ ROOT = Path(__file__).resolve().parents[1]
 DEVICE, SCHEDULER = "src/dramwc/device.py", "src/dramwc/scheduler.py"
 WORKLOAD, ANALYSIS = "src/dramwc/workload.py", "src/dramwc/analysis.py"
 HARNESS, KEYVALUE = "src/dramwc/harness.py", "src/dramwc/keyvalue.py"
+CHECKS = "src/dramwc/checks.py"
 
 
 class Mutant(NamedTuple):
@@ -81,9 +82,21 @@ MUTANTS = (
            "len(self.write_queue) >= self.config.write_cap",
            "len(self.write_queue) >= self.config.write_cap - 1",
            "a drain starts while reads wait only once the write queue is full"),
-    # The certified spans of Controller.run, and the oracle's scan key.
+    # The certified spans of Controller.run, the (bank, row) groups that
+    # they are certified from, and the oracle's scan key.
     Mutant("arrivals-do-not-shorten-the-span", SCHEDULER, "if ready < quiet_until:",
-           "if False:", "an arrival ends a certified span at its head's first-ready cycle"),
+           "if False:",
+           "an arrival that opens a group ends a certified span at its head's "
+           "first-ready cycle"),
+    Mutant("arrivals-never-scan-a-new-group", SCHEDULER,
+           "ready = first_ready(self, quiet_len)", "ready = first_ready(self, heads)",
+           "an arrival into a certified span has the head of each group it opens scanned"),
+    Mutant("enqueue-drops-a-joining-request", SCHEDULER,
+           "groups.setdefault((req.bank, req.row), []).append(req)",
+           "groups.setdefault((req.bank, req.row), [req])",
+           "every accepted request joins its (bank, row) group"),
+    Mutant("first-ready-trusts-the-groups", CHECKS, "if grouped != queued:", "if False:",
+           "a full certification fails when the groups and the queue disagree"),
     Mutant("certification-skips-mode-due", SCHEDULER,
            "if mode_due() is not None:\n                    quiet_until = cycle",
            "if False:\n                    quiet_until = cycle",
@@ -140,6 +153,9 @@ MUTANTS = (
            'f"line {at or since}: {exc}"',
            "a keyed error in a section names the line from which its keys stay "
            "invalid, not the section header"),
+    # The offline trace checks.
+    Mutant("issue-log-order-unchecked", CHECKS, "if cur.cycle < prev.cycle:", "if False:",
+           "the issue log is in cycle order, which the later checks read it in"),
     # The analysis.
     Mutant("write-term-without-twtr", ANALYSIS,
            "return spec.scheduler.drain_batch * spec.timing.trc + spec.timing.twtr",
