@@ -31,26 +31,30 @@ def first_ready(controller, since: int = 0) -> int:
     and the channel. The head's kind comes from decompose_request, not the
     controller's fast path, and its ready cycle from earliest_ready.
 
-    A full call, from the first group, first checks that the groups hold as
-    many requests as the active queue, so a groups/queue desync fails at the
-    next certification. The idle check of :func:`verify_selection` makes a
-    full call, and ``Controller.run`` one on the visit after an issue. On a
+    The active groups are derived here from ``controller.mode``, not read
+    from the controller's ``active_groups``, so a stale active queue shows
+    as a wrong certification. A full call, from the first group, first
+    checks that the groups hold as many requests as the active queue, so a
+    groups/queue desync fails at the next certification. The idle check of
+    :func:`verify_selection` makes a full call, and ``Controller.run`` one
+    on the visit after an issue. On a
     visit with arrivals into the span that it certified, ``run`` reads only
     the groups that they opened: no group is deleted before a CAS issue,
     which ends the span, so new groups are the tail of the dict.
     """
-    groups = controller.candidate_groups()
+    reading = controller.mode is READ
+    groups = controller.read_groups if reading else controller.write_groups
     if since:
         heads = itertools.islice(groups.values(), since, None)
     else:
-        queued = len(controller.candidate_queue())
+        queued = len(controller.read_queue if reading else controller.write_queue)
         grouped = sum(map(len, groups.values()))
         if grouped != queued:
             raise TraceInvariantError(
                 f"cycle {controller.now}: the (bank, row) groups hold {grouped} "
                 f"requests, the active queue {queued}")
         heads = groups.values()
-    # _head in line: run calls this on the visit after each issue.
+    # Each head's kind and ready cycle in line: run calls this after each issue.
     banks, chan, timing = controller.banks, controller.chan, controller.timing
     decompose, earliest_ready = device.decompose_request, device.earliest_ready
     first = device.NEVER
@@ -76,9 +80,10 @@ def verify_selection(controller, chosen) -> int | None:
     cycle fails, and the per-request scan below names the request.
 
     A pick, or an idle cycle with a ready head, is checked by walking the
-    raw arrival-order queue and ranking every ready request by its own
-    FR-FCFS key, from priority_key; each request's head comes from
-    decompose_request, once per distinct ``target`` stamp. Unlike
+    raw arrival-order queue that ``controller.mode`` names and ranking every
+    ready request by its own FR-FCFS key, from priority_key; each request's
+    head comes from decompose_request, once per distinct ``target`` stamp,
+    in line. Unlike
     select_command, the oracle does not assume that only the oldest request
     of a target can win. The queue is in arrival order, so the first ready
     CAS has the smallest possible key and ends the scan.
@@ -92,13 +97,18 @@ def verify_selection(controller, chosen) -> int | None:
         first = first_ready(controller)
         if first > now:
             return first
-    heads = {}
+    heads = {}  # target -> (kind of the next command, the cycle it is ready)
     best_key = None
     best = None
-    for req in controller.candidate_queue():
+    queue = controller.read_queue if controller.mode is READ else controller.write_queue
+    banks, chan, timing = controller.banks, controller.chan, controller.timing
+    decompose, earliest_ready = device.decompose_request, device.earliest_ready
+    for req in queue:
         head = heads.get(req.target)
         if head is None:
-            heads[req.target] = head = _head(controller, req)
+            bank = banks[req.bank]
+            kind = decompose(req, bank)[0]
+            heads[req.target] = head = kind, earliest_ready(kind, req.row, bank, chan, timing)
         kind, at = head
         if at > now:
             continue
@@ -122,15 +132,6 @@ def verify_selection(controller, chosen) -> int | None:
             f"cycle {controller.now}: issued {_command(kind, req)} over "
             f"higher-priority {_command(*best)}"
         )
-
-
-def _head(controller, req) -> tuple:
-    """The kind of req's next command, from the open-page decomposition, and
-    the cycle at which it becomes ready."""
-    bank = controller.banks[req.bank]
-    kind = device.decompose_request(req, bank)[0]
-    return kind, device.earliest_ready(kind, req.row, bank, controller.chan,
-                                       controller.timing)
 
 
 def _mode_intervals(trace: ScheduleTrace) -> list[tuple[int, Mode]]:

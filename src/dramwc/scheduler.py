@@ -11,7 +11,7 @@ import functools
 from dataclasses import dataclass
 
 from . import device
-from .device import ACT, CAS_KINDS, PRE, RD, WR, CommandKind, DataBurst, TimingParams
+from .device import ACT, CAS_KINDS, NEVER, PRE, RD, WR, CommandKind, DataBurst, TimingParams
 from .keyvalue import Choice, ScenarioError, check_min
 
 
@@ -196,9 +196,15 @@ class Controller:
         self.read_groups: dict[tuple[int, int], list[MemRequest]] = {}
         self.write_groups: dict[tuple[int, int], list[MemRequest]] = {}
         self.mode = initial_mode
+        # The active queue and its groups, the ones that ``mode`` names: set
+        # only here and by _switch_mode. The oracle derives its own from ``mode``.
+        self.active_queue, self.active_groups = (
+            (self.read_queue, self.read_groups) if initial_mode is READ
+            else (self.write_queue, self.write_groups))
         self.drained_in_batch = 0
         self.now = 0
-        self._first_ready = device.NEVER  # the oracle's, set by step when idle
+        self.next_end = NEVER  # the end of the first burst not retired
+        self._first_ready = NEVER  # the oracle's, set by step when idle
         self.trace = ScheduleTrace(timing, self.config, initial_mode)
 
     # -- queue admission ----------------------------------------------------
@@ -252,18 +258,14 @@ class Controller:
 
     def _switch_mode(self, mode: Mode) -> None:
         self.mode = mode
-        if mode is WRITE_DRAIN:
+        if mode is READ:
+            self.active_queue, self.active_groups = self.read_queue, self.read_groups
+        else:
+            self.active_queue, self.active_groups = self.write_queue, self.write_groups
             self.drained_in_batch = 0
         self.trace.mode_switches.append(
             ModeSwitch(self.now, mode, len(self.write_queue))
         )
-
-    def candidate_queue(self) -> list[MemRequest]:
-        return self.read_queue if self.mode is READ else self.write_queue
-
-    def candidate_groups(self) -> dict[tuple[int, int], list[MemRequest]]:
-        """The active queue's (bank, row) groups."""
-        return self.read_groups if self.mode is READ else self.write_groups
 
     def select_command(self) -> tuple[CommandKind, MemRequest] | None:
         """Highest-priority ready command among the active queue, as the
@@ -275,7 +277,7 @@ class Controller:
         """
         best = None
         best_key = None
-        groups = self.candidate_groups()
+        groups = self.active_groups
         banks, chan, timing, now = self.banks, self.chan, self.timing, self.now
         earliest_ready = device.earliest_ready
         for group in groups.values():
@@ -319,6 +321,8 @@ class Controller:
             issued = IssueRecord(self.now, kind, req)
             self.trace.issues.append(issued)
             if burst is not None:
+                if self.next_end == NEVER:
+                    self.next_end = burst.end
                 self.trace.bursts.append(burst)
                 self._dequeue(req)
                 if kind is WR:
@@ -328,7 +332,7 @@ class Controller:
     def _dequeue(self, req: MemRequest) -> None:
         """Remove a request whose CAS has issued from its queue and from the
         head of its (bank, row) group."""
-        self.candidate_queue().remove(req)
+        self.active_queue.remove(req)
         groups = self.write_groups if req.is_write else self.read_groups
         target = (req.bank, req.row)
         group = groups[target]
@@ -344,26 +348,24 @@ class Controller:
     def _retire(self) -> MemRequest | None:
         """End the cycle: complete the request that the burst ending now points
         at, if any. Each CAS waits for the data bus (``earliest_ready``), so bursts
-        end in issue order, one a cycle at most: the next is the first not completed."""
-        trace, now = self.trace, self.now
+        end in issue order, one a cycle at most: the next is the first not
+        completed, and ``next_end`` is its end, kept by ``step`` and here."""
+        now = self.now
         self.now = now + 1
-        done = len(trace.completions)
-        if done == len(trace.bursts) or trace.bursts[done].end != now:
+        if now != self.next_end:
             return None
-        req = trace.bursts[done].request
+        trace = self.trace
+        completions, bursts = trace.completions, trace.bursts
+        done = len(completions)
+        req = bursts[done].request
         req.completion_cycle = now
-        trace.completions.append(req)
+        completions.append(req)
+        done += 1
+        self.next_end = bursts[done].end if done < len(bursts) else NEVER
         return req
 
-    def _next_end(self) -> int:
-        """The cycle at which the first burst not yet retired ends, or NEVER."""
-        trace = self.trace
-        done = len(trace.completions)
-        return trace.bursts[done].end if done < len(trace.bursts) else device.NEVER
-
     def idle(self) -> bool:
-        retired = len(self.trace.completions) == len(self.trace.bursts)
-        return retired and not self.read_queue and not self.write_queue
+        return self.next_end == NEVER and not self.read_queue and not self.write_queue
 
     def run(self, workload) -> ScheduleTrace:
         """Run the workload that owns this controller until its horizon, or
@@ -406,7 +408,7 @@ class Controller:
         stall_window = self.config.stall_window
         poll, notify, finished = workload.poll, workload.notify, workload.finished
         step, retire, mode_due, idle = self.step, self._retire, self._mode_due, self.idle
-        candidate_groups, first_ready = self.candidate_groups, checks.first_ready
+        first_ready = checks.first_ready
         trace = self.trace
         requests = trace.requests
         last_progress = 0
@@ -416,7 +418,6 @@ class Controller:
         # the active queue; quiet_order is -1 after an issue or a due mode
         # switch. The span is empty on cycle 0, which is stepped.
         quiet_order, quiet_until, quiet_len = 0, 0, 0
-        next_end = device.NEVER  # the end of the first burst not retired, when quiet
         while self.now < horizon:
             cycle = self.now
             if cycle >= wake:
@@ -425,10 +426,9 @@ class Controller:
                 if mode_due() is not None:
                     quiet_until = cycle
                 elif quiet_order < 0:
-                    quiet_until, next_end = first_ready(self), self._next_end()
-                    quiet_len = len(candidate_groups())
+                    quiet_until, quiet_len = first_ready(self), len(self.active_groups)
                 elif cycle < quiet_until:
-                    heads = len(candidate_groups())
+                    heads = len(self.active_groups)
                     if heads != quiet_len:
                         ready = first_ready(self, quiet_len)
                         quiet_len = heads
@@ -440,11 +440,11 @@ class Controller:
                 issued, completed = step()
                 if issued is None and mode_due() is None:
                     quiet_order, quiet_until = len(requests), self._first_ready
-                    quiet_len, next_end = len(candidate_groups()), self._next_end()
+                    quiet_len = len(self.active_groups)
                 else:
                     quiet_order = -1
-            elif cycle == next_end:
-                completed, next_end = retire(), self._next_end()
+            elif cycle == self.next_end:
+                completed = retire()
             else:
                 self.now = cycle + 1
             if completed is not None:

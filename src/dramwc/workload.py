@@ -139,47 +139,40 @@ class _Generator:
     def __init__(self, spec: GeneratorSpec, base_row: int, num_rows: int,
                  rng: random.Random, submit):
         self.spec = spec
-        self.base_row = base_row
-        self.num_rows = num_rows
-        self.rng = rng
-        self.submit = submit  # (row, is_write) -> accepted, for this core's bank
-        self.emitted = 0
-        self.held_row: int | None = None
+        self.send = submit  # (row, is_write) -> accepted, for this core's bank
+        self.left = NEVER if spec.budget is None else spec.budget  # requests still allowed
+        # The row policy: every new request goes to the base row, or, when
+        # that is None, to a random row drawn by ``draw``.
+        self.base_row = None if spec.row_policy == "random" else base_row
+        self.draw = functools.partial(rng.randrange, num_rows)
+        self.row = self.base_row  # the next new request's, None until drawn
         # The first cycle at which a poll can change this generator; after
         # it only freed room can (an MSHR entry at a completion, queue room at
-        # a CAS issue), since a refused submit keeps its held row.
+        # a CAS issue), since a refused submit keeps its row.
         self.ready_at = spec.start
 
-    def _row(self) -> int:
-        """Row of the next new request. A random row is drawn once and held
-        until a submit accepts it, so the rows drawn do not depend on how
-        long the core was blocked."""
-        if self.spec.row_policy == "sequential":
-            return self.base_row
-        if self.held_row is None:
-            self.held_row = self.rng.randrange(self.num_rows)
-        return self.held_row
-
-    def _send(self, row: int, is_write: bool) -> bool:
-        """Submit a request; an accepted one spends budget."""
-        if not self.submit(row, is_write):
-            return False
-        self.emitted += 1
-        return True
-
-    def _submit_next(self, is_write: bool) -> bool:
-        """Submit a new request to :meth:`_row`; True if it was accepted."""
-        if not self._send(self._row(), is_write):
-            return False
-        self.held_row = None
-        return True
-
-    def budget_left(self, need: int = 1) -> bool:
-        budget = self.spec.budget
-        return budget is None or self.emitted + need <= budget
+    def _submit(self, is_write: bool, need: int = 1, row: int | None = None) -> int | None:
+        """Submit a request, one owed to ``row`` or else a new one, if the
+        budget allows ``need`` more requests; the accepted request's row, or
+        None if none was. An accepted request spends budget. A new request's
+        random row is drawn once and held until a submit accepts it, so the
+        rows drawn do not depend on how long the core was blocked."""
+        if self.left < need:
+            return None
+        if row is None:
+            row = self.row
+            if row is None:
+                row = self.row = self.draw()
+            if not self.send(row, is_write):
+                return None
+            self.row = self.base_row
+        elif not self.send(row, is_write):
+            return None
+        self.left -= 1
+        return row
 
     def done(self) -> bool:
-        return self.spec.budget is not None and self.emitted >= self.spec.budget
+        return self.left == 0
 
     def blocked(self, admits) -> bool:
         """Whether ``admits`` (the MSHR file's rule) refuses every request
@@ -197,7 +190,7 @@ class LatencyGenerator(_Generator):
     """Pointer-chase analog: a single outstanding dependent read at a time."""
 
     def emit(self, now):
-        if now >= self.ready_at and self.budget_left() and self._submit_next(False):
+        if now >= self.ready_at and self._submit(False) is not None:
             self.ready_at = NEVER  # until the read completes
 
     def on_completion(self, now, is_write):
@@ -215,17 +208,16 @@ class BandwidthWriteGenerator(_Generator):
         self.write_debt: list[int] = []  # rows whose write-back is still owed
 
     def _flush_debt(self):
-        while self.write_debt and self._send(self.write_debt[0], True):
-            self.write_debt.pop(0)
+        debt = self.write_debt
+        while debt and self._submit(True, row=debt[0]) is not None:
+            debt.pop(0)
 
     def _emit_pair(self) -> bool:
         # Each write-back still owed will spend budget too.
-        if not self.budget_left(2 + len(self.write_debt)):
+        row = self._submit(False, 2 + len(self.write_debt))
+        if row is None:
             return False
-        row = self._row()
-        if not self._submit_next(False):
-            return False
-        if not self._send(row, True):
+        if self._submit(True, row=row) is None:
             self.write_debt.append(row)
         return True
 
@@ -234,12 +226,14 @@ class BandwidthWriteGenerator(_Generator):
         return not admits(core, False) and not (self.write_debt and admits(core, True))
 
     def emit(self, now):
-        self._flush_debt()
+        if self.write_debt:
+            self._flush_debt()
         while self._emit_pair():
             pass
 
     def on_completion(self, now, is_write):
-        self._flush_debt()
+        if self.write_debt:
+            self._flush_debt()
         if not is_write:
             self._emit_pair()
 
@@ -250,17 +244,16 @@ class StreamGenerator(_Generator):
     def __init__(self, *args):
         super().__init__(*args)
         self.pattern = self._pattern()
+        self.period = len(self.pattern)
         self.pos = 0
 
     def _pattern(self) -> list[bool]:
         return [False] * self.spec.stream_reads + [True] * self.spec.stream_writes
 
     def _emit_one(self) -> bool:
-        if not self.budget_left():
+        if self._submit(self.pattern[self.pos]) is None:
             return False
-        if not self._submit_next(self.pattern[self.pos]):
-            return False
-        self.pos = (self.pos + 1) % len(self.pattern)
+        self.pos = (self.pos + 1) % self.period
         return True
 
     def blocked(self, admits):
@@ -401,6 +394,7 @@ class Workload:
         # run ends; None when that core has no budgeted generator.
         self.analyzed_left: int | None = None
         self.has_sources = bool(spec.generators or spec.prestage)
+        self.endless = False  # has an unbudgeted generator, so is never exhausted
         for gspec in sorted(spec.generators, key=lambda g: g.core):
             self._add_generator(gspec)
         # The staged requests arrive at cycle 0 in listed order, so they
@@ -434,6 +428,7 @@ class Workload:
                 raise ScenarioError(f"analyzed core {core} has a generator with budget 0, "
                                     f"so the run would end before any request is served")
             self.analyzed_left = gspec.budget
+        self.endless |= gspec.budget is None
         rng = random.Random((spec.seed << 8) ^ (core + 1))
         gen = _GENERATOR_CLASSES[gspec.kind](
             gspec, spec.open_rows.get(gspec.bank, 0), spec.num_rows, rng,
@@ -513,9 +508,10 @@ class Workload:
                 self.analyzed_left -= 1
             gen = self.gen_by_core[core]
             gen.on_completion(now, is_write)
+        # An entry still free decides the wake without asking the generator.
         freed = (mshr.writes_total if is_write else mshr.reads[core]) < held
-        woken = gen is not None and not gen.done() and not gen.blocked(mshr.admits)
-        return now + 1 if self.generators and (freed or woken) else NEVER
+        woken = freed or gen is not None and not gen.done() and not gen.blocked(mshr.admits)
+        return now + 1 if woken and self.generators else NEVER
 
     def exhausted(self) -> bool:
         return all(g.done() for g in self.generators) and self.mshr.idle()
@@ -533,9 +529,11 @@ class Workload:
         burst is then in flight. A generator turns done only when one of its
         submits is accepted, and that request keeps the controller busy
         until it completes. The MSHR file frees its last entry only at a
-        completion."""
+        completion. A workload with an unbudgeted generator is never
+        exhausted, so only the analyzed core's budget can end it."""
         return self.analyzed_left == 0 or (
-            self.controller.idle() and self.has_sources and self.exhausted())
+            not self.endless and self.has_sources and self.controller.idle()
+            and self.exhausted())
 
 
 def run_scenario(spec: ScenarioSpec):

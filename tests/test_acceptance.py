@@ -130,6 +130,18 @@ def test_c4_baseline_underestimates():
               f"({report.measured_max} vs {baseline} cycles)")
 
 
+@pytest.mark.parametrize("kind", [GeneratorKind.BANDWIDTH_WRITE, GeneratorKind.BANDWIDTH_READ],
+                         ids=lambda kind: kind.value)
+def test_c10_baseline_underestimates_live_co_runs(kind):
+    with criterion(10, f"one-request baseline underestimates a live {kind.value} co-run"):
+        report, = harness.sweep(kind, 3, [0])
+        assert report.bound_baseline == 57
+        assert report.measured_max > report.bound_baseline
+        print(f"[acceptance]   measured/baseline ratio: "
+              f"{report.measured_max / report.bound_baseline:.2f} "
+              f"({report.measured_max} vs {report.bound_baseline} cycles)")
+
+
 def test_c5_full_bound_is_tight():
     with criterion(5, "full bound covers the staged worst case"):
         spec = build_adversarial(

@@ -58,12 +58,18 @@ def test_the_guard_sees_body_reads_only():
 PER_CYCLE = {
     device: ("earliest_ready", "command_ready", "apply_command", "decompose_request"),
     scheduler: tuple(f"Controller.{name}" for name in (
-        "select_command", "step", "_retire", "_next_end", "_dequeue", "enqueue",
-        "update_mode", "_mode_due", "candidate_groups", "idle", "run")),
-    checks: ("verify_selection", "first_ready", "_head"),
+        "select_command", "step", "_retire", "_dequeue", "enqueue", "update_mode",
+        "_mode_due", "_switch_mode", "idle", "run")),
+    checks: ("verify_selection", "first_ready"),
+    # The served request's chain: a generator's re-issue, its submit, and
+    # the workload's admission.
     workload: ("Workload.poll", "Workload.notify", "Workload.finished",
-               "Workload.exhausted", "MshrFile.admits", "MshrFile.acquire",
-               "MshrFile.release"),
+               "Workload.exhausted", "Workload._submit", "MshrFile.admits",
+               "MshrFile.acquire", "MshrFile.release", "_Generator._submit",
+               "LatencyGenerator.on_completion", "BandwidthWriteGenerator._flush_debt",
+               "BandwidthWriteGenerator._emit_pair",
+               "BandwidthWriteGenerator.on_completion", "StreamGenerator._emit_one",
+               "StreamGenerator.on_completion"),
 }
 
 

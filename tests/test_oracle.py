@@ -32,6 +32,12 @@ from dramwc.workload import (
 )
 
 
+def mode_queue(controller):
+    """The active queue as the oracle derives it: the one that ``mode``
+    names, not the controller's own ``active_queue``."""
+    return controller.read_queue if controller.mode is Mode.READ else controller.write_queue
+
+
 def full_scan_verify_selection(controller, chosen) -> None:
     """Reference oracle: every queued request, the best ready one by the
     FR-FCFS key, then the verdict on ``chosen``."""
@@ -41,7 +47,7 @@ def full_scan_verify_selection(controller, chosen) -> None:
         raise TraceInvariantError("write queue exceeds its capacity")
     best_key = None
     best = None
-    for req in controller.candidate_queue():
+    for req in mode_queue(controller):
         bank = controller.banks[req.bank]
         kind = device.decompose_request(req, bank)[0]
         if not device.command_ready(kind, req.row, bank, controller.chan,
@@ -125,7 +131,7 @@ def test_oracle_agrees_with_the_full_scan(ctrl, data):
     # chosen: nothing, the controller's pick (the best ready command), or
     # any queued request's head, ready or not.
     picks = [None, ctrl.select_command()]
-    picks += [head(ctrl, req) for req in ctrl.candidate_queue()]
+    picks += [head(ctrl, req) for req in ctrl.active_queue]
     chosen = data.draw(st.sampled_from(picks))
     assert failure(checks.verify_selection, ctrl, chosen) == \
         failure(full_scan_verify_selection, ctrl, chosen)
@@ -154,7 +160,7 @@ def reference_selection(ctrl):
     from decompose_request, whose ready cycle comes from earliest_ready, and
     whose rank comes from priority_key."""
     heads = {}
-    for req in ctrl.candidate_queue():
+    for req in mode_queue(ctrl):
         heads.setdefault((req.bank, req.row), req)
     best, best_key = None, None
     for req in heads.values():
@@ -252,7 +258,7 @@ def test_heads_are_derived_once_per_target(monkeypatch):
     ctrl = Workload(build_adversarial(
         interferer_kind=GeneratorKind.BANDWIDTH_READ, seed=0)).controller
     ctrl.step()
-    queue = ctrl.candidate_queue()
+    queue = ctrl.active_queue
     targets = {(req.bank, req.row, req.is_write) for req in queue}
     assert (len(queue), len(targets)) == (30, 4)
     assert failure(full_scan_verify_selection, ctrl, None) is None
@@ -311,7 +317,7 @@ def test_oracle_agrees_on_one_bank_with_two_rows(mode, bank1_row, order):
         for bank in ctrl.banks:
             bank.earliest_pre, bank.earliest_act = pre, act
         picks = [None, ctrl.select_command()]
-        picks += [head(ctrl, req) for req in ctrl.candidate_queue()]
+        picks += [head(ctrl, req) for req in ctrl.active_queue]
         for chosen in picks:
             assert failure(checks.verify_selection, ctrl, chosen) == \
                 failure(full_scan_verify_selection, ctrl, chosen)
@@ -327,7 +333,7 @@ def _selector(rank):
     ``rank(kind, req)``."""
     def select_command(self):
         ready = []
-        for req in self.candidate_queue():
+        for req in self.active_queue:
             kind = device.decompose_request(req, self.banks[req.bank])[0]
             if device.command_ready(kind, req.row, self.banks[req.bank],
                                     self.chan, self.timing, self.now):

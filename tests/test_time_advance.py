@@ -53,7 +53,7 @@ from dramwc.workload import (
     build_adversarial,
     run_scenario,
 )
-from test_oracle import full_scan_verify_selection
+from test_oracle import full_scan_verify_selection, mode_queue
 
 
 def poll_every_generator(workload, cycle):
@@ -412,7 +412,7 @@ def nothing_queued_is_ready(ctrl):
     """From-scratch reference of an idle cycle: every request of the raw
     active queue, each with its own head from decompose_request and its own
     earliest_ready, with no dedupe, becomes ready only after the clock."""
-    for req in ctrl.candidate_queue():
+    for req in mode_queue(ctrl):
         bank = ctrl.banks[req.bank]
         kind = device.decompose_request(req, bank)[0]
         at = device.earliest_ready(kind, req.row, bank, ctrl.chan, ctrl.timing)
@@ -507,7 +507,8 @@ def test_oracle_checks_only_the_visited_cycles():
 def test_selection_groups_match_the_queues(spec):
     # After every cycle, stepped or quiet, each queue's (bank, row) groups
     # hold exactly its requests to that target, in arrival order, and no
-    # group is empty.
+    # group is empty; and the active queue and groups, which select_command
+    # and _dequeue read, are the ones that the controller's mode names.
     try:
         workload = Workload(spec)
     except ValueError:  # ScenarioError: over-full staging, for one
@@ -526,6 +527,9 @@ def test_selection_groups_match_the_queues(spec):
                               (ctrl.write_queue, ctrl.write_groups)):
             assert {target: [req.request_id for req in group]
                     for target, group in groups.items()} == grouped(queue)
+        reading = ctrl.mode is Mode.READ
+        assert ctrl.active_queue is (ctrl.read_queue if reading else ctrl.write_queue)
+        assert ctrl.active_groups is (ctrl.read_groups if reading else ctrl.write_groups)
         return completed
 
     with mock.patch.object(Controller, "_retire", checked_retire):

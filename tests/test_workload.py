@@ -471,6 +471,16 @@ class TestEndOfRun:
             trace, _ = run_scenario(spec)
             assert trace.total_cycles == 2000
 
+    def test_a_run_of_budgeted_sources_ends_once_they_are_served(self):
+        # Without an analyzed core, it ends on the cycle of its last
+        # completion: every generator is done and the controller is idle.
+        spec = self.spec(budget=4, analyzed_core=None)
+        spec.generators[1].budget = 6
+        trace, _ = run_scenario(spec)
+        assert len(trace.completions) == 10
+        assert trace.total_cycles == trace.completions[-1].completion_cycle + 1 < 2000
+        assert trace.quiescent
+
     def test_zero_budget_on_the_analyzed_core_is_rejected(self):
         # It would end the run at cycle 0, before any request is served.
         with pytest.raises(ScenarioError,

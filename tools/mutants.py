@@ -102,9 +102,13 @@ MUTANTS = (
            "if False:\n                    quiet_until = cycle",
            "a visit at which a mode switch is due is stepped"),
     Mutant("span-ends-a-cycle-late", SCHEDULER,
-           "quiet_until, next_end = first_ready(self), self._next_end()",
-           "quiet_until, next_end = first_ready(self) + 1, self._next_end()",
+           "quiet_until, quiet_len = first_ready(self), len(self.active_groups)",
+           "quiet_until, quiet_len = first_ready(self) + 1, len(self.active_groups)",
            "a span certified after an issue ends at the first-ready cycle"),
+    Mutant("switch-leaves-the-active-queue-stale", SCHEDULER,
+           "self.active_queue, self.active_groups = self.write_queue, self.write_groups",
+           "pass",
+           "a mode switch makes the queue that the new mode names the active one"),
     Mutant("target-ignores-the-bank", SCHEDULER,
            "req.target = (req.row * self.config.num_banks + req.bank) * 2 + req.is_write",
            "req.target = req.row * 2 + req.is_write",
@@ -115,7 +119,7 @@ MUTANTS = (
            "plus the compute gap"),
     # The poll schedule of Controller.run and Workload.poll and notify.
     Mutant("no-wake-after-completion", WORKLOAD,
-           "return now + 1 if self.generators and (freed or woken) else NEVER",
+           "return now + 1 if woken and self.generators else NEVER",
            "return NEVER",
            "a completion that frees an MSHR entry or unblocks its generator "
            "wakes the workload on the next visit"),
@@ -125,9 +129,17 @@ MUTANTS = (
            "an MSHR entry still free after the completion's own re-issue wakes "
            "the parked generators"),
     Mutant("notify-ignores-completing-generator", WORKLOAD,
-           "woken = gen is not None and not gen.done() and not gen.blocked(mshr.admits)",
-           "woken = False",
+           "woken = freed or gen is not None and not gen.done() and not gen.blocked(mshr.admits)",
+           "woken = freed",
            "a completion whose generator is neither done nor blocked wakes it"),
+    Mutant("budget-bound-off-by-one", WORKLOAD,
+           "self.left = NEVER if spec.budget is None else spec.budget",
+           "self.left = NEVER if spec.budget is None else spec.budget + 1",
+           "a generator submits no more requests than its budget"),
+    Mutant("budgeted-workload-endless", WORKLOAD, "self.endless |= gspec.budget is None",
+           "self.endless = True",
+           "a run whose sources are all budgeted ends once they are exhausted and "
+           "the controller is idle"),
     Mutant("blocked-ignores-write-debt", WORKLOAD,
            "return not admits(core, False) and not (self.write_debt and admits(core, True))",
            "return not admits(core, False)",
